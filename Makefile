@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all fmt fmt-check vet build test race bench bench-compare bench-server smoke smoke-replication smoke-failover clean ci
+.PHONY: all fmt fmt-check vet build test race bench bench-test bench-check bench-compare bench-server smoke smoke-replication smoke-failover clean ci
 
 all: build
 
 # Remove build and benchmark artifacts.
 clean:
-	rm -rf bin bench-compare-out
+	rm -rf bin bench-compare-out .bench_build bench/out
 
 fmt:
 	gofmt -w .
@@ -33,6 +33,20 @@ race:
 # runs, not a measurement.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench/ is a module of its own (BENCHMARK.json's instrument), so the
+# targets above never compile it. bench-test vets and tests it against this
+# tree's internal/* — an API change that breaks its in-process probes fails
+# here rather than in the benchmark gate — and includes a traced smoke of
+# all four workloads against a real incdbd.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Every benchmark workload twice with one seed, compared against the bounds
+# BENCHMARK.json fixes: the repeatability check to run before claiming or
+# refuting a difference.
+bench-check:
+	bash bench/run.sh --check
 
 # Measure the working tree against the previous commit (or BASE=<ref>),
 # report via benchstat when available, and emit BENCH_PR10.json. Fails when
@@ -67,4 +81,4 @@ smoke-replication:
 smoke-failover:
 	./scripts/smoke_failover.sh
 
-ci: fmt-check vet build race bench smoke smoke-replication smoke-failover
+ci: fmt-check vet build race bench bench-test smoke smoke-replication smoke-failover

@@ -11,8 +11,8 @@
 // ctable-eager|semi|lazy|aware, report.
 //
 // The explain subcommand prints the optimized logical expression and the
-// compiled physical plan (with the subplans frozen across valuations
-// marked) instead of evaluating; -format json emits the same structured
+// compiled physical plan (each node marked with its frozen part, its
+// per-world Δ, or as a barrier) instead of evaluating; -format json emits the same structured
 // rendering the incdbd server's /v1/explain endpoint returns:
 //
 //	incdbctl explain -db data.idb [-sql] [-bag] [-analyze] [-format text|json] "minus(proj(0, Customers), proj(0, Payments))"

@@ -341,10 +341,9 @@ func TestPlannerMatchesInterpreterJoins(t *testing.T) {
 }
 
 // TestPreparedMatchesPerWorldEval locks in the oracle contract: executing a
-// prepared plan on worlds v(D) must match interpreting the query on each
-// world from scratch, for every valuation of a small space — under both
-// modes (the oracles use naive; ModeSQL exercises the frozen null-split
-// paths of the exported API) and both semantics.
+// prepared plan under a valuation v must match interpreting the query on
+// the world v(D) from scratch, for every valuation of a small space — under
+// both modes (the oracles use naive) and both semantics.
 func TestPreparedMatchesPerWorldEval(t *testing.T) {
 	r := rand.New(rand.NewSource(555))
 	cfg := gen.DefaultConfig()
@@ -365,7 +364,7 @@ func TestPreparedMatchesPerWorldEval(t *testing.T) {
 				} else {
 					p = plan.Compile(q, db, mode)
 				}
-				prep := p.Prepare(db)
+				run := p.Prepare(db).Runner(nil)
 				worlds := 0
 				space.Each(func(v value.Valuation) bool {
 					world := db.Apply(v)
@@ -375,7 +374,7 @@ func TestPreparedMatchesPerWorldEval(t *testing.T) {
 					} else {
 						want = algebra.EvalInterp(world, q, mode)
 					}
-					got := prep.Exec(world)
+					got := run.Eval(v).Relation()
 					if !want.Equal(got) {
 						t.Fatalf("trial %d %v bag=%t: prepared exec diverges on world %v\nQ = %s\ninterp = %v\nprepared = %v",
 							trial, mode, bag, v, q, want, got)
@@ -383,6 +382,7 @@ func TestPreparedMatchesPerWorldEval(t *testing.T) {
 					worlds++
 					return worlds < 32 // bounded: the space can be large
 				})
+				run.Close()
 			}
 		}
 	}
@@ -496,7 +496,7 @@ func TestPreparedChainJoinsPerWorld(t *testing.T) {
 				} else {
 					p = plan.Compile(q, db, mode)
 				}
-				prep := p.Prepare(db)
+				run := p.Prepare(db).Runner(nil)
 				worlds := 0
 				space.Each(func(v value.Valuation) bool {
 					world := db.Apply(v)
@@ -506,13 +506,14 @@ func TestPreparedChainJoinsPerWorld(t *testing.T) {
 					} else {
 						want = algebra.EvalInterp(world, q, mode)
 					}
-					if got := prep.Exec(world); !want.Equal(got) {
+					if got := run.Eval(v).Relation(); !want.Equal(got) {
 						t.Fatalf("trial %d %v bag=%t: prepared chain join diverges on world %v\nQ = %s\ninterp = %v\nprepared = %v",
 							trial, mode, bag, v, q, want, got)
 					}
 					worlds++
 					return worlds < 16
 				})
+				run.Close()
 			}
 		}
 	}

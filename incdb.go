@@ -182,12 +182,12 @@ var (
 
 // Query planning. Evaluation is planned by default: SQL/Naive and every
 // oracle run through internal/plan's compile-once physical plans (selection
-// pushdown, n-ary multi-key hash joins, plan reuse across valuations with
-// frozen null-free subplans). These re-exports expose the planner directly.
+// pushdown, n-ary multi-key hash joins, and per-world execution as
+// frozen part ∪ Δ(valuation)). These re-exports expose the planner directly.
 var (
 	// Explain renders the optimized logical expression and the compiled
-	// physical plan for a query; a non-nil database marks the subplans that
-	// would be frozen across its possible worlds.
+	// physical plan for a query; a non-nil database marks every node's
+	// (frozen, Δ) split across its possible worlds.
 	Explain = plan.Explain
 
 	// Describe is the structured form of Explain (the JSON the incdbd
@@ -202,7 +202,7 @@ var (
 	// NewPrepCache creates a version-guarded prepared-plan cache for
 	// long-lived workloads (REPL/server): pass it via
 	// CertainOptions.Prep so repeated oracle calls against an unchanged
-	// database reuse frozen subplan state across calls. Entries are
+	// database reuse the frozen parts across calls. Entries are
 	// invalidated exactly when a relation the plan reads mutates
 	// (Relation.Version moves).
 	NewPrepCache = plan.NewPrepCache

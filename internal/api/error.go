@@ -24,6 +24,10 @@ const (
 	// CodeOverloaded: no evaluation slot became free while the client was
 	// willing to wait.
 	CodeOverloaded = "overloaded"
+	// CodeRequestCancelled: the request's context ended (client gone, or
+	// its deadline passed) while the query was being evaluated; the
+	// enumeration was abandoned and its evaluation slot released.
+	CodeRequestCancelled = "request_cancelled"
 	// CodeStaleReplica: the server's version vector does not cover the
 	// request's consistency token and did not catch up within the stale
 	// wait; retry (possibly against the primary).

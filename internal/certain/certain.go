@@ -21,11 +21,30 @@
 // Options.MaxWorlds. The package is the ground-truth oracle against which
 // the tractable approximations of Section 4 are tested.
 //
+// The only lever an exact oracle has is therefore the cost of one world,
+// and the unit of per-world work here is the null rows, not the database.
+// The query is prepared once (plan.Prepared) into the (frozen, Δ) form: its
+// answer in the world v(D) is Frozen ∪ Δ(v), where Frozen is computed once
+// from the rows no valuation can change and Δ(v) per world from the
+// instantiated null rows only. The oracles never build v(D) or Q(v(D)):
+// they hand the executor the valuation and consume (Frozen, Δ(v)) directly.
+// A null-free tuple of Frozen is an answer in every world, so it is certain
+// without enumeration and only candidates outside Frozen are probed, against
+// the small Δ; cert∩ = Frozen ∪ ⋂ᵥ Δ(v) folds the Δs. Operators that do
+// not distribute over a union of their input rows (difference with a
+// varying right side, division, bag difference, …) are barriers that
+// re-emit their whole output as Δ — see plan.Prepared for which and why;
+// the oracles are exact either way, a barrier at the root only makes
+// Frozen empty and Δ the whole answer.
+//
 // Each valuation is evaluated independently of every other, so the oracle
 // shards the valuation index space across an engine worker pool
 // (Options.Workers) and merges the per-shard results in shard order; every
 // merge below is arranged so that the parallel result is identical to the
-// serial one.
+// serial one. Early exits are decided either before sharding or by a shard
+// for itself, from the worlds of its own range: the number of worlds an
+// oracle evaluates depends on the database, the query and Workers, never on
+// how the shards interleave.
 package certain
 
 import (
@@ -40,27 +59,6 @@ import (
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
-
-// worldEval compiles and prepares q once per oracle invocation: the
-// returned evaluator is shared by all worker shards and re-executes the
-// same physical plan per world, with every null-free subplan (results and
-// hash-join build tables) frozen across the whole valuation space. The
-// plan's batch buffers recycle per worker shard through its sync.Pool —
-// each shard executing worlds back to back keeps reusing one warm buffer
-// set, so the per-world cost is the rows, not the allocations. With a
-// prepared-plan cache in the options the freeze additionally survives
-// *across* oracle invocations, guarded by the base relations' mutation
-// versions — the REPL/server reuse path.
-func (o Options) worldEval(db *relation.Database, q algebra.Expr, bag bool) func(*relation.Database) *relation.Relation {
-	prep := o.Prep.Get(db, q, algebra.ModeNaive, bag)
-	if o.Trace == nil {
-		return prep.Exec
-	}
-	tr := o.Trace
-	return func(w *relation.Database) *relation.Relation {
-		return prep.ExecTraced(w, tr)
-	}
-}
 
 // Options bounds the exhaustive enumeration and configures parallelism.
 type Options struct {
@@ -80,16 +78,19 @@ type Options struct {
 	// path. Results are independent of the setting.
 	Workers int
 	// Trace, when non-nil, accumulates execution statistics across the
-	// oracle's whole valuation loop: Execs counts worlds enumerated (plus
-	// the candidate-producing base run), FrozenReuse counts frozen-subplan
+	// oracle's whole valuation loop: Execs counts worlds evaluated (plus
+	// the candidate-producing base run), FrozenReuse counts frozen-part
 	// serves. Shared by all worker shards; adds two atomic increments per
 	// world. Results are identical with or without it.
 	Trace *plan.Trace
 	// Prep, when non-nil, supplies version-guarded prepared plans that
 	// survive across oracle invocations: repeated queries against an
-	// unchanged database skip re-materializing every frozen null-free
-	// subplan. Results are identical with or without it.
+	// unchanged database skip the row partition and reuse every frozen
+	// part. Results are identical with or without it.
 	Prep *plan.PrepCache
+	// Ctx, when non-nil, cancels the enumeration: workers poll it every
+	// pollInterval worlds and the oracle returns its error.
+	Ctx context.Context
 }
 
 // DefaultMaxWorlds bounds enumeration to about a million possible worlds.
@@ -103,6 +104,19 @@ func (o Options) maxWorlds() int {
 }
 
 func (o Options) engine() engine.Options { return engine.Options{Workers: o.Workers} }
+
+func (o Options) ctx() context.Context {
+	if o.Ctx == nil {
+		return context.Background()
+	}
+	return o.Ctx
+}
+
+// prepared returns the (possibly cached) prepared plan the oracle's worlds
+// run on: naive evaluation, since a world has no nulls left.
+func (o Options) prepared(db *relation.Database, q algebra.Expr, bag bool) *plan.Prepared {
+	return o.Prep.Get(db, q, algebra.ModeNaive, bag)
+}
 
 // pollInterval is how many worlds a worker evaluates between cancellation
 // checks.
@@ -123,88 +137,22 @@ func NewSpace(db *relation.Database, qconsts []value.Value, opts Options) (*Spac
 }
 
 // NewSpaceForQuery builds the valuation space restricted to the nulls the
-// query can observe: those occurring in *columns the query reads*
-// (algebra.UsedColumns). The set-semantics query result Q(v(D)) does not
-// depend on the bindings of other nulls, so universal and existential
-// conditions over valuations are unchanged — while the enumeration shrinks
-// from |rng|^|Null(D)| to |rng|^|relevant|.
+// query can observe: those occurring in *columns the query's plan reads*
+// (every null of the database when it reads the active domain). The
+// set-semantics query result Q(v(D)) does not depend on the bindings of
+// other nulls, so universal and existential conditions over valuations are
+// unchanged — while the enumeration shrinks from |rng|^|Null(D)| to
+// |rng|^|relevant|. The identifiers come from the row partition the
+// prepared plan already holds, so with Options.Prep a repeated call walks
+// no relation.
 func NewSpaceForQuery(db *relation.Database, q algebra.Expr, opts Options) (*Space, error) {
-	ids := relevantNulls(db, q)
-	if ids == nil {
-		return NewSpace(db, algebra.ConstsOf(q), opts)
-	}
-	return newSpace(db, ids, algebra.ConstsOf(q), opts)
+	return newSpace(db, opts.prepared(db, q, false).NullIDs(), algebra.ConstsOf(q), opts)
 }
 
-// relevantNulls returns the sorted null ids in query-read columns, or nil
-// when the query reads the whole active domain (Dom) and every null is
-// relevant.
-func relevantNulls(db *relation.Database, q algebra.Expr) []uint64 {
-	if _, usesDom := algebra.RelationsOf(q); usesDom {
-		return nil
-	}
-	used := algebra.UsedColumns(q, db)
-	seen := map[uint64]bool{}
-	ids := []uint64{}
-	for name, mask := range used {
-		rel := db.Relation(name)
-		if rel == nil {
-			continue
-		}
-		for _, t := range rel.Tuples() {
-			for col, v := range t {
-				if mask[col] && v.IsNull() && !seen[v.NullID()] {
-					seen[v.NullID()] = true
-					ids = append(ids, v.NullID())
-				}
-			}
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// spaceForTuple builds the space for set-semantics tuple-level checks: the
-// membership condition v(t̄) ∈ Q(v(D)) depends on the query-visible nulls
-// plus any nulls and constants of t̄ itself.
-func spaceForTuple(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options) (*Space, error) {
-	ids := relevantNulls(db, q)
-	if ids == nil {
-		ids = db.NullIDs()
-	}
-	return tupleSpace(db, q, t, ids, opts)
-}
-
-// spaceForTupleBag is the bag-semantics variant: column-level pruning is
-// unsound under bags (unused columns can collapse tuples and change
-// multiplicities), so only whole relations the query never reads are
-// pruned.
-func spaceForTupleBag(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options) (*Space, error) {
-	names, usesDom := algebra.RelationsOf(q)
-	var ids []uint64
-	if usesDom {
-		ids = db.NullIDs()
-	} else {
-		seen := map[uint64]bool{}
-		for _, name := range names {
-			rel := db.Relation(name)
-			if rel == nil {
-				continue
-			}
-			for _, tp := range rel.Tuples() {
-				for _, v := range tp {
-					if v.IsNull() && !seen[v.NullID()] {
-						seen[v.NullID()] = true
-						ids = append(ids, v.NullID())
-					}
-				}
-			}
-		}
-	}
-	return tupleSpace(db, q, t, ids, opts)
-}
-
-func tupleSpace(db *relation.Database, q algebra.Expr, t value.Tuple, ids []uint64, opts Options) (*Space, error) {
+// spaceForTuple builds the space for tuple-level checks: the membership
+// condition v(t̄) ∈ Q(v(D)) depends on the nulls in ids plus any nulls and
+// constants of t̄ itself.
+func spaceForTuple(db *relation.Database, q algebra.Expr, t value.Tuple, ids []uint64, opts Options) (*Space, error) {
 	seen := map[uint64]bool{}
 	for _, id := range ids {
 		seen[id] = true
@@ -212,7 +160,6 @@ func tupleSpace(db *relation.Database, q algebra.Expr, t value.Tuple, ids []uint
 	ids = append([]uint64(nil), ids...)
 	for id := range t.Nulls() {
 		if !seen[id] {
-			seen[id] = true
 			ids = append(ids, id)
 		}
 	}
@@ -226,13 +173,41 @@ func tupleSpace(db *relation.Database, q algebra.Expr, t value.Tuple, ids []uint
 	return newSpace(db, ids, consts, opts)
 }
 
+// bagNulls returns the sorted nulls the bag-semantics bounds quantify over.
+// Column-level pruning is not applied under bags: only whole relations the
+// query never reads are pruned.
+func bagNulls(db *relation.Database, q algebra.Expr) []uint64 {
+	names, usesDom := algebra.RelationsOf(q)
+	if usesDom {
+		return db.NullIDs()
+	}
+	seen := map[uint64]bool{}
+	ids := []uint64{}
+	for _, name := range names {
+		rel := db.Relation(name)
+		if rel == nil || !rel.HasNulls() {
+			continue
+		}
+		rel.EachUnordered(func(t value.Tuple, _ int) {
+			for _, v := range t {
+				if v.IsNull() && !seen[v.NullID()] {
+					seen[v.NullID()] = true
+					ids = append(ids, v.NullID())
+				}
+			}
+		})
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
 func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts Options) (*Space, error) {
 	if len(ids) == 0 {
 		// No nulls to bind: the space is the single empty valuation, and
-		// the candidate range is irrelevant — skip collecting Const(D),
-		// which walks the whole database. This is the hot case for
-		// complete databases and for queries whose read columns are
-		// null-free (server workloads repeat those per session).
+		// the candidate range is irrelevant — skip collecting Const(D).
+		// This is the hot case for complete databases and for queries whose
+		// read columns are null-free (server workloads repeat those per
+		// session).
 		return &Space{count: 1}, nil
 	}
 	rng := append([]value.Value(nil), db.Consts()...)
@@ -269,9 +244,6 @@ func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts O
 				len(rng), len(ids), opts.maxWorlds())
 		}
 	}
-	if len(ids) == 0 {
-		count = 1
-	}
 	return &Space{ids: ids, rng: rng, count: count}, nil
 }
 
@@ -293,39 +265,82 @@ func (s *Space) EachRange(lo, hi int, f func(v value.Valuation) bool) {
 	value.EnumValuations(s.ids, s.rng, lo, hi, f)
 }
 
-// shards splits the space's index range for the pool, or returns nil when
-// the serial path should be used (one worker, or a space too small to pay
-// for fan-out).
+// shards splits the space's index range for the pool: one range when the
+// serial path should be used (one worker, or a space too small to pay for
+// fan-out).
 func (s *Space) shards(eng engine.Options) [][2]int {
 	w := eng.WorkerCount()
 	if w <= 1 || s.count < engine.MinParallel {
-		return nil
+		return [][2]int{{0, s.count}}
 	}
 	// Overshard for load balance: world costs vary with the valuation.
 	return engine.Split(s.count, w*4)
 }
 
+// worldIter enumerates one shard's worlds: it evaluates the prepared plan
+// under each valuation of the shard's range, in index order, and hands the
+// answer — valid for that call only — to visit, until visit returns false
+// or the oracle is cancelled.
+type worldIter func(visit func(a plan.Answer, v value.Valuation) bool)
+
+// eachShard is the one world loop of the package. It splits the space into
+// shards, gives each shard a Runner of its own — so the worlds of a shard
+// reuse one set of buffers and allocate nothing — and returns what scan
+// made of each shard, in shard order. With one shard everything runs on the
+// calling goroutine.
+func eachShard[T any](space *Space, prep *plan.Prepared, opts Options, scan func(worlds worldIter) T) ([]T, error) {
+	shards := space.shards(opts.engine())
+	return engine.Map(opts.ctx(), opts.engine(), len(shards),
+		func(ctx context.Context, si int) (T, error) {
+			return scan(shardWorlds(ctx, space, prep, opts, shards[si])), nil
+		})
+}
+
+func shardWorlds(ctx context.Context, space *Space, prep *plan.Prepared, opts Options, shard [2]int) worldIter {
+	return func(visit func(a plan.Answer, v value.Valuation) bool) {
+		r := prep.Runner(opts.Trace)
+		defer r.Close()
+		step := 0
+		space.EachRange(shard[0], shard[1], func(v value.Valuation) bool {
+			if step++; step%pollInterval == 0 && engine.Canceled(ctx) {
+				return false
+			}
+			return visit(r.Eval(v), v)
+		})
+	}
+}
+
 // WithNulls computes cert⊥(Q, D) exactly. Candidates are drawn from the
 // naive evaluation: instantiating Definition 3.9 with an injective
 // valuation onto fresh constants shows cert⊥(Q, D) ⊆ Qnaïve(D), so nothing
-// outside the naive answer can be certain.
+// outside the naive answer can be certain. The naive answer's frozen part
+// is certain as it stands; only the candidates its Δ adds are undecided,
+// and when there are none no world is enumerated.
 func WithNulls(db *relation.Database, q algebra.Expr, opts Options) (*relation.Relation, error) {
-	space, err := NewSpaceForQuery(db, q, opts)
+	prep := opts.prepared(db, q, false)
+	space, err := newSpace(db, prep.NullIDs(), algebra.ConstsOf(q), opts)
 	if err != nil {
 		return nil, err
 	}
-	// The naive evaluation is the prepared plan run on the base itself (the
-	// base is trivially one of its own worlds), so candidate collection
-	// shares the frozen null-free subplans with the world loop below.
-	eval := opts.worldEval(db, q, false)
-	candidates := eval(db).Tuples()
-	alive, err := survivors(db, space, candidates, opts, eval)
+	out := relation.NewArity("cert⊥", prep.Plan().Arity())
+	var undecided []value.Tuple
+	r := prep.Runner(opts.Trace)
+	naive := r.Eval(nil)
+	naive.Frozen.EachUnordered(func(t value.Tuple, _ int) { out.Add(t) })
+	for _, t := range naive.Delta() {
+		if !naive.Frozen.Contains(t) {
+			undecided = append(undecided, t.Clone())
+		}
+	}
+	r.Close()
+	if len(undecided) == 0 {
+		return out, nil
+	}
+	alive, err := survivors(space, prep, undecided, opts)
 	if err != nil {
 		return nil, err
 	}
-	arity := algebra.Arity(q, db)
-	out := relation.NewArity("cert⊥", arity)
-	for i, t := range candidates {
+	for i, t := range undecided {
 		if alive[i] {
 			out.Add(t)
 		}
@@ -333,71 +348,52 @@ func WithNulls(db *relation.Database, q algebra.Expr, opts Options) (*relation.R
 	return out, nil
 }
 
-// survivors reports, per candidate, whether it is an answer in every world
-// of the space. The parallel path shards the index range; each worker
-// eliminates candidates independently and the shard results are AND-merged,
-// which is order-insensitive and hence identical to the serial elimination.
-func survivors(db *relation.Database, space *Space, candidates []value.Tuple, opts Options,
-	eval func(*relation.Database) *relation.Relation) ([]bool, error) {
-	alive := make([]bool, len(candidates))
-	for i := range alive {
-		alive[i] = true
+// survivors reports, per candidate outside the frozen answer, whether it is
+// an answer in every world of the space. Each shard eliminates candidates
+// independently — stopping once none of them is left — and the shard
+// results are AND-merged, which is order-insensitive and hence identical to
+// the serial elimination.
+func survivors(space *Space, prep *plan.Prepared, candidates []value.Tuple, opts Options) ([]bool, error) {
+	hasNull := make([]bool, len(candidates))
+	for i, t := range candidates {
+		hasNull[i] = t.HasNull()
 	}
-	if len(candidates) == 0 {
-		return alive, nil
-	}
-	eliminate := func(ctx context.Context, lo, hi int, local []bool, allDead *engine.Flag) {
-		remaining := len(candidates)
+	locals, err := eachShard(space, prep, opts, func(worlds worldIter) []bool {
+		local := make([]bool, len(candidates))
 		for i := range local {
-			if !local[i] {
-				remaining--
-			}
+			local[i] = true
 		}
-		// One probe buffer per worker: candidate instantiation reuses it
+		remaining := len(candidates)
+		// One probe buffer per shard: candidate instantiation reuses it
 		// instead of allocating a tuple per candidate per world.
 		buf := make(value.Tuple, len(candidates[0]))
-		step := 0
-		space.EachRange(lo, hi, func(v value.Valuation) bool {
-			if remaining == 0 || (allDead != nil && allDead.IsSet()) {
-				return false
-			}
-			step++
-			if ctx != nil && step%pollInterval == 0 && engine.Canceled(ctx) {
-				return false
-			}
-			res := eval(db.ApplyShared(v))
+		worlds(func(a plan.Answer, v value.Valuation) bool {
 			for i, t := range candidates {
-				if local[i] && !res.Contains(v.ApplyInto(buf, t)) {
+				if !local[i] {
+					continue
+				}
+				// A null-free candidate is its own instance and is known
+				// not to be frozen: only Δ can hold it.
+				in := false
+				if hasNull[i] {
+					in = a.Contains(v.ApplyInto(buf, t))
+				} else {
+					in = a.DeltaContains(t)
+				}
+				if !in {
 					local[i] = false
 					remaining--
 				}
 			}
-			return true
+			return remaining > 0
 		})
-		if remaining == 0 && allDead != nil {
-			// Nothing can come back to life: every worker may stop.
-			allDead.Set()
-		}
-	}
-	shards := space.shards(opts.engine())
-	if shards == nil {
-		eliminate(nil, 0, space.Size(), alive, nil)
-		return alive, nil
-	}
-	var allDead engine.Flag
-	results, err := engine.Map(context.Background(), opts.engine(), len(shards),
-		func(ctx context.Context, si int) ([]bool, error) {
-			local := make([]bool, len(candidates))
-			for i := range local {
-				local[i] = true
-			}
-			eliminate(ctx, shards[si][0], shards[si][1], local, &allDead)
-			return local, nil
-		})
+		return local
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, local := range results {
+	alive := locals[0]
+	for _, local := range locals[1:] {
 		for i := range alive {
 			alive[i] = alive[i] && local[i]
 		}
@@ -406,190 +402,133 @@ func survivors(db *relation.Database, space *Space, candidates []value.Tuple, op
 }
 
 // Intersection computes cert∩(Q, D) = ⋂_{v} Q(v(D)) exactly. The result
-// consists of constant tuples only (Section 3.2). Each parallel shard
-// intersects its own index range and the shard accumulators are then
-// intersected in shard order, which reproduces the serial fold exactly; a
-// shard that empties its accumulator raises a flag that stops all others,
-// since an empty factor makes the whole intersection empty.
+// consists of constant tuples only (Section 3.2). With Q(v(D)) = Frozen ∪
+// Δ(v) the intersection is Frozen ∪ ⋂_{v} Δ(v), so only the Δs are folded:
+// each shard intersects its own index range — stopping once its fold is
+// empty, which empties the whole fold — and the shard accumulators are then
+// intersected in shard order, which reproduces the serial fold exactly.
 func Intersection(db *relation.Database, q algebra.Expr, opts Options) (*relation.Relation, error) {
-	space, err := NewSpaceForQuery(db, q, opts)
+	prep := opts.prepared(db, q, false)
+	space, err := newSpace(db, prep.NullIDs(), algebra.ConstsOf(q), opts)
 	if err != nil {
 		return nil, err
 	}
-	eval := opts.worldEval(db, q, false)
-	intersectRange := func(ctx context.Context, lo, hi int, empty *engine.Flag) *relation.Relation {
-		var acc *relation.Relation
-		step := 0
-		space.EachRange(lo, hi, func(v value.Valuation) bool {
-			if empty != nil && empty.IsSet() {
-				return false
-			}
-			step++
-			if ctx != nil && step%pollInterval == 0 && engine.Canceled(ctx) {
-				return false
-			}
-			res := eval(db.ApplyShared(v))
-			if acc == nil {
-				acc = res
-				return true
-			}
-			acc = intersect(acc, res)
-			if acc.Len() == 0 {
-				if empty != nil {
-					empty.Set()
+	parts, err := eachShard(space, prep, opts, func(worlds worldIter) []value.Tuple {
+		var acc []value.Tuple
+		first := true
+		worlds(func(a plan.Answer, _ value.Valuation) bool {
+			if first {
+				// The accumulator outlives the world: clone what it keeps.
+				first = false
+				for _, t := range a.Delta() {
+					acc = append(acc, t.Clone())
 				}
-				return false
+			} else {
+				acc = keep(acc, a.DeltaContains)
 			}
-			return true
+			return len(acc) > 0
 		})
 		return acc
-	}
-
-	var acc *relation.Relation
-	shards := space.shards(opts.engine())
-	if shards == nil {
-		acc = intersectRange(nil, 0, space.Size(), nil)
-	} else {
-		var empty engine.Flag
-		parts, err := engine.Map(context.Background(), opts.engine(), len(shards),
-			func(ctx context.Context, si int) (*relation.Relation, error) {
-				return intersectRange(ctx, shards[si][0], shards[si][1], &empty), nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		for _, part := range parts {
-			if part == nil {
-				continue
-			}
-			if acc == nil {
-				acc = part
-				continue
-			}
-			acc = intersect(acc, part)
-			if acc.Len() == 0 {
-				break
-			}
-		}
-	}
-	if acc == nil {
-		// No valuations (impossible: the space always has at least one).
-		acc = relation.NewArity("cert∩", algebra.Arity(q, db))
-	}
-	if acc.Len() == 0 {
-		return relation.NewArity("cert∩", algebra.Arity(q, db)), nil
-	}
-	return acc.Rename("cert∩"), nil
-}
-
-// intersect returns the set intersection a ∩ b as a fresh relation; both
-// the per-shard fold and the shard merge of Intersection use it.
-func intersect(a, b *relation.Relation) *relation.Relation {
-	out := relation.NewArity("cert∩", a.Arity())
-	a.Each(func(t value.Tuple, _ int) {
-		if b.Contains(t) {
-			out.Add(t)
-		}
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	acc := parts[0]
+	for _, part := range parts[1:] {
+		var in value.TupleMap[struct{}]
+		for _, t := range part {
+			in.Put(t, struct{}{})
+		}
+		acc = keep(acc, in.Has)
+	}
+	out := relation.NewArity("cert∩", prep.Plan().Arity())
+	prep.Frozen().EachUnordered(func(t value.Tuple, _ int) { out.Add(t) })
+	for _, t := range acc {
+		out.SetMult(t, 1)
+	}
+	return out, nil
 }
 
-// forallWorlds reports whether pred holds in every world of the space,
-// stopping — across all workers — at the first counterexample.
-func forallWorlds(space *Space, opts Options, pred func(v value.Valuation) bool) (bool, error) {
-	shards := space.shards(opts.engine())
-	if shards == nil {
-		holds := true
-		space.Each(func(v value.Valuation) bool {
-			if !pred(v) {
-				holds = false
-				return false
-			}
-			return true
-		})
-		return holds, nil
+// keep filters ts in place.
+func keep(ts []value.Tuple, pred func(value.Tuple) bool) []value.Tuple {
+	kept := ts[:0]
+	for _, t := range ts {
+		if pred(t) {
+			kept = append(kept, t)
+		}
 	}
-	refuted, err := engine.Search(context.Background(), opts.engine(), len(shards),
+	return kept
+}
+
+// forallWorlds reports whether pred holds of the query's answer in every
+// world of the space, stopping — across all workers — at the first
+// counterexample.
+func forallWorlds(space *Space, prep *plan.Prepared, opts Options, pred func(a plan.Answer, v value.Valuation) bool) (bool, error) {
+	shards := space.shards(opts.engine())
+	refuted, err := engine.Search(opts.ctx(), opts.engine(), len(shards),
 		func(ctx context.Context, si int) (bool, error) {
 			counterexample := false
-			step := 0
-			space.EachRange(shards[si][0], shards[si][1], func(v value.Valuation) bool {
-				step++
-				if step%pollInterval == 0 && engine.Canceled(ctx) {
-					return false
-				}
-				if !pred(v) {
-					counterexample = true
-					return false
-				}
-				return true
+			shardWorlds(ctx, space, prep, opts, shards[si])(func(a plan.Answer, v value.Valuation) bool {
+				counterexample = !pred(a, v)
+				return !counterexample
 			})
 			return counterexample, nil
 		})
-	if err != nil {
-		return false, err
-	}
-	return !refuted, nil
+	return !refuted, err
 }
 
 // existsWorld reports whether pred holds in some world of the space,
 // stopping — across all workers — at the first witness.
-func existsWorld(space *Space, opts Options, pred func(v value.Valuation) bool) (bool, error) {
-	holds, err := forallWorlds(space, opts, func(v value.Valuation) bool { return !pred(v) })
-	if err != nil {
-		return false, err
-	}
-	return !holds, nil
+func existsWorld(space *Space, prep *plan.Prepared, opts Options, pred func(a plan.Answer, v value.Valuation) bool) (bool, error) {
+	holds, err := forallWorlds(space, prep, opts, func(a plan.Answer, v value.Valuation) bool { return !pred(a, v) })
+	return !holds, err
 }
 
 // Bool computes certainty of a Boolean (zero-ary) query: true iff the
-// query holds in every possible world of the space.
+// query holds in every possible world of the space. A non-empty frozen
+// answer settles it without enumeration.
 func Bool(db *relation.Database, q algebra.Expr, opts Options) (bool, error) {
-	space, err := NewSpaceForQuery(db, q, opts)
+	prep := opts.prepared(db, q, false)
+	space, err := newSpace(db, prep.NullIDs(), algebra.ConstsOf(q), opts)
 	if err != nil {
 		return false, err
 	}
-	eval := opts.worldEval(db, q, false)
-	return forallWorlds(space, opts, func(v value.Valuation) bool {
-		return algebra.BooleanResult(eval(db.ApplyShared(v)))
-	})
+	if prep.Frozen().Len() > 0 {
+		return true, nil
+	}
+	return forallWorlds(space, prep, opts, func(a plan.Answer, _ value.Valuation) bool { return !a.Empty() })
 }
 
 // PossibleTuple reports whether some valuation makes t̄ an answer:
 // ∃v. v(t̄) ∈ Q(v(D)).
 func PossibleTuple(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options) (bool, error) {
-	space, err := spaceForTuple(db, q, t, opts)
-	if err != nil {
-		return false, err
-	}
-	return existsWorld(space, opts, tupleInAnswerPred(db, q, t, opts))
+	return tupleOracle(db, q, t, opts, existsWorld)
 }
 
 // CertainTuple reports whether t̄ ∈ cert⊥(Q, D) without computing the whole
 // answer set.
 func CertainTuple(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options) (bool, error) {
-	space, err := spaceForTuple(db, q, t, opts)
+	return tupleOracle(db, q, t, opts, forallWorlds)
+}
+
+// tupleOracle decides the per-world membership test v(t̄) ∈ Q(v(D)) under
+// the given quantifier. A null-free t̄ is invariant under every valuation:
+// in the frozen answer it is an answer in every world, and otherwise the
+// common case probes with t̄ itself and allocates nothing per world.
+func tupleOracle(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options,
+	quantify func(*Space, *plan.Prepared, Options, func(plan.Answer, value.Valuation) bool) (bool, error)) (bool, error) {
+	prep := opts.prepared(db, q, false)
+	space, err := spaceForTuple(db, q, t, prep.NullIDs(), opts)
 	if err != nil {
 		return false, err
 	}
-	return forallWorlds(space, opts, tupleInAnswerPred(db, q, t, opts))
-}
-
-// tupleInAnswerPred builds the per-world membership test v(t̄) ∈ Q(v(D)).
-// A null-free t̄ is invariant under every valuation, so the common case
-// probes with t̄ itself and allocates nothing per world. (The predicate is
-// shared by all workers, so it cannot carry a mutable scratch buffer; the
-// prepared plan behind eval is concurrency-safe by construction.)
-func tupleInAnswerPred(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options) func(v value.Valuation) bool {
-	eval := opts.worldEval(db, q, false)
 	if !t.HasNull() {
-		return func(v value.Valuation) bool {
-			return eval(db.ApplyShared(v)).Contains(t)
+		if prep.Frozen().Contains(t) {
+			return true, nil
 		}
+		return quantify(space, prep, opts, func(a plan.Answer, _ value.Valuation) bool { return a.DeltaContains(t) })
 	}
-	return func(v value.Valuation) bool {
-		return eval(db.ApplyShared(v)).Contains(v.Apply(t))
-	}
+	return quantify(space, prep, opts, func(a plan.Answer, v value.Valuation) bool { return a.Contains(v.Apply(t)) })
 }
 
 // BoxMult computes □Q(D, ā) of (6a): the minimum multiplicity of v(ā) in
@@ -603,77 +542,34 @@ func DiamondMult(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opti
 	return extremeMult(db, q, t, opts, false)
 }
 
-// shardBest carries one shard's extremum; seen distinguishes "no worlds
-// contributed" (an early-stopped shard) from a genuine zero.
-type shardBest struct {
-	best int
-	seen bool
-}
-
 func extremeMult(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options, min bool) (int, error) {
-	space, err := spaceForTupleBag(db, q, t, opts)
+	space, err := spaceForTuple(db, q, t, bagNulls(db, q), opts)
 	if err != nil {
 		return 0, err
 	}
-	eval := opts.worldEval(db, q, true)
-	scanRange := func(ctx context.Context, lo, hi int, zero *engine.Flag) shardBest {
-		out := shardBest{}
+	prep := opts.prepared(db, q, true)
+	// Each shard's extremum; a shard always sees the first world of its
+	// range, and a minimum of zero cannot improve, so it stops there.
+	parts, err := eachShard(space, prep, opts, func(worlds worldIter) int {
+		best, first := 0, true
 		buf := make(value.Tuple, len(t))
-		step := 0
-		space.EachRange(lo, hi, func(v value.Valuation) bool {
-			if zero != nil && zero.IsSet() {
-				return false
+		worlds(func(a plan.Answer, v value.Valuation) bool {
+			m := a.Mult(v.ApplyInto(buf, t))
+			if first || (min && m < best) || (!min && m > best) {
+				best, first = m, false
 			}
-			step++
-			if ctx != nil && step%pollInterval == 0 && engine.Canceled(ctx) {
-				return false
-			}
-			m := eval(db.ApplyShared(v)).Mult(v.ApplyInto(buf, t))
-			if !out.seen {
-				out.best = m
-				out.seen = true
-			} else if (min && m < out.best) || (!min && m > out.best) {
-				out.best = m
-			}
-			if min && out.best == 0 {
-				// Early exit: a minimum of zero cannot improve.
-				if zero != nil {
-					zero.Set()
-				}
-				return false
-			}
-			return true
+			return !(min && best == 0)
 		})
-		return out
-	}
-
-	shards := space.shards(opts.engine())
-	if shards == nil {
-		return scanRange(nil, 0, space.Size(), nil).best, nil
-	}
-	var zero engine.Flag
-	parts, err := engine.Map(context.Background(), opts.engine(), len(shards),
-		func(ctx context.Context, si int) (shardBest, error) {
-			return scanRange(ctx, shards[si][0], shards[si][1], &zero), nil
-		})
+		return best
+	})
 	if err != nil {
 		return 0, err
 	}
-	if min && zero.IsSet() {
-		// Some shard witnessed multiplicity zero; shards interrupted by the
-		// flag hold partial extrema, but zero is already the global minimum.
-		return 0, nil
-	}
-	merged := shardBest{}
-	for _, p := range parts {
-		if !p.seen {
-			continue
-		}
-		if !merged.seen {
-			merged = p
-		} else if (min && p.best < merged.best) || (!min && p.best > merged.best) {
-			merged.best = p.best
+	best := parts[0]
+	for _, p := range parts[1:] {
+		if (min && p < best) || (!min && p > best) {
+			best = p
 		}
 	}
-	return merged.best, nil
+	return best, nil
 }

@@ -7,7 +7,10 @@ import (
 
 	"incdb/internal/algebra"
 	"incdb/internal/gen"
+	"incdb/internal/plan"
+	"incdb/internal/raparse"
 	"incdb/internal/relation"
+	"incdb/internal/tpch"
 	"incdb/internal/value"
 )
 
@@ -71,66 +74,161 @@ func corpus(t *testing.T) []struct {
 	return out
 }
 
+// nullWorldsCorpus is the server benchmark's null-heavy workload in
+// miniature: a 24-tuple TPC-H-like instance with two nulls in each of three
+// categorical columns, and six query shapes that each read exactly one of
+// those columns — a union, selections with and without a tautology, a join,
+// a difference and a three-way join. Between them their roots are fully
+// frozen candidates, live Δ candidates, dying Δ candidates and a barrier.
+func nullWorldsCorpus(t *testing.T) (*relation.Database, []algebra.Expr) {
+	t.Helper()
+	db := tpch.Generate(tpch.Config{Customers: 7, OrdersPerCustomer: 1, ItemsPerOrder: 1, Nations: 3, Regions: 2, Seed: 5})
+	next := uint64(1)
+	for _, dirty := range []struct {
+		rel  string
+		col  int
+		rows [2]int
+	}{{"customer", 2, [2]int{1, 4}}, {"customer", 4, [2]int{0, 5}}, {"orders", 3, [2]int{2, 5}}} {
+		src := db.Relation(dirty.rel)
+		dst := relation.New(src.Name(), src.Attrs()...)
+		for i, tuple := range src.Tuples() {
+			if i == dirty.rows[0] || i == dirty.rows[1] {
+				tuple = tuple.Clone()
+				tuple[dirty.col] = value.Null(next)
+				next++
+			}
+			dst.Add(tuple)
+		}
+		db.Add(dst)
+	}
+	var queries []algebra.Expr
+	for _, src := range []string{
+		"union(proj(0, sel(eqc(4, 'BUILDING'), customer)), proj(0, sel(eqc(4, 'MACHINERY'), customer)))",
+		"proj(0, sel(or(eqc(3, 'O'), ltc(2, '30000')), orders))",
+		"proj(0, sel(or(eqc(3, 'F'), neqc(3, 'F')), orders))",
+		"proj(0 5, sel(and(eq(0, 6), neqc(2, 'N0')), times(customer, orders)))",
+		"minus(proj(0, customer), proj(1, sel(eqc(3, 'O'), orders)))",
+		"proj(0 6, sel(and(eq(2, 5), eq(7, 8)), times(times(customer, nation), region)))",
+	} {
+		q, err := raparse.ParseQuery(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		if err := algebra.Validate(q, db); err != nil {
+			t.Fatalf("validate %q: %v", src, err)
+		}
+		queries = append(queries, q)
+	}
+	return db, queries
+}
+
 // TestParallelOracleMatchesSerial is the oracle-equivalence gate: every
 // certainty notion must render byte-identically under the serial reference
-// path and under a many-worker pool (more workers than this machine has
-// cores, to force real sharding).
+// path, under the two-worker pool the server benchmark runs, and under a
+// many-worker pool (more workers than this machine has cores, to force real
+// sharding).
 func TestParallelOracleMatchesSerial(t *testing.T) {
-	for _, tc := range corpus(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			serial := Options{Workers: 1}
-			parallel := Options{Workers: 8}
+	cases := corpus(t)
+	db, queries := nullWorldsCorpus(t)
+	for i, q := range queries {
+		cases = append(cases, struct {
+			name string
+			db   *relation.Database
+			q    algebra.Expr
+		}{fmt.Sprintf("null-worlds-%d", i), db, q})
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				testParallelMatchesSerial(t, tc.db, tc.q, Options{Workers: 1}, Options{Workers: workers})
+			})
+		}
+	}
+}
 
-			sw, err1 := WithNulls(tc.db, tc.q, serial)
-			pw, err2 := WithNulls(tc.db, tc.q, parallel)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("WithNulls errs diverge: %v vs %v", err1, err2)
-			}
-			if err1 == nil && sw.String() != pw.String() {
-				t.Errorf("WithNulls diverges:\nserial   %s\nparallel %s", sw, pw)
-			}
+func testParallelMatchesSerial(t *testing.T, db *relation.Database, q algebra.Expr, serial, parallel Options) {
+	sw, err1 := WithNulls(db, q, serial)
+	pw, err2 := WithNulls(db, q, parallel)
+	if (err1 == nil) != (err2 == nil) {
+		t.Fatalf("WithNulls errs diverge: %v vs %v", err1, err2)
+	}
+	if err1 == nil && sw.String() != pw.String() {
+		t.Errorf("WithNulls diverges:\nserial   %s\nparallel %s", sw, pw)
+	}
 
-			si, err1 := Intersection(tc.db, tc.q, serial)
-			pi, err2 := Intersection(tc.db, tc.q, parallel)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("Intersection errs diverge: %v vs %v", err1, err2)
-			}
-			if err1 == nil && si.String() != pi.String() {
-				t.Errorf("Intersection diverges:\nserial   %s\nparallel %s", si, pi)
-			}
+	si, err1 := Intersection(db, q, serial)
+	pi, err2 := Intersection(db, q, parallel)
+	if (err1 == nil) != (err2 == nil) {
+		t.Fatalf("Intersection errs diverge: %v vs %v", err1, err2)
+	}
+	if err1 == nil && si.String() != pi.String() {
+		t.Errorf("Intersection diverges:\nserial   %s\nparallel %s", si, pi)
+	}
 
-			// Tuple-level checks over every naive candidate plus a miss.
-			cands := algebra.Naive(tc.db, tc.q).Tuples()
-			if arity := algebra.Arity(tc.q, tc.db); arity > 0 {
-				miss := make(value.Tuple, arity)
-				for i := range miss {
-					miss[i] = value.Const("✗absent")
+	// Tuple-level checks over every naive candidate plus a miss.
+	cands := algebra.Naive(db, q).Tuples()
+	if arity := algebra.Arity(q, db); arity > 0 {
+		miss := make(value.Tuple, arity)
+		for i := range miss {
+			miss[i] = value.Const("✗absent")
+		}
+		cands = append(cands, miss)
+	}
+	for i, tuple := range cands {
+		sc, err1 := CertainTuple(db, q, tuple, serial)
+		pc, err2 := CertainTuple(db, q, tuple, parallel)
+		if (err1 == nil) != (err2 == nil) || sc != pc {
+			t.Errorf("CertainTuple[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sc, err1, pc, err2)
+		}
+		sp, err1 := PossibleTuple(db, q, tuple, serial)
+		pp, err2 := PossibleTuple(db, q, tuple, parallel)
+		if (err1 == nil) != (err2 == nil) || sp != pp {
+			t.Errorf("PossibleTuple[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sp, err1, pp, err2)
+		}
+		sb, err1 := BoxMult(db, q, tuple, serial)
+		pb, err2 := BoxMult(db, q, tuple, parallel)
+		if (err1 == nil) != (err2 == nil) || sb != pb {
+			t.Errorf("BoxMult[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sb, err1, pb, err2)
+		}
+		sd, err1 := DiamondMult(db, q, tuple, serial)
+		pd, err2 := DiamondMult(db, q, tuple, parallel)
+		if (err1 == nil) != (err2 == nil) || sd != pd {
+			t.Errorf("DiamondMult[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sd, err1, pd, err2)
+		}
+	}
+}
+
+// TestWorldCountRepeats: the number of worlds an oracle evaluates
+// (Trace.Execs, what the server reports as "worlds") is a function of the
+// database, the query and Workers. Every early exit is taken either before
+// sharding or by a shard from its own range, so twenty repeats at Workers 2
+// must report one number — with and without a prepared-plan cache — and one
+// answer.
+func TestWorldCountRepeats(t *testing.T) {
+	db, queries := nullWorldsCorpus(t)
+	oracles := map[string]func(*relation.Database, algebra.Expr, Options) (*relation.Relation, error){
+		"WithNulls": WithNulls, "Intersection": Intersection,
+	}
+	for i, q := range queries {
+		for name, oracle := range oracles {
+			for _, cache := range []*plan.PrepCache{nil, plan.NewPrepCache(0)} {
+				var worlds int64
+				var answer string
+				for rep := 0; rep < 20; rep++ {
+					tr := plan.NewTrace(false)
+					r, err := oracle(db, q, Options{Workers: 2, Prep: cache, Trace: tr})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep == 0 {
+						worlds, answer = tr.Execs.Load(), r.String()
+					} else if got := tr.Execs.Load(); got != worlds || r.String() != answer {
+						t.Fatalf("query %d %s (cache %t) repeat %d: %d worlds, first run %d; answer %s, first run %s",
+							i, name, cache != nil, rep, got, worlds, r, answer)
+					}
 				}
-				cands = append(cands, miss)
 			}
-			for i, tuple := range cands {
-				sc, err1 := CertainTuple(tc.db, tc.q, tuple, serial)
-				pc, err2 := CertainTuple(tc.db, tc.q, tuple, parallel)
-				if (err1 == nil) != (err2 == nil) || sc != pc {
-					t.Errorf("CertainTuple[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sc, err1, pc, err2)
-				}
-				sp, err1 := PossibleTuple(tc.db, tc.q, tuple, serial)
-				pp, err2 := PossibleTuple(tc.db, tc.q, tuple, parallel)
-				if (err1 == nil) != (err2 == nil) || sp != pp {
-					t.Errorf("PossibleTuple[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sp, err1, pp, err2)
-				}
-				sb, err1 := BoxMult(tc.db, tc.q, tuple, serial)
-				pb, err2 := BoxMult(tc.db, tc.q, tuple, parallel)
-				if (err1 == nil) != (err2 == nil) || sb != pb {
-					t.Errorf("BoxMult[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sb, err1, pb, err2)
-				}
-				sd, err1 := DiamondMult(tc.db, tc.q, tuple, serial)
-				pd, err2 := DiamondMult(tc.db, tc.q, tuple, parallel)
-				if (err1 == nil) != (err2 == nil) || sd != pd {
-					t.Errorf("DiamondMult[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sd, err1, pd, err2)
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -148,15 +246,21 @@ func TestParallelBoolMatchesSerial(t *testing.T) {
 	s.Add(value.Consts("c0"))
 	s.Add(value.T(value.Null(3)))
 	db.Add(s)
+	u := relation.New("U", "a")
+	u.Add(value.T(value.Null(4)))
+	db.Add(u)
 	for _, q := range []algebra.Expr{
-		algebra.Proj(algebra.R("R")),                                // ∃-style: R nonempty, certainly true
+		algebra.Proj(algebra.R("R")),                                // R has frozen rows: true without enumeration
+		algebra.Proj(algebra.R("U")),                                // only Δ rows: true in every world
 		algebra.Proj(algebra.Minus(algebra.R("R"), algebra.R("S"))), // uncertain
 		algebra.Proj(algebra.Minus(algebra.R("S"), algebra.R("S"))), // certainly false
 	} {
 		sb, err1 := Bool(db, q, Options{Workers: 1})
-		pb, err2 := Bool(db, q, Options{Workers: 8})
-		if (err1 == nil) != (err2 == nil) || sb != pb {
-			t.Errorf("Bool(%v): serial %v/%v parallel %v/%v", q, sb, err1, pb, err2)
+		for _, workers := range []int{2, 8} {
+			pb, err2 := Bool(db, q, Options{Workers: workers})
+			if (err1 == nil) != (err2 == nil) || sb != pb {
+				t.Errorf("Bool(%v): serial %v/%v workers=%d %v/%v", q, sb, err1, workers, pb, err2)
+			}
 		}
 	}
 }

@@ -134,17 +134,6 @@ func Canceled(ctx context.Context) bool {
 	}
 }
 
-// Flag is a set-once boolean shared across workers, for caller-level early
-// exits that are hints rather than cancellations (e.g. "the intersection is
-// already empty"): setters and readers need no further synchronization.
-type Flag struct{ v atomic.Bool }
-
-// Set raises the flag.
-func (f *Flag) Set() { f.v.Store(true) }
-
-// IsSet reports whether the flag has been raised.
-func (f *Flag) IsSet() bool { return f.v.Load() }
-
 // Map runs f on every shard index in [0, n) using at most
 // opts.WorkerCount() goroutines and returns the results in shard order.
 // The first error cancels the context passed to the remaining workers and
@@ -169,6 +158,11 @@ func Map[T any](ctx context.Context, opts Options, n int, f func(ctx context.Con
 				return nil, err
 			}
 			results[i] = r
+		}
+		// A shard that polls ctx stops early when it is canceled: what it
+		// returned is partial, as on the parallel path below.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		return results, nil
 	}
@@ -235,7 +229,7 @@ func Search(ctx context.Context, opts Options, n int, pred func(ctx context.Cont
 				return true, nil
 			}
 		}
-		return false, nil
+		return false, ctx.Err()
 	}
 
 	wctx, cancel := context.WithCancel(ctx)

@@ -176,17 +176,6 @@ func TestWorkerCountDefaults(t *testing.T) {
 	}
 }
 
-func TestFlag(t *testing.T) {
-	var f Flag
-	if f.IsSet() {
-		t.Error("zero Flag is set")
-	}
-	f.Set()
-	if !f.IsSet() {
-		t.Error("Set did not stick")
-	}
-}
-
 // TestPoolStress drives many concurrent shards through shared state under
 // the race detector (go test -race): per-shard sums land in ordered slots
 // while a shared counter takes the atomic traffic.

@@ -9,9 +9,10 @@ import (
 	"incdb/internal/relation"
 )
 
-// PrepCache caches Prepared plans across calls so that the freeze computed
-// by Prepare — materialized null-free subplans, join build tables, IN and
-// anti-unify splits — survives beyond a single oracle invocation. Entries
+// PrepCache caches Prepared plans across calls so that the frozen parts a
+// Prepared accumulates — the root's frozen answer, join tables, consolidated
+// barrier and subquery inputs — survive beyond a single oracle invocation,
+// along with the row partition and the relevant null ids. Entries
 // are keyed by (query rendering, mode, semantics, read-relation arities),
 // i.e. the same key the process-wide plan cache uses, and guarded by the
 // version vector Prepare recorded: a lookup revalidates the guard against
@@ -19,7 +20,7 @@ import (
 // its plan reads has mutated (or been replaced) since Prepare ran.
 //
 // All methods are safe for concurrent use, and the Prepared values handed
-// out are themselves safe for concurrent Exec — a server can share one
+// out are themselves safe for concurrent execution — a server can share one
 // PrepCache per session across request goroutines, provided mutations of
 // the underlying database are externally excluded from running queries (the
 // usual reader/writer discipline; the cache itself never mutates the
@@ -99,9 +100,9 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 		c.mu.Unlock()
 		c.misses.Add(1)
 	}
-	// Prepare outside the lock: it materializes every null-free subplan,
-	// which can dominate request latency. Concurrent misses on the same key
-	// prepare identical state and the last store wins harmlessly.
+	// Prepare outside the lock: it walks every relation with nulls the plan
+	// scans. Concurrent misses on the same key prepare identical state and
+	// the last store wins harmlessly.
 	prep := PlanFor(q, base, mode, bag).Prepare(base)
 	c.mu.Lock()
 	c.entries[key] = prep
@@ -111,14 +112,6 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 	}
 	c.mu.Unlock()
 	return prep
-}
-
-// WorldEval is the cached counterpart of the package-level WorldEval: the
-// returned evaluator executes the (possibly reused) prepared plan against
-// worlds derived from base and is safe for concurrent use. A nil receiver
-// falls back to a one-shot Prepare.
-func (c *PrepCache) WorldEval(base *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) func(*relation.Database) *relation.Relation {
-	return c.Get(base, q, mode, bag).Exec
 }
 
 // remove drops key from the map and the LRU order; caller holds c.mu.

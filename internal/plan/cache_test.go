@@ -161,25 +161,19 @@ func TestPrepCacheWorldEvalMatchesFresh(t *testing.T) {
 	c := NewPrepCache(8)
 	q := algebra.Sel(algebra.Times(algebra.R("R"), algebra.R("S")), algebra.CEq(0, 2))
 
-	worlds := func() []*relation.Database {
-		var out []*relation.Database
-		for _, cst := range []string{"k1", "k2", "other"} {
+	for round := 0; round < 3; round++ {
+		cached := c.Get(db, q, algebra.ModeNaive, false).Runner(nil)
+		fresh := PlanFor(q, db, algebra.ModeNaive, false).Prepare(db).Runner(nil)
+		for i, cst := range []string{"k1", "k2", "other"} {
 			v := value.NewValuation()
 			v.Set(1, value.Const(cst))
-			out = append(out, db.ApplyShared(v))
-		}
-		return out
-	}
-
-	for round := 0; round < 3; round++ {
-		cached := c.WorldEval(db, q, algebra.ModeNaive, false)
-		fresh := WorldEval(db, q, algebra.ModeNaive, false)
-		for i, w := range worlds() {
-			got, want := cached(w), fresh(w)
-			if !got.Equal(want) {
+			got, want := cached.Eval(v).Relation(), fresh.Eval(v).Relation()
+			if !got.Equal(want) || !got.Equal(algebra.EvalInterp(db.Apply(v), q, algebra.ModeNaive)) {
 				t.Fatalf("round %d world %d: cached %s want %s", round, i, got, want)
 			}
 		}
+		cached.Close()
+		fresh.Close()
 		if round == 1 {
 			// Mid-test mutation: subsequent rounds must re-prepare.
 			db.MustRelation("S").Add(value.Consts("k2", "w9"))
@@ -223,7 +217,7 @@ func scanOrder(n pnode) []string {
 		return []string{s.name}
 	}
 	var out []string
-	for _, c := range n.children() {
+	for _, c := range children(n) {
 		out = append(out, scanOrder(c)...)
 	}
 	return out

@@ -11,14 +11,16 @@ import (
 
 // Plan is a physical query plan: compiled once from an algebra expression,
 // executable any number of times — concurrently — against databases over
-// the same schema. A Plan holds no per-execution state; the buffer pool
-// only recycles per-execution batch buffers (batch.go).
+// the same schema. A Plan holds no per-execution state; the pool only
+// recycles execution state between executions (exec.go).
 type Plan struct {
 	root  pnode
 	nodes []pnode // every node, indexed by its id (Prepared slots)
 	subs  []*Plan // IN-subquery plans, deduplicated by rendering
 	mode  algebra.Mode
 	bag   bool
+	// subIdx is an IN subplan's position in the top-level plan's subs.
+	subIdx int
 
 	arity int
 	// outName/outIsRel reproduce the reference interpreter's output naming:
@@ -27,8 +29,10 @@ type Plan struct {
 	outName  string
 	outIsRel bool
 
-	// bufPool recycles per-execution batch buffer sets (batch.go).
-	bufPool sync.Pool
+	// pool recycles execs — batch buffers, arena slabs, Δ sets — so that an
+	// oracle worker shard evaluating worlds back to back, and a server
+	// evaluating requests back to back, keep reusing warm state.
+	pool sync.Pool
 }
 
 // Mode returns the evaluation mode the plan was compiled for.
@@ -41,9 +45,8 @@ func (p *Plan) Bag() bool { return p.bag }
 func (p *Plan) Arity() int { return p.arity }
 
 // readSet is the set of base relations a subtree reads, plus whether it
-// reads the whole active domain (Dom). It decides which subplans are frozen
-// across valuations: a subtree reading only null-free relations evaluates
-// identically in every possible world.
+// reads the whole active domain (Dom): what a Prepared's version guards
+// cover.
 type readSet struct {
 	names []string // sorted, distinct
 	dom   bool
@@ -65,13 +68,12 @@ func (a readSet) union(b readSet) readSet {
 }
 
 // pnode is one physical operator. Concrete nodes embed pbase and implement
-// run (batched emission); callers go through the stream dispatcher in
-// exec.go so that frozen results short-circuit uniformly.
+// run (batched emission of the current phase's part); callers go through
+// the stream dispatcher in exec.go.
 type pnode interface {
 	base() *pbase
 	run(x *exec, emit func(*vbatch))
 	describe() string
-	children() []pnode
 }
 
 // pbase carries the per-node compile-time facts: identity, output width
@@ -118,8 +120,9 @@ type pproject struct {
 }
 
 // pjoin is one step of a left-deep n-ary join: probe tuples stream out of
-// left, the right input is built into a multi-key hash table (frozen across
-// executions when the right subtree is null-free). With no keys it
+// left, the frozen part of the right input is built into a multi-key hash
+// table once per Prepared (and the left one too, when Δr probes it). With
+// no keys it
 // degenerates into the nested-loop cross product. residual conditions are
 // those decidable once left++right columns are available (indexed over the
 // full left++right concatenation). cost is the cost model's step cost
@@ -180,17 +183,41 @@ type pdom struct {
 	k int
 }
 
-func (n *pscan) children() []pnode      { return nil }
-func (n *pfilter) children() []pnode    { return []pnode{n.in} }
-func (n *pproject) children() []pnode   { return []pnode{n.in} }
-func (n *pjoin) children() []pnode      { return []pnode{n.left, n.right} }
-func (n *punion) children() []pnode     { return []pnode{n.l, n.r} }
-func (n *pdiff) children() []pnode      { return []pnode{n.l, n.r} }
-func (n *pinter) children() []pnode     { return []pnode{n.l, n.r} }
-func (n *pdivide) children() []pnode    { return []pnode{n.l, n.r} }
-func (n *pantiunify) children() []pnode { return []pnode{n.l, n.r} }
-func (n *pdistinct) children() []pnode  { return []pnode{n.in} }
-func (n *pdom) children() []pnode       { return nil }
+// inputs returns a node's operator inputs: none, one (l) or two.
+func inputs(n pnode) (l, r pnode) {
+	switch n := n.(type) {
+	case *pfilter:
+		return n.in, nil
+	case *pproject:
+		return n.in, nil
+	case *pdistinct:
+		return n.in, nil
+	case *pjoin:
+		return n.left, n.right
+	case *punion:
+		return n.l, n.r
+	case *pdiff:
+		return n.l, n.r
+	case *pinter:
+		return n.l, n.r
+	case *pdivide:
+		return n.l, n.r
+	case *pantiunify:
+		return n.l, n.r
+	}
+	return nil, nil
+}
+
+// children returns the inputs as a slice, for the tree walks of EXPLAIN.
+func children(n pnode) []pnode {
+	switch l, r := inputs(n); {
+	case r != nil:
+		return []pnode{l, r}
+	case l != nil:
+		return []pnode{l}
+	}
+	return nil
+}
 
 // Compile builds the physical plan for e under set semantics.
 func Compile(e algebra.Expr, cat algebra.Catalog, mode algebra.Mode) *Plan {
@@ -429,7 +456,7 @@ func (c *compiler) compile(e algebra.Expr, need []bool) pnode {
 
 // annotateScan fills the scan's estimates from the relation's statistics
 // snapshot: exact counts for the stored relation (hence exact for every
-// frozen null-free input), upper bounds for anything a valuation can still
+// frozen part), upper bounds for anything a valuation can still
 // collapse.
 func (c *compiler) annotateScan(n *pscan, ar int) {
 	if c.stats == nil {
@@ -734,10 +761,13 @@ func (c *compiler) compileCluster(e algebra.Expr, need []bool) pnode {
 			}
 		}
 		// Residuals: every remaining conjunct decidable once the prefix and
-		// this input's columns are concatenated.
+		// this input's columns are concatenated. Conjuncts with an IN atom
+		// stay out: a join distributes over its input rows only if its
+		// conditions do not vary with the world, and an IN subquery's result
+		// can; they guard the top as a filter, which can be a barrier.
 		var residual []pcond
 		for j, cj := range conjs {
-			if used[j] || len(cj.cols) == 0 {
+			if used[j] || len(cj.cols) == 0 || condHasIn(cj.cond) {
 				continue
 			}
 			avail := true
@@ -781,7 +811,7 @@ func (c *compiler) compileCluster(e algebra.Expr, need []bool) pnode {
 		setPos(i, accWidth)
 		accWidth += right.base().width
 	}
-	// Anything left (should be none) guards the top.
+	// What is left — cross-input conjuncts with an IN atom — guards the top.
 	var top []algebra.Cond
 	for j, cj := range conjs {
 		if !used[j] {
@@ -826,6 +856,7 @@ func (c *compiler) subFor(e algebra.Expr) *Plan {
 	sub := &Plan{mode: c.top.mode, bag: false, arity: algebra.Arity(e, c.cat)}
 	sub.outName, sub.outIsRel = "in", false
 	c.subIdx[key] = sub
+	sub.subIdx = len(c.top.subs)
 	c.top.subs = append(c.top.subs, sub)
 	sc := &compiler{p: sub, top: c.top, cat: c.cat, stats: c.stats, subIdx: c.subIdx}
 	inner := sc.compile(OptimizedFor(e, c.cat), nil)

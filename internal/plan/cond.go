@@ -91,45 +91,51 @@ func (c cnot) eval(x *exec, t value.Tuple) logic.TV {
 	return logic.Not(c.c.eval(x, t))
 }
 
-// eval mirrors the reference interpreter's evalIn: under naive evaluation
-// one set-membership probe; under SQL's three-valued semantics a null-free
-// probe is answered by one hash hit on the null-free part of the subquery
-// result plus a scan of its (typically few) rows with nulls.
+// eachSub calls f on the subplan of every IN atom in c.
+func eachSub(c pcond, f func(sub *Plan)) {
+	switch c := c.(type) {
+	case cand:
+		eachSub(c.l, f)
+		eachSub(c.r, f)
+	case cor:
+		eachSub(c.l, f)
+		eachSub(c.r, f)
+	case cnot:
+		eachSub(c.c, f)
+	case cin:
+		f(c.sub)
+	}
+}
+
+// eval mirrors the reference interpreter's evalIn over the subquery result
+// in (frozen, Δ) form: under naive evaluation one set-membership probe;
+// under SQL's three-valued semantics a null-free probe is answered by one
+// membership probe (only a null-free row can equal it) plus a scan of the
+// rows with nulls — which are Δ rows, the frozen part being null-free.
 func (c cin) eval(x *exec, t value.Tuple) logic.TV {
 	probe := t.Project(c.cols)
+	s := x.subSide(c.sub)
 	if x.mode == algebra.ModeNaive {
-		return logic.FromBool(x.subRel(c.sub).Contains(probe))
+		return logic.FromBool(s.contains(probe))
 	}
-	split := x.subSplit(c.sub)
+	res := logic.F
+	fold := func(row value.Tuple) bool {
+		res = logic.Or(res, tupleEq(probe, row, x.mode))
+		return res != logic.T
+	}
 	if !probe.HasNull() {
-		if split.nullFree.Contains(probe) {
+		if s.contains(probe) {
 			return logic.T
 		}
-		res := logic.F
-		for _, row := range split.withNulls {
-			res = logic.Or(res, tupleEq(probe, row, x.mode))
-		}
+		s.eachWithNulls(fold)
 		return res
 	}
 	// A probe with nulls can match no row with t in SQL mode; fold for u
 	// vs f over both parts (order-insensitive).
-	res := logic.F
-	for _, row := range split.withNulls {
-		res = logic.Or(res, tupleEq(probe, row, x.mode))
-		if res == logic.T {
-			return logic.T
-		}
+	s.eachWithNulls(fold)
+	if res != logic.T {
+		s.eachNullFree(fold)
 	}
-	done := false
-	split.nullFree.EachUnordered(func(row value.Tuple, _ int) {
-		if done {
-			return
-		}
-		res = logic.Or(res, tupleEq(probe, row, x.mode))
-		if res == logic.T {
-			done = true
-		}
-	})
 	return res
 }
 

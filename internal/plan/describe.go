@@ -11,11 +11,17 @@ import (
 )
 
 // ExplainNode is one physical operator in a structured plan rendering.
-// Frozen marks a node whose whole result is world-invariant (materialized
-// once per Prepare and reused across valuations); BuildFrozen marks a join
-// whose build side alone is frozen. Children are always populated — text
-// rendering elides them below frozen nodes, JSON consumers see the full
-// tree.
+// Against a prepared base every node's result in a world is
+// frozen part ∪ Δ(world). Frozen marks a node whose whole result is
+// world-invariant (Δ always empty); Barrier marks a node that does not
+// distribute over its inputs, whose frozen part is empty and which
+// re-emits its whole output per world; BuildFrozen marks a varying join
+// whose right input is frozen whole. FrozenRows is the size of the node's
+// frozen part (known for scans, and for every node once it has executed),
+// DeltaRows the largest per-world Δ: the number of null rows for a scan,
+// otherwise the maximum seen under ANALYZE. Children are always populated —
+// text rendering elides them below frozen nodes, JSON consumers see the
+// full tree.
 // EstRows is the cost model's estimated output cardinality (absent when the
 // catalog carries no statistics), Cost a join step's estimated cost
 // (intermediate rows plus hash-build size), and Columns the pruned column
@@ -24,6 +30,9 @@ type ExplainNode struct {
 	Op          string         `json:"op"`
 	Frozen      bool           `json:"frozen,omitempty"`
 	BuildFrozen bool           `json:"build_frozen,omitempty"`
+	Barrier     bool           `json:"barrier,omitempty"`
+	FrozenRows  *int64         `json:"frozen_rows,omitempty"`
+	DeltaRows   *int64         `json:"delta_rows,omitempty"`
 	EstRows     *float64       `json:"est_rows,omitempty"`
 	Cost        float64        `json:"cost,omitempty"`
 	Columns     []int          `json:"columns,omitempty"`
@@ -57,9 +66,9 @@ type ExplainInfo struct {
 
 // Describe returns the structured explain information for q, compiled
 // through the process-wide plan cache. When base is non-nil the plan is
-// additionally prepared against it and world-invariant (frozen) subplans
-// are marked: those are computed once per oracle call and shared across
-// all valuations. The used-column masks of algebra.UsedColumns are
+// additionally prepared against it and every node is marked with its
+// (frozen, Δ) split: frozen parts are computed once and shared across all
+// valuations. The used-column masks of algebra.UsedColumns are
 // reported alongside, since they drive the certain oracle's
 // valuation-space pruning that composes with plan reuse.
 func Describe(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database) *ExplainInfo {
@@ -72,7 +81,7 @@ func Describe(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, 
 }
 
 // DescribeCached is Describe drawing the prepared state from a
-// version-guarded cache instead of freezing afresh: the markers reflect
+// version-guarded cache instead of preparing afresh: the markers reflect
 // exactly the Prepared a subsequent query through the same cache will
 // reuse (and the call warms that cache). The incdbd /v1/explain handler
 // uses it with the session's cache.
@@ -86,7 +95,7 @@ func DescribeCached(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag 
 // batches, and inclusive wall time alongside the cost model's estimates.
 // The traced execution streams exactly the batches an untraced run would
 // (trace.go), so the answer the operator inspects is the answer a query
-// would return. cache may be nil to freeze afresh.
+// would return. cache may be nil to prepare afresh.
 func DescribeAnalyze(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database, cache *PrepCache) *ExplainInfo {
 	var prep *Prepared
 	if cache != nil {
@@ -150,12 +159,19 @@ func describeTree(q *Plan, n pnode, prep *Prepared, tr *Trace) *ExplainNode {
 		out.Columns = s.cols
 	}
 	if prep != nil {
-		if fs := prep.frozen[q]; fs != nil {
-			if fs.rels[n.base().id] != nil {
-				out.Frozen = true
-			} else if j, ok := n.(*pjoin); ok && fs.tables[j.base().id] != nil {
-				out.BuildFrozen = true
-			}
+		nodes := prep.stateOf(q).nodes
+		st := &nodes[n.base().id]
+		out.Frozen, out.Barrier = !st.varying, st.barrier
+		if j, ok := n.(*pjoin); ok && st.varying {
+			out.BuildFrozen = !nodes[j.right.base().id].varying
+		}
+		if rows := st.frozenRows.Load(); rows >= 0 {
+			out.FrozenRows = &rows
+		}
+		if st.scan != nil && st.scan.rel != nil {
+			nulls := int64(len(st.scan.nulls))
+			rows := int64(st.scan.rel.Len()) - nulls
+			out.FrozenRows, out.DeltaRows = &rows, &nulls
 		}
 	}
 	if st := tr.stat(q, n.base().id); st != nil {
@@ -163,8 +179,12 @@ func describeTree(q *Plan, n pnode, prep *Prepared, tr *Trace) *ExplainNode {
 		out.ActualRows = &rows
 		out.Batches = st.Batches.Load()
 		out.WallMs = float64(st.WallNs.Load()) / 1e6
+		if prep != nil && out.DeltaRows == nil {
+			max := st.DeltaMax.Load()
+			out.DeltaRows = &max
+		}
 	}
-	for _, c := range n.children() {
+	for _, c := range children(n) {
 		out.Children = append(out.Children, describeTree(q, c, prep, tr))
 	}
 	return out
@@ -224,7 +244,16 @@ func textTree(b *strings.Builder, n *ExplainNode, depth int) {
 	switch {
 	case n.Frozen:
 		marker += "  [frozen across worlds]"
-	case n.BuildFrozen:
+	case n.Barrier && n.DeltaRows != nil:
+		marker += fmt.Sprintf("  [barrier, Δ≤%d/world]", *n.DeltaRows)
+	case n.Barrier:
+		marker += "  [barrier]"
+	case n.FrozenRows != nil && n.DeltaRows != nil:
+		marker += fmt.Sprintf("  [frozen %d rows + Δ≤%d/world]", *n.FrozenRows, *n.DeltaRows)
+	case n.FrozenRows != nil:
+		marker += fmt.Sprintf("  [frozen %d rows + Δ]", *n.FrozenRows)
+	}
+	if n.BuildFrozen {
 		marker += "  [build side frozen]"
 	}
 	fmt.Fprintf(b, "%s%s%s\n", strings.Repeat("  ", depth), n.Op, marker)

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,16 +74,25 @@ func OptimizedFor(e algebra.Expr, cat algebra.Catalog) algebra.Expr {
 // point the cost-based join order may flip and the plan recompiles. The
 // coarse bucketing keeps per-row mutations from thrashing the cache.
 func cacheKey(e algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, withStats bool) string {
+	// Appended by hand: this runs on every evaluation, before any cache can
+	// help, and fmt costs more than the rest of a small query's execution.
 	var b strings.Builder
 	b.WriteString(e.String())
-	fmt.Fprintf(&b, "|%d|%t", mode, bag)
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(int(mode)))
+	b.WriteByte('|')
+	b.WriteString(strconv.FormatBool(bag))
 	names, _ := algebra.RelationsOf(e)
 	stats, _ := cat.(statsProvider)
 	for _, n := range names {
-		fmt.Fprintf(&b, "|%s:%d", n, cat.Arity(n))
+		b.WriteByte('|')
+		b.WriteString(n)
+		b.WriteByte(':')
+		b.WriteString(strconv.Itoa(cat.Arity(n)))
 		if withStats && stats != nil {
 			if rel := stats.Relation(n); rel != nil {
-				fmt.Fprintf(&b, "@%d", rel.StatsEpoch())
+				b.WriteByte('@')
+				b.WriteString(strconv.FormatUint(rel.StatsEpoch(), 10))
 			}
 		}
 	}
@@ -99,14 +108,6 @@ func Eval(db *relation.Database, e algebra.Expr, mode algebra.Mode) *relation.Re
 // EvalBag evaluates e on db under bag semantics through the planner.
 func EvalBag(db *relation.Database, e algebra.Expr, mode algebra.Mode) *relation.Relation {
 	return PlanFor(e, db, mode, true).Exec(db)
-}
-
-// WorldEval compiles and prepares q once against the base database and
-// returns the per-world evaluator the oracles loop on: each call evaluates
-// one world derived from base, reusing the plan and every frozen null-free
-// subplan. The returned function is safe for concurrent use.
-func WorldEval(base *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) func(world *relation.Database) *relation.Relation {
-	return PlanFor(q, base, mode, bag).Prepare(base).Exec
 }
 
 func init() {

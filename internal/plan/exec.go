@@ -7,66 +7,135 @@ import (
 	"incdb/internal/value"
 )
 
-// exec carries per-execution state: the target database, the optional
-// Prepared freeze, the per-node batch buffers (batch.go), and the memo of
-// uncorrelated IN-subquery results (one evaluation each per execution,
-// shared across nesting levels like the interpreter's env caches).
+// exec carries one execution's state over a Prepared. There is one
+// executor and it runs in two phases. In the frozen phase (delta false) a
+// node streams its frozen part, computed from null-free rows only; it runs
+// once per Prepared per artifact that needs it (the root's frozen answer, a
+// join's hash tables, a barrier's consolidated inputs). In the delta phase
+// (delta true) a node streams Δ(val), computed from the null rows
+// instantiated under val; it runs once per world, the buffers rewound
+// between worlds. Execs of both phases are pooled per plan. The operators
+// below are written once for both phases: only scan (which rows) and join
+// (which cross terms) ask which phase they are in.
 type exec struct {
-	db   *relation.Database
 	prep *Prepared
+	ps   *planState // prep.stateOf(plan)
+	plan *Plan      // plan this exec runs (main plan or an IN subplan)
 	mode algebra.Mode
 	bag  bool
-	plan *Plan // plan currently executing (main plan or an IN subplan)
 	bufs []outBuf
 
+	delta bool
+	val   value.Valuation // nil: the identity (nulls stand for themselves)
+	// keepRows: an artifact built on this exec (a join table) retains rows
+	// of its arena, so the next reset gives the slabs up instead of
+	// rewinding them.
+	keepRows bool
+
 	// trace, when set, receives execution statistics (trace.go); tstats is
-	// the per-node slot slice for x.plan, non-nil only under detail tracing.
+	// the per-node slot slice for plan, non-nil only under detail tracing.
 	trace  *Trace
 	tstats []*NodeStat
 
-	subRels   map[*Plan]*relation.Relation
-	subSplits map[*Plan]*nullSplit
+	// root collects the plan's Δ for the current world; collect is its
+	// batch sink, allocated once per exec.
+	root    deltaSet
+	collect func(*vbatch)
+
+	// top is the main plan's exec; it owns the world counter and the execs
+	// of the IN subplans, so that each subquery's Δ is computed once per
+	// world however many conditions and nesting levels probe it.
+	top   *exec
+	subs  []*exec // by Plan.subIdx; top only
+	epoch uint64  // top: current world; subplan exec: world root was collected for
 }
 
-// Exec evaluates the plan against db with no cross-world freezing and
-// returns the result relation (normalized under set semantics, exact
-// multiplicities under bag semantics). Safe for concurrent use: the plan is
-// immutable and all execution state lives here.
+func newExec(p *Plan) *exec {
+	x := &exec{plan: p, mode: p.mode, bag: p.bag, bufs: make([]outBuf, len(p.nodes)), subs: make([]*exec, len(p.subs))}
+	x.top = x
+	x.collect = func(b *vbatch) {
+		for i, t := range b.rows {
+			x.root.add(t, b.mults[i])
+		}
+	}
+	return x
+}
+
+// bind attaches the exec to a Prepared and a trace.
+func (x *exec) bind(prep *Prepared, tr *Trace) {
+	x.prep, x.ps, x.trace, x.tstats = prep, prep.stateOf(x.plan), tr, nil
+	if tr != nil && tr.detail {
+		x.tstats = tr.planStats(x.plan)
+	}
+}
+
+// resetBufs rewinds the buffers for the next use — or, when an artifact
+// retains rows of the arena (keepRows), gives the slabs up to it.
+func (x *exec) resetBufs() {
+	for i := range x.bufs {
+		x.bufs[i].reset()
+		if x.keepRows {
+			x.bufs[i].slab = nil
+		}
+	}
+	x.keepRows = false
+	x.root.reset()
+}
+
+// acquire takes an exec for q from its pool (or makes one) and binds it.
+func acquire(q *Plan, prep *Prepared, tr *Trace, delta bool) *exec {
+	x, _ := q.pool.Get().(*exec)
+	if x == nil {
+		x = newExec(q)
+	}
+	x.bind(prep, tr)
+	x.delta = delta
+	return x
+}
+
+// release returns the exec to its plan's pool, dropping the references a
+// pooled exec must not keep alive; the batch containers stay warm.
+func (x *exec) release() {
+	x.resetBufs()
+	x.unbind()
+	for _, sx := range x.subs {
+		if sx != nil {
+			sx.unbind()
+		}
+	}
+	x.plan.pool.Put(x)
+}
+
+func (x *exec) unbind() {
+	x.prep, x.ps, x.trace, x.tstats, x.val = nil, nil, nil, nil, nil
+}
+
+// frozen runs build on a frozen-phase exec for q.
+func (x *exec) frozen(q *Plan, build func(fx *exec)) {
+	fx := acquire(q, x.prep, x.trace, false)
+	defer fx.release()
+	build(fx)
+}
+
+func (x *exec) st(n pnode) *nodeState { return &x.ps.nodes[n.base().id] }
+
+// Exec evaluates the plan against db and returns the result relation
+// (normalized under set semantics, exact multiplicities under bag
+// semantics). Safe for concurrent use: the plan is immutable and all
+// execution state lives in the exec.
 func (p *Plan) Exec(db *relation.Database) *relation.Relation {
-	return p.exec(db, nil, nil)
+	return p.ExecTraced(db, nil)
 }
 
 // ExecTraced is Exec accumulating execution statistics into tr (which may
 // be shared across concurrent executions — all Trace fields are atomics).
 func (p *Plan) ExecTraced(db *relation.Database, tr *Trace) *relation.Relation {
-	return p.exec(db, nil, tr)
-}
-
-func (p *Plan) exec(db *relation.Database, prep *Prepared, tr *Trace) *relation.Relation {
-	x := &exec{db: db, prep: prep, mode: p.mode, bag: p.bag, plan: p, trace: tr,
-		subRels: map[*Plan]*relation.Relation{}, subSplits: map[*Plan]*nullSplit{}}
-	if tr != nil {
-		tr.Execs.Add(1)
-		if tr.detail {
-			x.tstats = tr.planStats(p)
-		}
-	}
-	x.bufs = p.acquireBufs()
-	out := p.materializeRoot(x)
-	p.releaseBufs(x.bufs)
-	return out
-}
-
-func (p *Plan) materializeRoot(x *exec) *relation.Relation {
-	var out *relation.Relation
-	if p.outIsRel {
-		if src := x.db.Relation(p.outName); src != nil {
-			out = relation.New(p.outName, src.Attrs()...)
-		}
-	}
-	if out == nil {
-		out = relation.NewArity(p.outName, p.arity)
-	}
+	// One world, nothing to share: the degenerate partition makes every row
+	// a Δ row, and the single Δ pass goes straight into the result.
+	x := acquire(p, p.prepare(db, true), tr, true)
+	defer x.release()
+	x.begin(nil)
+	out := x.newOut()
 	stream(p.root, x, relSink(out))
 	if !p.bag {
 		out.Normalize()
@@ -74,132 +143,157 @@ func (p *Plan) materializeRoot(x *exec) *relation.Relation {
 	return out
 }
 
-// stream is the dispatcher every operator goes through: a node whose result
-// was frozen by Prepare short-circuits to the cached relation, replayed in
-// batches through the node's own buffer.
-func stream(n pnode, x *exec, emit func(*vbatch)) {
-	if x.tstats != nil {
-		streamTraced(n, x, emit)
-		return
+// begin starts the evaluation of the world val(D) on a delta-phase exec.
+func (x *exec) begin(val value.Valuation) {
+	if x.trace != nil {
+		x.trace.Execs.Add(1)
 	}
-	if r := x.frozenRel(n); r != nil {
-		o := x.out(n)
-		r.EachUnordered(func(t value.Tuple, m int) {
-			o.push(t, m, emit)
-		})
-		o.flush(emit)
-		return
-	}
-	n.run(x, emit)
+	x.val = val
+	x.epoch++
+	x.resetBufs()
 }
 
-func (x *exec) frozenRel(n pnode) *relation.Relation {
-	if x.prep == nil {
-		return nil
-	}
-	if fs := x.prep.frozen[x.plan]; fs != nil {
-		if r := fs.rels[n.base().id]; r != nil {
-			x.frozenHit()
-			return r
+// newOut returns an empty relation under the output name and attributes the
+// reference interpreter would produce.
+func (x *exec) newOut() *relation.Relation {
+	p := x.plan
+	if p.outIsRel {
+		if src := x.prep.base.Relation(p.outName); src != nil {
+			return relation.New(p.outName, src.Attrs()...)
 		}
 	}
-	return nil
+	return relation.NewArity(p.outName, p.arity)
 }
 
-// frozenHit records one frozen-subplan reuse on the attached trace.
+// buildOut computes the frozen part of the plan's answer. It runs on x
+// itself, flipped to the frozen phase: x is between worlds, its buffers are
+// idle, and the relation clones what it keeps.
+func (x *exec) buildOut() *relation.Relation {
+	out := x.newOut()
+	x.delta = false
+	stream(x.plan.root, x, relSink(out))
+	x.delta = true
+	x.resetBufs()
+	if !x.plan.bag {
+		out.Normalize()
+	}
+	return out
+}
+
+// stream is the dispatcher every operator goes through. In the delta phase
+// a node no valuation can change has nothing to say; in the frozen phase a
+// node without a frozen part (a barrier, or one above inputs without frozen
+// rows) has nothing to say, and every other node's frozen row count is
+// recorded for EXPLAIN.
+func stream(n pnode, x *exec, emit func(*vbatch)) {
+	st := x.st(n)
+	if x.delta {
+		if !st.varying {
+			return
+		}
+		if x.tstats != nil {
+			streamTraced(n, x, emit)
+			return
+		}
+		n.run(x, emit)
+		return
+	}
+	if st.noFrozen {
+		st.frozenRows.Store(0)
+		return
+	}
+	o := x.out(n)
+	o.emitted = 0
+	if x.tstats != nil {
+		streamTraced(n, x, emit)
+	} else {
+		n.run(x, emit)
+	}
+	if u, ok := n.(*punion); ok {
+		// A union forwards its children's batches without buffering them.
+		o.emitted = int(x.st(u.l).frozenRows.Load() + x.st(u.r).frozenRows.Load())
+	}
+	st.frozenRows.Store(int64(o.emitted))
+}
+
+// frozenHit records one frozen-artifact reuse on the attached trace.
 func (x *exec) frozenHit() {
 	if x.trace != nil {
 		x.trace.FrozenReuse.Add(1)
 	}
 }
 
-// matRel materializes a node into a consolidated relation (exact
-// multiplicities under bag semantics). Frozen nodes and full-width
-// base-relation scans are returned without copying: all consumers are
-// read-only. A narrowed scan cannot share the base relation — its output
-// tuples are a column subset — so it materializes like any other node.
-func matRel(n pnode, x *exec) *relation.Relation {
-	if r := x.frozenRel(n); r != nil {
-		return r
+// frozenRel returns the consolidated frozen part of node n of plan q
+// (exact multiplicities), building it on first use — nil for a node that
+// has none (noFrozen). A full-width scan of a relation without null rows is
+// the relation itself: stored rows are immutable and every consumer is
+// read-only.
+func (x *exec) frozenRel(q *Plan, n pnode) *relation.Relation {
+	st := &x.prep.stateOf(q).nodes[n.base().id]
+	if st.noFrozen {
+		return nil
 	}
-	if s, ok := n.(*pscan); ok && s.cols == nil && x.tstats == nil {
-		// Shared-source shortcut, skipped under detail tracing so the scan's
-		// actual rows are counted (materializing preserves the result).
-		return x.source(s.name)
+	if x.delta {
+		x.frozenHit()
 	}
-	out := relation.NewArity("t", n.base().width)
-	if x.tstats != nil {
-		streamTraced(n, x, relSink(out))
-	} else {
-		n.run(x, relSink(out))
-	}
-	return out
-}
-
-func (x *exec) source(name string) *relation.Relation {
-	r := x.db.Relation(name)
-	if r == nil {
-		panic("plan: unknown relation " + name)
-	}
-	return r
-}
-
-// subRel returns the (set-semantics) result of an IN subplan, frozen,
-// memoized per execution, or computed on the spot.
-func (x *exec) subRel(sub *Plan) *relation.Relation {
-	if x.prep != nil {
-		if r := x.prep.subRels[sub]; r != nil {
-			x.frozenHit()
-			return r
+	return st.rel.get(func() *relation.Relation {
+		if s, ok := n.(*pscan); ok && s.cols == nil && st.scan.rel != nil && len(st.scan.nulls) == 0 && x.tstats == nil {
+			// Shared-source shortcut, skipped under detail tracing so the
+			// scan's actual rows are counted.
+			return st.scan.rel
 		}
-	}
-	if r := x.subRels[sub]; r != nil {
-		return r
-	}
-	sx := &exec{db: x.db, prep: x.prep, mode: sub.mode, bag: false, plan: sub,
-		trace: x.trace, subRels: x.subRels, subSplits: x.subSplits}
-	if x.trace != nil && x.trace.detail {
-		sx.tstats = x.trace.planStats(sub)
-	}
-	sx.bufs = sub.acquireBufs()
-	r := sub.materializeRoot(sx)
-	sub.releaseBufs(sx.bufs)
-	x.subRels[sub] = r
-	return r
-}
-
-// nullSplit partitions a relation for three-valued probes: the null-free
-// part answered by one hash lookup and the rows with nulls, the only rows
-// that can contribute unknown (shared by the IN probe and the ⋉⇑ scan).
-type nullSplit struct {
-	nullFree  *relation.Relation
-	withNulls []value.Tuple
-}
-
-func splitNulls(r *relation.Relation) *nullSplit {
-	s := &nullSplit{nullFree: relation.NewArity("nf", r.Arity())}
-	r.EachUnordered(func(t value.Tuple, _ int) {
-		if t.HasNull() {
-			s.withNulls = append(s.withNulls, t)
-		} else {
-			s.nullFree.Add(t)
-		}
+		out := relation.NewArity("t", n.base().width)
+		x.frozen(q, func(fx *exec) { stream(n, fx, relSink(out)) })
+		return out
 	})
+}
+
+func (x *exec) source(n *pscan) *relation.Relation {
+	r := x.st(n).scan.rel
+	if r == nil {
+		panic("plan: unknown relation " + n.name)
+	}
+	return r
+}
+
+// side returns input n of the executing plan in (frozen, Δ) form, Δ
+// collected into slot.
+func (x *exec) side(n pnode, slot *deltaSet) side {
+	s := side{f: x.frozenRel(x.plan, n)}
+	if x.delta && x.st(n).varying {
+		slot.reset()
+		stream(n, x, func(b *vbatch) {
+			for i, t := range b.rows {
+				slot.add(t, b.mults[i])
+			}
+		})
+		s.d = slot
+	}
 	return s
 }
 
-func (x *exec) subSplit(sub *Plan) *nullSplit {
-	if x.prep != nil {
-		if s := x.prep.subSplits[sub]; s != nil {
-			x.frozenHit()
-			return s
-		}
-	}
-	if s := x.subSplits[sub]; s != nil {
+// subSide returns the (set-semantics) result of an IN subplan in
+// (frozen, Δ) form; its Δ is computed once per world.
+func (x *exec) subSide(sub *Plan) side {
+	s := side{f: x.frozenRel(sub, sub.root)}
+	top := x.top
+	if !x.delta || !top.prep.stateOf(sub).nodes[sub.root.base().id].varying {
 		return s
 	}
-	s := splitNulls(x.subRel(sub))
-	x.subSplits[sub] = s
+	sx := top.subs[sub.subIdx]
+	if sx == nil {
+		sx = newExec(sub)
+		sx.top = top
+		sx.delta = true
+		top.subs[sub.subIdx] = sx
+	}
+	if sx.prep != top.prep || sx.epoch != top.epoch {
+		sx.bind(top.prep, top.trace)
+		sx.val, sx.epoch = top.val, top.epoch
+		sx.resetBufs()
+		stream(sub.root, sx, sx.collect)
+	}
+	s.d = &sx.root
 	return s
 }
 
@@ -213,47 +307,75 @@ func (x *exec) multOf(m int) int {
 // Operator implementations. Multiplicity discipline: under bag semantics
 // every emission carries exact bag arithmetic; under set semantics
 // emissions may repeat tuples (set-insensitive consumers only probe
-// membership) and the root materialization normalizes once at the end.
-// Every operator flows batches (batch.go): rows accumulate in the node's
-// output buffer and flush to the consumer at BatchRows, amortizing the
-// per-row closure dispatch of the old tuple-at-a-time protocol.
+// membership) and consolidation points normalize. Every operator flows
+// batches (batch.go): rows accumulate in the node's output buffer and flush
+// to the consumer at BatchRows.
 
 func (n *pscan) run(x *exec, emit func(*vbatch)) {
-	src := x.source(n.name)
 	o := x.out(n)
-	if n.cols == nil {
-		// Full-width scan: stored tuples stream through by reference.
-		src.EachUnordered(func(t value.Tuple, m int) {
-			o.push(t, x.multOf(m), emit)
-		})
-	} else {
-		// Pruned scan: emit narrowed tuples carved from the arena slab.
-		w := len(n.cols)
-		src.EachUnordered(func(t value.Tuple, m int) {
+	part := x.st(n).scan
+	if x.delta && !part.all {
+		// Δ(v): the null rows, instantiated into the arena slab.
+		for i := range part.nulls {
+			t := part.nulls[i].t
+			if x.val != nil {
+				t = x.val.ApplyInto(o.alloc(len(t)), t)
+			}
+			o.push(t, x.multOf(part.nulls[i].m), emit)
+		}
+		o.flush(emit)
+		return
+	}
+	// Rows straight from the relation: the frozen part — or, for the
+	// degenerate partition, every row as the Δ of the identity valuation.
+	src := x.source(n)
+	mixed := len(part.nulls) > 0
+	w := len(n.cols)
+	src.EachUnordered(func(t value.Tuple, m int) {
+		if mixed && nullIn(t, n.cols) {
+			return
+		}
+		if n.cols != nil {
+			// Pruned scan: emit narrowed tuples carved from the slab.
 			nt := o.alloc(w)
 			for i, c := range n.cols {
 				nt[i] = t[c]
 			}
-			o.push(nt, x.multOf(m), emit)
-		})
-	}
+			t = nt
+		}
+		o.push(t, x.multOf(m), emit)
+	})
 	o.flush(emit)
 }
 
 func (n *pfilter) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
-	stream(n.in, x, func(b *vbatch) {
-	rows:
-		for i, t := range b.rows {
-			for _, c := range n.conds {
-				if c.eval(x, t) != logic.T {
-					continue rows
+	if x.st(n).barrier {
+		// An IN subquery varies: every input row is re-decided per world.
+		x.side(n.in, &o.ld).each(func(t value.Tuple, m int) {
+			if n.holds(x, t) {
+				o.push(t, x.multOf(m), emit)
+			}
+		})
+	} else {
+		stream(n.in, x, func(b *vbatch) {
+			for i, t := range b.rows {
+				if n.holds(x, t) {
+					o.push(t, b.mults[i], emit)
 				}
 			}
-			o.push(t, b.mults[i], emit)
-		}
-	})
+		})
+	}
 	o.flush(emit)
+}
+
+func (n *pfilter) holds(x *exec, t value.Tuple) bool {
+	for _, c := range n.conds {
+		if c.eval(x, t) != logic.T {
+			return false
+		}
+	}
+	return true
 }
 
 func (n *pproject) run(x *exec, emit func(*vbatch)) {
@@ -272,80 +394,160 @@ func (n *pproject) run(x *exec, emit func(*vbatch)) {
 }
 
 func (n *pjoin) run(x *exec, emit func(*vbatch)) {
-	var table *joinTable
-	if x.prep != nil {
-		if fs := x.prep.frozen[x.plan]; fs != nil {
-			if table = fs.tables[n.base().id]; table != nil {
-				x.frozenHit()
+	o := x.out(n)
+	sqlMode := x.mode == algebra.ModeSQL
+	if !x.delta {
+		// Frozen part: Fl ⋈ Fr. When the right input varies, Δr will probe a
+		// table over Fl: Fl is streaming past right now, so the first pass
+		// fills that table instead of leaving it to a second run of the left
+		// subtree.
+		st := x.st(n)
+		fr := x.table(&st.tableR, n.right, n.rkeys)
+		var fl *joinTable
+		if x.st(n.right).varying && st.tableL.empty() {
+			fl = &joinTable{}
+			fl.reset(n.lkeys, int(n.left.base().est))
+		}
+		stream(n.left, x, func(b *vbatch) {
+			for i, lt := range b.rows {
+				n.probe(x, o, fr, lt, b.mults[i], false, sqlMode, emit)
+				if fl != nil {
+					fl.add(lt, b.mults[i], sqlMode)
+				}
+			}
+		})
+		if fl != nil {
+			x.keepRows = true
+			st.tableL.tryPublish(fl)
+		}
+		o.flush(emit)
+		return
+	}
+	// Δ(v) = Fl⋈Δr ∪ Δl⋈Fr ∪ Δl⋈Δr. Δr is collected into the node's small
+	// reusable table first, so that Δl probes both right-hand terms in one
+	// pass; the tables over Fl and Fr are only touched by a non-empty Δ.
+	dr := &o.dtable
+	dr.reset(n.rkeys, 0)
+	stream(n.right, x, func(b *vbatch) {
+		for i, t := range b.rows {
+			dr.add(t, b.mults[i], sqlMode)
+		}
+	})
+	if len(dr.rows) > 0 && !x.st(n.left).noFrozen {
+		if fl := x.table(&x.st(n).tableL, n.left, n.lkeys); len(fl.rows) > 0 {
+			for i := range dr.rows {
+				n.probe(x, o, fl, dr.rows[i].t, dr.rows[i].m, true, sqlMode, emit)
 			}
 		}
 	}
-	if table == nil {
-		table = newJoinTable(n.rkeys, int(n.right.base().est))
-		stream(n.right, x, func(b *vbatch) {
-			for i, t := range b.rows {
-				table.add(t, b.mults[i], x.mode)
+	if x.st(n.left).varying {
+		var fr *joinTable
+		if !x.st(n.right).noFrozen {
+			fr = x.table(&x.st(n).tableR, n.right, n.rkeys)
+		}
+		stream(n.left, x, func(b *vbatch) {
+			for i, lt := range b.rows {
+				if fr != nil {
+					n.probe(x, o, fr, lt, b.mults[i], false, sqlMode, emit)
+				}
+				n.probe(x, o, dr, lt, b.mults[i], false, sqlMode, emit)
 			}
 		})
 	}
-	sqlMode := x.mode == algebra.ModeSQL
-	o := x.out(n)
-	lw := n.left.base().width
-	full := lw + n.right.base().width
-	stream(n.left, x, func(b *vbatch) {
-	left:
-		for i, lt := range b.rows {
-			if sqlMode {
-				for _, k := range n.lkeys {
-					if lt[k].IsNull() {
-						continue left // the key equality can never be t
-					}
+	o.flush(emit)
+}
+
+// table returns one of a join's hash tables — over the frozen part of its
+// right input keyed on the right key columns (what Fl and Δl probe), or its
+// mirror image over the left input (what Δr probes) — building it on first
+// use. The table keeps rows of the arena it was streamed through.
+func (x *exec) table(slot *lazy[joinTable], in pnode, keys []int) *joinTable {
+	if x.delta {
+		x.frozenHit()
+	}
+	return slot.get(func() *joinTable {
+		tb := &joinTable{}
+		tb.reset(keys, int(in.base().est))
+		sqlMode := x.mode == algebra.ModeSQL
+		x.frozen(x.plan, func(fx *exec) {
+			fx.keepRows = true
+			stream(in, fx, func(b *vbatch) {
+				for i, t := range b.rows {
+					tb.add(t, b.mults[i], sqlMode)
 				}
-			}
-			lm := b.mults[i]
-			table.probe(lt, n.lkeys, func(rt value.Tuple, rm int) {
-				if n.outCols == nil {
-					joined := o.alloc(full)
-					copy(joined, lt)
-					copy(joined[lw:], rt)
-					for _, c := range n.residual {
-						if c.eval(x, joined) != logic.T {
-							o.unalloc(full) // never emitted: reclaim the row
-							return
-						}
-					}
-					o.push(joined, lm*rm, emit)
-					return
-				}
-				// Folded projection: the residual (if any) still sees the
-				// full concatenation via the reusable scratch tuple; emitted
-				// rows carry only the projected columns.
-				if n.residual != nil {
-					if cap(o.scratch) < full {
-						o.scratch = make(value.Tuple, full)
-					}
-					s := o.scratch[:full]
-					copy(s, lt)
-					copy(s[lw:], rt)
-					for _, c := range n.residual {
-						if c.eval(x, s) != logic.T {
-							return
-						}
-					}
-				}
-				outT := o.alloc(len(n.outCols))
-				for j, cc := range n.outCols {
-					if cc < lw {
-						outT[j] = lt[cc]
-					} else {
-						outT[j] = rt[cc-lw]
-					}
-				}
-				o.push(outT, lm*rm, emit)
 			})
+		})
+		return tb
+	})
+}
+
+// probe joins one streamed row pt against tb and emits the matches. The
+// streamed row is a left row probing a table of right rows, or — swapped —
+// a right row probing the table over Fl.
+func (n *pjoin) probe(x *exec, o *outBuf, tb *joinTable, pt value.Tuple, pm int, swapped, sqlMode bool, emit func(*vbatch)) {
+	pkeys := n.lkeys
+	if swapped {
+		pkeys = n.rkeys
+	}
+	if sqlMode {
+		for _, k := range pkeys {
+			if pt[k].IsNull() {
+				return // the key equality can never be t
+			}
+		}
+	}
+	tb.probe(pt, pkeys, func(st value.Tuple, sm int) {
+		if swapped {
+			n.emit(x, o, st, pt, pm*sm, emit)
+		} else {
+			n.emit(x, o, pt, st, pm*sm, emit)
 		}
 	})
-	o.flush(emit)
+}
+
+// emit pushes the concatenation lt·rt (or its folded projection) when the
+// residual conditions hold.
+func (n *pjoin) emit(x *exec, o *outBuf, lt, rt value.Tuple, m int, emit func(*vbatch)) {
+	lw := len(lt)
+	full := lw + len(rt)
+	if n.outCols == nil {
+		joined := o.alloc(full)
+		copy(joined, lt)
+		copy(joined[lw:], rt)
+		for _, c := range n.residual {
+			if c.eval(x, joined) != logic.T {
+				o.unalloc(full) // never emitted: reclaim the row
+				return
+			}
+		}
+		o.push(joined, m, emit)
+		return
+	}
+	// Folded projection: the residual (if any) still sees the full
+	// concatenation via the reusable scratch tuple; emitted rows carry
+	// only the projected columns.
+	if n.residual != nil {
+		if cap(o.scratch) < full {
+			o.scratch = make(value.Tuple, full)
+		}
+		s := o.scratch[:full]
+		copy(s, lt)
+		copy(s[lw:], rt)
+		for _, c := range n.residual {
+			if c.eval(x, s) != logic.T {
+				return
+			}
+		}
+	}
+	outT := o.alloc(len(n.outCols))
+	for j, cc := range n.outCols {
+		if cc < lw {
+			outT[j] = lt[cc]
+		} else {
+			outT[j] = rt[cc-lw]
+		}
+	}
+	o.push(outT, m, emit)
 }
 
 func (n *punion) run(x *exec, emit func(*vbatch)) {
@@ -354,62 +556,88 @@ func (n *punion) run(x *exec, emit func(*vbatch)) {
 	stream(n.r, x, emit)
 }
 
-func (n *pdiff) run(x *exec, emit func(*vbatch)) {
-	l, r := matRel(n.l, x), matRel(n.r, x)
-	o := x.out(n)
-	if x.bag {
-		l.EachUnordered(func(t value.Tuple, m int) {
-			if rest := m - r.Mult(t); rest > 0 {
-				o.push(t, rest, emit)
-			}
-		})
-	} else {
-		l.EachUnordered(func(t value.Tuple, _ int) {
-			if !r.Contains(t) {
-				o.push(t, 1, emit)
-			}
-		})
+// eachLeft feeds a whole-tuple operator its left input. An operator that
+// needs distinct tuples with exact multiplicities (consolidate) takes the
+// input whole in (frozen, Δ) form. Otherwise it decides row by row, so the
+// current phase's part streams through — and a barrier, which re-emits per
+// world what its frozen left rows yield too, walks those first.
+func (x *exec) eachLeft(n, l pnode, consolidate bool, f func(t value.Tuple, m int)) {
+	if consolidate {
+		x.side(l, &x.out(n).ld).each(f)
+		return
 	}
-	o.flush(emit)
+	if x.st(n).barrier {
+		if fl := x.frozenRel(x.plan, l); fl != nil {
+			fl.EachUnordered(f)
+		}
+	}
+	stream(l, x, func(b *vbatch) {
+		for i, t := range b.rows {
+			f(t, b.mults[i])
+		}
+	})
 }
 
-func (n *pinter) run(x *exec, emit func(*vbatch)) {
-	l, r := matRel(n.l, x), matRel(n.r, x)
+func (n *pdiff) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
-	l.EachUnordered(func(t value.Tuple, m int) {
-		rm := r.Mult(t)
-		if rm == 0 {
-			return
-		}
+	r := x.side(n.r, &o.rd)
+	x.eachLeft(n, n.l, x.bag, func(t value.Tuple, m int) {
 		if x.bag {
-			if rm < m {
-				m = rm
+			if rest := m - r.mult(t); rest > 0 {
+				o.push(t, rest, emit)
 			}
-			o.push(t, m, emit)
-		} else {
+		} else if !r.contains(t) {
 			o.push(t, 1, emit)
 		}
 	})
 	o.flush(emit)
 }
 
-func (n *pdivide) run(x *exec, emit func(*vbatch)) {
-	l, r := matRel(n.l, x), matRel(n.r, x)
-	w := n.base().width
+func (n *pinter) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
-	cands := relation.NewArity("c", w)
-	l.EachUnordered(func(t value.Tuple, _ int) { cands.Add(t[:w].Clone()) })
-	if r.Len() == 0 {
-		// ∀ over an empty set: every deduplicated projection of L
-		// qualifies (division divides the underlying sets).
-		cands.EachUnordered(func(a value.Tuple, _ int) { o.push(a, 1, emit) })
-		o.flush(emit)
-		return
+	r := x.side(n.r, &o.rd)
+	x.eachLeft(n, n.l, x.bag, func(t value.Tuple, m int) {
+		rm := r.mult(t)
+		if rm == 0 {
+			return
+		}
+		if !x.bag {
+			m = 1
+		} else if rm < m {
+			m = rm
+		}
+		o.push(t, m, emit)
+	})
+	if x.delta && !x.bag && r.d != nil && r.d.len() > 0 {
+		// Set intersection distributes; the pass above emitted Δl ∩ (Fr ∪ Δr),
+		// the remaining Δ term is Fl ∩ Δr.
+		if fl := x.frozenRel(x.plan, n.l); fl != nil {
+			for _, t := range r.d.rows {
+				if fl.Contains(t) {
+					o.push(t, 1, emit)
+				}
+			}
+		}
 	}
-	cands.EachUnordered(func(a value.Tuple, _ int) {
+	o.flush(emit)
+}
+
+func (n *pdivide) run(x *exec, emit func(*vbatch)) {
+	o := x.out(n)
+	l, r := x.side(n.l, &o.ld), x.side(n.r, &o.rd)
+	w := n.base().width
+	var cands value.TupleMap[struct{}]
+	l.each(func(t value.Tuple, _ int) {
+		if a := t[:w]; !cands.Has(a) {
+			cands.Put(a.Clone(), struct{}{})
+		}
+	})
+	// ∀ over an empty set: every deduplicated projection of L qualifies
+	// (division divides the underlying sets).
+	cands.Each(func(a value.Tuple, _ struct{}) {
 		ok := true
-		r.EachUnordered(func(b value.Tuple, _ int) {
-			if ok && !l.Contains(a.Concat(b)) {
+		r.each(func(b value.Tuple, _ int) {
+			if ok && !l.contains(a.Concat(b)) {
 				ok = false
 			}
 		})
@@ -421,53 +649,40 @@ func (n *pdivide) run(x *exec, emit func(*vbatch)) {
 }
 
 func (n *pantiunify) run(x *exec, emit func(*vbatch)) {
-	var split *nullSplit
-	if x.prep != nil {
-		if fs := x.prep.frozen[x.plan]; fs != nil {
-			if split = fs.au[n.base().id]; split != nil {
-				x.frozenHit()
-			}
-		}
-	}
-	if split == nil {
-		split = splitNulls(matRel(n.r, x))
-	}
-	l := matRel(n.l, x)
 	o := x.out(n)
-	l.EachUnordered(func(t value.Tuple, m int) {
+	r := x.side(n.r, &o.rd)
+	x.eachLeft(n, n.l, false, func(t value.Tuple, m int) {
+		blocked := false
+		unifies := func(s value.Tuple) bool {
+			blocked = value.Unifiable(t, s)
+			return !blocked
+		}
 		if t.HasNull() {
 			// Rare path: scan everything.
-			blocked := false
-			split.nullFree.EachUnordered(func(s value.Tuple, _ int) {
-				if !blocked && value.Unifiable(t, s) {
-					blocked = true
-				}
-			})
-			if blocked {
-				return
-			}
-		} else if split.nullFree.Contains(t) {
-			return
+			r.eachNullFree(unifies)
+		} else {
+			blocked = r.contains(t)
 		}
-		for _, s := range split.withNulls {
-			if value.Unifiable(t, s) {
-				return
-			}
+		if !blocked {
+			r.eachWithNulls(unifies)
 		}
-		o.push(t, x.multOf(m), emit)
+		if !blocked {
+			o.push(t, x.multOf(m), emit)
+		}
 	})
 	o.flush(emit)
 }
 
 func (n *pdistinct) run(x *exec, emit func(*vbatch)) {
-	var seen value.TupleMap[struct{}]
 	o := x.out(n)
+	seen := &o.ld
+	seen.reset()
 	stream(n.in, x, func(b *vbatch) {
 		for _, t := range b.rows {
-			if seen.Has(t) {
+			if seen.contains(t) {
 				continue
 			}
-			seen.Put(t, struct{}{})
+			seen.add(t, 1)
 			o.push(t, 1, emit)
 		}
 	})
@@ -481,7 +696,22 @@ func (n *pdom) run(x *exec, emit func(*vbatch)) {
 		o.flush(emit)
 		return
 	}
-	adom := x.db.ActiveDomain()
+	// dom(v(D)) = Const(D) ∪ v(Null(D)): a valuation replaces nulls and
+	// leaves every constant in place.
+	adom := x.prep.domConsts[:len(x.prep.domConsts):len(x.prep.domConsts)]
+	for _, null := range x.prep.domNulls {
+		c := x.val.ApplyValue(null)
+		seen := false
+		for _, v := range adom {
+			if v == c {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			adom = append(adom, c)
+		}
+	}
 	tuple := make(value.Tuple, n.k)
 	var rec func(i int)
 	rec = func(i int) {
@@ -498,76 +728,4 @@ func (n *pdom) run(x *exec, emit func(*vbatch)) {
 	}
 	rec(0)
 	o.flush(emit)
-}
-
-// joinTable is the multi-key hash table of one join step: rows bucketed by
-// the combined hash of their key columns, with componentwise equality
-// confirming matches. With no keys it is a plain row list (cross product).
-type joinTable struct {
-	rkeys []int
-	keyed map[uint64][]jrow
-	rows  []jrow
-}
-
-type jrow struct {
-	t value.Tuple
-	m int
-}
-
-// newJoinTable builds an empty table; sizeHint (estimated build rows, 0 when
-// unknown) presizes the bucket map so inserts skip incremental growth.
-func newJoinTable(rkeys []int, sizeHint int) *joinTable {
-	t := &joinTable{rkeys: rkeys}
-	if len(rkeys) > 0 {
-		if sizeHint < 0 || sizeHint > 1<<20 {
-			sizeHint = 0
-		}
-		t.keyed = make(map[uint64][]jrow, sizeHint)
-	}
-	return t
-}
-
-func (tb *joinTable) add(t value.Tuple, m int, mode algebra.Mode) {
-	if len(tb.rkeys) == 0 {
-		tb.rows = append(tb.rows, jrow{t: t, m: m})
-		return
-	}
-	if mode == algebra.ModeSQL {
-		for _, k := range tb.rkeys {
-			if t[k].IsNull() {
-				return // can never satisfy the key equalities with t
-			}
-		}
-	}
-	h := hashCols(t, tb.rkeys)
-	tb.keyed[h] = append(tb.keyed[h], jrow{t: t, m: m})
-}
-
-// probe calls f on every stored row whose key columns equal lt's at lkeys
-// (componentwise, in key order).
-func (tb *joinTable) probe(lt value.Tuple, lkeys []int, f func(rt value.Tuple, rm int)) {
-	if len(tb.rkeys) == 0 {
-		for _, e := range tb.rows {
-			f(e.t, e.m)
-		}
-		return
-	}
-	h := hashCols(lt, lkeys)
-next:
-	for _, e := range tb.keyed[h] {
-		for i, lk := range lkeys {
-			if lt[lk] != e.t[tb.rkeys[i]] {
-				continue next
-			}
-		}
-		f(e.t, e.m)
-	}
-}
-
-func hashCols(t value.Tuple, cols []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range cols {
-		h = (h ^ t[c].Hash()) * 1099511628211
-	}
-	return h
 }

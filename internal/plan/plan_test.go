@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"incdb/internal/algebra"
+	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -119,33 +121,40 @@ func TestCompileFlattensNestedProducts(t *testing.T) {
 	}
 }
 
-func TestPrepareFreezesNullFreeSubplans(t *testing.T) {
+func TestPrepareSplitsFrozenAndDelta(t *testing.T) {
 	db := testDB() // R has a null, S and T are null-free
 	q := algebra.Sel(algebra.Times(algebra.R("R"), algebra.R("S")), algebra.CEq(0, 2))
 	p := Compile(q, db, algebra.ModeNaive)
 	prep := p.Prepare(db)
 	j := p.root.(*pjoin)
-	fs := prep.frozen[p]
-	if fs == nil {
-		t.Fatal("no frozen set for the main plan")
+	nodes := prep.stateOf(p).nodes
+	if nodes[j.right.base().id].varying {
+		t.Fatal("the null-free right scan must be frozen across worlds")
 	}
-	if fs.rels[j.right.base().id] == nil {
-		t.Fatal("null-free right scan must freeze")
+	if left := &nodes[j.left.base().id]; !left.varying || len(left.scan.nulls) != 1 {
+		t.Fatalf("the null-bearing left scan must vary on exactly its null row, got %+v", left.scan)
 	}
-	if fs.tables[j.base().id] == nil {
-		t.Fatal("build table over the frozen right side must freeze")
+	if st := &nodes[j.base().id]; !st.varying || st.barrier {
+		t.Fatal("a join over a varying input varies and distributes")
 	}
-	if fs.rels[j.left.base().id] != nil {
-		t.Fatal("the null-bearing left scan must not freeze")
+	if len(prep.NullIDs()) != 1 {
+		t.Fatalf("NullIDs = %v, want the one null of R", prep.NullIDs())
 	}
-	// Executing on worlds still matches from-scratch evaluation.
-	null := value.Null(1)
+	// Executing on worlds still matches from-scratch evaluation, and only
+	// then are the frozen artifacts built.
+	if !nodes[j.base().id].tableR.empty() {
+		t.Fatal("Prepare must not build join tables eagerly")
+	}
 	v := value.NewValuation()
-	v.Set(null.NullID(), value.Const("k1"))
-	world := db.Apply(v)
-	want := algebra.EvalInterp(world, q, algebra.ModeNaive)
-	if got := prep.Exec(world); !want.Equal(got) {
+	v.Set(prep.NullIDs()[0], value.Const("k1"))
+	want := algebra.EvalInterp(db.Apply(v), q, algebra.ModeNaive)
+	r := prep.Runner(nil)
+	defer r.Close()
+	if got := r.Eval(v).Relation(); !want.Equal(got) {
 		t.Fatalf("prepared exec = %v, want %v", got, want)
+	}
+	if nodes[j.base().id].tableR.empty() {
+		t.Fatal("the table over the frozen right side must be built once used")
 	}
 }
 
@@ -180,5 +189,64 @@ func TestSQLModeJoinSkipsNullKeys(t *testing.T) {
 	got := Eval(db, q, algebra.ModeSQL)
 	if !want.Equal(got) {
 		t.Fatalf("SQL join = %v, want %v", got, want)
+	}
+}
+
+// TestExplainShowsFrozenDeltaSplit pins the EXPLAIN rendering of the
+// (frozen, Δ) split: scans show their row partition, a varying join its
+// frozen build side, a barrier its flag, and ANALYZE adds the frozen part
+// and largest Δ of every node it ran.
+func TestExplainShowsFrozenDeltaSplit(t *testing.T) {
+	db := testDB() // R has one null row, S and T are null-free
+	q, err := raparse.ParseQuery("minus(proj(1 3, sel(eq(0, 2), times(R, S))), times(T, proj(1, R)))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `query:    (π[1,3](σ[#0=#2]((R × S))) − (T × π[1](R)))
+logical:  (π[1,3](σ[#0=#2]((R × S))) − (T × π[1](R)))
+mode:     naive, set semantics
+physical:
+  diff  (est≈2)  [barrier]
+    hash-join #0=#2 emit [1,3]  (est≈2, cost≈6)  [build side frozen]
+      scan R  (est≈3)  [frozen 2 rows + Δ≤1/world]
+      scan S  (est≈2)  [frozen across worlds]
+    cross-join emit [1,0]  (est≈3, cost≈5)  [build side frozen]
+      scan R[1]  (est≈3)  [frozen 2 rows + Δ≤1/world]
+      scan T  (est≈1)  [frozen across worlds]
+used columns:
+  R: [0,1]
+  S: [0,1]
+  T: [0]
+`
+	if got := Explain(q, db, algebra.ModeNaive, false, db); got != want {
+		t.Errorf("explain text:\n%s\nwant:\n%s", got, want)
+	}
+
+	info := DescribeAnalyze(q, db, algebra.ModeNaive, false, db, nil)
+	root := info.Physical
+	if !root.Barrier || root.Frozen || root.FrozenRows == nil || *root.FrozenRows != 0 {
+		t.Errorf("diff over a varying right side must be a barrier with an empty frozen part: %+v", root)
+	}
+	if root.DeltaRows == nil || *root.DeltaRows != *root.ActualRows {
+		t.Errorf("a barrier re-emits its whole output as Δ: delta %v actual %v", root.DeltaRows, root.ActualRows)
+	}
+	join := root.Children[0]
+	if join.Barrier || !join.BuildFrozen || join.FrozenRows == nil || *join.FrozenRows != 2 || join.DeltaRows == nil || *join.DeltaRows != 0 {
+		t.Errorf("join: want frozen 2 rows, Δ 0 (⊥ joins nothing) and a frozen build side: %+v", join)
+	}
+	text := info.Text()
+	for _, want := range []string{"[barrier, Δ≤", "[frozen 2 rows + Δ≤0/world]  [build side frozen]", "[frozen across worlds]"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("analyze text missing %q:\n%s", want, text)
+		}
+	}
+	data, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"barrier":true`, `"frozen_rows":2`, `"delta_rows":1`} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("structured plan missing %s:\n%s", want, data)
+		}
 	}
 }

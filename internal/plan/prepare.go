@@ -1,207 +1,503 @@
 package plan
 
 import (
-	"incdb/internal/algebra"
+	"sort"
+	"sync"
+	"sync/atomic"
+
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
 
-// Prepared binds a plan to a base incomplete database for repeated
-// execution over the worlds derived from it: every maximal subplan that
-// reads only null-free relations is materialized once — results, join build
-// tables, IN-subquery splits, anti-unify splits — because a valuation can
-// only change rows that mention nulls, so those subplans evaluate
-// identically in every v(D). Exec then re-probes only the hash tables whose
-// inputs actually contain relevant nulls.
+// Prepared binds a plan to a base incomplete database D for execution over
+// the worlds v(D). The contract is (frozen, Δ): a valuation can only change
+// rows that carry a null in a column the plan reads, so Prepare partitions
+// every scanned relation into its null-free rows and those null rows, and
+// every operator's result in the world v(D) is
 //
-// The freeze is computed eagerly here, so a Prepared is safe for concurrent
-// Exec calls (the oracle worker pools share one Prepared across shards).
-// Exec must only be given the base database itself or worlds derived from
-// it by applying valuations (relation.Database.Apply): those leave the
-// null-free relations' contents untouched, which is what makes the frozen
-// results valid.
+//	frozen part  ∪  Δ(v)
+//
+// where the frozen part is computed once, from null-free rows only, and is
+// shared by every world and every goroutine, and Δ(v) is computed per world
+// from the instantiated null rows only. Scan, filter, project, union,
+// set-intersection and join distribute over a union of their input rows, so
+// for them the split is exact and per-world work is proportional to the
+// null rows; for a join,
+//
+//	(Fl ∪ Δl) ⋈ (Fr ∪ Δr) = Fl⋈Fr  ∪  Δl⋈Fr ∪ Fl⋈Δr ∪ Δl⋈Δr
+//
+// the first term is frozen and the other three are Δ, probing hash tables
+// over Fr and Fl that are built once.
+//
+// The operators that do not distribute are barriers: difference,
+// anti-unify and division whose right side varies with the world (whether a
+// left row survives depends on all of the right input, so no part of the
+// output is world-invariant), bag difference and bag intersection (max and
+// min of multiplicities are not additive over ⊎), division and Dom (every
+// output row depends on the whole input), and a filter over an IN subquery
+// whose result varies. A barrier has an empty frozen part: per world it
+// combines its inputs' (frozen, Δ) by probing — the inputs' frozen parts
+// consolidated once, their Δ collected per world — and re-emits its whole
+// output as Δ.
+//
+// Frozen parts and the tables over them are built lazily, on first use. A
+// Prepared is safe for concurrent use: the lazy builds are synchronized and
+// every execution's mutable state lives in its Runner.
+//
+// A plan executed once on D itself (Plan.Exec) has no second world to share
+// a frozen part with, so its Prepared takes the degenerate partition: every
+// row is a Δ row, every frozen part is empty (and known to be, so nothing
+// is built for it), and the one Δ pass is a plain single-pass execution.
 type Prepared struct {
 	p    *Plan
 	base *relation.Database
+	// once: private to a single execution of base under the identity
+	// valuation; scans partition every row into Δ.
+	once bool
 
-	frozen    map[*Plan]*frozenSet
-	subRels   map[*Plan]*relation.Relation
-	subSplits map[*Plan]*nullSplit
+	// main and subs hold the per-node prepared state of the main plan and
+	// of every IN subplan (by Plan.subIdx): filled by Prepare, read-only
+	// afterwards.
+	main *planState
+	subs []*planState
+	// nullIDs are the sorted identifiers of the nulls a valuation must bind
+	// for this plan: those in the partitions' null rows, or all of Null(D)
+	// when the plan reads the active domain. Collected on first request: an
+	// execution of the base itself never asks.
+	nullIDs lazy[[]uint64]
+	// domNulls and domConsts are Dom's inputs, kept only when the plan reads
+	// the active domain.
+	domNulls  []value.Value
+	domConsts []value.Value
 
-	// guards record, per relation the plan reads, the relation object and
-	// its mutation version at Prepare time; ValidFor re-checks them so a
-	// Prepared can outlive a single oracle invocation (REPL/server
-	// workloads) and be dropped exactly when a touched relation changes.
-	// A plan reading the active domain (Dom) depends on every relation of
-	// the base, so domAll extends the guard to the whole catalogue.
-	guards []relGuard
+	// guards pin the relations the plan reads (object and mutation version at
+	// Prepare time); ValidFor re-checks them so a Prepared can outlive a
+	// single oracle invocation (REPL/server workloads) and be dropped exactly
+	// when a touched relation changes. A plan reading the active domain (Dom)
+	// depends on every relation of the base, so domAll pins the whole
+	// catalogue.
+	guards relation.Pins
 	domAll bool
 }
 
-// relGuard pins one base relation: same object, same mutation version.
-type relGuard struct {
-	name    string
-	rel     *relation.Relation
-	version uint64
-}
-
-// captureGuards records the version guard for the plan's read set.
-func (prep *Prepared) captureGuards() {
-	rs := prep.p.root.base().reads
-	names := rs.names
-	if rs.dom {
-		prep.domAll = true
-		names = prep.base.Names()
-	}
-	prep.guards = make([]relGuard, 0, len(names))
-	for _, name := range names {
-		g := relGuard{name: name, rel: prep.base.Relation(name)}
-		if g.rel != nil {
-			g.version = g.rel.Version()
-		}
-		prep.guards = append(prep.guards, g)
-	}
-}
-
-// ValidFor reports whether the prepared state is still valid when executing
-// against db (or worlds derived from it): db must present, for every
-// relation the plan reads, the same relation object at the same mutation
-// version as when Prepare ran. A plan reading Dom additionally requires the
-// catalogue itself to be unchanged, since any new relation extends the
-// active domain.
-func (prep *Prepared) ValidFor(db *relation.Database) bool {
-	if prep.domAll && len(db.Names()) != len(prep.guards) {
-		return false
-	}
-	for _, g := range prep.guards {
-		r := db.Relation(g.name)
-		if r != g.rel {
-			return false
-		}
-		if r != nil && r.Version() != g.version {
-			return false
-		}
-	}
-	return true
-}
+// ValidFor reports whether the prepared state is still valid for db: db
+// must present, for every relation the plan reads, the same relation object
+// at the same mutation version as when Prepare ran. A plan reading Dom
+// additionally requires the catalogue itself to be unchanged, since any new
+// relation extends the active domain.
+func (prep *Prepared) ValidFor(db *relation.Database) bool { return db.Holds(prep.guards) }
 
 // Base returns the database the plan was prepared against.
 func (prep *Prepared) Base() *relation.Database { return prep.base }
 
-// frozenSet holds one plan's per-node freezes, indexed by node id.
-type frozenSet struct {
-	rels   []*relation.Relation
-	tables []*joinTable
-	au     []*nullSplit
-}
+// Plan returns the physical plan the prepared state was computed for.
+func (prep *Prepared) Plan() *Plan { return prep.p }
 
-// Prepare computes the freeze of p against base.
-func (p *Plan) Prepare(base *relation.Database) *Prepared {
-	prep := &Prepared{p: p, base: base,
-		frozen:    map[*Plan]*frozenSet{},
-		subRels:   map[*Plan]*relation.Relation{},
-		subSplits: map[*Plan]*nullSplit{},
-	}
-	prep.captureGuards()
-	// Freeze subplans innermost-first (they are appended outermost-first
-	// during compilation), so outer freezes reuse inner ones. A static
-	// subquery root was already materialized by freezeNodes; reuse it.
-	for i := len(p.subs) - 1; i >= 0; i-- {
-		sub := p.subs[i]
-		prep.freezeNodes(sub)
-		if r := prep.frozen[sub].rels[sub.root.base().id]; r != nil {
-			prep.subRels[sub] = r
-			if p.mode == algebra.ModeSQL {
-				prep.subSplits[sub] = splitNulls(r)
+// NullIDs returns the sorted identifiers of the nulls whose binding can
+// change the plan's result — the dimensions of the valuation space an exact
+// oracle has to enumerate. The slice is shared: do not modify it.
+func (prep *Prepared) NullIDs() []uint64 {
+	return *prep.nullIDs.get(func() *[]uint64 {
+		if prep.domAll {
+			ids := prep.base.NullIDs()
+			return &ids
+		}
+		seen := map[uint64]struct{}{}
+		ids := []uint64{}
+		for _, ps := range append([]*planState{prep.main}, prep.subs...) {
+			for i := range ps.nodes {
+				if ps.nodes[i].scan == nil {
+					continue
+				}
+				for _, row := range ps.nodes[i].scan.nulls {
+					for _, v := range row.t {
+						if !v.IsNull() {
+							continue
+						}
+						if _, ok := seen[v.NullID()]; !ok {
+							seen[v.NullID()] = struct{}{}
+							ids = append(ids, v.NullID())
+						}
+					}
+				}
 			}
 		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return &ids
+	})
+}
+
+// Frozen returns the frozen part of the plan's answer — the tuples that are
+// answers in every world whatever the valuation — building it on first use.
+// It is shared and strictly read-only; an oracle consults it before it
+// enumerates anything.
+func (prep *Prepared) Frozen() *relation.Relation {
+	return prep.main.out.get(func() *relation.Relation {
+		x := acquire(prep.p, prep, nil, false)
+		defer x.release()
+		return x.buildOut()
+	})
+}
+
+// planState is one plan's prepared state: a slot per node, indexed by node
+// id, plus the consolidated frozen part of the root under the plan's output
+// name and attributes.
+type planState struct {
+	nodes []nodeState
+	out   lazy[relation.Relation]
+}
+
+// nodeState is what Prepare decides about one node, and the frozen
+// artifacts later built over it.
+type nodeState struct {
+	// varying: some valuation gives the node a non-empty Δ. A node that
+	// does not vary is frozen across worlds and never runs per world.
+	varying bool
+	// barrier: the node varies and does not distribute over its inputs; its
+	// frozen part is empty and each world re-emits its whole output as Δ.
+	barrier bool
+	// noFrozen: the node's frozen part is empty whatever the data — it is a
+	// barrier, or it distributes over inputs that have no frozen rows — so
+	// the frozen phase skips it and nothing is built to probe it.
+	noFrozen bool
+	// scan is a pscan's row partition.
+	scan *scanPart
+
+	// rel is the node's consolidated frozen part, for a parent that probes
+	// it as a whole (barrier inputs, set-intersection, IN subquery roots).
+	// tableR and tableL are a join's hash tables over the frozen parts of
+	// its right and left input.
+	rel            lazy[relation.Relation]
+	tableR, tableL lazy[joinTable]
+
+	// frozenRows is the size of the frozen part as last streamed (-1 until
+	// then), for EXPLAIN.
+	frozenRows atomic.Int64
+}
+
+// scanPart is one scan's partition of its relation by row: nulls holds the
+// rows with a null in a column the scan reads, already narrowed to those
+// columns, as templates a valuation instantiates; every other row is
+// frozen and streams straight from the relation. all is the degenerate
+// partition of a one-shot execution: every row is a Δ row, streamed
+// straight from the relation under the identity valuation.
+type scanPart struct {
+	rel   *relation.Relation
+	nulls []nullRow
+	all   bool
+}
+
+type nullRow struct {
+	t value.Tuple
+	m int
+}
+
+// lazy is a build-once slot. Loads are lock-free; builds are serialized per
+// slot, so nested builds (a root freeze building the join tables under it)
+// only ever take locks down the plan tree.
+type lazy[T any] struct {
+	p  atomic.Pointer[T]
+	mu sync.Mutex
+}
+
+// get returns the slot's value, building it on first use.
+func (l *lazy[T]) get(build func() *T) *T {
+	if v := l.p.Load(); v != nil {
+		return v
 	}
-	prep.freezeNodes(p)
+	return l.fill(build)
+}
+
+func (l *lazy[T]) fill(build func() *T) *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if v := l.p.Load(); v != nil {
+		return v
+	}
+	v := build()
+	l.p.Store(v)
+	return v
+}
+
+// empty reports whether nothing has been built yet.
+func (l *lazy[T]) empty() bool { return l.p.Load() == nil }
+
+// tryPublish offers v, built as a by-product of other work, as the slot's
+// value. It never waits: when the slot is filled, or someone is building it
+// right now, v is dropped.
+func (l *lazy[T]) tryPublish(v *T) {
+	if !l.mu.TryLock() {
+		return
+	}
+	if l.p.Load() == nil {
+		l.p.Store(v)
+	}
+	l.mu.Unlock()
+}
+
+// Prepare partitions the relations p scans by row against base and
+// classifies every node as frozen, distributing or barrier. No frozen part
+// is computed yet.
+func (p *Plan) Prepare(base *relation.Database) *Prepared {
+	prep := p.prepare(base, false)
+	if prep.domAll {
+		prep.guards = base.PinAll()
+	} else {
+		prep.guards = base.Pin(p.root.base().reads.names)
+	}
 	return prep
 }
 
-// static reports whether the node's result is world-invariant: it reads no
-// active domain and only relations that exist in the base database and
-// contain no nulls.
-func (prep *Prepared) static(n pnode) bool {
-	rs := n.base().reads
-	if rs.dom {
-		return false
+// prepare is Prepare without the version guards, which only a Prepared that
+// outlives the call needs; once asks for the degenerate partition of a
+// single execution.
+func (p *Plan) prepare(base *relation.Database, once bool) *Prepared {
+	prep := &Prepared{p: p, base: base, once: once, subs: make([]*planState, len(p.subs)), domAll: p.root.base().reads.dom}
+	for _, sub := range p.subs {
+		prep.subState(sub)
 	}
-	for _, name := range rs.names {
-		rel := prep.base.Relation(name)
-		if rel == nil || rel.HasNulls() {
-			return false
+	prep.main = prep.classify(p)
+	if prep.domAll {
+		prep.domConsts = base.Consts()
+		for _, id := range base.NullIDs() {
+			prep.domNulls = append(prep.domNulls, value.Null(id))
 		}
 	}
-	return true
+	return prep
 }
 
-// freezeNodes walks q's operator tree and materializes every maximal
-// static node; below non-static joins and anti-unify operators whose right
-// input froze, the derived build table / split is frozen too.
-func (prep *Prepared) freezeNodes(q *Plan) {
-	fs := &frozenSet{
-		rels:   make([]*relation.Relation, len(q.nodes)),
-		tables: make([]*joinTable, len(q.nodes)),
-		au:     make([]*nullSplit, len(q.nodes)),
+// stateOf returns the prepared state of q, the main plan or a subplan.
+func (prep *Prepared) stateOf(q *Plan) *planState {
+	if q == prep.p {
+		return prep.main
 	}
-	prep.frozen[q] = fs
-	var walk func(n pnode)
-	walk = func(n pnode) {
-		if prep.static(n) {
-			fs.rels[n.base().id] = prep.run(q, n)
-			return
-		}
-		for _, c := range n.children() {
-			walk(c)
+	return prep.subs[q.subIdx]
+}
+
+// subState returns the prepared state of an IN subplan, classifying it on
+// first request: textually identical subqueries share one subplan, so a
+// nested IN may name a subplan of any index, and an enclosing filter asks
+// for it before Prepare's own loop has reached it.
+func (prep *Prepared) subState(sub *Plan) *planState {
+	if prep.subs[sub.subIdx] == nil {
+		prep.subs[sub.subIdx] = prep.classify(sub)
+	}
+	return prep.subs[sub.subIdx]
+}
+
+// classify walks q bottom-up: which nodes vary with the world, which of
+// those are barriers, and the row partition of every scan.
+func (prep *Prepared) classify(q *Plan) *planState {
+	ps := &planState{nodes: make([]nodeState, len(q.nodes))}
+	varies := func(n pnode) bool { return ps.nodes[n.base().id].varying }
+	noFrozen := func(n pnode) bool { return ps.nodes[n.base().id].noFrozen }
+	// Children are registered before their parents, so node order is
+	// bottom-up; nodes compilation left unreachable classify harmlessly.
+	for _, n := range q.nodes {
+		st := &ps.nodes[n.base().id]
+		st.frozenRows.Store(-1)
+		l, r := inputs(n)
+		if l != nil {
+			st.varying = varies(l) || (r != nil && varies(r))
+			// No output row without a left row (filter, project, distinct,
+			// difference, anti-unify, division); the cases below refine.
+			st.noFrozen = noFrozen(l)
 		}
 		switch n := n.(type) {
+		case *pscan:
+			st.scan = prep.partition(n)
+			st.varying = st.scan.all || len(st.scan.nulls) > 0
+			st.noFrozen = st.scan.all
+		case *pdom:
+			st.varying = prep.once || (n.k > 0 && !prep.base.IsComplete())
+			st.barrier = true
+		case *pfilter:
+			if prep.subqueryVaries(n.conds) {
+				st.varying, st.barrier = true, true
+			}
 		case *pjoin:
-			if r := fs.rels[n.right.base().id]; r != nil {
-				tb := newJoinTable(n.rkeys, r.Len())
-				r.EachUnordered(func(t value.Tuple, m int) {
-					tb.add(t, m, q.mode)
-				})
-				fs.tables[n.base().id] = tb
-			}
+			st.noFrozen = noFrozen(l) || noFrozen(r)
+		case *punion:
+			st.noFrozen = noFrozen(l) && noFrozen(r)
+		case *pdiff:
+			st.barrier = q.bag || varies(n.r)
+		case *pinter:
+			st.barrier = q.bag
+			st.noFrozen = noFrozen(l) || noFrozen(r)
+		case *pdivide:
+			st.barrier = true
 		case *pantiunify:
-			if r := fs.rels[n.r.base().id]; r != nil {
-				fs.au[n.base().id] = splitNulls(r)
-			}
+			st.barrier = varies(n.r)
 		}
+		st.barrier = st.barrier && st.varying
+		st.noFrozen = st.noFrozen || st.barrier
 	}
-	walk(q.root)
+	return ps
 }
 
-// run materializes one node of q against the base database, reusing
-// already-frozen inner results.
-func (prep *Prepared) run(q *Plan, n pnode) *relation.Relation {
-	x := &exec{db: prep.base, prep: prep, mode: q.mode, bag: q.bag, plan: q,
-		subRels: map[*Plan]*relation.Relation{}, subSplits: map[*Plan]*nullSplit{}}
-	if s, ok := n.(*pscan); ok && s.cols == nil {
-		// A static full-width base relation is shared as-is: stored rows are
-		// immutable and every consumer is read-only. A pruned scan emits
-		// narrowed tuples, so it materializes below like any other node.
-		return x.source(s.name)
+// subqueryVaries reports whether any IN atom of the conditions probes a
+// subquery whose result varies with the world.
+func (prep *Prepared) subqueryVaries(conds []pcond) bool {
+	varies := false
+	for _, c := range conds {
+		eachSub(c, func(sub *Plan) {
+			if prep.subState(sub).nodes[sub.root.base().id].varying {
+				varies = true
+			}
+		})
 	}
-	x.bufs = q.acquireBufs()
-	out := relation.NewArity("t", n.base().width)
-	n.run(x, relSink(out))
-	q.releaseBufs(x.bufs)
+	return varies
+}
+
+// partition splits the scanned relation by row. A relation without nulls
+// (the cached HasNulls) is frozen whole without a pass over it; a pruned
+// scan's templates are carved from one slab.
+func (prep *Prepared) partition(n *pscan) *scanPart {
+	part := &scanPart{rel: prep.base.Relation(n.name), all: prep.once}
+	if part.all || part.rel == nil || !part.rel.HasNulls() {
+		return part
+	}
+	var slab []value.Value
+	part.rel.EachUnordered(func(t value.Tuple, m int) {
+		if !nullIn(t, n.cols) {
+			return
+		}
+		if n.cols != nil {
+			for _, c := range n.cols {
+				slab = append(slab, t[c])
+			}
+			t = nil // cut from the slab once it has stopped growing
+		}
+		part.nulls = append(part.nulls, nullRow{t: t, m: m})
+	})
+	if w := len(n.cols); n.cols != nil {
+		for i := range part.nulls {
+			part.nulls[i].t = value.Tuple(slab[i*w : (i+1)*w : (i+1)*w])
+		}
+	}
+	return part
+}
+
+// nullIn reports whether t has a null in one of cols (nil: any column).
+func nullIn(t value.Tuple, cols []int) bool {
+	if cols == nil {
+		return t.HasNull()
+	}
+	for _, c := range cols {
+		if t[c].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// Runner is one goroutine's execution state over a Prepared: the batch
+// buffers, arena slabs and Δ sets every world it evaluates reuses. An
+// oracle worker shard takes one Runner for its whole index range, so a
+// world allocates nothing once the buffers are warm. Close returns the
+// state to the plan's pool; the Runner and every Answer it produced are
+// invalid afterwards.
+type Runner struct{ x *exec }
+
+// Runner acquires execution state for prep. tr, when non-nil, accumulates
+// execution statistics (it may be shared by concurrent Runners: all Trace
+// fields are atomics).
+func (prep *Prepared) Runner(tr *Trace) Runner {
+	return Runner{acquire(prep.p, prep, tr, true)}
+}
+
+// Close releases the Runner's state for reuse.
+func (r Runner) Close() { r.x.release() }
+
+// Eval evaluates the plan in the world v(D) — v nil or empty evaluates D
+// itself, nulls standing for themselves — and returns the answer in
+// (frozen, Δ) form, valid until the Runner's next Eval or Close.
+func (r Runner) Eval(v value.Valuation) Answer {
+	x := r.x
+	if len(v) == 0 {
+		v = nil
+	}
+	x.begin(v)
+	var frozen *relation.Relation
+	if x.tstats != nil {
+		// EXPLAIN ANALYZE measures a whole execution: re-stream the frozen
+		// part under the tracer instead of serving the cached one.
+		frozen = x.buildOut()
+	} else {
+		frozen = x.ps.out.get(x.buildOut)
+		x.frozenHit()
+	}
+	if x.st(x.plan.root).varying {
+		stream(x.plan.root, x, x.collect)
+	}
+	return Answer{Frozen: frozen, delta: &x.root, bag: x.bag}
+}
+
+// Answer is a plan's result in one world, in (frozen, Δ) form: the answer
+// is Frozen ∪ Δ. Frozen is the world-invariant part, consolidated (distinct
+// tuples, multiplicity one under set semantics, summed under bag
+// semantics), shared by every world and goroutine and strictly read-only;
+// its tuples are null-free. Δ is this world's part and may repeat tuples of
+// Frozen.
+type Answer struct {
+	Frozen *relation.Relation
+	delta  *deltaSet
+	bag    bool
+}
+
+// Contains reports whether t is in the answer.
+func (a Answer) Contains(t value.Tuple) bool {
+	return a.Frozen.Contains(t) || a.delta.contains(t)
+}
+
+// DeltaContains reports whether t is in this world's Δ. For a tuple known
+// not to be in Frozen it decides membership without hashing the tuple when
+// Δ is small.
+func (a Answer) DeltaContains(t value.Tuple) bool { return a.delta.contains(t) }
+
+// Mult returns t's multiplicity in the answer (bag semantics).
+func (a Answer) Mult(t value.Tuple) int {
+	return a.Frozen.Mult(t) + a.delta.mult(t)
+}
+
+// Empty reports whether the answer has no tuples.
+func (a Answer) Empty() bool { return a.Frozen.Len() == 0 && a.delta.len() == 0 }
+
+// Delta returns this world's distinct Δ tuples. The slice and the tuples
+// are only valid until the Runner's next Eval: clone what must be kept.
+func (a Answer) Delta() []value.Tuple { return a.delta.rows }
+
+// Relation materializes the answer as a relation the caller owns, named and
+// attributed like the reference interpreter's output.
+func (a Answer) Relation() *relation.Relation { return a.addDelta(a.Frozen.Clone()) }
+
+// addDelta adds this world's Δ to out, a relation holding the frozen part.
+func (a Answer) addDelta(out *relation.Relation) *relation.Relation {
+	for i, t := range a.delta.rows {
+		if a.bag {
+			out.AddMult(t, a.delta.mults[i])
+		} else {
+			out.SetMult(t, 1)
+		}
+	}
 	return out
 }
 
-// Exec evaluates the plan against a world derived from the prepared base.
-func (prep *Prepared) Exec(world *relation.Database) *relation.Relation {
-	return prep.p.exec(world, prep, nil)
+// Exec evaluates the plan on db, which must be the database it was prepared
+// against (or present the same relations: ValidFor), and returns a result
+// relation the caller owns (normalized under set semantics, exact
+// multiplicities under bag semantics). Worlds of db are evaluated through a
+// Runner instead.
+func (prep *Prepared) Exec(db *relation.Database) *relation.Relation {
+	return prep.ExecTraced(db, nil)
 }
 
-// ExecTraced is Exec accumulating execution statistics into tr. The oracle
-// worker pools share one trace across shards; all Trace fields are atomics.
-func (prep *Prepared) ExecTraced(world *relation.Database, tr *Trace) *relation.Relation {
-	return prep.p.exec(world, prep, tr)
+// ExecTraced is Exec accumulating execution statistics into tr.
+func (prep *Prepared) ExecTraced(db *relation.Database, tr *Trace) *relation.Relation {
+	if db != prep.base && !prep.ValidFor(db) {
+		panic("plan: Prepared executed on a database it was not prepared against")
+	}
+	r := prep.Runner(tr)
+	defer r.Close()
+	return r.Eval(nil).Relation()
 }
-
-// Plan returns the physical plan the prepared state was computed for.
-func (prep *Prepared) Plan() *Plan { return prep.p }

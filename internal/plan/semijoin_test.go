@@ -60,8 +60,7 @@ func TestDistinctDedupsSubqueryStream(t *testing.T) {
 		algebra.CIn(algebra.Proj(algebra.R("Wide"), 0), 0))
 	p := compile(q, db, algebra.ModeNaive, false)
 	sub := p.subs[0]
-	x := &exec{db: db, mode: sub.mode, plan: sub, bufs: sub.acquireBufs(),
-		subRels: map[*Plan]*relation.Relation{}, subSplits: map[*Plan]*nullSplit{}}
+	x := acquire(sub, p.Prepare(db), nil, false)
 
 	inner, root := 0, 0
 	stream(sub.root.(*pdistinct).in, x, func(b *vbatch) { inner += len(b.rows) })
@@ -75,7 +74,7 @@ func TestDistinctDedupsSubqueryStream(t *testing.T) {
 }
 
 // TestInSemiJoinEquivalence checks that the reduction changes no answers,
-// in both modes and under preparation (frozen subplan path included).
+// in both modes and under preparation.
 func TestInSemiJoinEquivalence(t *testing.T) {
 	db := dupDB()
 	q := algebra.Sel(algebra.R("Probe"),

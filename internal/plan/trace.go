@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"incdb/internal/value"
 )
 
 // Trace accumulates execution statistics across one or more plan
@@ -28,10 +26,10 @@ type Trace struct {
 	// Execs counts plan executions: for the oracles this is the number of
 	// worlds enumerated (plus any candidate-producing base runs).
 	Execs atomic.Int64
-	// FrozenReuse counts frozen-subplan reuses: per execution, the number
-	// of world-invariant materializations (relations, join build tables,
-	// anti-unify splits) served from the Prepared freeze instead of being
-	// recomputed.
+	// FrozenReuse counts frozen-part reuses: per execution, the number of
+	// world-invariant artifacts (the root's frozen answer, join tables,
+	// consolidated barrier and subquery inputs) served from the Prepared
+	// instead of being recomputed.
 	FrozenReuse atomic.Int64
 
 	detail bool
@@ -47,6 +45,8 @@ type NodeStat struct {
 	Rows    atomic.Int64
 	Batches atomic.Int64
 	WallNs  atomic.Int64
+	// DeltaMax is the largest Δ the node emitted in any one world.
+	DeltaMax atomic.Int64
 }
 
 // NewTrace returns an empty trace; detail enables per-node statistics.
@@ -134,30 +134,33 @@ func (t *Trace) flatten(p *Plan, n pnode, depth int, out *[]NodeActual) {
 		na.WallNs = st.WallNs.Load()
 	}
 	*out = append(*out, na)
-	for _, c := range n.children() {
+	for _, c := range children(n) {
 		t.flatten(p, c, depth+1, out)
 	}
 }
 
 // streamTraced is the stream dispatcher under detail tracing: identical
-// batch flow, plus row/batch counts on every emission and inclusive wall
-// time around the node's execution.
+// batch flow, plus row/batch counts on every emission, inclusive wall time
+// around the node's execution and, in the delta phase, the size of the
+// world's Δ.
 func streamTraced(n pnode, x *exec, emit func(*vbatch)) {
 	st := x.tstats[n.base().id]
+	rows := int64(0)
 	counted := func(b *vbatch) {
 		st.Batches.Add(1)
-		st.Rows.Add(int64(len(b.rows)))
+		rows += int64(len(b.rows))
 		emit(b)
 	}
 	start := time.Now()
-	if r := x.frozenRel(n); r != nil {
-		o := x.out(n)
-		r.EachUnordered(func(t value.Tuple, m int) {
-			o.push(t, m, counted)
-		})
-		o.flush(counted)
-	} else {
-		n.run(x, counted)
-	}
+	n.run(x, counted)
 	st.WallNs.Add(time.Since(start).Nanoseconds())
+	st.Rows.Add(rows)
+	if x.delta {
+		for {
+			max := st.DeltaMax.Load()
+			if rows <= max || st.DeltaMax.CompareAndSwap(max, rows) {
+				break
+			}
+		}
+	}
 }

@@ -26,7 +26,7 @@ var traceQueries = []string{
 // TestTracedExecutionByteIdentical: executing a plan with full-detail
 // tracing must return exactly the result an untraced execution returns —
 // for every query in the corpus, in every mode, under set and bag
-// semantics, and both fresh and through prepared (frozen-subplan) state.
+// semantics, and both fresh and through prepared (frozen-part) state.
 // Tracing only observes the batch stream; it must never reorder, copy or
 // re-derive it.
 func TestTracedExecutionByteIdentical(t *testing.T) {
@@ -50,7 +50,7 @@ func TestTracedExecutionByteIdentical(t *testing.T) {
 					t.Errorf("%q: Execs = %d, want 1", src, tr.Execs.Load())
 				}
 
-				// Prepared path: frozen subplans replay through the tracer.
+				// Prepared path: frozen parts re-stream through the tracer.
 				prep := PlanFor(q, db, mode, bag).Prepare(db)
 				prep.Exec(db) // warm any lazily frozen state
 				tr2 := NewTrace(true)
@@ -75,7 +75,7 @@ func TestTraceCountsFrozenReuse(t *testing.T) {
 	tr := NewTrace(false)
 	prep.ExecTraced(db, tr)
 	if tr.FrozenReuse.Load() == 0 {
-		t.Fatalf("prepared execution with frozen subplans reported 0 reuses")
+		t.Fatalf("prepared execution with frozen parts reported 0 reuses")
 	}
 }
 

@@ -37,29 +37,76 @@ const MaxNulls = 8
 // Options configures the probabilistic procedures beyond their engine
 // pool: Prep, when non-nil, supplies version-guarded prepared plans that
 // survive across invocations (REPL/server workloads), exactly like
-// certain.Options.Prep. Results never depend on either field.
+// certain.Options.Prep. Results never depend on any field.
 type Options struct {
 	Engine engine.Options
 	Prep   *plan.PrepCache
 	// Trace, when non-nil, accumulates execution statistics across the
 	// whole enumeration (Execs = worlds evaluated, FrozenReuse =
-	// frozen-subplan serves), exactly like certain.Options.Trace. Shared by
+	// frozen-part serves), exactly like certain.Options.Trace. Shared by
 	// all worker shards; results are identical with or without it.
 	Trace *plan.Trace
+	// Ctx, when non-nil, cancels the enumeration, exactly like
+	// certain.Options.Ctx.
+	Ctx context.Context
 }
 
-// worldEval returns the shared per-world evaluator; as in internal/certain,
-// the plan's batch buffers recycle per worker shard via its sync.Pool, so
-// the µᵏ counting loop pays for rows, not per-world allocations.
-func (o Options) worldEval(db *relation.Database, q algebra.Expr) func(*relation.Database) *relation.Relation {
-	prep := o.Prep.Get(db, q, algebra.ModeNaive, false)
-	if o.Trace == nil {
-		return prep.Exec
+func (o Options) ctx() context.Context {
+	if o.Ctx == nil {
+		return context.Background()
 	}
-	tr := o.Trace
-	return func(w *relation.Database) *relation.Relation {
-		return prep.ExecTraced(w, tr)
+	return o.Ctx
+}
+
+// prepared returns the plan every world of the enumeration runs on. As in
+// internal/certain a world is a valuation handed to the executor, never a
+// rebuilt database: each worker shard takes one plan.Runner and the answer
+// in v(D) comes back as (frozen, Δ(v)), so the µᵏ counting loop pays for
+// the null rows, not for the database.
+func (o Options) prepared(db *relation.Database, q algebra.Expr) *plan.Prepared {
+	return o.Prep.Get(db, q, algebra.ModeNaive, false)
+}
+
+// pollInterval is how many worlds a worker evaluates between cancellation
+// checks.
+const pollInterval = 64
+
+// sigmaWorld builds the worlds v(D) one worker checks Σ on. Constraints are
+// Boolean queries over a complete database, not query plans, so they need
+// the world itself — but only the relations that have nulls are instantiated
+// per world; the null-free ones are adopted from D once, read-only.
+type sigmaWorld struct {
+	sigma constraint.Set
+	world *relation.Database
+	nulls []*relation.Relation
+}
+
+// newSigmaWorld returns nil when there is nothing to check.
+func newSigmaWorld(db *relation.Database, sigma constraint.Set) *sigmaWorld {
+	if sigma == nil {
+		return nil
 	}
+	w := &sigmaWorld{sigma: sigma, world: relation.NewDatabase()}
+	for _, name := range db.Names() {
+		r := db.Relation(name)
+		if r.HasNulls() {
+			w.nulls = append(w.nulls, r)
+		} else {
+			w.world.Add(r)
+		}
+	}
+	return w
+}
+
+// holds reports v(D) ⊨ Σ.
+func (w *sigmaWorld) holds(v value.Valuation) bool {
+	if w == nil {
+		return true
+	}
+	for _, r := range w.nulls {
+		w.world.Add(r.Apply(v))
+	}
+	return w.sigma.Holds(w.world)
 }
 
 // relevantConsts collects R = Const(D) ∪ consts(Q) ∪ consts(ā).
@@ -151,35 +198,35 @@ func suppCounts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tup
 	// Compile and prepare the query once for the whole kⁿ enumeration; the
 	// prepared plan is shared by all worker shards (and, with opts.Prep,
 	// reused across calls under its version guard).
-	eval := opts.worldEval(db, q)
-	countRange := func(lo, hi int) (num, den int64) {
-		// One instantiation buffer per worker shard; ā is tiny but the
-		// enumeration visits kⁿ worlds, so per-world allocations add up.
-		buf := make(value.Tuple, len(tuple))
-		value.EnumValuations(ids, rng, lo, hi, func(v value.Valuation) bool {
-			world := db.ApplyShared(v)
-			if sigma != nil && !sigma.Holds(world) {
-				return true
-			}
-			den++
-			if eval(world).Contains(v.ApplyInto(buf, tuple)) {
-				num++
-			}
-			return true
-		})
-		return
-	}
-	w := eng.WorkerCount()
-	if w <= 1 || total < engine.MinParallel {
-		num, den := countRange(0, total)
-		return num, den, nil
-	}
+	prep := opts.prepared(db, q)
 	type counts struct{ num, den int64 }
-	shards := engine.Split(total, w*4)
-	parts, err := engine.Map(context.Background(), eng, len(shards),
-		func(_ context.Context, si int) (counts, error) {
-			num, den := countRange(shards[si][0], shards[si][1])
-			return counts{num, den}, nil
+	shards := [][2]int{{0, total}}
+	if eng.WorkerCount() > 1 && total >= engine.MinParallel {
+		shards = engine.Split(total, eng.WorkerCount()*4)
+	}
+	parts, err := engine.Map(opts.ctx(), eng, len(shards),
+		func(ctx context.Context, si int) (c counts, _ error) {
+			r := prep.Runner(opts.Trace)
+			defer r.Close()
+			sw := newSigmaWorld(db, sigma)
+			// One instantiation buffer per worker shard; ā is tiny but the
+			// enumeration visits kⁿ worlds, so per-world allocations add up.
+			buf := make(value.Tuple, len(tuple))
+			step := 0
+			value.EnumValuations(ids, rng, shards[si][0], shards[si][1], func(v value.Valuation) bool {
+				if step++; step%pollInterval == 0 && engine.Canceled(ctx) {
+					return false
+				}
+				if !sw.holds(v) {
+					return true
+				}
+				c.den++
+				if r.Eval(v).Contains(v.ApplyInto(buf, tuple)) {
+					c.num++
+				}
+				return true
+			})
+			return c, nil
 		})
 	if err != nil {
 		return 0, 0, err
@@ -204,47 +251,68 @@ func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value
 // that independent subtrees can be counted by separate workers.
 type patternEnum struct {
 	db    *relation.Database
-	q     algebra.Expr
 	sigma constraint.Set
 	tuple value.Tuple
 	ids   []uint64
 	rel   []value.Value
 	fresh []value.Value
-	// eval is the per-world evaluator: one prepared plan shared by every
-	// branch worker, frozen over the base database's null-free relations.
-	eval func(*relation.Database) *relation.Relation
+	// prep is the prepared plan shared by every branch worker, each of
+	// which evaluates its worlds through a Runner of its own.
+	prep  *plan.Prepared
+	trace *plan.Trace
+	ctx   context.Context
 }
 
-// count enumerates the patterns extending v from position i with the given
-// number of fresh classes already open, accumulating into numTop/denTop.
-// Each null gets either a relevant constant or a fresh class in
-// restricted-growth order (class b may be used at position i only if
-// classes 0..b-1 appear before).
-// buf is a per-worker instantiation buffer for e.tuple (len(e.tuple)); the
-// enumeration is exponential in the nulls, so leaf checks must not allocate.
-func (e *patternEnum) count(v value.Valuation, buf value.Tuple, i, classes int, numTop, denTop []int64) {
-	if i == len(e.ids) {
-		world := e.db.ApplyShared(v)
-		if e.sigma != nil && !e.sigma.Holds(world) {
+// patternWalk is one worker's state over the pattern tree: its Runner, the
+// valuation it extends in place, an instantiation buffer for the tuple (the
+// enumeration is exponential in the nulls, so leaf checks must not
+// allocate), its Σ worlds, and the coefficients it accumulates — num[m] /
+// den[m] count the patterns with m fresh classes satisfying Σ∧Q, resp. Σ.
+type patternWalk struct {
+	*patternEnum
+	r        plan.Runner
+	v        value.Valuation
+	buf      value.Tuple
+	sw       *sigmaWorld
+	num, den []int64
+}
+
+func (e *patternEnum) walk() *patternWalk {
+	return &patternWalk{patternEnum: e, r: e.prep.Runner(e.trace), v: value.NewValuation(),
+		buf: make(value.Tuple, len(e.tuple)), sw: newSigmaWorld(e.db, e.sigma),
+		num: make([]int64, len(e.ids)+1), den: make([]int64, len(e.ids)+1)}
+}
+
+// count enumerates the patterns extending w.v from position i with the
+// given number of fresh classes already open. Each null gets either a
+// relevant constant or a fresh class in restricted-growth order (class b
+// may be used at position i only if classes 0..b-1 appear before).
+// Cancellation is polled once per inner node, not per leaf.
+func (w *patternWalk) count(i, classes int) {
+	if i == len(w.ids) {
+		if !w.sw.holds(w.v) {
 			return
 		}
-		denTop[classes]++
-		if e.eval(world).Contains(v.ApplyInto(buf, e.tuple)) {
-			numTop[classes]++
+		w.den[classes]++
+		if w.r.Eval(w.v).Contains(w.v.ApplyInto(w.buf, w.tuple)) {
+			w.num[classes]++
 		}
 		return
 	}
-	for j := range e.rel {
-		v.Set(e.ids[i], e.rel[j])
-		e.count(v, buf, i+1, classes, numTop, denTop)
+	if engine.Canceled(w.ctx) {
+		return
 	}
-	for b := 0; b <= classes && b < len(e.fresh); b++ {
-		v.Set(e.ids[i], e.fresh[b])
+	for j := range w.rel {
+		w.v.Set(w.ids[i], w.rel[j])
+		w.count(i+1, classes)
+	}
+	for b := 0; b <= classes && b < len(w.fresh); b++ {
+		w.v.Set(w.ids[i], w.fresh[b])
 		next := classes
 		if b == classes {
 			next = classes + 1
 		}
-		e.count(v, buf, i+1, next, numTop, denTop)
+		w.count(i+1, next)
 	}
 }
 
@@ -266,46 +334,50 @@ func MuOpts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple v
 	}
 	rel := relevantConsts(db, q, tuple)
 	fresh := freshConsts(len(ids), rel)
-	e := &patternEnum{db: db, q: q, sigma: sigma, tuple: tuple, ids: ids, rel: rel, fresh: fresh,
-		eval: opts.worldEval(db, q)}
-
-	// numTop[m] / denTop[m]: number of patterns with m fresh classes
-	// satisfying Σ∧Q, resp. Σ.
-	numTop := make([]int64, len(ids)+1)
-	denTop := make([]int64, len(ids)+1)
+	e := &patternEnum{db: db, sigma: sigma, tuple: tuple, ids: ids, rel: rel, fresh: fresh,
+		prep: opts.prepared(db, q), trace: opts.Trace, ctx: opts.ctx()}
 
 	branches := len(rel) + 1 // first null's choices: each c ∈ R, or fresh class 0
 	// Pattern count is bounded by the valuations into R ∪ fresh; below the
 	// engine threshold the serial walk wins, like every other oracle here.
 	bound := value.EnumSize(ids, append(append([]value.Value{}, rel...), fresh...))
 	small := bound >= 0 && bound < engine.MinParallel
+	var parts []*patternWalk
 	if len(ids) == 0 || eng.WorkerCount() == 1 || branches == 1 || small {
-		e.count(value.NewValuation(), make(value.Tuple, len(tuple)), 0, 0, numTop, denTop)
+		w := e.walk()
+		w.count(0, 0)
+		w.r.Close()
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		parts = []*patternWalk{w}
 	} else {
-		type coeffs struct{ num, den []int64 }
-		parts, err := engine.Map(context.Background(), eng, branches,
-			func(_ context.Context, bi int) (coeffs, error) {
-				v := value.NewValuation()
-				buf := make(value.Tuple, len(tuple))
-				num := make([]int64, len(ids)+1)
-				den := make([]int64, len(ids)+1)
+		var err error
+		parts, err = engine.Map(e.ctx, eng, branches,
+			func(_ context.Context, bi int) (*patternWalk, error) {
+				w := e.walk()
+				defer w.r.Close()
 				if bi < len(rel) {
-					v.Set(ids[0], rel[bi])
-					e.count(v, buf, 1, 0, num, den)
+					w.v.Set(ids[0], rel[bi])
+					w.count(1, 0)
 				} else {
-					v.Set(ids[0], fresh[0])
-					e.count(v, buf, 1, 1, num, den)
+					w.v.Set(ids[0], fresh[0])
+					w.count(1, 1)
 				}
-				return coeffs{num, den}, nil
+				return w, nil
 			})
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range parts {
-			for m := range numTop {
-				numTop[m] += p.num[m]
-				denTop[m] += p.den[m]
-			}
+	}
+	// Summing the per-branch polynomial coefficients makes the result
+	// independent of the worker count.
+	numTop := make([]int64, len(ids)+1)
+	denTop := make([]int64, len(ids)+1)
+	for _, p := range parts {
+		for m := range numTop {
+			numTop[m] += p.num[m]
+			denTop[m] += p.den[m]
 		}
 	}
 

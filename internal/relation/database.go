@@ -3,6 +3,7 @@ package relation
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"incdb/internal/value"
 )
@@ -15,11 +16,71 @@ type Database struct {
 	rels     map[string]*Relation
 	order    []string
 	nextNull uint64
+	// consts caches Consts() under the pins it was computed at. Atomic so
+	// that concurrent readers of a stable database may race on the first
+	// computation, which is idempotent; behind a pointer so that a Database
+	// value stays assignable (crash recovery replaces one in place), which
+	// at worst shares a cache whose snapshots validate themselves.
+	consts *atomic.Pointer[constsSnap]
+}
+
+// constsSnap is a computed Const(D) and the whole-catalogue pins it holds
+// under.
+type constsSnap struct {
+	pins   Pins
+	consts []value.Value
+}
+
+// Pins is the guard under which state derived from some relations of a
+// database may be cached: per pinned name, the relation object and its
+// mutation version as the database presented them. Mutation requires
+// exclusivity, so a holder re-checks its pins (Holds) at the start of each
+// use and re-derives exactly when a pinned relation changed.
+type Pins struct {
+	names    []string
+	rels     []*Relation // nil: the name was absent
+	versions []uint64
+	// all: the pins cover the whole catalogue, so a relation added later
+	// breaks them too.
+	all bool
+}
+
+// Pin pins the named relations as d presents them now.
+func (d *Database) Pin(names []string) Pins {
+	p := Pins{names: names, rels: make([]*Relation, len(names)), versions: make([]uint64, len(names))}
+	for i, name := range names {
+		if r := d.rels[name]; r != nil {
+			p.rels[i], p.versions[i] = r, r.version
+		}
+	}
+	return p
+}
+
+// PinAll pins every relation of d and the catalogue itself.
+func (d *Database) PinAll() Pins {
+	p := d.Pin(d.Names())
+	p.all = true
+	return p
+}
+
+// Holds reports whether d presents every pinned relation as the same object
+// at the same mutation version (and, for PinAll, no other relation).
+func (d *Database) Holds(p Pins) bool {
+	if p.all && len(d.order) != len(p.names) {
+		return false
+	}
+	for i, name := range p.names {
+		r := d.rels[name]
+		if r != p.rels[i] || (r != nil && r.version != p.versions[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{rels: map[string]*Relation{}, nextNull: 1}
+	return &Database{rels: map[string]*Relation{}, nextNull: 1, consts: new(atomic.Pointer[constsSnap])}
 }
 
 // Add registers a relation; it replaces any previous relation of the same
@@ -100,8 +161,16 @@ func (d *Database) ReserveNull(id uint64) {
 }
 
 // Consts returns the set Const(D) of constants occurring in the database,
-// in deterministic order.
+// in deterministic order. The walk over every relation is cached until a
+// relation mutates or the catalogue changes — the oracles ask once per call
+// for the range of their valuation space. The returned slice is shared and
+// capped at its length: appending to it copies, writing into it is not
+// allowed.
 func (d *Database) Consts() []value.Value {
+	if s := d.consts.Load(); s != nil && d.Holds(s.pins) {
+		return s.consts
+	}
+	snap := &constsSnap{pins: d.PinAll()}
 	seen := map[value.Value]bool{}
 	var out []value.Value
 	for _, name := range d.order {
@@ -116,7 +185,9 @@ func (d *Database) Consts() []value.Value {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return value.OrderLess(out[i], out[j]) })
-	return out
+	snap.consts = out[:len(out):len(out)]
+	d.consts.Store(snap)
+	return snap.consts
 }
 
 // NullIDs returns the identifiers of Null(D), sorted.
@@ -164,25 +235,6 @@ func (d *Database) Apply(v value.Valuation) *Database {
 	out := NewDatabase()
 	for _, name := range d.order {
 		out.Add(d.rels[name].Apply(v))
-	}
-	return out
-}
-
-// ApplyShared returns v(D) like Apply, but relations without nulls are
-// shared with D by pointer instead of copied — a valuation cannot change
-// them. The caller must treat the returned database as read-only (the
-// oracle world loops do); Apply remains the right call when the world may
-// be mutated or indexed independently of D. Fresh-null bookkeeping is
-// skipped: worlds are evaluated, never extended.
-func (d *Database) ApplyShared(v value.Valuation) *Database {
-	out := &Database{rels: make(map[string]*Relation, len(d.rels)), order: d.order, nextNull: d.nextNull}
-	for _, name := range d.order {
-		r := d.rels[name]
-		if r.HasNulls() {
-			out.rels[name] = r.Apply(v)
-		} else {
-			out.rels[name] = r
-		}
 	}
 	return out
 }

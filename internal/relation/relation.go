@@ -16,6 +16,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -55,8 +56,8 @@ type Relation struct {
 	// version counts content mutations: every Add/AddMult/SetMult/Normalize
 	// call bumps it (even when the call turns out to be a no-op — the
 	// counter over-approximates change, it never misses one). Long-lived
-	// consumers key cached derived state (prepared plans, frozen subplan
-	// results) on it and re-derive exactly when the version moves. Mutation
+	// consumers key cached derived state (prepared plans, frozen parts)
+	// on it and re-derive exactly when the version moves. Mutation
 	// requires external exclusivity anyway, so the counter is a plain word;
 	// readers of a stable relation see a stable value.
 	version uint64
@@ -83,7 +84,7 @@ func New(name string, attrs ...string) *Relation {
 func NewArity(name string, arity int) *Relation {
 	attrs := make([]string, arity)
 	for i := range attrs {
-		attrs[i] = fmt.Sprintf("#%d", i)
+		attrs[i] = "#" + strconv.Itoa(i)
 	}
 	return New(name, attrs...)
 }
@@ -444,9 +445,8 @@ func (r *Relation) SubsetOfSet(s *Relation) bool {
 }
 
 // HasNulls reports whether any stored tuple contains a null. The answer is
-// cached until the next structural mutation: the oracles consult it once
-// per relation per world when deciding which relations a valuation can
-// actually change.
+// cached until the next structural mutation: preparing a plan consults it
+// per scanned relation to decide which a valuation can change at all.
 func (r *Relation) HasNulls() bool {
 	if s := r.nullState.Load(); s != 0 {
 		return s == 2
@@ -472,9 +472,11 @@ func (r *Relation) HasNulls() bool {
 // applying valuations to bags, cf. [42] as discussed in Section 6).
 //
 // Null-free rows cannot change under any valuation, so they are inserted by
-// sharing the stored tuple and its cached hash — the oracle's per-world
-// instantiation therefore re-hashes and re-allocates only the rows that
-// actually mention nulls.
+// sharing the stored tuple and its cached hash: only the rows that actually
+// mention nulls are re-hashed and re-allocated. (The oracles do not build
+// worlds at all — internal/plan instantiates null rows inside the executor;
+// Apply serves the chase, constraint checks over a world, and the tests'
+// reference worlds.)
 func (r *Relation) Apply(v value.Valuation) *Relation {
 	out := New(r.name, r.attrs...)
 	r.eachStored(func(e *row) bool {
@@ -483,7 +485,7 @@ func (r *Relation) Apply(v value.Valuation) *Relation {
 			return true
 		}
 		// The instantiated tuple is exclusively ours, so it can be stored
-		// frozen too — one allocation and one hash per null row per world.
+		// frozen too — one allocation and one hash per null row.
 		nt := v.Apply(e.t)
 		out.addFrozen(nt, nt.Hash(), nt.HasNull(), e.mult)
 		return true

@@ -9,7 +9,7 @@ import (
 // Stats is a cheap statistics snapshot of one relation, computed in a
 // single pass over the stored rows and cached on the mutation version. The
 // counts are exact for the relation as stored — which makes them exact for
-// every frozen null-free subplan input — and merely a conservative estimate
+// every frozen part's input — and merely a conservative estimate
 // for anything a valuation can still change: a world can collapse distinct
 // tuples that differ only on nulls, never create new distinct values, so
 // the stored counts upper-bound every world's.

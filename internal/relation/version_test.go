@@ -72,10 +72,9 @@ func TestVersionCloneAndApply(t *testing.T) {
 	}
 }
 
-// TestVersionStableUnderApplyShared: building worlds from a base database
-// (the oracle hot loop) must not perturb the base's version vector, and
-// null-free relations shared by pointer keep their version in the world.
-func TestVersionStableUnderApplyShared(t *testing.T) {
+// TestVersionStableUnderApply: building worlds from a base database must
+// not perturb the base's version vector, also from concurrent readers.
+func TestVersionStableUnderApply(t *testing.T) {
 	db := NewDatabase()
 	withNulls := New("N", "a")
 	withNulls.Add(value.T(value.Null(1)))
@@ -94,13 +93,8 @@ func TestVersionStableUnderApplyShared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				world := db.ApplyShared(val)
-				if world.Relation("C") != complete {
-					t.Error("null-free relation not shared by pointer")
-					return
-				}
-				if world.Relation("C").Version() != before["C"] {
-					t.Error("shared relation version moved in world")
+				if world := db.Apply(val); !world.IsComplete() {
+					t.Error("world still has nulls")
 					return
 				}
 			}
@@ -110,7 +104,80 @@ func TestVersionStableUnderApplyShared(t *testing.T) {
 	after := db.Versions()
 	for name, v := range before {
 		if after[name] != v {
-			t.Fatalf("ApplyShared moved version of %s: %d -> %d", name, v, after[name])
+			t.Fatalf("Apply moved version of %s: %d -> %d", name, v, after[name])
 		}
+	}
+}
+
+// TestConstsCachedUntilMutation: Consts() is served from its cache while no
+// relation has mutated and the catalogue is unchanged, is recomputed after
+// either, and can be appended to without corrupting the cached copy.
+func TestConstsCachedUntilMutation(t *testing.T) {
+	db := NewDatabase()
+	r := New("R", "a")
+	r.Add(value.Consts("b"))
+	r.Add(value.T(value.Null(1)))
+	db.Add(r)
+
+	first := db.Consts()
+	if len(first) != 1 || first[0] != value.Const("b") {
+		t.Fatalf("Consts = %v", first)
+	}
+	if again := db.Consts(); &again[0] != &first[0] {
+		t.Fatal("unchanged database recomputed Consts")
+	}
+	_ = append(first, value.Const("zz"))
+	if got := db.ActiveDomain(); len(got) != 2 || got[1] != value.Null(1) {
+		t.Fatalf("ActiveDomain = %v", got)
+	}
+
+	r.Add(value.Consts("a"))
+	if got := db.Consts(); len(got) != 2 || got[0] != value.Const("a") {
+		t.Fatalf("Consts after Add = %v", got)
+	}
+	s := New("S", "x")
+	s.Add(value.Consts("c"))
+	db.Add(s)
+	if got := db.Consts(); len(got) != 3 {
+		t.Fatalf("Consts after a new relation = %v", got)
+	}
+	db.Add(New("S", "x"))
+	if got := db.Consts(); len(got) != 2 {
+		t.Fatalf("Consts after replacing a relation = %v", got)
+	}
+}
+
+// TestPinsHold: pins hold exactly while every pinned relation is the same
+// object at the same version; an absent name stays pinned as absent, and
+// whole-catalogue pins also break on a new relation.
+func TestPinsHold(t *testing.T) {
+	db := NewDatabase()
+	r := New("R", "a")
+	r.Add(value.Consts("b"))
+	db.Add(r)
+	db.Add(New("S", "x"))
+
+	some, all := db.Pin([]string{"R", "Missing"}), db.PinAll()
+	if !db.Holds(some) || !db.Holds(all) {
+		t.Fatal("fresh pins must hold")
+	}
+	db.MustRelation("S").Add(value.Consts("c"))
+	if !db.Holds(some) || db.Holds(all) {
+		t.Fatal("a mutation of S breaks the catalogue pins only")
+	}
+	all = db.PinAll()
+	db.Add(New("Missing", "x"))
+	if db.Holds(some) || db.Holds(all) {
+		t.Fatal("a relation appearing under a pinned-absent name, or in a pinned catalogue, breaks the pins")
+	}
+	some = db.Pin([]string{"R"})
+	r.Add(value.Consts("d"))
+	if db.Holds(some) {
+		t.Fatal("a mutation of a pinned relation breaks the pins")
+	}
+	some = db.Pin([]string{"R"})
+	db.Add(r.Clone())
+	if db.Holds(some) {
+		t.Fatal("replacing a pinned relation breaks the pins")
 	}
 }

@@ -3,8 +3,8 @@
 //
 // Each session holds one incomplete database (loaded and mutated through
 // its load endpoint in the raparse text format) and one prepared-plan
-// cache: the compile-once planner's Prepared state — frozen null-free
-// subplan results, join build tables, IN splits — survives across requests
+// cache: the compile-once planner's Prepared state — row partitions, frozen
+// parts, the join tables over them — survives across requests
 // and is shared read-only by concurrent queries, guarded by the relations'
 // mutation versions so that mutating a touched relation invalidates
 // exactly the affected entries (see plan.PrepCache).

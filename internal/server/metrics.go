@@ -40,6 +40,7 @@ type metrics struct {
 	worlds       *obs.Counter      // incdb_worlds_enumerated_total
 	frozenReuse  *obs.Counter      // incdb_frozen_reuse_total
 	slowQueries  *obs.Counter      // incdb_slow_queries_total
+	cancelled    *obs.Counter      // incdb_query_cancelled_total
 	errors       *obs.CounterVec   // incdb_errors_total{code}
 
 	wal *store.WALMetrics
@@ -59,9 +60,11 @@ func newMetrics(s *Server) *metrics {
 		worlds: reg.Counter("incdb_worlds_enumerated_total",
 			"Plan executions across all queries: each oracle world counts one."),
 		frozenReuse: reg.Counter("incdb_frozen_reuse_total",
-			"Frozen (world-invariant) subplan results served instead of recomputed."),
+			"Frozen (world-invariant) parts of prepared plans served instead of recomputed."),
 		slowQueries: reg.Counter("incdb_slow_queries_total",
 			"Queries over the -slow-query threshold."),
+		cancelled: reg.Counter("incdb_query_cancelled_total",
+			"Queries abandoned mid-evaluation because the request's context ended."),
 		errors: reg.CounterVec("incdb_errors_total",
 			"Requests failed, by machine-readable error code.", "code"),
 		wal: &store.WALMetrics{

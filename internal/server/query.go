@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -56,11 +57,12 @@ func procName(proc string) string {
 // holds the session read lock; every path below is read-only on the
 // database and shares the session's prepared-plan cache, so concurrent
 // requests reuse each other's prepared state. tr accumulates execution
-// counters (worlds enumerated, frozen-subplan reuse) across every plan the
+// counters (worlds enumerated, frozen-part reuse) across every plan the
 // request runs — the oracle paths hand it to their per-world evaluations
 // via Options.Trace; the ctable strategies keep their own machinery and
-// contribute nothing. Results are identical with tr nil.
-func (s *Server) evaluate(sess *session, req *api.QueryRequest, tr *plan.Trace) ([]api.Resultset, error) {
+// contribute nothing. Results are identical with tr nil. ctx cancels the
+// oracles' enumeration: they return its error.
+func (s *Server) evaluate(ctx context.Context, sess *session, req *api.QueryRequest, tr *plan.Trace) ([]api.Resultset, error) {
 	q, err := raparse.ParseQuery(req.Query)
 	if err != nil {
 		return nil, err
@@ -75,6 +77,7 @@ func (s *Server) evaluate(sess *session, req *api.QueryRequest, tr *plan.Trace) 
 		Workers:   s.opts.Workers,
 		Prep:      sess.prep,
 		Trace:     tr,
+		Ctx:       ctx,
 	}
 	if certOpts.MaxWorlds <= 0 {
 		certOpts.MaxWorlds = s.opts.MaxWorlds
@@ -84,9 +87,9 @@ func (s *Server) evaluate(sess *session, req *api.QueryRequest, tr *plan.Trace) 
 		return []api.Resultset{resultset(name, r)}
 	}
 	// direct evaluates q (or a rewriting of it) through the session's
-	// prepared-plan cache: the base database is trivially a world of
-	// itself, so Prepared.Exec(db) matches a fresh evaluation while
-	// reusing every frozen null-free subplan across requests.
+	// prepared-plan cache: the base database is its own world under the
+	// identity valuation, so Prepared.Exec(db) matches a fresh evaluation
+	// while reusing every frozen part across requests.
 	direct := func(e algebra.Expr, mode algebra.Mode, bag bool) *relation.Relation {
 		return sess.prep.Get(db, e, mode, bag).ExecTraced(db, tr)
 	}
@@ -133,7 +136,7 @@ func (s *Server) evaluate(sess *session, req *api.QueryRequest, tr *plan.Trace) 
 
 // approx evaluates the Figure 2(b) rewritings through the prepared cache:
 // Q⁺ and Q? are plain naive evaluations of rewritten queries, so they reuse
-// frozen subplans exactly like sql/naive do.
+// frozen parts exactly like sql/naive do.
 func approx(db *relation.Database, q algebra.Expr, proc string,
 	direct func(algebra.Expr, algebra.Mode, bool) *relation.Relation) (*relation.Relation, error) {
 	plus, poss, err := translate.Fig2b(q)
@@ -189,7 +192,7 @@ func (s *Server) warmSession(sess *session, keys []store.WarmKey) {
 			sess.prep.Get(sess.db, q, algebra.ModeNaive, k.Bag)
 		case "cert", "inter":
 			// The oracles evaluate per world through a ModeNaive set-
-			// semantics prepared plan (certain.Options.worldEval).
+			// semantics prepared plan.
 			sess.prep.Get(sess.db, q, algebra.ModeNaive, false)
 		case "plus", "poss":
 			plusQ, possQ, err := translate.Fig2b(q)
@@ -208,9 +211,9 @@ func (s *Server) warmSession(sess *session, keys []store.WarmKey) {
 // explain renders the plan for the request's query; the caller holds the
 // session read lock. The structured form comes from the same rendering
 // path incdbctl explain uses (plan.Describe), drawing prepared state from
-// the session's cache: the [frozen across worlds] markers reflect exactly
-// the Prepared a subsequent query will reuse, and explaining warms the
-// cache for it.
+// the session's cache: the frozen/Δ/barrier markers reflect exactly the
+// Prepared a subsequent query will reuse, and explaining warms the cache
+// for it.
 func (s *Server) explain(sess *session, req *api.ExplainRequest) (*plan.ExplainInfo, error) {
 	q, err := raparse.ParseQuery(req.Query)
 	if err != nil {

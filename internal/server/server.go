@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -24,6 +25,11 @@ import (
 	"incdb/internal/relation"
 	"incdb/internal/store"
 )
+
+// statusClientClosedRequest is the de-facto status (nginx's 499) for a
+// request whose client gave up before the answer was ready; net/http has no
+// name for it.
+const statusClientClosedRequest = 499
 
 // Options configures the service.
 type Options struct {
@@ -1104,7 +1110,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	defer s.release()
 
 	// The trace rides along every evaluation: its counters (worlds
-	// enumerated, frozen-subplan reuse) are two atomic adds per plan
+	// enumerated, frozen-part reuse) are two atomic adds per plan
 	// execution, cheap enough to keep always on. Per-node detail is
 	// opt-in per request (trace_detail on a sampled trace): the traced
 	// stream never reorders or buffers batches, so results are
@@ -1124,8 +1130,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	// pprof labels segment -pprof-addr CPU profiles by workload; the
 	// trace ID lets a profile sample be joined back to its trace.
 	pprof.Do(r.Context(), pprof.Labels("session", name, "proc", procName(req.Proc), "trace_id", sp.TraceID()),
-		func(context.Context) {
-			results, err = s.evaluate(sess, &req, tr)
+		func(ctx context.Context) {
+			results, err = s.evaluate(ctx, sess, &req, tr)
 		})
 	if err == nil {
 		sess.results.put(key, results)
@@ -1134,6 +1140,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string
 	if err != nil {
 		esp.SetError(err.Error())
 		esp.End()
+		if cause := r.Context().Err(); cause != nil && errors.Is(err, cause) {
+			// The client is gone or out of time: the enumeration stopped
+			// at its next poll and the deferred release frees the slot.
+			s.obs.cancelled.Inc()
+			s.fail(w, api.Errorf(statusClientClosedRequest, api.CodeRequestCancelled,
+				"query abandoned after %d worlds: %v", tr.Execs.Load(), err))
+			return
+		}
 		s.fail(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err))
 		return
 	}
