@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"incdb/internal/api"
+	"incdb/internal/core"
 	"incdb/internal/server"
 )
 
@@ -211,10 +212,10 @@ func clientLine(c *server.Client, line string, opts queryOpts) error {
 		fallthrough
 	default:
 		// A line starting with an evaluation procedure the server accepts
-		// (server.Procs — one source for the server dispatch and the CLI)
-		// evaluates the rest of the line under it.
+		// (a served row of the procedure table) evaluates the rest of the
+		// line under it.
 		proc, query := head, rest
-		if !server.KnownProc(proc) {
+		if p := core.Lookup(proc); p == nil || !p.Served {
 			// A bare query evaluates under sql.
 			proc, query = "sql", strings.TrimSpace(line)
 			if strings.HasPrefix(query, "query ") {

@@ -59,48 +59,30 @@ import (
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/core"
-	"incdb/internal/ctable"
-	"incdb/internal/engine"
 	"incdb/internal/plan"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
 )
 
+// subcommands maps the first argument to its runner; anything else is the
+// local evaluation form.
+var subcommands = map[string]func(args []string) error{
+	"explain": runExplain,
+	"client":  runClient,
+	"promote": runPromote,
+	"top":     runTop,
+	"trace":   runTrace,
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "explain" {
-		if err := runExplain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "incdbctl explain:", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			if err := sub(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "incdbctl %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "client" {
-		if err := runClient(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "incdbctl client:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "promote" {
-		if err := runPromote(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "incdbctl promote:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "top" {
-		if err := runTop(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "incdbctl top:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTrace(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "incdbctl trace:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	dbPath := flag.String("db", "", "database file (raparse format)")
 	mode := flag.String("mode", "report", "evaluation mode")
@@ -115,6 +97,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "incdbctl:", err)
 		os.Exit(1)
 	}
+}
+
+// parseInputs reads the database file and parses the query against it.
+func parseInputs(dbPath, querySrc string) (*relation.Database, algebra.Expr, error) {
+	f, err := os.Open(dbPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	db, err := raparse.ParseDatabase(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	q, err := raparse.ParseQuery(querySrc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return db, q, algebra.Validate(q, db)
 }
 
 // runExplain parses `explain` flags and prints the plan for the query —
@@ -134,20 +134,8 @@ func runExplain(args []string) error {
 		fs.Usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(*dbPath)
+	db, q, err := parseInputs(*dbPath, fs.Arg(0))
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	db, err := raparse.ParseDatabase(f)
-	if err != nil {
-		return err
-	}
-	q, err := raparse.ParseQuery(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	if err := algebra.Validate(q, db); err != nil {
 		return err
 	}
 	mode := algebra.ModeNaive
@@ -175,24 +163,11 @@ func runExplain(args []string) error {
 }
 
 func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
-	f, err := os.Open(dbPath)
+	db, q, err := parseInputs(dbPath, querySrc)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	db, err := raparse.ParseDatabase(f)
-	if err != nil {
-		return err
-	}
-	q, err := raparse.ParseQuery(querySrc)
-	if err != nil {
-		return err
-	}
-	if err := algebra.Validate(q, db); err != nil {
 		return err
 	}
 	opts := certain.Options{MaxWorlds: maxWorlds, Workers: workers}
-	eng := engine.Options{Workers: workers}
 
 	show := func(name string, r *relation.Relation, err error) {
 		switch {
@@ -205,47 +180,7 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 		}
 	}
 
-	switch mode {
-	case "sql":
-		show("sql", core.SQL(db, q), nil)
-	case "naive":
-		show("naive", core.Naive(db, q), nil)
-	case "cert":
-		r, err := core.CertainWithNulls(db, q, opts)
-		show("cert⊥", r, err)
-	case "inter":
-		r, err := core.CertainIntersection(db, q, opts)
-		show("cert∩", r, err)
-	case "plus":
-		r, err := core.ApproxPlus(db, q)
-		show("Q+", r, err)
-	case "poss":
-		r, err := core.ApproxPossible(db, q)
-		show("Q?", r, err)
-	case "qt", "qf":
-		qt, qf, err := core.ApproxTrueFalse(db, q)
-		if err != nil {
-			return err
-		}
-		if mode == "qt" {
-			show("Qt", qt, nil)
-		} else {
-			show("Qf", qf, nil)
-		}
-	case "ctable-eager", "ctable-semi", "ctable-lazy", "ctable-aware":
-		strat := map[string]ctable.Strategy{
-			"ctable-eager": ctable.Eager,
-			"ctable-semi":  ctable.SemiEager,
-			"ctable-lazy":  ctable.Lazy,
-			"ctable-aware": ctable.Aware,
-		}[mode]
-		cpart, ppart, err := core.CTableAnswersWith(db, q, strat, eng)
-		if err != nil {
-			return err
-		}
-		show("certain", cpart, nil)
-		show("possible", ppart, nil)
-	case "report":
+	if mode == "report" {
 		rep := core.Analyze(db, q, opts)
 		show("sql", rep.SQLAnswers, nil)
 		show("naive", rep.NaiveAnswers, nil)
@@ -256,8 +191,19 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 			fmt.Printf("SQL false positives: %v\n", rep.FalsePositives)
 			fmt.Printf("SQL false negatives: %v\n", rep.FalseNegatives)
 		}
-	default:
+		return nil
+	}
+	// Every other mode is a row of the procedure table.
+	p := core.Lookup(mode)
+	if p == nil {
 		return fmt.Errorf("unknown mode %q", mode)
+	}
+	rels, err := core.Run(p, db, q, false, opts)
+	if err != nil {
+		return err
+	}
+	for i, r := range rels {
+		show(p.Labels[i], r, nil)
 	}
 	return nil
 }

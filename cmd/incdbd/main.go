@@ -23,9 +23,9 @@
 // not yet cover before answering 412 stale_replica.
 //
 // Endpoints are session-scoped — POST /v1/sessions/{name}/load|query|explain,
-// GET /v1/sessions/{name}/status|snapshot|wal — plus GET /v1/status and
-// legacy flat routes (see internal/server). The incdbctl client subcommand
-// (and its REPL) speaks the same protocol:
+// GET /v1/sessions/{name}/status|snapshot|wal — plus the server-wide
+// routes (see internal/server). The incdbctl client subcommand (and its
+// REPL) speaks the same protocol:
 //
 //	incdbctl client -addr http://localhost:8080 -session default
 //
@@ -80,8 +80,6 @@ func main() {
 	workers := flag.Int("workers", 0, "oracle worker goroutines (0 = one per CPU, 1 = serial)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent evaluations (0 = 2x workers)")
 	maxWorlds := flag.Int("maxworlds", 0, "default certainty oracle world bound (0 = library default)")
-	cacheCap := flag.Int("cache-cap", 0, "prepared-plan cache entries per session (0 = default)")
-	resultCacheCap := flag.Int("result-cache-cap", 0, "oracle result cache entries per session (0 = default)")
 	dataDir := flag.String("data-dir", "", "data directory for durable sessions (WAL + snapshots); empty = memory-only")
 	snapshotBytes := flag.Int64("snapshot-bytes", 0, "WAL size triggering a compacting snapshot (0 = default)")
 	follow := flag.String("follow", "", "primary URL to follow as a read replica (e.g. http://primary:8080)")
@@ -90,25 +88,21 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log evaluated queries slower than this (0 = off)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 	traceSample := flag.Float64("trace-sample", 1.0, "distributed-trace head-sampling rate in [0,1] (0 = tracing off; slow/failed requests always kept)")
-	traceCap := flag.Int("trace-cap", 0, "in-memory span ring capacity for /v1/traces (0 = default)")
 	grace := flag.Duration("grace", 5*time.Second, "graceful shutdown window")
 	load := flag.String("load", "", "database file (raparse format) to preload")
 	session := flag.String("session", "default", "session name for -load")
 	flag.Parse()
 
 	srv := server.New(server.Options{
-		Workers:        *workers,
-		MaxInFlight:    *maxInFlight,
-		MaxWorlds:      *maxWorlds,
-		CacheCap:       *cacheCap,
-		ResultCacheCap: *resultCacheCap,
-		SnapshotBytes:  *snapshotBytes,
-		StaleWait:      *staleWait,
-		WriteTimeout:   *writeTimeout,
-		SlowQuery:      *slowQuery,
-		ShutdownGrace:  *grace,
-		TraceSample:    *traceSample,
-		TraceCap:       *traceCap,
+		Workers:       *workers,
+		MaxInFlight:   *maxInFlight,
+		MaxWorlds:     *maxWorlds,
+		SnapshotBytes: *snapshotBytes,
+		StaleWait:     *staleWait,
+		WriteTimeout:  *writeTimeout,
+		SlowQuery:     *slowQuery,
+		ShutdownGrace: *grace,
+		TraceSample:   *traceSample,
 	})
 	if *pprofAddr != "" {
 		// The profiling endpoints live on their own listener so they are

@@ -19,10 +19,10 @@
 //	GET  /v1/traces                    recent sampled root spans
 //	GET  /v1/traces/{id}               every stored span of one trace
 //
-// The pre-PR-6 flat routes (POST /v1/load|query|explain with the session
-// name in the body, GET /v1/snapshot?session=) survive as thin delegating
-// shims; the Session fields below exist for them and are ignored when the
-// path names the session.
+// The path is the only place a request names its session: request bodies
+// are decoded strictly, so one carrying a "session" field is a 400
+// bad_request. The procedures QueryRequest.Proc accepts are the served rows
+// of the procedure table in incdb/internal/core.
 //
 // Consistency tokens: every load and query response carries the session's
 // version vector (relation name → mutation version). A client that echoes
@@ -53,7 +53,6 @@ import (
 // superseded and fences itself (fenced_stale_primary) instead of
 // accepting a divergent write.
 type LoadRequest struct {
-	Session  string `json:"session,omitempty"` // legacy body-field routing
 	Data     string `json:"data"`
 	Append   bool   `json:"append,omitempty"`
 	Snapshot bool   `json:"snapshot,omitempty"`
@@ -80,10 +79,9 @@ type RelationStatus struct {
 }
 
 // QueryRequest evaluates Query (raparse query syntax) against a session
-// database. Proc selects the evaluation procedure: sql (default), naive,
-// cert (cert⊥), inter (cert∩), plus (Q⁺), poss (Q?), or
-// ctable-eager|semi|lazy|aware (certain and possible parts). Bag switches
-// sql/naive to bag semantics. MaxWorlds bounds the certainty oracles (0 =
+// database. Proc names the evaluation procedure, a served row of core.Procs
+// (empty means sql); Bag asks for bag semantics, which the rows that honour
+// it (sql, naive) apply. MaxWorlds bounds the certainty oracles (0 =
 // server default). ReadAfter is the consistency token: the server answers
 // only from a database state whose version vector covers it (a replica
 // waits briefly for replication to catch up, then fails with
@@ -91,7 +89,6 @@ type RelationStatus struct {
 // Epoch, like LoadRequest.Epoch, is the client's highest observed
 // replication epoch — a stale primary fences itself on seeing a higher one.
 type QueryRequest struct {
-	Session   string            `json:"session,omitempty"` // legacy body-field routing
 	Query     string            `json:"query"`
 	Proc      string            `json:"proc,omitempty"`
 	Bag       bool              `json:"bag,omitempty"`
@@ -147,7 +144,6 @@ type QueryResponse struct {
 // the response carries actual row counts, batch counts and wall time next
 // to each node's estimates (EXPLAIN ANALYZE).
 type ExplainRequest struct {
-	Session string `json:"session,omitempty"` // legacy body-field routing
 	Query   string `json:"query"`
 	SQL     bool   `json:"sql,omitempty"` // plan for SQL three-valued evaluation
 	Bag     bool   `json:"bag,omitempty"`

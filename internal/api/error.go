@@ -9,7 +9,7 @@ import (
 // Machine-readable error codes, carried in every non-2xx response body.
 const (
 	// CodeBadRequest: the request itself is malformed (undecodable body,
-	// missing session name, bad query-string parameter).
+	// unknown body field, bad query-string parameter).
 	CodeBadRequest = "bad_request"
 	// CodeBadQuery: the query (or load payload) failed to parse, validate
 	// or evaluate against the session's schema.
@@ -87,9 +87,9 @@ type ErrorEnvelope struct {
 }
 
 // DecodeError turns a non-2xx response body into an *Error. It understands
-// the envelope above and falls back to the pre-PR-6 flat {"error":"msg"}
-// shape and to raw text, so a client pointed at an old server still gets a
-// usable error (code "unknown").
+// the envelope above and falls back to raw text (code "unknown"), so a
+// reply that never reached a handler — the mux's own 404, a proxy's 502 —
+// is still a usable error.
 func DecodeError(status int, body []byte) *Error {
 	var env struct {
 		Error json.RawMessage `json:"error"`
@@ -99,10 +99,6 @@ func DecodeError(status int, body []byte) *Error {
 		if json.Unmarshal(env.Error, &e) == nil && e.Code != "" {
 			e.Status = status
 			return &e
-		}
-		var msg string
-		if json.Unmarshal(env.Error, &msg) == nil && msg != "" {
-			return &Error{Status: status, Code: "unknown", Message: msg}
 		}
 	}
 	return &Error{Status: status, Code: "unknown",

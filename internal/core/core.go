@@ -4,6 +4,12 @@
 // notions of Section 3, the tractable approximations of Section 4
 // (Figure 2 rewritings and c-table strategies), and the probabilistic
 // answers of Section 4.3 — over a single incomplete database and query.
+//
+// The procedures that answer a query with relations are rows of one table
+// (Procs, procs.go): name, result-set labels, the rewriting and mode the
+// planner executes, capabilities. Run executes a row — through a
+// prepared-plan cache when given one, one-shot otherwise — and the incdbd
+// server, the incdbctl modes and the front-ends below all go through it.
 package core
 
 import (
@@ -17,7 +23,6 @@ import (
 	"incdb/internal/engine"
 	"incdb/internal/prob"
 	"incdb/internal/relation"
-	"incdb/internal/translate"
 	"incdb/internal/value"
 )
 
@@ -59,21 +64,13 @@ func CertainIntersection(db *relation.Database, q algebra.Expr, opts certain.Opt
 // ApproxPlus evaluates the Q⁺ rewriting of Figure 2(b): a tractable subset
 // of the certain answers (Theorem 4.7), equal to Q(D) on complete data.
 func ApproxPlus(db *relation.Database, q algebra.Expr) (*relation.Relation, error) {
-	plus, _, err := translate.Fig2b(q)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.Naive(db, plus), nil
+	return oneShot("plus", db, q)
 }
 
 // ApproxPossible evaluates the Q? rewriting of Figure 2(b): a tractable
 // superset of the possible answers.
 func ApproxPossible(db *relation.Database, q algebra.Expr) (*relation.Relation, error) {
-	_, poss, err := translate.Fig2b(q)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.Naive(db, poss), nil
+	return oneShot("poss", db, q)
 }
 
 // ApproxTrueFalse evaluates the (Qᵗ, Qᶠ) rewriting of Figure 2(a):
@@ -81,11 +78,10 @@ func ApproxPossible(db *relation.Database, q algebra.Expr) (*relation.Relation, 
 // active-domain products in Qᶠ — correct but infeasible beyond toy sizes,
 // which is the point the survey makes about this scheme.
 func ApproxTrueFalse(db *relation.Database, q algebra.Expr) (qt, qf *relation.Relation, err error) {
-	t, f, err := translate.Fig2a(q, db)
-	if err != nil {
-		return nil, nil, err
+	if qt, err = oneShot("qt", db, q); err == nil {
+		qf, err = oneShot("qf", db, q)
 	}
-	return algebra.Naive(db, t), algebra.Naive(db, f), nil
+	return qt, qf, err
 }
 
 // CTableAnswers evaluates the query over conditional tables with one of

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
+	"os"
+	"strings"
 	"testing"
 
 	"incdb/internal/algebra"
@@ -146,5 +149,25 @@ func TestAnalyzeSurvivesOracleFailure(t *testing.T) {
 	}
 	if rep.SQLAnswers == nil || rep.NaiveAnswers == nil {
 		t.Fatalf("cheap evaluations must still be present")
+	}
+}
+
+// TestREADMEProcedureTable: the README's procedures table is the rendering
+// of Procs, so the documentation cannot drift from the rows the server and
+// the CLI dispatch on.
+func TestREADMEProcedureTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString("| Procedure | Result sets | Rewriting | Evaluation | Guarantee | Paper | `bag` | Served |\n|---|---|---|---|---|---|---|---|\n")
+	yes := map[bool]string{true: "yes", false: "–"}
+	for _, p := range Procs {
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s | %s | %s |\n", p.Name, strings.Join(p.Labels, ", "),
+			p.Rewriting, p.Eval, p.Guarantee, p.Ref, yes[p.Bag], yes[p.Served])
+	}
+	if !strings.Contains(string(readme), b.String()) {
+		t.Fatalf("README.md's procedures table is not the rendering of core.Procs; want\n%s", b.String())
 	}
 }

@@ -62,9 +62,9 @@ func BenchmarkServerQuery(b *testing.B) {
 				b.StopTimer()
 				sess.mu.Lock()
 				if mode == "cold" {
-					sess.prep = plan.NewPrepCache(srv.opts.CacheCap)
+					sess.prep = plan.NewPrepCache(plan.DefaultPrepCacheCap)
 				}
-				sess.results = newResultCache(srv.opts.ResultCacheCap)
+				sess.results = newResultCache()
 				sess.mu.Unlock()
 				b.StartTimer()
 			}

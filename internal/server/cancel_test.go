@@ -84,3 +84,37 @@ func TestCancelledEnumerationReleasesSlot(t *testing.T) {
 		t.Errorf("incdb_query_cancelled_total did not count the cancellation:\n%s", metrics.Body)
 	}
 }
+
+// TestUnknownProcRefusedBeforeAdmission: an unknown procedure is a property
+// of the request alone, so it is refused right after decode — not after the
+// request queued for an evaluation slot and had its query parsed.
+func TestUnknownProcRefusedBeforeAdmission(t *testing.T) {
+	s := New(Options{Workers: 1, MaxInFlight: 1})
+	h := s.Handler()
+	post := func(ctx context.Context, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	if rec := post(context.Background(), "/v1/sessions/s/load", `{"data":"rel R a\nrow R x\n"}`); rec.Code != http.StatusOK {
+		t.Fatalf("load: %d %s", rec.Code, rec.Body)
+	}
+	// Hold the only evaluation slot: anything that reaches admission waits.
+	if aerr := s.acquire(context.Background()); aerr != nil {
+		t.Fatalf("acquire: %v", aerr)
+	}
+	defer s.release()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	rec := post(ctx, "/v1/sessions/s/query", `{"query":"proj(0, R)","proc":"no-such-proc"}`)
+	got := api.DecodeError(rec.Code, rec.Body.Bytes())
+	if rec.Code != http.StatusUnprocessableEntity || got.Code != api.CodeBadQuery {
+		t.Fatalf("unknown proc answered %d %s, want 422 %s", rec.Code, rec.Body, api.CodeBadQuery)
+	}
+	if !strings.Contains(got.Message, "want one of sql, naive, cert, inter, plus, poss, ctable-eager") {
+		t.Errorf("message does not list the served procedures: %s", got.Message)
+	}
+	if ctx.Err() != nil {
+		t.Errorf("the refusal waited out the client's timeout")
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"reflect"
 	"testing"
 
 	"incdb/internal/api"
@@ -36,80 +35,22 @@ func postJSON(t *testing.T, url string, body any, into any) int {
 	return resp.StatusCode
 }
 
-// TestLegacyRoutesDelegate: the pre-PR-6 flat routes (session name in the
-// body or query string) keep working and answer exactly like the
-// session-in-path routes — same handlers behind thin shims.
-func TestLegacyRoutesDelegate(t *testing.T) {
+// TestFlatRoutesGone: the pre-session flat routes are no longer served,
+// and the body field that used to route them is an unknown field.
+func TestFlatRoutesGone(t *testing.T) {
 	srv, _ := newTestServer(t)
-	base := srv.URL
-
-	// Legacy load with the session in the body.
-	var lr api.LoadResponse
-	if code := postJSON(t, base+"/v1/load",
-		api.LoadRequest{Session: "legacy", Data: ordersData}, &lr); code != 200 {
-		t.Fatalf("legacy load: HTTP %d", code)
+	for _, path := range []string{"/v1/load", "/v1/query", "/v1/explain"} {
+		if code := postJSON(t, srv.URL+path, api.QueryRequest{Query: unpaid}, nil); code != http.StatusNotFound {
+			t.Errorf("POST %s: HTTP %d, want 404", path, code)
+		}
 	}
-	if lr.Session != "legacy" || len(lr.Relations) != 3 {
-		t.Fatalf("legacy load response: %+v", lr)
-	}
-
-	// Legacy query against the legacy-loaded session; new-route query
-	// against the same session must agree byte for byte.
-	var legacyQR, pathQR api.QueryResponse
-	if code := postJSON(t, base+"/v1/query",
-		api.QueryRequest{Session: "legacy", Query: unpaid, Proc: "cert"}, &legacyQR); code != 200 {
-		t.Fatalf("legacy query: HTTP %d", code)
-	}
-	if code := postJSON(t, base+"/v1/sessions/legacy/query",
-		api.QueryRequest{Query: unpaid, Proc: "cert"}, &pathQR); code != 200 {
-		t.Fatalf("path query: HTTP %d", code)
-	}
-	if !reflect.DeepEqual(legacyQR.Results, pathQR.Results) {
-		t.Fatalf("legacy and path routes disagree: %+v vs %+v", legacyQR.Results, pathQR.Results)
-	}
-	if len(pathQR.Versions) == 0 || !reflect.DeepEqual(legacyQR.Versions, pathQR.Versions) {
-		t.Fatalf("version vectors differ across routes: %v vs %v", legacyQR.Versions, pathQR.Versions)
-	}
-
-	// Legacy explain.
-	var er api.ExplainResponse
-	if code := postJSON(t, base+"/v1/explain",
-		api.ExplainRequest{Session: "legacy", Query: unpaid}, &er); code != 200 {
-		t.Fatalf("legacy explain: HTTP %d", code)
-	}
-	if er.Text == "" {
-		t.Fatalf("legacy explain returned no text")
-	}
-
-	// Legacy snapshot with the session in the query string.
-	resp, err := http.Get(base + "/v1/snapshot?session=legacy")
+	resp, err := http.Get(srv.URL + "/v1/snapshot?session=test")
 	if err != nil {
-		t.Fatalf("legacy snapshot: %v", err)
+		t.Fatalf("get: %v", err)
 	}
-	legacySnap, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != 200 || len(legacySnap) == 0 {
-		t.Fatalf("legacy snapshot: HTTP %d, %d bytes", resp.StatusCode, len(legacySnap))
-	}
-	resp, err = http.Get(base + "/v1/sessions/legacy/snapshot")
-	if err != nil {
-		t.Fatalf("path snapshot: %v", err)
-	}
-	pathSnap, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Equal(legacySnap, pathSnap) {
-		t.Fatalf("snapshot exports differ across routes")
-	}
-
-	// Session in the path wins over a conflicting body field... by simply
-	// ignoring the body's (the path is authoritative on scoped routes).
-	var other api.LoadResponse
-	if code := postJSON(t, base+"/v1/sessions/pathwins/load",
-		api.LoadRequest{Session: "legacy", Data: "rel Solo a\nrow Solo x\n"}, &other); code != 200 {
-		t.Fatalf("path-scoped load: HTTP %d", code)
-	}
-	if other.Session != "pathwins" {
-		t.Fatalf("path-scoped load landed in %q, want pathwins", other.Session)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/snapshot: HTTP %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -157,8 +98,8 @@ func TestErrorEnvelope(t *testing.T) {
 		api.CodeSessionNotFound, http.StatusNotFound)
 	check("POST", base+"/v1/sessions/s/load", `{"data": 42}`,
 		api.CodeBadRequest, http.StatusBadRequest)
-	check("POST", base+"/v1/load", `{"data":"rel R a"}`,
-		api.CodeBadRequest, http.StatusBadRequest) // missing session name
+	check("POST", base+"/v1/sessions/s/load", `{"session":"s","data":"rel R a"}`,
+		api.CodeBadRequest, http.StatusBadRequest) // the path names the session; the body field is unknown
 	check("POST", base+"/v1/sessions/s/load", `{"data":"nonsense"}`,
 		api.CodeBadQuery, http.StatusBadRequest)
 

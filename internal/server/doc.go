@@ -19,10 +19,20 @@
 //	GET  /v1/sessions/{session}/wal       stream WAL records (replication)
 //	GET  /v1/status                       server-wide status
 //
-// plus legacy flat routes (POST /v1/load|query|explain, GET /v1/snapshot)
-// that read the session name from the body or query string and delegate.
-// Every non-2xx reply carries the uniform envelope
-// {"error":{"code":"…","message":"…"}} (api.Error).
+// plus the server-wide promote, metrics, traces and probe routes. The path is
+// the only place a request names its session. Every non-2xx reply carries
+// the uniform envelope {"error":{"code":"…","message":"…"}} (api.Error).
+//
+// A query is one pipeline (handleQuery): decode → resolve session →
+// consistency wait → result-cache lookup → admission → parse, validate and
+// core.Run under the session read lock → finish, each stage wrapped once
+// for its span (result_cache.lookup, admission.wait, evaluate). The
+// procedure a request names is a row of core.Procs; the server never
+// switches on procedure names. A mutation is one path too (commit): apply
+// under the session's commit and write locks, buffer the WAL record, unlock,
+// group-commit the fsync, check for compaction — append, replace, restore,
+// Preload and the promotion epoch record differ only in the apply step, and
+// a replica installs databases through the same session.install.
 //
 // With a data directory attached (incdbd -data-dir, see internal/store)
 // every load is written ahead to a per-session log and fsync'd before it

@@ -12,6 +12,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"incdb/internal/core"
 )
 
 // allProcs is every evaluation procedure the crash-recovery acceptance
@@ -237,39 +239,62 @@ func TestConcurrentDurableLoads(t *testing.T) {
 }
 
 // TestRecoveryWarmsPreparedPlans: after recovery from a snapshot carrying
-// warm keys, the prepared-plan cache already holds entries — the first
-// repeated query is a hit, not a miss.
+// warm keys, the prepared-plan cache already holds what every plan-backed
+// procedure's evaluation asks it for — the first repeated query of each is
+// a hit with no new miss. Warm-up and evaluation are the same table rows.
 func TestRecoveryWarmsPreparedPlans(t *testing.T) {
 	dir := t.TempDir()
 	_, hs, c := newDurableServer(t, dir, 1) // snapshot after every load
 	if _, err := c.Load(ordersData, false); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, err := c.Query(unpaid, "cert", false, 0); err != nil {
-		t.Fatalf("query: %v", err)
+	const q = "minus(proj(0, Orders), Payments)" // inside the Figure 2 fragment, unlike unpaid
+	type warmed struct {
+		proc string
+		bag  bool
+		rows [][]string
 	}
-	// The warm key is persisted by the next snapshot, i.e. the next load.
-	// o7 is paid immediately, so the certain unpaid set stays {o2}.
+	var want []warmed
+	for _, p := range core.Procs {
+		if !p.Served || p.Plan == nil {
+			continue
+		}
+		for _, bag := range []bool{false, true} {
+			if bag && !p.Bag {
+				continue
+			}
+			qr, err := c.Query(q, p.Name, bag, 0)
+			if err != nil {
+				t.Fatalf("query %s bag=%v: %v", p.Name, bag, err)
+			}
+			want = append(want, warmed{p.Name, bag, qr.Results[0].Rows})
+		}
+	}
+	// The warm keys are persisted by the next snapshot, i.e. the next load.
+	// o7 is paid immediately, so no procedure's unpaid answer changes.
 	if _, err := c.Load("row Orders o7 c1\nrow Payments o7\n", true); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	hs.Close()
 
 	_, _, c2 := newDurableServer(t, dir, 1)
-	ss := sessionStatus(t, c2, "test")
-	if ss.Cache.Entries == 0 {
-		t.Fatalf("recovered session has no warmed prepared plans: %+v", ss.Cache)
+	before := sessionStatus(t, c2, "test").Cache
+	if before.Entries == 0 {
+		t.Fatalf("recovered session has no warmed prepared plans: %+v", before)
 	}
-	qr, err := c2.Query(unpaid, "cert", false, 0)
-	if err != nil {
-		t.Fatalf("post-recovery query: %v", err)
-	}
-	if want := [][]string{{"o2"}}; !reflect.DeepEqual(qr.Results[0].Rows, want) {
-		t.Fatalf("post-recovery cert = %v, want %v", qr.Results[0].Rows, want)
-	}
-	after := sessionStatus(t, c2, "test").Cache
-	if after.Hits == 0 {
-		t.Fatalf("first post-recovery query did not hit the warmed cache: %+v", after)
+	for _, w := range want {
+		qr, err := c2.Query(q, w.proc, w.bag, 0)
+		if err != nil {
+			t.Fatalf("post-recovery %s bag=%v: %v", w.proc, w.bag, err)
+		}
+		if qr.Cached || !reflect.DeepEqual(qr.Results[0].Rows, w.rows) {
+			t.Fatalf("post-recovery %s bag=%v = %v (cached %v), want %v evaluated", w.proc, w.bag, qr.Results[0].Rows, qr.Cached, w.rows)
+		}
+		after := sessionStatus(t, c2, "test").Cache
+		if after.Hits <= before.Hits || after.Misses != before.Misses {
+			t.Fatalf("first post-recovery %s bag=%v did not run on a warmed plan: cache %+v → %+v", w.proc, w.bag, before, after)
+		}
+		before = after
 	}
 }
 
@@ -343,7 +368,7 @@ func TestSnapshotExportBootstrap(t *testing.T) {
 	}
 
 	// Unknown sessions 404.
-	resp, err := http.Get(c.Base() + "/v1/snapshot?session=nope")
+	resp, err := http.Get(c.Base() + "/v1/sessions/nope/snapshot")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}

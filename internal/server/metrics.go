@@ -7,7 +7,6 @@ import (
 	"incdb/internal/api"
 	"incdb/internal/engine"
 	"incdb/internal/obs"
-	"incdb/internal/plan"
 	"incdb/internal/store"
 )
 
@@ -45,6 +44,9 @@ type metrics struct {
 
 	wal *store.WALMetrics
 }
+
+// collector is the shape of obs.Registry's CollectCounter and CollectGauge.
+type collector = func(name, help string, labels []string, collect func(emit func(float64, ...string)))
 
 func newMetrics(s *Server) *metrics {
 	reg := obs.NewRegistry()
@@ -104,90 +106,76 @@ func newMetrics(s *Server) *metrics {
 			}
 		})
 
-	// Per-session collectors over the same atomics /v1/status renders:
-	// satellite consolidation — the scattered cache counters have exactly
-	// one home and two read-only views.
-	reg.CollectCounter("incdb_session_queries_total", "Queries served per session.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.queries.Load()), sess.name) })
+	// Per-session collectors over the same atomics /v1/status renders: the
+	// cache counters have exactly one home and two read-only views. f runs
+	// under the session read lock (the caches are swapped on replace loads).
+	sessSeries := func(register collector, name, help string, f func(*session) float64) {
+		register(name, help, []string{"session"}, func(emit func(float64, ...string)) {
+			for _, sess := range s.sessionList() {
+				sess.mu.RLock()
+				v := f(sess)
+				sess.mu.RUnlock()
+				emit(v, sess.name)
+			}
 		})
-	reg.CollectCounter("incdb_prep_cache_hits_total", "Prepared-plan cache hits.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.prepStats().Hits), sess.name) })
-		})
-	reg.CollectCounter("incdb_prep_cache_misses_total", "Prepared-plan cache misses.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.prepStats().Misses), sess.name) })
-		})
-	reg.CollectCounter("incdb_prep_cache_invalidations_total", "Prepared plans dropped by version-guard checks.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.prepStats().Invalidations), sess.name) })
-		})
-	reg.CollectGauge("incdb_prep_cache_entries", "Prepared plans currently cached.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.prepStats().Entries), sess.name) })
-		})
-	reg.CollectCounter("incdb_result_cache_hits_total", "Oracle result cache hits.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.resultStats().Hits), sess.name) })
-		})
-	reg.CollectCounter("incdb_result_cache_misses_total", "Oracle result cache misses.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.resultStats().Misses), sess.name) })
-		})
-	reg.CollectGauge("incdb_result_cache_entries", "Oracle results currently cached.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) { emit(float64(sess.resultStats().Entries), sess.name) })
-		})
+	}
+	sessSeries(reg.CollectCounter, "incdb_session_queries_total", "Queries served per session.",
+		func(sess *session) float64 { return float64(sess.queries.Load()) })
+	sessSeries(reg.CollectCounter, "incdb_prep_cache_hits_total", "Prepared-plan cache hits.",
+		func(sess *session) float64 { return float64(sess.prep.Stats().Hits) })
+	sessSeries(reg.CollectCounter, "incdb_prep_cache_misses_total", "Prepared-plan cache misses.",
+		func(sess *session) float64 { return float64(sess.prep.Stats().Misses) })
+	sessSeries(reg.CollectCounter, "incdb_prep_cache_invalidations_total", "Prepared plans dropped by version-guard checks.",
+		func(sess *session) float64 { return float64(sess.prep.Stats().Invalidations) })
+	sessSeries(reg.CollectGauge, "incdb_prep_cache_entries", "Prepared plans currently cached.",
+		func(sess *session) float64 { return float64(sess.prep.Stats().Entries) })
+	sessSeries(reg.CollectCounter, "incdb_result_cache_hits_total", "Oracle result cache hits.",
+		func(sess *session) float64 { return float64(sess.results.stats().Hits) })
+	sessSeries(reg.CollectCounter, "incdb_result_cache_misses_total", "Oracle result cache misses.",
+		func(sess *session) float64 { return float64(sess.results.stats().Misses) })
+	sessSeries(reg.CollectGauge, "incdb_result_cache_entries", "Oracle results currently cached.",
+		func(sess *session) float64 { return float64(sess.results.stats().Entries) })
 
 	// Durable state per session, from the same SessionLog.Stats() atomics.
-	walGauge := func(name, help string, f func(store.Durability) float64) {
-		reg.CollectGauge(name, help, []string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) {
+	walSeries := func(register collector, name, help string, f func(store.Durability) float64) {
+		register(name, help, []string{"session"}, func(emit func(float64, ...string)) {
+			for _, sess := range s.sessionList() {
 				if sess.log != nil {
 					emit(f(sess.log.Stats()), sess.name)
 				}
-			})
+			}
 		})
 	}
-	walGauge("incdb_wal_seq", "Last assigned WAL sequence number.",
+	walSeries(reg.CollectGauge, "incdb_wal_seq", "Last assigned WAL sequence number.",
 		func(d store.Durability) float64 { return float64(d.Seq) })
-	walGauge("incdb_wal_durable_seq", "Last fsync'd WAL sequence number.",
+	walSeries(reg.CollectGauge, "incdb_wal_durable_seq", "Last fsync'd WAL sequence number.",
 		func(d store.Durability) float64 { return float64(d.DurableSeq) })
-	walGauge("incdb_wal_snapshot_seq", "Last WAL sequence number covered by the on-disk snapshot.",
+	walSeries(reg.CollectGauge, "incdb_wal_snapshot_seq", "Last WAL sequence number covered by the on-disk snapshot.",
 		func(d store.Durability) float64 { return float64(d.SnapshotSeq) })
-	walGauge("incdb_wal_bytes", "Current WAL file size.",
+	walSeries(reg.CollectGauge, "incdb_wal_bytes", "Current WAL file size.",
 		func(d store.Durability) float64 { return float64(d.WalBytes) })
-	walGauge("incdb_wal_records", "Records in the WAL since the last compaction.",
+	walSeries(reg.CollectGauge, "incdb_wal_records", "Records in the WAL since the last compaction.",
 		func(d store.Durability) float64 { return float64(d.WalRecords) })
-	walGauge("incdb_wal_failed", "1 after a fail-stopped WAL (write/fsync error).",
+	walSeries(reg.CollectGauge, "incdb_wal_failed", "1 after a fail-stopped WAL (write/fsync error).",
 		func(d store.Durability) float64 { return b2f(d.Failed) })
-	reg.CollectCounter("incdb_wal_syncs_total", "Fsyncs issued (records/syncs = group-commit ratio).",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			s.eachSession(func(sess *session) {
-				if sess.log != nil {
-					emit(float64(sess.log.Stats().Syncs), sess.name)
-				}
-			})
-		})
+	walSeries(reg.CollectCounter, "incdb_wal_syncs_total", "Fsyncs issued (records/syncs = group-commit ratio).",
+		func(d store.Durability) float64 { return float64(d.Syncs) })
 
 	// Replication lag, present only while following: the seq delta against
 	// the primary's last reported position, and how long since anything was
 	// applied — the pair the Failover runbook watches during promotion.
-	replGauge := func(name, help string, f func(fs *followState) float64) {
-		reg.CollectGauge(name, help, []string{"session"}, func(emit func(float64, ...string)) {
-			repl := s.repl.Load()
-			if repl == nil {
-				return
-			}
-			for _, fs := range repl.followStates() {
-				emit(f(fs), fs.name)
+	replSeries := func(register collector, name, help string, f func(fs *followState) float64) {
+		register(name, help, []string{"session"}, func(emit func(float64, ...string)) {
+			if repl := s.repl.Load(); repl != nil {
+				for _, fs := range repl.followStates() {
+					emit(f(fs), fs.name)
+				}
 			}
 		})
 	}
-	replGauge("incdb_replica_applied_seq", "Last primary WAL sequence number applied locally.",
+	replSeries(reg.CollectGauge, "incdb_replica_applied_seq", "Last primary WAL sequence number applied locally.",
 		func(fs *followState) float64 { return float64(fs.applied.Load()) })
-	replGauge("incdb_replica_lag_seq", "Primary's reported WAL position minus the locally applied one.",
+	replSeries(reg.CollectGauge, "incdb_replica_lag_seq", "Primary's reported WAL position minus the locally applied one.",
 		func(fs *followState) float64 {
 			ps, ap := fs.primarySeq.Load(), fs.applied.Load()
 			if ps <= ap {
@@ -195,7 +183,7 @@ func newMetrics(s *Server) *metrics {
 			}
 			return float64(ps - ap)
 		})
-	replGauge("incdb_replica_seconds_since_apply", "Seconds since the last applied record or bootstrap.",
+	replSeries(reg.CollectGauge, "incdb_replica_seconds_since_apply", "Seconds since the last applied record or bootstrap.",
 		func(fs *followState) float64 {
 			ns := fs.lastApplied.Load()
 			if ns == 0 {
@@ -203,22 +191,10 @@ func newMetrics(s *Server) *metrics {
 			}
 			return time.Since(time.Unix(0, ns)).Seconds()
 		})
-	reg.CollectCounter("incdb_replica_bootstraps_total", "Snapshot re-bootstraps since this process started.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			if repl := s.repl.Load(); repl != nil {
-				for _, fs := range repl.followStates() {
-					emit(float64(fs.bootstraps.Load()), fs.name)
-				}
-			}
-		})
-	reg.CollectCounter("incdb_replica_frames_total", "WAL frames applied from the primary.",
-		[]string{"session"}, func(emit func(float64, ...string)) {
-			if repl := s.repl.Load(); repl != nil {
-				for _, fs := range repl.followStates() {
-					emit(float64(fs.frames.Load()), fs.name)
-				}
-			}
-		})
+	replSeries(reg.CollectCounter, "incdb_replica_bootstraps_total", "Snapshot re-bootstraps since this process started.",
+		func(fs *followState) float64 { return float64(fs.bootstraps.Load()) })
+	replSeries(reg.CollectCounter, "incdb_replica_frames_total", "WAL frames applied from the primary.",
+		func(fs *followState) float64 { return float64(fs.frames.Load()) })
 	return m
 }
 
@@ -227,47 +203,6 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// eachSession visits the sessions in name order (scrape-time iteration for
-// the collectors; the registry sorts series anyway, but deterministic
-// iteration keeps lock hold times predictable).
-func (s *Server) eachSession(f func(*session)) {
-	s.mu.RLock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.RUnlock()
-	for _, sess := range sessions {
-		f(sess)
-	}
-}
-
-// prepStats and resultStats snapshot a session's cache counters under the
-// session read lock (the caches themselves are swapped on replace loads).
-func (sess *session) prepStats() plan.CacheStats {
-	sess.mu.RLock()
-	defer sess.mu.RUnlock()
-	return sess.prep.Stats()
-}
-
-func (sess *session) resultStats() api.ResultCacheStats {
-	sess.mu.RLock()
-	defer sess.mu.RUnlock()
-	return sess.results.stats()
-}
-
-// followStates returns the replicator's per-session progress, for the
-// scrape-time lag collectors.
-func (r *replicator) followStates() []*followState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*followState, 0, len(r.sessions))
-	for _, fs := range r.sessions {
-		out = append(out, fs)
-	}
-	return out
 }
 
 // handleMetrics serves GET /v1/metrics in the Prometheus text exposition

@@ -2,234 +2,273 @@ package server
 
 import (
 	"context"
-	"fmt"
+	"errors"
+	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"incdb/internal/algebra"
 	"incdb/internal/api"
 	"incdb/internal/certain"
 	"incdb/internal/core"
-	"incdb/internal/ctable"
-	"incdb/internal/engine"
+	"incdb/internal/obs"
 	"incdb/internal/plan"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/store"
-	"incdb/internal/translate"
 	"incdb/internal/value"
 )
 
-// ctableStrategies maps the ctable-* procedure names.
-var ctableStrategies = map[string]ctable.Strategy{
-	"ctable-eager": ctable.Eager,
-	"ctable-semi":  ctable.SemiEager,
-	"ctable-lazy":  ctable.Lazy,
-	"ctable-aware": ctable.Aware,
-}
-
-// Procs lists every evaluation procedure /v1/query accepts, in display
-// order. It is the single source the evaluate dispatch, the error message
-// and the incdbctl client's command recognition all derive from.
-func Procs() []string {
-	return []string{"sql", "naive", "cert", "inter", "plus", "poss",
-		"ctable-eager", "ctable-semi", "ctable-lazy", "ctable-aware"}
-}
-
-// KnownProc reports whether name is an accepted procedure.
-func KnownProc(name string) bool {
-	switch name {
-	case "sql", "naive", "cert", "inter", "plus", "poss":
-		return true
+// servedProc resolves a request's proc field (empty means sql) against the
+// procedure table.
+func servedProc(name string) (*core.Proc, *api.Error) {
+	if name == "" {
+		name = "sql"
 	}
-	_, ok := ctableStrategies[name]
-	return ok
-}
-
-func procName(proc string) string {
-	if proc == "" {
-		return "sql"
+	if p := core.Lookup(name); p != nil && p.Served {
+		return p, nil
 	}
-	return proc
-}
-
-// evaluate runs one query request against the session database. The caller
-// holds the session read lock; every path below is read-only on the
-// database and shares the session's prepared-plan cache, so concurrent
-// requests reuse each other's prepared state. tr accumulates execution
-// counters (worlds enumerated, frozen-part reuse) across every plan the
-// request runs — the oracle paths hand it to their per-world evaluations
-// via Options.Trace; the ctable strategies keep their own machinery and
-// contribute nothing. Results are identical with tr nil. ctx cancels the
-// oracles' enumeration: they return its error.
-func (s *Server) evaluate(ctx context.Context, sess *session, req *api.QueryRequest, tr *plan.Trace) ([]api.Resultset, error) {
-	q, err := raparse.ParseQuery(req.Query)
-	if err != nil {
-		return nil, err
-	}
-	if err := algebra.Validate(q, sess.db); err != nil {
-		return nil, err
-	}
-	db := sess.db
-	proc := procName(req.Proc)
-	certOpts := certain.Options{
-		MaxWorlds: req.MaxWorlds,
-		Workers:   s.opts.Workers,
-		Prep:      sess.prep,
-		Trace:     tr,
-		Ctx:       ctx,
-	}
-	if certOpts.MaxWorlds <= 0 {
-		certOpts.MaxWorlds = s.opts.MaxWorlds
-	}
-
-	one := func(name string, r *relation.Relation) []api.Resultset {
-		return []api.Resultset{resultset(name, r)}
-	}
-	// direct evaluates q (or a rewriting of it) through the session's
-	// prepared-plan cache: the base database is its own world under the
-	// identity valuation, so Prepared.Exec(db) matches a fresh evaluation
-	// while reusing every frozen part across requests.
-	direct := func(e algebra.Expr, mode algebra.Mode, bag bool) *relation.Relation {
-		return sess.prep.Get(db, e, mode, bag).ExecTraced(db, tr)
-	}
-
-	switch proc {
-	case "sql":
-		return one(proc, direct(q, algebra.ModeSQL, req.Bag)), nil
-	case "naive":
-		return one(proc, direct(q, algebra.ModeNaive, req.Bag)), nil
-	case "cert":
-		r, err := certain.WithNulls(db, q, certOpts)
-		if err != nil {
-			return nil, err
+	var served []string
+	for _, p := range core.Procs {
+		if p.Served {
+			served = append(served, p.Name)
 		}
-		return one("cert⊥", r), nil
-	case "inter":
-		r, err := certain.Intersection(db, q, certOpts)
-		if err != nil {
-			return nil, err
-		}
-		return one("cert∩", r), nil
-	case "plus", "poss":
-		r, err := approx(db, q, proc, direct)
-		if err != nil {
-			return nil, err
-		}
-		name := "Q+"
-		if proc == "poss" {
-			name = "Q?"
-		}
-		return one(name, r), nil
-	default:
-		strat, ok := ctableStrategies[proc]
-		if !ok {
-			return nil, fmt.Errorf("unknown proc %q (want one of %s)", req.Proc, strings.Join(Procs(), ", "))
-		}
-		cpart, ppart, err := core.CTableAnswersWith(db, q, strat, engine.Options{Workers: s.opts.Workers})
-		if err != nil {
-			return nil, err
-		}
-		return []api.Resultset{resultset("certain", cpart), resultset("possible", ppart)}, nil
 	}
+	return nil, api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery,
+		"unknown proc %q (want one of %s)", name, strings.Join(served, ", "))
 }
 
-// approx evaluates the Figure 2(b) rewritings through the prepared cache:
-// Q⁺ and Q? are plain naive evaluations of rewritten queries, so they reuse
-// frozen parts exactly like sql/naive do.
-func approx(db *relation.Database, q algebra.Expr, proc string,
-	direct func(algebra.Expr, algebra.Mode, bool) *relation.Relation) (*relation.Relation, error) {
-	plus, poss, err := translate.Fig2b(q)
-	if err != nil {
-		return nil, err
-	}
-	rew := plus
-	if proc == "poss" {
-		rew = poss
-	}
-	return direct(rew, algebra.ModeNaive, false), nil
-}
-
-// prepProcs are the procedures whose evaluation flows through the
-// session's prepared-plan cache (the ctable strategies keep their own row
-// machinery): exactly the ones worth recording as warm keys for recovery.
-var prepProcs = map[string]bool{
-	"sql": true, "naive": true, "cert": true, "inter": true, "plus": true, "poss": true,
-}
-
-// recordWarm notes a successfully served query in the session's warm set;
-// durable snapshots persist the set so recovery re-prepares the working
-// set before the first request.
-func (s *Server) recordWarm(sess *session, req *api.QueryRequest) {
-	proc := procName(req.Proc)
-	if !prepProcs[proc] {
+// handleQuery is the read pipeline, one stage after another, each wrapped
+// once for its span:
+//
+//	decode → resolve session → consistency wait → result_cache.lookup
+//	       → admission.wait → evaluate (parse, validate, core.Run) → finish
+//
+// A result-cache hit skips the two middle stages: it is keyed on the raw
+// request text, so it parses nothing and takes no evaluation slot.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req api.QueryRequest
+	if aerr := decode(w, r, &req, false); aerr != nil {
+		s.fail(w, aerr)
 		return
 	}
-	sess.warm.record(store.WarmKey{Query: req.Query, Proc: proc, Bag: req.Bag})
+	proc, aerr := servedProc(req.Proc)
+	if aerr != nil {
+		s.fail(w, aerr)
+		return
+	}
+	sess, aerr := s.resolve(r)
+	if aerr != nil {
+		s.fail(w, aerr)
+		return
+	}
+	// Reads are served even by a fenced server, but the client's observed
+	// epoch still folds in: a stale primary learns of its successor from
+	// the first request that has seen one.
+	s.observeEpoch(req.Epoch)
+	if aerr := s.waitCovered(r.Context(), sess, req.ReadAfter); aerr != nil {
+		s.fail(w, aerr)
+		return
+	}
+	start := time.Now()
+	sp := obs.SpanFromContext(r.Context())
+	resp := api.QueryResponse{Session: sess.name, Proc: proc.Name, Query: req.Query}
+
+	// A byte-identical repeated request against an unchanged version vector
+	// is answered from the result cache — O(1) regardless of what the query
+	// costs to evaluate.
+	csp := sp.StartChild("result_cache.lookup")
+	sess.mu.RLock()
+	resp.Versions = sess.db.Versions()
+	resp.Results, resp.Cached = sess.results.get(resultKey(&req, proc.Name, resp.Versions))
+	sess.mu.RUnlock()
+	csp.Attr("hit", strconv.FormatBool(resp.Cached))
+	csp.End()
+
+	slowPlan := ""
+	if !resp.Cached {
+		if aerr := s.acquire(r.Context()); aerr != nil {
+			s.fail(w, aerr)
+			return
+		}
+		defer s.release()
+		if slowPlan, aerr = s.evaluate(r.Context(), sess, proc, &req, start, &resp); aerr != nil {
+			s.fail(w, aerr)
+			return
+		}
+		s.obs.queryWorlds.Observe(float64(resp.Worlds))
+		s.obs.worlds.Add(uint64(resp.Worlds))
+		s.obs.frozenReuse.Add(uint64(resp.FrozenReuse))
+	}
+
+	// Finish, the same for cached and evaluated answers.
+	sess.queries.Add(1)
+	if proc.Plan != nil {
+		// The plan-backed procedures are the ones worth re-preparing after a
+		// recovery: durable snapshots persist the set.
+		sess.warm.record(store.WarmKey{Query: req.Query, Proc: proc.Name, Bag: req.Bag})
+	}
+	elapsed := time.Since(start)
+	resp.ElapsedMs = float64(elapsed.Microseconds()) / 1000
+	resp.Epoch = s.epoch.Load()
+	resp.TraceID = sp.ExemplarRef()
+	s.obs.queries.With(proc.Name, sess.name).Inc()
+	// Cache hits are real served latency: they land in the histogram under
+	// cache="hit" so `incdbctl top` quantiles reflect what clients actually
+	// experienced, not just evaluation cost.
+	cache := "miss"
+	if resp.Cached {
+		cache = "hit"
+	}
+	s.obs.queryLatency.With(proc.Name, sess.name, cache).ObserveExemplar(elapsed.Seconds(), resp.TraceID)
+	if slowPlan != "" {
+		s.logSlow(r, &resp, slowPlan)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// warmSession re-prepares the recorded warm keys against the session's
-// current database, mirroring exactly the prep.Get calls each procedure's
-// evaluation performs — so the first post-recovery request finds the same
-// cache state a warmed-up server would have. Best effort: keys that no
-// longer parse or validate (the schema may have moved past them) are
-// skipped.
-func (s *Server) warmSession(sess *session, keys []store.WarmKey) {
+// parsed runs f on the parsed query text, validated against the session
+// database, under the session read lock — the lock every evaluation,
+// explain and warm-up holds, so they always see one consistent database
+// and cache guards are checked against it.
+func (sess *session) parsed(text string, f func(q algebra.Expr) error) error {
 	sess.mu.RLock()
 	defer sess.mu.RUnlock()
-	for _, k := range keys {
-		q, err := raparse.ParseQuery(k.Query)
+	q, err := raparse.ParseQuery(text)
+	if err != nil {
+		return err
+	}
+	if err := algebra.Validate(q, sess.db); err != nil {
+		return err
+	}
+	return f(q)
+}
+
+// evaluate is the pipeline's evaluation stage: core.Run on the session
+// database through the session's prepared-plan cache (so concurrent
+// requests reuse each other's prepared state), filling resp and storing the
+// answer in the result cache under the vector it was computed at — which
+// may have moved since the lookup stage. The request context cancels the
+// oracles' enumeration. The returned string is the optimized logical
+// expression, rendered only when evaluation ran past -slow-query.
+func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, req *api.QueryRequest, start time.Time, resp *api.QueryResponse) (slowPlan string, aerr *api.Error) {
+	sp := obs.SpanFromContext(ctx)
+	esp := sp.StartChild("evaluate")
+	defer esp.End()
+	esp.Attr("proc", proc.Name)
+	// The trace rides along every evaluation: its counters (worlds
+	// enumerated, frozen-part reuse) are two atomic adds per plan
+	// execution, cheap enough to keep always on. Per-node detail is
+	// opt-in per request (trace_detail on a sampled trace): the traced
+	// stream never reorders or buffers batches, so results are
+	// byte-identical either way.
+	tr := plan.NewTrace(req.TraceDetail && sp.Sampled())
+	opts := certain.Options{MaxWorlds: req.MaxWorlds, Workers: s.opts.Workers, Trace: tr}
+	if opts.MaxWorlds <= 0 {
+		opts.MaxWorlds = s.opts.MaxWorlds
+	}
+	evalStart := time.Now()
+	err := sess.parsed(req.Query, func(q algebra.Expr) error {
+		opts.Prep = sess.prep
+		resp.Versions = sess.db.Versions()
+		var rels []*relation.Relation
+		var err error
+		// pprof labels segment -pprof-addr CPU profiles by workload; the
+		// trace ID lets a profile sample be joined back to its trace.
+		pprof.Do(ctx, pprof.Labels("session", sess.name, "proc", proc.Name, "trace_id", sp.TraceID()),
+			func(ctx context.Context) {
+				opts.Ctx = ctx
+				rels, err = core.Run(proc, sess.db, q, req.Bag, opts)
+			})
 		if err != nil {
-			continue
+			return err
 		}
-		if err := algebra.Validate(q, sess.db); err != nil {
-			continue
+		resp.Results = make([]api.Resultset, len(rels))
+		for i, r := range rels {
+			resp.Results[i] = resultset(proc.Labels[i], r)
 		}
-		switch k.Proc {
-		case "sql":
-			sess.prep.Get(sess.db, q, algebra.ModeSQL, k.Bag)
-		case "naive":
-			sess.prep.Get(sess.db, q, algebra.ModeNaive, k.Bag)
-		case "cert", "inter":
-			// The oracles evaluate per world through a ModeNaive set-
-			// semantics prepared plan.
-			sess.prep.Get(sess.db, q, algebra.ModeNaive, false)
-		case "plus", "poss":
-			plusQ, possQ, err := translate.Fig2b(q)
-			if err != nil {
-				continue
-			}
-			rew := plusQ
-			if k.Proc == "poss" {
-				rew = possQ
-			}
-			sess.prep.Get(sess.db, rew, algebra.ModeNaive, false)
+		sess.results.put(resultKey(req, proc.Name, resp.Versions), resp.Results)
+		if s.opts.SlowQuery > 0 && time.Since(start) >= s.opts.SlowQuery {
+			slowPlan = plan.OptimizedFor(q, sess.db).String()
+		}
+		return nil
+	})
+	resp.Worlds, resp.FrozenReuse = tr.Execs.Load(), tr.FrozenReuse.Load()
+	if err != nil {
+		esp.SetError(err.Error())
+		if cause := ctx.Err(); cause != nil && errors.Is(err, cause) {
+			// The client is gone or out of time: the enumeration stopped
+			// at its next poll and the caller's release frees the slot.
+			s.obs.cancelled.Inc()
+			return "", api.Errorf(statusClientClosedRequest, api.CodeRequestCancelled,
+				"query abandoned after %d worlds: %v", resp.Worlds, err)
+		}
+		return "", api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err)
+	}
+	esp.Attr("worlds", strconv.FormatInt(resp.Worlds, 10))
+	s.spanPlanNodes(esp, tr, evalStart)
+	return slowPlan, nil
+}
+
+// warmSession adopts warm keys a snapshot carried (oldest first) and
+// re-prepares them against the session's current database through the same
+// table rows evaluation runs (core.Warm), so the first request after a
+// recovery, restore or bootstrap finds the cache state a warmed-up server
+// would have. Best effort: keys that no longer parse, validate or translate
+// (the schema may have moved past them) are skipped.
+func (s *Server) warmSession(sess *session, keys []store.WarmKey) {
+	for _, k := range keys {
+		sess.warm.record(k)
+		if p := core.Lookup(k.Proc); p != nil {
+			_ = sess.parsed(k.Query, func(q algebra.Expr) error {
+				return core.Warm(p, sess.db, q, k.Bag, sess.prep)
+			})
 		}
 	}
 }
 
-// explain renders the plan for the request's query; the caller holds the
-// session read lock. The structured form comes from the same rendering
-// path incdbctl explain uses (plan.Describe), drawing prepared state from
-// the session's cache: the frozen/Δ/barrier markers reflect exactly the
-// Prepared a subsequent query will reuse, and explaining warms the cache
-// for it.
-func (s *Server) explain(sess *session, req *api.ExplainRequest) (*plan.ExplainInfo, error) {
-	q, err := raparse.ParseQuery(req.Query)
-	if err != nil {
-		return nil, err
+// handleExplain renders the plan for the request's query through the same
+// resolve, admission and read-lock stages a query takes. The structured
+// form comes from the same rendering path incdbctl explain uses
+// (plan.Describe), drawing prepared state from the session's cache: the
+// frozen/Δ/barrier markers reflect exactly the Prepared a subsequent query
+// will reuse, and explaining warms the cache for it.
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	var req api.ExplainRequest
+	if aerr := decode(w, r, &req, false); aerr != nil {
+		s.fail(w, aerr)
+		return
 	}
-	if err := algebra.Validate(q, sess.db); err != nil {
-		return nil, err
+	sess, aerr := s.resolve(r)
+	if aerr != nil {
+		s.fail(w, aerr)
+		return
 	}
+	if aerr := s.acquire(r.Context()); aerr != nil {
+		s.fail(w, aerr)
+		return
+	}
+	defer s.release()
 	mode := algebra.ModeNaive
 	if req.SQL {
 		mode = algebra.ModeSQL
 	}
-	if req.Analyze {
-		return plan.DescribeAnalyze(q, sess.db, mode, req.Bag, sess.db, sess.prep), nil
+	var info *plan.ExplainInfo
+	err := sess.parsed(req.Query, func(q algebra.Expr) error {
+		if req.Analyze {
+			info = plan.DescribeAnalyze(q, sess.db, mode, req.Bag, sess.db, sess.prep)
+		} else {
+			info = plan.DescribeCached(q, sess.db, mode, req.Bag, sess.db, sess.prep)
+		}
+		return nil
+	})
+	if err != nil {
+		s.fail(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err))
+		return
 	}
-	return plan.DescribeCached(q, sess.db, mode, req.Bag, sess.db, sess.prep), nil
+	writeJSON(w, http.StatusOK, api.ExplainResponse{Session: sess.name, Plan: info, Text: info.Text()})
 }
 
 // resultset renders a relation for the wire: deterministic row order,

@@ -15,7 +15,6 @@ import (
 
 	"incdb/internal/api"
 	"incdb/internal/obs"
-	"incdb/internal/plan"
 	"incdb/internal/store"
 )
 
@@ -97,14 +96,8 @@ func (s *Server) StartFollow(ctx context.Context, primary string) {
 	s.repl.Store(r)
 	// Sessions recovered from the replica's own data directory resume
 	// immediately; discovery adds the ones it has not seen yet.
-	s.mu.RLock()
-	var names []string
-	for name := range s.sessions {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	for _, name := range names {
-		r.ensureFollow(fctx, name)
+	for _, sess := range s.sessionList() {
+		r.ensureFollow(fctx, sess.name)
 	}
 	r.wg.Add(1)
 	go func() {
@@ -113,12 +106,16 @@ func (s *Server) StartFollow(ctx context.Context, primary string) {
 	}()
 }
 
-// Following returns the primary URL when this server is a replica, else "".
-func (s *Server) Following() string {
-	if r := s.repl.Load(); r != nil {
-		return r.primary
+// followStates returns every followed session's progress, sorted by name.
+func (r *replicator) followStates() []*followState {
+	r.mu.Lock()
+	states := make([]*followState, 0, len(r.sessions))
+	for _, fs := range r.sessions {
+		states = append(states, fs)
 	}
-	return ""
+	r.mu.Unlock()
+	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
+	return states
 }
 
 // stop cancels replication and waits for every loop and in-flight mirror
@@ -136,14 +133,7 @@ func (r *replicator) stop() {
 // never shipped are invisible here (promotion with force accepts their
 // loss).
 func (r *replicator) lag() string {
-	r.mu.Lock()
-	states := make([]*followState, 0, len(r.sessions))
-	for _, fs := range r.sessions {
-		states = append(states, fs)
-	}
-	r.mu.Unlock()
-	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
-	for _, fs := range states {
+	for _, fs := range r.followStates() {
 		if st := fs.state.Load().(string); st != "tailing" {
 			return fmt.Sprintf("session %q is %s", fs.name, st)
 		}
@@ -265,22 +255,17 @@ func (r *replicator) followOnce(ctx context.Context, fs *followState) error {
 		// The mirrored WAL compacts on the replica's own threshold, so a
 		// long-lived follower's disk usage tracks the primary's.
 		r.s.snapshotIfNeeded(sess)
-		backoffReset(fs)
+		fs.lastErr.Store("") // progress: the caller-side error accounting clears
 		return nil
 	})
 	var aerr *api.Error
-	if errors.As(err, &aerr) && aerr.Code == api.CodeWALGap {
-		// Our position was compacted away: start over from a snapshot.
-		return r.bootstrap(ctx, c, fs, sess)
-	}
-	if errors.Is(err, errDiverged) {
+	if errors.Is(err, errDiverged) || (errors.As(err, &aerr) && aerr.Code == api.CodeWALGap) {
+		// We diverged, or our position was compacted away: start over from a
+		// snapshot.
 		return r.bootstrap(ctx, c, fs, sess)
 	}
 	return err
 }
-
-// backoffReset marks progress so the caller-side error accounting clears.
-func backoffReset(fs *followState) { fs.lastErr.Store("") }
 
 // bootstrap fetches a consistent snapshot from the primary and installs it
 // wholesale: database, null identities, version vector, warm plan keys and
@@ -315,12 +300,10 @@ func (r *replicator) bootstrap(ctx context.Context, c *Client, fs *followState, 
 	}
 	r.s.observeEpoch(snap.Epoch)
 	sess.logMu.Lock()
-	sess.mu.Lock()
-	sess.db = db
-	sess.prep = plan.NewPrepCache(r.s.opts.CacheCap)
-	sess.results = newResultCache(r.s.opts.ResultCacheCap)
-	sess.bumpVector()
-	sess.mu.Unlock()
+	_ = sess.mutate(func() error { // install cannot fail
+		sess.install(db)
+		return nil
+	})
 	sess.replSeq.Store(snap.Seq)
 	var ierr error
 	if sess.log != nil {
@@ -330,7 +313,6 @@ func (r *replicator) bootstrap(ctx context.Context, c *Client, fs *followState, 
 	if ierr != nil {
 		return fmt.Errorf("bootstrap %q: install snapshot: %w", fs.name, ierr)
 	}
-	sess.warm.seed(snap.Warm)
 	r.s.warmSession(sess, snap.Warm)
 	fs.applied.Store(snap.Seq)
 	fs.lastApplied.Store(time.Now().UnixNano())
@@ -370,26 +352,24 @@ func (r *replicator) apply(fs *followState, sess *session, rec *store.Record) er
 		}
 	}
 	defer sp.End()
-	sess.mu.Lock()
-	if err := store.ApplyRecord(sess.db, rec); err != nil {
-		sess.mu.Unlock()
-		return fmt.Errorf("%w: apply seq %d: %v", errDiverged, rec.Seq, err)
+	err := sess.mutate(func() error {
+		if err := store.ApplyRecord(sess.db, rec); err != nil {
+			return fmt.Errorf("%w: apply seq %d: %v", errDiverged, rec.Seq, err)
+		}
+		if vec := sess.db.Versions(); !store.VersionsEqual(vec, rec.Versions) {
+			return fmt.Errorf("%w: seq %d replayed vector %v, primary logged %v",
+				errDiverged, rec.Seq, vec, rec.Versions)
+		}
+		if rec.Op != store.OpAppend {
+			// ApplyRecord rebuilt the database in place: install it as the
+			// primary's commit installs a replacement.
+			sess.install(sess.db)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if !store.VersionsEqual(sess.db.Versions(), rec.Versions) {
-		vec := sess.db.Versions()
-		sess.mu.Unlock()
-		return fmt.Errorf("%w: seq %d replayed vector %v, primary logged %v",
-			errDiverged, rec.Seq, vec, rec.Versions)
-	}
-	if rec.Op != store.OpAppend {
-		// Replace and restore reset the relations' version counters; the
-		// caches could otherwise serve entries keyed by colliding vectors
-		// (the same rule the primary's commitReplace applies).
-		sess.prep = plan.NewPrepCache(r.s.opts.CacheCap)
-		sess.results = newResultCache(r.s.opts.ResultCacheCap)
-	}
-	sess.bumpVector()
-	sess.mu.Unlock()
 	if sess.log != nil {
 		if err := sess.log.BufferRecord(rec); err != nil {
 			return fmt.Errorf("%w: mirror seq %d: %v", errDiverged, rec.Seq, err)
@@ -427,15 +407,8 @@ func (r *replicator) syncOne(fs *followState, sess *session) {
 
 // status renders the replication section of the status response.
 func (r *replicator) status() *api.ReplicationStatus {
-	r.mu.Lock()
-	states := make([]*followState, 0, len(r.sessions))
-	for _, fs := range r.sessions {
-		states = append(states, fs)
-	}
-	r.mu.Unlock()
-	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
 	out := &api.ReplicationStatus{Primary: r.primary}
-	for _, fs := range states {
+	for _, fs := range r.followStates() {
 		out.Sessions = append(out.Sessions, api.ReplicaSession{
 			Session:    fs.name,
 			State:      fs.state.Load().(string),

@@ -10,8 +10,6 @@ import (
 
 	"incdb/internal/api"
 	"incdb/internal/obs"
-	"incdb/internal/plan"
-	"incdb/internal/raparse"
 )
 
 // ridKey is the context key the request-ID middleware stores the ID under.
@@ -114,30 +112,17 @@ func requestID(ctx context.Context) string {
 // ID when the request is traced), what (proc, query text, optimized-plan
 // summary), and where the time went (elapsed, worlds enumerated, frozen
 // reuse). Cache hits never get here — they are O(1) by construction.
-func (s *Server) logSlow(r *http.Request, sess *session, req *api.QueryRequest,
-	elapsed time.Duration, worlds, frozen int64) {
-	if s.opts.SlowQuery <= 0 || elapsed < s.opts.SlowQuery {
-		return
-	}
+func (s *Server) logSlow(r *http.Request, resp *api.QueryResponse, plan string) {
 	s.obs.slowQueries.Inc()
-	// The plan summary is the optimized logical expression — one line,
-	// derived from the same cached rewriting evaluation used. Best effort:
-	// computed only now that we know the query was slow.
-	summary := ""
-	if q, err := raparse.ParseQuery(req.Query); err == nil {
-		sess.mu.RLock()
-		summary = plan.OptimizedFor(q, sess.db).String()
-		sess.mu.RUnlock()
-	}
 	s.logger.Warn("slow query",
 		"request_id", requestID(r.Context()),
 		"trace_id", obs.SpanFromContext(r.Context()).TraceID(),
-		"session", sess.name,
-		"proc", procName(req.Proc),
-		"elapsed_ms", float64(elapsed.Microseconds())/1000,
-		"worlds", worlds,
-		"frozen_reuse", frozen,
-		"query", req.Query,
-		"plan", summary,
+		"session", resp.Session,
+		"proc", resp.Proc,
+		"elapsed_ms", resp.ElapsedMs,
+		"worlds", resp.Worlds,
+		"frozen_reuse", resp.FrozenReuse,
+		"query", resp.Query,
+		"plan", plan,
 	)
 }

@@ -1,15 +1,14 @@
 package server
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"incdb/internal/api"
 	"incdb/internal/lru"
-	"incdb/internal/relation"
 	"incdb/internal/store"
 )
 
@@ -26,8 +25,6 @@ import (
 // restart their counters), so the server discards the whole cache on
 // replace — the same rule the prepared-plan cache follows.
 type resultCache struct {
-	capacity int
-
 	mu      sync.Mutex
 	entries map[string][]api.Resultset
 	order   lru.Order
@@ -36,30 +33,35 @@ type resultCache struct {
 	misses atomic.Uint64
 }
 
-// defaultResultCacheCap bounds a cache constructed with capacity <= 0.
+// defaultResultCacheCap is every session's result cache capacity.
 const defaultResultCacheCap = 256
 
-func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		capacity = defaultResultCacheCap
-	}
-	return &resultCache{capacity: capacity, entries: map[string][]api.Resultset{}}
+func newResultCache() *resultCache {
+	return &resultCache{entries: map[string][]api.Resultset{}}
 }
 
 // resultKey builds the cache key for one request against the session's
-// current database. The caller holds the session read lock (the version
-// vector must be consistent with the evaluation that follows).
-func resultKey(req *api.QueryRequest, db *relation.Database) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%t|%d", req.Query, procName(req.Proc), req.Bag, req.MaxWorlds)
-	versions := db.Versions()
+// version vector, which the caller read under the same session read lock
+// as the lookup or evaluation the key is for.
+func resultKey(req *api.QueryRequest, proc string, versions map[string]uint64) string {
 	names := make([]string, 0, len(versions))
 	for name := range versions {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(req.Query)
+	b.WriteByte('|')
+	b.WriteString(proc)
+	b.WriteByte('|')
+	b.WriteString(strconv.FormatBool(req.Bag))
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(req.MaxWorlds))
 	for _, name := range names {
-		fmt.Fprintf(&b, "|%s:%d", name, versions[name])
+		b.WriteByte('|')
+		b.WriteString(name)
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatUint(versions[name], 10))
 	}
 	return b.String()
 }
@@ -83,7 +85,7 @@ func (c *resultCache) put(key string, rs []api.Resultset) {
 	c.mu.Lock()
 	c.entries[key] = rs
 	c.order.Touch(key)
-	for len(c.entries) > c.capacity {
+	for len(c.entries) > defaultResultCacheCap {
 		oldest := c.order.Oldest()
 		delete(c.entries, oldest)
 		c.order.Remove(oldest)
@@ -104,14 +106,11 @@ func (c *resultCache) stats() api.ResultCacheStats {
 // working set before the first request arrives.
 type warmSet struct {
 	mu   sync.Mutex
-	cap  int
 	keys []store.WarmKey
 }
 
 // warmSetCap bounds how many keys a snapshot carries.
 const warmSetCap = 32
-
-func newWarmSet() *warmSet { return &warmSet{cap: warmSetCap} }
 
 func (ws *warmSet) record(k store.WarmKey) {
 	ws.mu.Lock()
@@ -124,15 +123,8 @@ func (ws *warmSet) record(k store.WarmKey) {
 		}
 	}
 	ws.keys = append(ws.keys, k)
-	if len(ws.keys) > ws.cap {
-		ws.keys = append(ws.keys[:0], ws.keys[len(ws.keys)-ws.cap:]...)
-	}
-}
-
-// seed installs recovered keys (oldest first) without touching recency.
-func (ws *warmSet) seed(keys []store.WarmKey) {
-	for _, k := range keys {
-		ws.record(k)
+	if len(ws.keys) > warmSetCap {
+		ws.keys = append(ws.keys[:0], ws.keys[len(ws.keys)-warmSetCap:]...)
 	}
 }
 

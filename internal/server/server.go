@@ -3,13 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
 	"log/slog"
 	"net/http"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,12 +43,6 @@ type Options struct {
 	// MaxWorlds is the default bound on the certainty oracles' valuation
 	// enumeration (0 = certain.DefaultMaxWorlds); a request may override it.
 	MaxWorlds int
-	// CacheCap is each session's prepared-plan cache capacity
-	// (0 = plan.DefaultPrepCacheCap).
-	CacheCap int
-	// ResultCacheCap is each session's oracle result cache capacity
-	// (0 = a server default); see resultCache.
-	ResultCacheCap int
 	// SnapshotBytes is the per-session WAL size beyond which a durable
 	// server snapshots and compacts (0 = store.DefaultSnapshotBytes);
 	// meaningful only after EnableDurability.
@@ -82,9 +74,6 @@ type Options struct {
 	// request arriving with a traceparent header keeps its carried
 	// sampling decision — every server of a fleet agrees on one trace.
 	TraceSample float64
-	// TraceCap bounds the in-memory span ring GET /v1/traces serves from
-	// (spans, not traces; 0 = obs.DefaultSpanCap).
-	TraceCap int
 }
 
 func (o Options) maxInFlight() int {
@@ -179,7 +168,7 @@ type session struct {
 	db      *relation.Database
 	prep    *plan.PrepCache
 	results *resultCache
-	warm    *warmSet
+	warm    warmSet
 
 	// vecCh is closed (and replaced) whenever the version vector advances;
 	// consistency-token waiters block on it. Guarded by mu.
@@ -200,11 +189,34 @@ type session struct {
 	log   *store.SessionLog // nil when the server is memory-only
 }
 
-// bumpVector wakes consistency-token waiters after a mutation advanced the
-// session's version vector. Caller holds the session write lock.
-func (sess *session) bumpVector() {
+// mutate runs apply under the session write lock and, when it succeeds,
+// wakes the consistency-token waiters. Every mutation of a session goes
+// through here — a primary's commit, a replica's bootstrap and each record
+// it applies — so a replica advances its vector by the same code the
+// primary does.
+func (sess *session) mutate(apply func() error) error {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if err := apply(); err != nil {
+		return err
+	}
 	close(sess.vecCh)
 	sess.vecCh = make(chan struct{})
+	return nil
+}
+
+// install makes db the session database and starts both caches afresh.
+// Replacing the database wholesale replaces every relation object, so no
+// cached prepared plan can survive its pointer guard — dropping the cache
+// beats letting stale entries pin the old database's frozen
+// materializations — and fresh relations restart their version counters,
+// so the result cache's vector-embedding keys could otherwise collide with
+// the old database's. Caller holds the write lock (mutate), except while
+// the session is still private to its constructor.
+func (sess *session) install(db *relation.Database) {
+	sess.db = db
+	sess.prep = plan.NewPrepCache(plan.DefaultPrepCacheCap)
+	sess.results = newResultCache()
 }
 
 // New returns a ready-to-serve Server.
@@ -220,24 +232,16 @@ func New(opts Options) *Server {
 		s.logger = slog.Default()
 	}
 	if opts.TraceSample > 0 {
-		s.tracer = obs.NewTracer(opts.TraceSample, opts.TraceCap)
+		s.tracer = obs.NewTracer(opts.TraceSample, obs.DefaultSpanCap)
 	}
 	s.obs = newMetrics(s)
 	s.mux = http.NewServeMux()
-	// Session-scoped routes: the session name lives in the path.
-	s.mux.HandleFunc("POST /v1/sessions/{session}/load", func(w http.ResponseWriter, r *http.Request) {
-		s.handleLoad(w, r, r.PathValue("session"))
-	})
-	s.mux.HandleFunc("POST /v1/sessions/{session}/query", func(w http.ResponseWriter, r *http.Request) {
-		s.handleQuery(w, r, r.PathValue("session"))
-	})
-	s.mux.HandleFunc("POST /v1/sessions/{session}/explain", func(w http.ResponseWriter, r *http.Request) {
-		s.handleExplain(w, r, r.PathValue("session"))
-	})
+	// Every data route is session-scoped: the session name lives in the path.
+	s.mux.HandleFunc("POST /v1/sessions/{session}/load", s.handleLoad)
+	s.mux.HandleFunc("POST /v1/sessions/{session}/query", s.handleQuery)
+	s.mux.HandleFunc("POST /v1/sessions/{session}/explain", s.handleExplain)
 	s.mux.HandleFunc("GET /v1/sessions/{session}/status", s.handleSessionStatus)
-	s.mux.HandleFunc("GET /v1/sessions/{session}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSnapshot(w, r, r.PathValue("session"))
-	})
+	s.mux.HandleFunc("GET /v1/sessions/{session}/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/sessions/{session}/wal", s.handleWAL)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -246,36 +250,19 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	// Legacy flat routes (pre-PR-6 clients): thin shims that read the
-	// session name from the request body or query string and delegate to
-	// the same handlers.
-	s.mux.HandleFunc("POST /v1/load", func(w http.ResponseWriter, r *http.Request) {
-		s.handleLoad(w, r, "")
-	})
-	s.mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		s.handleQuery(w, r, "")
-	})
-	s.mux.HandleFunc("POST /v1/explain", func(w http.ResponseWriter, r *http.Request) {
-		s.handleExplain(w, r, "")
-	})
-	s.mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSnapshot(w, r, r.URL.Query().Get("session"))
-	})
 	s.handler = s.withRequestID(s.mux)
 	return s
 }
 
 // newSession builds an empty session (no database, no log attached).
 func (s *Server) newSession(name string) *session {
-	return &session{
+	sess := &session{
 		name:    name,
 		created: time.Now(),
-		db:      relation.NewDatabase(),
-		prep:    plan.NewPrepCache(s.opts.CacheCap),
-		results: newResultCache(s.opts.ResultCacheCap),
-		warm:    newWarmSet(),
 		vecCh:   make(chan struct{}),
 	}
+	sess.install(relation.NewDatabase())
+	return sess
 }
 
 // EnableDurability attaches a data directory: every session already on
@@ -298,14 +285,11 @@ func (s *Server) EnableDurability(dir string) error {
 		sess.db = rec.DB
 		sess.log = rec.Log
 		sess.replSeq.Store(rec.Log.Seq())
-		sess.warm.seed(rec.Warm)
 		s.sessions[rec.Name] = sess
 		s.warmSession(sess, rec.Warm)
-		// Resume under the highest recovered epoch (direct store, not
-		// observeEpoch: our own history is not evidence of a successor).
-		if rec.Epoch > s.epoch.Load() {
-			s.epoch.Store(rec.Epoch)
-		}
+		// Resume under the highest recovered epoch (not observeEpoch: our
+		// own history is not evidence of a successor).
+		s.raiseEpoch(rec.Epoch)
 		log.Printf("server: recovered session %q (%d relations, wal seq %d, epoch %d) and warmed %d plan(s)",
 			rec.Name, len(rec.DB.Names()), rec.Log.Seq(), rec.Epoch, len(rec.Warm))
 	}
@@ -327,13 +311,18 @@ func (s *Server) role() string {
 	}
 }
 
-// raiseEpoch lifts the server's epoch without the fencing side effect —
-// for deliberate adoption, like an operator-directed snapshot restore.
-func (s *Server) raiseEpoch(e uint64) {
+// raiseEpoch lifts the server's epoch to e when e is higher, reporting the
+// epoch it replaced. On its own it is deliberate adoption without the
+// fencing side effect — an operator-directed snapshot restore, our own
+// recovered history.
+func (s *Server) raiseEpoch(e uint64) (from uint64, raised bool) {
 	for {
 		cur := s.epoch.Load()
-		if e <= cur || s.epoch.CompareAndSwap(cur, e) {
-			return
+		if e <= cur {
+			return cur, false
+		}
+		if s.epoch.CompareAndSwap(cur, e) {
+			return cur, true
 		}
 	}
 }
@@ -344,18 +333,9 @@ func (s *Server) raiseEpoch(e uint64) {
 // that believed itself primary has been superseded and fences itself
 // read-only — the write-safety half of epoch fencing.
 func (s *Server) observeEpoch(e uint64) {
-	for {
-		cur := s.epoch.Load()
-		if e <= cur {
-			return
-		}
-		if s.epoch.CompareAndSwap(cur, e) {
-			if s.repl.Load() == nil {
-				s.fenced.Store(true)
-				log.Printf("server: observed epoch %d above own %d; fencing writes (a promoted primary exists)", e, cur)
-			}
-			return
-		}
+	if cur, raised := s.raiseEpoch(e); raised && s.repl.Load() == nil {
+		s.fenced.Store(true)
+		log.Printf("server: observed epoch %d above own %d; fencing writes (a promoted primary exists)", e, cur)
 	}
 }
 
@@ -380,7 +360,7 @@ func (s *Server) fenceCheck(reqEpoch uint64) *api.Error {
 // future follower and fences the old primary's unwritten future.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req api.PromoteRequest
-	if err := decodeOptional(w, r, &req); err != nil {
+	if err := decode(w, r, &req, true); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -415,22 +395,26 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	repl.stop()
 	newEpoch := s.epoch.Load() + 1
 	resp := api.PromoteResponse{Epoch: newEpoch, Sessions: map[string]uint64{}}
-	s.mu.RLock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.RUnlock()
+	sessions := s.sessionList()
 	for _, sess := range sessions {
-		seq, err := s.commitEpoch(sess, newEpoch)
-		if err != nil {
+		// The promotion marker is an ordinary commit whose apply step raises
+		// the log's epoch: an OpEpoch record carrying the session's current
+		// vector (so replay's vector cross-check still holds at that
+		// position) goes through the WAL like any load.
+		_, seq, aerr := s.commit(sess, obs.SpanFromContext(r.Context()), store.OpEpoch, "", func() error {
+			if sess.log != nil {
+				sess.log.SetEpoch(newEpoch)
+			}
+			return nil
+		})
+		if aerr != nil {
 			// The session's log refused (e.g. fail-stopped): promotion is
 			// aborted half-way — some sessions may already carry the new
 			// epoch, which is safe (epochs only fence the old primary) but
 			// this server stays a non-writable follower-without-a-feed until
 			// the operator resolves the log. Surface it.
 			s.fail(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal,
-				"promote: session %q epoch record failed: %v", sess.name, err))
+				"promote: session %q epoch record failed: %v", sess.name, aerr.Message))
 			return
 		}
 		resp.Sessions[sess.name] = seq
@@ -440,27 +424,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.repl.Store(nil)
 	log.Printf("server: promoted to primary at epoch %d (%d session(s))", newEpoch, len(sessions))
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// commitEpoch durably writes one session's promotion marker: an OpEpoch
-// record carrying the new epoch and the session's current vector (so
-// replay's vector cross-check still holds at that position).
-func (s *Server) commitEpoch(sess *session, epoch uint64) (uint64, error) {
-	sess.logMu.Lock()
-	sess.mu.RLock()
-	versions := sess.db.Versions()
-	sess.mu.RUnlock()
-	if sess.log == nil {
-		sess.logMu.Unlock()
-		return 0, nil
-	}
-	sess.log.SetEpoch(epoch)
-	seq, err := sess.log.Buffer(store.OpEpoch, "", versions)
-	sess.logMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return seq, sess.log.Sync(seq)
 }
 
 // handleHealthz is the liveness probe: the process is up and serving.
@@ -544,13 +507,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 // drainLogs fsyncs every session's buffered WAL records — the final drain
 // of graceful shutdown.
 func (s *Server) drainLogs() {
-	s.mu.RLock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.RUnlock()
-	for _, sess := range sessions {
+	for _, sess := range s.sessionList() {
 		if sess.log == nil {
 			continue
 		}
@@ -560,12 +517,15 @@ func (s *Server) drainLogs() {
 	}
 }
 
-// acquire takes an evaluation slot, respecting the request context. A free
-// slot is taken even when the context is already done (the fast path below
-// never loses that race), so the error always means the caller actually
-// waited: it reports the live in-flight gauge and the context's own cause
-// so a client-side timeout is not misread as server saturation.
+// acquire is the admission stage: it takes an evaluation slot (the caller
+// releases it), respecting the request context. A free slot is taken even
+// when the context is already done (the fast path below never loses that
+// race), so the error always means the caller actually waited: it reports
+// the live in-flight gauge and the context's own cause so a client-side
+// timeout is not misread as server saturation.
 func (s *Server) acquire(ctx context.Context) *api.Error {
+	wsp := obs.SpanFromContext(ctx).StartChild("admission.wait")
+	defer wsp.End()
 	select {
 	case s.sem <- struct{}{}:
 		s.inflight.Add(1)
@@ -597,6 +557,28 @@ func (s *Server) sessionFor(name string) *session {
 	return s.sessions[name]
 }
 
+// resolve returns the session the request path names.
+func (s *Server) resolve(r *http.Request) (*session, *api.Error) {
+	name := r.PathValue("session")
+	if sess := s.sessionFor(name); sess != nil {
+		return sess, nil
+	}
+	return nil, api.Errorf(http.StatusNotFound, api.CodeSessionNotFound,
+		"unknown session %q (load data first)", name)
+}
+
+// sessionList returns every session, sorted by name.
+func (s *Server) sessionList() []*session {
+	s.mu.RLock()
+	out := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		out = append(out, sess)
+	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // ensureSession returns the named session, creating an empty one on first
 // use. On a durable server the session's write-ahead log is attached (and
 // its directory created) here.
@@ -625,32 +607,17 @@ func (s *Server) ensureSession(name string) (*session, error) {
 // it returns the number of relations loaded. Used by incdbd -load. On a
 // durable server the preload commits through the WAL like any other load.
 func (s *Server) Preload(session, data string) (int, error) {
-	db, err := raparse.ParseDatabase(strings.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	sess, err := s.ensureSession(session)
-	if err != nil {
-		return 0, err
-	}
-	resp, aerr := s.commitReplace(sess, db, store.OpReplace, data, nil)
+	resp, aerr := s.load(nil, session, store.OpReplace, data)
 	if aerr != nil {
 		return 0, aerr
 	}
 	return len(resp.Relations), nil
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req api.LoadRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, false); err != nil {
 		s.fail(w, err)
-		return
-	}
-	if name == "" {
-		name = req.Session
-	}
-	if name == "" {
-		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "missing session name"))
 		return
 	}
 	if s.draining.Load() {
@@ -667,198 +634,141 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, name string)
 			"this server follows %s; load data on the primary", repl.primary))
 		return
 	}
-	if req.Snapshot {
-		s.handleRestore(w, r, name, &req)
+	op := store.OpReplace
+	switch {
+	case req.Snapshot:
+		op = store.OpRestore
+	case req.Append:
+		op = store.OpAppend
+	}
+	resp, aerr := s.load(obs.SpanFromContext(r.Context()), r.PathValue("session"), op, req.Data)
+	if aerr != nil {
+		s.fail(w, aerr)
 		return
 	}
-	if req.Append {
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// load turns one load mutation — append, replace, or restore from a
+// snapshot export (the payload a snapshot endpoint, possibly of another
+// server, produced: null identifiers and the version vector are preserved,
+// and its warm keys re-prepare the working set) — into the apply step the
+// session commits.
+func (s *Server) load(sp *obs.Span, name string, op store.Op, data string) (api.LoadResponse, *api.Error) {
+	if op == store.OpAppend {
 		if sess := s.sessionFor(name); sess != nil {
-			resp, aerr := s.commitAppend(sess, req.Data, obs.SpanFromContext(r.Context()))
-			if aerr != nil {
-				s.fail(w, aerr)
-				return
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
+			// Parse into the live database (atomic: a payload error leaves it
+			// untouched); version bumps on the touched relations invalidate
+			// exactly the prepared plans reading them, and result-cache keys
+			// embedding the old vector stop matching.
+			resp, _, aerr := s.commit(sess, sp, op, data, func() error {
+				return raparse.ParseDatabaseInto(strings.NewReader(data), sess.db)
+			})
+			return resp, aerr
 		}
 		// Appending to a session that does not exist yet is its first load.
+		op = store.OpReplace
 	}
-	// Replace path: parse and validate the payload before the session is
-	// even created, so a failed first load leaves no phantom empty session
-	// behind and a failed replace leaves the old database untouched.
-	db, err := raparse.ParseDatabase(strings.NewReader(req.Data))
+	// Parse and validate the payload before the session is even created, so
+	// a failed first load leaves no phantom empty session behind and a
+	// failed replace leaves the old database untouched.
+	var (
+		db   *relation.Database
+		snap *store.Snapshot
+		err  error
+	)
+	if op == store.OpRestore {
+		if snap, err = store.DecodeSnapshot(strings.NewReader(data)); err == nil {
+			db, err = snap.Database()
+		}
+	} else {
+		db, err = raparse.ParseDatabase(strings.NewReader(data))
+	}
 	if err != nil {
-		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadQuery, "%v", err))
-		return
+		return api.LoadResponse{}, api.Errorf(http.StatusBadRequest, api.CodeBadQuery, "%v", err)
 	}
 	sess, err := s.ensureSession(name)
 	if err != nil {
-		s.fail(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err))
-		return
+		return api.LoadResponse{}, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err)
 	}
-	resp, aerr := s.commitReplace(sess, db, store.OpReplace, req.Data, obs.SpanFromContext(r.Context()))
-	if aerr != nil {
-		s.fail(w, aerr)
-		return
+	if snap != nil {
+		// An explicit restore adopts the snapshot's epoch (deliberate operator
+		// action, not evidence of a concurrent successor — no fencing): the
+		// OpRestore record and everything after it write at or above it.
+		if sess.log != nil {
+			sess.log.SetEpoch(snap.Epoch)
+		}
+		s.raiseEpoch(snap.Epoch)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resp, _, aerr := s.commit(sess, sp, op, data, func() error {
+		sess.install(db)
+		return nil
+	})
+	if aerr == nil && snap != nil {
+		s.warmSession(sess, snap.Warm)
+	}
+	return resp, aerr
 }
 
-// handleRestore bootstraps (or resets) a session from a snapshot export —
-// the payload a snapshot endpoint (possibly of another server) produced.
-// Null identifiers and the version vector are preserved, and the
-// snapshot's warm keys re-prepare the working set.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, name string, req *api.LoadRequest) {
-	snap, err := store.DecodeSnapshot(strings.NewReader(req.Data))
-	if err != nil {
-		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadQuery, "%v", err))
-		return
-	}
-	db, err := snap.Database()
-	if err != nil {
-		s.fail(w, api.Errorf(http.StatusBadRequest, api.CodeBadQuery, "%v", err))
-		return
-	}
-	sess, err := s.ensureSession(name)
-	if err != nil {
-		s.fail(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err))
-		return
-	}
-	// An explicit restore adopts the snapshot's epoch (deliberate operator
-	// action, not evidence of a concurrent successor — no fencing): the
-	// OpRestore record and everything after it write at or above it.
-	if sess.log != nil {
-		sess.log.SetEpoch(snap.Epoch)
-	}
-	s.raiseEpoch(snap.Epoch)
-	resp, aerr := s.commitReplace(sess, db, store.OpRestore, req.Data, obs.SpanFromContext(r.Context()))
-	if aerr != nil {
-		s.fail(w, aerr)
-		return
-	}
-	sess.warm.seed(snap.Warm)
-	s.warmSession(sess, snap.Warm)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// commitAppend applies an append mutation and makes it durable: parse into
-// the live database under the write lock and buffer the WAL record under
-// logMu (so log order is apply order), then group-commit the fsync outside
-// both locks — appends that arrive while the fsync is in flight buffer
-// behind it and ride the next one together, and concurrent queries are
-// never blocked on the disk.
-func (s *Server) commitAppend(sess *session, data string, sp *obs.Span) (api.LoadResponse, *api.Error) {
+// commit is the one mutation path: apply the change in memory under the
+// write lock and buffer its WAL record under logMu (so log order is apply
+// order), then group-commit the fsync outside both locks — commits that
+// arrive while the fsync is in flight buffer behind it and ride the next
+// one together, and concurrent queries are never blocked on the disk — and
+// finally check whether the log wants compacting. Append, replace, restore,
+// Preload and the promotion epoch record differ only in apply, which runs
+// under both locks and whose error (a rejected payload) leaves the session
+// untouched. It returns the acknowledgement and the record's sequence
+// number (0 on a memory-only server).
+func (s *Server) commit(sess *session, sp *obs.Span, op store.Op, data string, apply func() error) (api.LoadResponse, uint64, *api.Error) {
 	asp := sp.StartChild("load.apply")
 	sess.logMu.Lock()
-	sess.mu.Lock()
-	// Parse into the live database (atomic: a payload error leaves it
-	// untouched); version bumps on the touched relations invalidate
-	// exactly the prepared plans reading them, and result-cache keys
-	// embedding the old vector stop matching.
-	if err := raparse.ParseDatabaseInto(strings.NewReader(data), sess.db); err != nil {
-		sess.mu.Unlock()
+	var resp api.LoadResponse
+	err := sess.mutate(func() error {
+		if err := apply(); err != nil {
+			return err
+		}
+		resp = s.loadResponse(sess)
+		return nil
+	})
+	if err != nil {
 		sess.logMu.Unlock()
 		asp.SetError(err.Error())
 		asp.End()
-		return api.LoadResponse{}, api.Errorf(http.StatusBadRequest, api.CodeBadQuery, "%v", err)
+		return api.LoadResponse{}, 0, api.Errorf(http.StatusBadRequest, api.CodeBadQuery, "%v", err)
 	}
-	resp := s.loadResponse(sess)
-	sess.bumpVector()
-	sess.mu.Unlock()
 	asp.End()
 	wsp := sp.StartChild("wal.commit")
-	seq, aerr := s.logBuffer(sess, store.OpAppend, data, resp.Versions, wsp)
+	var seq uint64
+	if sess.log != nil {
+		// The wal.commit span context rides in the record: replicas parent
+		// their apply spans on it, and the flush leader reports the fsync
+		// against it. Only sampled traces travel — replicas drop unsampled
+		// contexts anyway (StartLinked gates on the flag), so unsampled
+		// requests ship no traceparent bytes in their durable records.
+		trace := ""
+		if wsp.Sampled() {
+			trace = wsp.Context().TraceParent()
+		}
+		seq, err = sess.log.BufferTrace(op, data, resp.Versions, trace)
+	}
 	sess.logMu.Unlock()
-	if aerr != nil {
-		wsp.SetError(aerr.Message)
-		wsp.End()
-		return api.LoadResponse{}, aerr
+	if err == nil && sess.log != nil {
+		err = sess.log.Sync(seq)
 	}
-	if aerr := s.logSync(sess, seq); aerr != nil {
-		wsp.SetError(aerr.Message)
-		wsp.End()
-		return api.LoadResponse{}, aerr
-	}
-	wsp.Attr("seq", strconv.FormatUint(seq, 10))
-	wsp.End()
-	s.snapshotIfNeeded(sess)
-	return resp, nil
-}
-
-// commitReplace installs db as the session database (replace and
-// snapshot-restore loads, and Preload) and makes the mutation durable.
-func (s *Server) commitReplace(sess *session, db *relation.Database, op store.Op, data string, sp *obs.Span) (api.LoadResponse, *api.Error) {
-	asp := sp.StartChild("load.apply")
-	sess.logMu.Lock()
-	sess.mu.Lock()
-	// Replacing the database wholesale replaces every relation object, so
-	// no cached prepared plan can survive its pointer guard — drop the
-	// cache now rather than letting stale entries pin the old database's
-	// frozen materializations. The result cache goes with it: fresh
-	// relations restart their version counters, so its vector-embedding
-	// keys could otherwise collide with the old database's.
-	sess.db = db
-	sess.prep = plan.NewPrepCache(s.opts.CacheCap)
-	sess.results = newResultCache(s.opts.ResultCacheCap)
-	resp := s.loadResponse(sess)
-	sess.bumpVector()
-	sess.mu.Unlock()
-	asp.End()
-	wsp := sp.StartChild("wal.commit")
-	seq, aerr := s.logBuffer(sess, op, data, resp.Versions, wsp)
-	sess.logMu.Unlock()
-	if aerr != nil {
-		wsp.SetError(aerr.Message)
-		wsp.End()
-		return api.LoadResponse{}, aerr
-	}
-	if aerr := s.logSync(sess, seq); aerr != nil {
-		wsp.SetError(aerr.Message)
-		wsp.End()
-		return api.LoadResponse{}, aerr
-	}
-	wsp.Attr("seq", strconv.FormatUint(seq, 10))
-	wsp.End()
-	s.snapshotIfNeeded(sess)
-	return resp, nil
-}
-
-// logBuffer assigns the applied mutation its WAL record (no-op on a
-// memory-only server). Caller holds logMu. The committing request's
-// wal.commit span context rides in the record: replicas parent their
-// apply spans on it, and the flush leader reports the fsync against it.
-// Only sampled traces travel — replicas drop unsampled contexts anyway
-// (StartLinked gates on the flag), so unsampled requests ship no
-// traceparent bytes in their durable records.
-func (s *Server) logBuffer(sess *session, op store.Op, data string, versions map[string]uint64, wsp *obs.Span) (uint64, *api.Error) {
-	if sess.log == nil {
-		return 0, nil
-	}
-	trace := ""
-	if wsp.Sampled() {
-		trace = wsp.Context().TraceParent()
-	}
-	seq, err := sess.log.BufferTrace(op, data, versions, trace)
 	if err != nil {
 		// The mutation is applied in memory but not durable; surface that
 		// honestly — the client must not treat this load as acknowledged.
-		return 0, api.Errorf(http.StatusInternalServerError, api.CodeInternal,
-			"load applied but not durable (wal append failed): %v", err)
+		aerr := api.Errorf(http.StatusInternalServerError, api.CodeInternal,
+			"load applied but not durable (wal commit failed): %v", err)
+		wsp.SetError(aerr.Message)
+		wsp.End()
+		return api.LoadResponse{}, 0, aerr
 	}
-	return seq, nil
-}
-
-// logSync blocks until the buffered record is fsync'd (group commit: it
-// rides or leads a shared flush). No-op on a memory-only server.
-func (s *Server) logSync(sess *session, seq uint64) *api.Error {
-	if sess.log == nil {
-		return nil
-	}
-	if err := sess.log.Sync(seq); err != nil {
-		return api.Errorf(http.StatusInternalServerError, api.CodeInternal,
-			"load applied but not durable (wal sync failed): %v", err)
-	}
-	return nil
+	wsp.Attr("seq", strconv.FormatUint(seq, 10))
+	wsp.End()
+	s.snapshotIfNeeded(sess)
+	return resp, seq, nil
 }
 
 // snapshotIfNeeded takes a compacting snapshot when the session's WAL has
@@ -912,10 +822,10 @@ func (s *Server) snapshotOf(sess *session) (*store.Snapshot, error) {
 // durable store writes, served over HTTP so a fresh replica (or incdbctl)
 // can bootstrap a session from a running server via the snapshot-load
 // path. Works on memory-only servers too (the sequence number is then 0).
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, name string) {
-	sess := s.sessionFor(name)
-	if sess == nil {
-		s.fail(w, errSessionNotFound(name))
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	sess, aerr := s.resolve(r)
+	if aerr != nil {
+		s.fail(w, aerr)
 		return
 	}
 	sess.logMu.Lock()
@@ -927,7 +837,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, name str
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if err := snap.EncodeTo(w); err != nil {
-		log.Printf("server: snapshot export %q: %v", name, err)
+		log.Printf("server: snapshot export %q: %v", sess.name, err)
 	}
 }
 
@@ -939,15 +849,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, name str
 // requested position was already compacted into a snapshot the response is
 // 410 wal_gap and the follower must re-bootstrap from /snapshot.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("session")
-	sess := s.sessionFor(name)
-	if sess == nil {
-		s.fail(w, errSessionNotFound(name))
+	sess, aerr := s.resolve(r)
+	if aerr != nil {
+		s.fail(w, aerr)
 		return
 	}
 	if sess.log == nil {
 		s.fail(w, api.Errorf(http.StatusConflict, api.CodeNotDurable,
-			"session %q has no write-ahead log (server is memory-only); replication needs -data-dir", name))
+			"session %q has no write-ahead log (server is memory-only); replication needs -data-dir", sess.name))
 		return
 	}
 	from := uint64(0)
@@ -1040,192 +949,7 @@ func (s *Server) waitCovered(ctx context.Context, sess *session, want map[string
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, name string) {
-	var req api.QueryRequest
-	if err := decode(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if name == "" {
-		name = req.Session
-	}
-	sess := s.sessionFor(name)
-	if sess == nil {
-		s.fail(w, errSessionNotFound(name))
-		return
-	}
-	// Reads are served even by a fenced server, but the client's observed
-	// epoch still folds in: a stale primary learns of its successor from
-	// the first request that has seen one.
-	s.observeEpoch(req.Epoch)
-	if aerr := s.waitCovered(r.Context(), sess, req.ReadAfter); aerr != nil {
-		s.fail(w, aerr)
-		return
-	}
-	start := time.Now()
-	sp := obs.SpanFromContext(r.Context())
-
-	// Result-cache fast path: a byte-identical repeated request against an
-	// unchanged version vector is answered without taking an evaluation
-	// slot — O(1) regardless of what the query costs to evaluate.
-	csp := sp.StartChild("result_cache.lookup")
-	sess.mu.RLock()
-	key := resultKey(&req, sess.db)
-	versions := sess.db.Versions()
-	cached, hit := sess.results.get(key)
-	sess.mu.RUnlock()
-	csp.Attr("hit", strconv.FormatBool(hit))
-	csp.End()
-	if hit {
-		sess.queries.Add(1)
-		elapsed := time.Since(start)
-		proc := procName(req.Proc)
-		s.obs.queries.With(proc, name).Inc()
-		// Cache hits are real served latency: they land in the histogram
-		// under cache="hit" so `incdbctl top` quantiles reflect what
-		// clients actually experienced, not just evaluation cost.
-		s.obs.queryLatency.With(proc, name, "hit").ObserveExemplar(elapsed.Seconds(), sp.ExemplarRef())
-		s.recordWarm(sess, &req)
-		writeJSON(w, http.StatusOK, api.QueryResponse{
-			Session:   name,
-			Proc:      proc,
-			Query:     req.Query,
-			Results:   cached,
-			ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-			Cached:    true,
-			Versions:  versions,
-			Epoch:     s.epoch.Load(),
-			TraceID:   sp.ExemplarRef(),
-		})
-		return
-	}
-
-	wsp := sp.StartChild("admission.wait")
-	aerr := s.acquire(r.Context())
-	wsp.End()
-	if aerr != nil {
-		s.fail(w, aerr)
-		return
-	}
-	defer s.release()
-
-	// The trace rides along every evaluation: its counters (worlds
-	// enumerated, frozen-part reuse) are two atomic adds per plan
-	// execution, cheap enough to keep always on. Per-node detail is
-	// opt-in per request (trace_detail on a sampled trace): the traced
-	// stream never reorders or buffers batches, so results are
-	// byte-identical either way.
-	detail := req.TraceDetail && sp.Sampled()
-	tr := plan.NewTrace(detail)
-	esp := sp.StartChild("evaluate")
-	esp.Attr("proc", procName(req.Proc))
-	evalStart := time.Now()
-	var results []api.Resultset
-	var err error
-	sess.mu.RLock()
-	// Re-key under the same lock as the evaluation: the vector may have
-	// moved between the fast path and acquiring a slot.
-	key = resultKey(&req, sess.db)
-	versions = sess.db.Versions()
-	// pprof labels segment -pprof-addr CPU profiles by workload; the
-	// trace ID lets a profile sample be joined back to its trace.
-	pprof.Do(r.Context(), pprof.Labels("session", name, "proc", procName(req.Proc), "trace_id", sp.TraceID()),
-		func(ctx context.Context) {
-			results, err = s.evaluate(ctx, sess, &req, tr)
-		})
-	if err == nil {
-		sess.results.put(key, results)
-	}
-	sess.mu.RUnlock()
-	if err != nil {
-		esp.SetError(err.Error())
-		esp.End()
-		if cause := r.Context().Err(); cause != nil && errors.Is(err, cause) {
-			// The client is gone or out of time: the enumeration stopped
-			// at its next poll and the deferred release frees the slot.
-			s.obs.cancelled.Inc()
-			s.fail(w, api.Errorf(statusClientClosedRequest, api.CodeRequestCancelled,
-				"query abandoned after %d worlds: %v", tr.Execs.Load(), err))
-			return
-		}
-		s.fail(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err))
-		return
-	}
-	sess.queries.Add(1)
-	s.recordWarm(sess, &req)
-	elapsed := time.Since(start)
-	proc := procName(req.Proc)
-	worlds, frozen := tr.Execs.Load(), tr.FrozenReuse.Load()
-	esp.Attr("worlds", strconv.FormatInt(worlds, 10))
-	s.spanPlanNodes(esp, tr, evalStart)
-	esp.End()
-	s.obs.queries.With(proc, name).Inc()
-	s.obs.queryLatency.With(proc, name, "miss").ObserveExemplar(elapsed.Seconds(), sp.ExemplarRef())
-	s.obs.queryWorlds.Observe(float64(worlds))
-	s.obs.worlds.Add(uint64(worlds))
-	s.obs.frozenReuse.Add(uint64(frozen))
-	s.logSlow(r, sess, &req, elapsed, worlds, frozen)
-	writeJSON(w, http.StatusOK, api.QueryResponse{
-		Session:     name,
-		Proc:        proc,
-		Query:       req.Query,
-		Results:     results,
-		ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
-		Worlds:      worlds,
-		FrozenReuse: frozen,
-		Versions:    versions,
-		Epoch:       s.epoch.Load(),
-		TraceID:     sp.ExemplarRef(),
-	})
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name string) {
-	var req api.ExplainRequest
-	if err := decode(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if name == "" {
-		name = req.Session
-	}
-	sess := s.sessionFor(name)
-	if sess == nil {
-		s.fail(w, errSessionNotFound(name))
-		return
-	}
-	if aerr := s.acquire(r.Context()); aerr != nil {
-		s.fail(w, aerr)
-		return
-	}
-	defer s.release()
-
-	sess.mu.RLock()
-	info, err := s.explain(sess, &req)
-	sess.mu.RUnlock()
-	if err != nil {
-		s.fail(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, api.ExplainResponse{
-		Session: name,
-		Plan:    info,
-		Text:    info.Text(),
-	})
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.sessions))
-	for name := range s.sessions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sessions := make([]*session, len(names))
-	for i, name := range names {
-		sessions[i] = s.sessions[name]
-	}
-	s.mu.RUnlock()
-
 	resp := api.StatusResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       engine.Options{Workers: s.opts.Workers}.WorkerCount(),
@@ -1240,7 +964,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if repl := s.repl.Load(); repl != nil {
 		resp.Replication = repl.status()
 	}
-	for _, sess := range sessions {
+	for _, sess := range s.sessionList() {
 		resp.Sessions = append(resp.Sessions, s.sessionStatusOf(sess))
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -1248,10 +972,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionStatus reports one session's status.
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("session")
-	sess := s.sessionFor(name)
-	if sess == nil {
-		s.fail(w, errSessionNotFound(name))
+	sess, aerr := s.resolve(r)
+	if aerr != nil {
+		s.fail(w, aerr)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.sessionStatusOf(sess))
@@ -1301,26 +1024,12 @@ func relationStatuses(db *relation.Database) []api.RelationStatus {
 	return out
 }
 
-func errSessionNotFound(name string) *api.Error {
-	return api.Errorf(http.StatusNotFound, api.CodeSessionNotFound,
-		"unknown session %q (load data first)", name)
-}
-
-func decode(w http.ResponseWriter, r *http.Request, into any) *api.Error {
+// decode reads the JSON request body into into. allowEmpty admits an
+// absent body (a bare POST /v1/promote), leaving into at its zero value.
+func decode(w http.ResponseWriter, r *http.Request, into any, allowEmpty bool) *api.Error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
-	}
-	return nil
-}
-
-// decodeOptional is decode for requests whose body may be empty (e.g. a
-// bare POST /v1/promote): an absent body leaves into at its zero value.
-func decodeOptional(w http.ResponseWriter, r *http.Request, into any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil && err != io.EOF {
+	if err := dec.Decode(into); err != nil && !(allowEmpty && err == io.EOF) {
 		return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
 	}
 	return nil

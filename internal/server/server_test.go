@@ -2,14 +2,19 @@ package server
 
 import (
 	"encoding/json"
-
+	"errors"
 	"fmt"
-	"incdb/internal/api"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"incdb/internal/algebra"
+	"incdb/internal/api"
+	"incdb/internal/certain"
+	"incdb/internal/core"
+	"incdb/internal/raparse"
 )
 
 const ordersData = `
@@ -317,23 +322,72 @@ func TestConcurrentMutationAndQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAllProcs makes the procedure table the wire contract: every served
+// row answers exactly what core.Run computes on a freshly parsed copy of
+// the database (and, for the direct evaluations, what the reference
+// interpreter computes), under set semantics and — where the row honours it
+// — bag semantics; rows that are not served are refused.
 func TestAllProcs(t *testing.T) {
 	_, c := newTestServer(t)
 	if _, err := c.Load(ordersData, false); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	q := "minus(proj(0, Orders), Payments)"
-	for _, proc := range Procs() {
-		qr, err := c.Query(q, proc, false, 0)
+	db, err := raparse.ParseDatabase(strings.NewReader(ordersData))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	render := func(v any) string {
+		data, err := json.Marshal(v)
 		if err != nil {
-			t.Fatalf("proc %s: %v", proc, err)
+			t.Fatalf("marshal: %v", err)
 		}
-		wantSets := 1
-		if strings.HasPrefix(proc, "ctable-") {
-			wantSets = 2
+		return string(data)
+	}
+	for _, text := range []string{"minus(proj(0, Orders), Payments)", "union(proj(0, Orders), Payments)"} {
+		q, err := raparse.ParseQuery(text)
+		if err != nil {
+			t.Fatalf("parse %s: %v", text, err)
 		}
-		if len(qr.Results) != wantSets {
-			t.Fatalf("proc %s: %d resultsets, want %d", proc, len(qr.Results), wantSets)
+		for i := range core.Procs {
+			p := &core.Procs[i]
+			if !p.Served {
+				var aerr *api.Error
+				if _, err := c.Query(text, p.Name, false, 0); !errors.As(err, &aerr) || aerr.Code != api.CodeBadQuery {
+					t.Fatalf("proc %s is not served but was not refused: %v", p.Name, err)
+				}
+				continue
+			}
+			for _, bag := range []bool{false, true} {
+				if bag && !p.Bag {
+					continue
+				}
+				qr, err := c.Query(text, p.Name, bag, 0)
+				if err != nil {
+					t.Fatalf("proc %s bag=%v: %v", p.Name, bag, err)
+				}
+				rels, err := core.Run(p, db, q, bag, certain.Options{})
+				if err != nil {
+					t.Fatalf("core.Run %s bag=%v: %v", p.Name, bag, err)
+				}
+				var want []api.Resultset
+				for i, r := range rels {
+					want = append(want, resultset(p.Labels[i], r))
+				}
+				if got := render(qr.Results); got != render(want) {
+					t.Fatalf("proc %s bag=%v on %s: wire answer %s, core.Run %s", p.Name, bag, text, got, render(want))
+				}
+				if !p.Bag {
+					continue
+				}
+				_, mode, _ := p.Plan(q, db)
+				interp := algebra.EvalInterp(db, q, mode)
+				if bag {
+					interp = algebra.EvalBagInterp(db, q, mode)
+				}
+				if got, want := render(qr.Results[0]), render(resultset(p.Name, interp)); got != want {
+					t.Fatalf("proc %s bag=%v on %s: wire answer %s, interpreter %s", p.Name, bag, text, got, want)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -169,11 +170,10 @@ func TestTornWALWriteRecovers(t *testing.T) {
 	assertRecovered(t, dir, replayTo(t, 2))
 }
 
-// TestV1WALRecovers: a WAL written under the v1 magic (records carry no
-// epoch) recovers — the epoch decodes to zero, the file keeps its v1
-// header, and new appends interleave fine because the framing never
-// changed.
-func TestV1WALRecovers(t *testing.T) {
+// TestV1WALRefused: a WAL under any magic but the current one — here the
+// retired v1 header — fails recovery loudly and is left byte for byte as it
+// was found, never wiped.
+func TestV1WALRefused(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	l, err := s.Session("main")
@@ -186,26 +186,30 @@ func TestV1WALRecovers(t *testing.T) {
 	}
 	s.Close()
 
-	// Rewrite the header in place: a fresh log's records carry epoch 0
-	// (omitted from the JSON), so this is byte-for-byte a v1 file.
 	path := filepath.Join(dir, "sessions", "main", walFile)
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatalf("open wal: %v", err)
 	}
-	if _, err := f.WriteAt([]byte(walMagicV1), 0); err != nil {
+	if _, err := f.WriteAt([]byte("incdbwl1"), 0); err != nil {
 		t.Fatalf("rewrite magic: %v", err)
 	}
 	f.Close()
-
-	rec := assertRecovered(t, dir, replayTo(t, 2))
-	if rec.Epoch != 0 {
-		t.Fatalf("v1 wal recovered with epoch %d, want 0", rec.Epoch)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read wal: %v", err)
 	}
-	db2 := replayTo(t, 2)
-	appendLoad(t, rec.Log, db2, loads[2].op, loads[2].data)
-	rec.Log.Close()
-	assertRecovered(t, dir, replayTo(t, 3))
+
+	if _, err := openStore(t, dir).Recover(); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("recovery of a v1 wal: err = %v, want a bad-magic refusal", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read wal: %v", err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused wal was modified: %d bytes before, %d after", len(before), len(after))
+	}
 }
 
 // TestEpochRoundTrip: the epoch is monotonic on a live log, stamps every

@@ -18,14 +18,10 @@ const (
 	snapshotFile = "snapshot.idb"
 
 	// walMagic opens every WAL file; a header shorter than this is a torn
-	// first write and resets the file, a different one is a foreign file
-	// and fails recovery rather than being silently wiped. Version 2
-	// introduced the replication epoch on records; decoding is versioned —
-	// v1 files (whose records carry no epoch and decode to epoch 0) still
-	// recover and continue under the v1 header, since the record framing is
-	// unchanged and the epoch field is additive.
-	walMagic   = "incdbwl2"
-	walMagicV1 = "incdbwl1"
+	// first write and resets the file, a different one — a foreign file, or
+	// a log in another version of the format — fails recovery rather than
+	// being silently wiped.
+	walMagic = "incdbwl2"
 
 	// maxRecordBytes bounds one record's payload on replay: a longer length
 	// prefix is treated as corruption (the server caps request bodies well
@@ -60,7 +56,7 @@ const (
 // applies exactly what the primary logged. Epoch is the replication epoch
 // the record was written under; it never decreases within a log, and a
 // server that observes a record from a higher epoch than its own knows it
-// has been superseded (pre-epoch v1 records decode to epoch 0).
+// has been superseded.
 type Record struct {
 	Seq      uint64            `json:"seq"`
 	Epoch    uint64            `json:"epoch,omitempty"`
@@ -71,7 +67,7 @@ type Record struct {
 	// on the primary, "" when the request was untraced. It travels in the
 	// frame (and so over the replication stream) so a replica's apply span
 	// can link back to the originating write. Like Epoch, it is an
-	// additive JSON field: v1/v2 logs without it decode with Trace == "".
+	// additive JSON field: records without it decode with Trace == "".
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -619,7 +615,7 @@ func replayWAL(path string) ([]Record, error) {
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if string(header) != walMagic && string(header) != walMagicV1 {
+	if string(header) != walMagic {
 		return nil, fmt.Errorf("store: %s is not an incdb WAL (bad magic)", path)
 	}
 

@@ -83,6 +83,10 @@ after="$(metric 'incdb_queries_total{proc="cert",session="smoke"}')"
     echo "incdb_queries_total did not move with traffic ($before -> $after)" >&2; exit 1; }
 echo "metrics move with traffic: cert queries $before -> $after, $fsyncs fsyncs"
 
+echo "== retired flat routes 404; an unknown proc is refused (422) without waiting =="
+[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/query" -d '{"query":"proj(0, Orders)"}')" = 404 ] || { echo "flat route POST /v1/query is still served" >&2; exit 1; }
+[ "$(curl -s -o /dev/null -w '%{http_code}' -m 2 -X POST "http://$ADDR/v1/sessions/smoke/query" -d '{"query":"proj(0, Orders)","proc":"no-such-proc"}')" = 422 ] || { echo "unknown proc was not refused with 422" >&2; exit 1; }
+
 echo "== distributed tracing: incdbctl trace lists roots and renders a tree =="
 # Tracing is on by default (-trace-sample 1.0): the queries above are all
 # in the span ring. A fresh traced query returns its trace ID in the
