@@ -28,6 +28,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup' ./internal/plan ./internal/store
 
 # One iteration per benchmark: a smoke pass proving every benchmark still
 # runs, not a measurement.

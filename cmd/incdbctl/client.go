@@ -273,8 +273,8 @@ func printStatus(st *api.StatusResponse) {
 		}
 	}
 	for _, s := range st.Sessions {
-		fmt.Printf("session %q: %d queries, cache %d entries (%d hits, %d misses, %d invalidations)\n",
-			s.Name, s.Queries, s.Cache.Entries, s.Cache.Hits, s.Cache.Misses, s.Cache.Invalidations)
+		fmt.Printf("session %q: %d queries, cache %d entries (%d hits of which %d advanced, %d misses, %d invalidations)\n",
+			s.Name, s.Queries, s.Cache.Entries, s.Cache.Hits, s.Cache.Advances, s.Cache.Misses, s.Cache.Invalidations)
 		fmt.Printf("  results %d entries (%d hits, %d misses)\n",
 			s.ResultCache.Entries, s.ResultCache.Hits, s.ResultCache.Misses)
 		if d := s.Durability; d != nil {

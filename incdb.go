@@ -202,9 +202,10 @@ var (
 	// NewPrepCache creates a version-guarded prepared-plan cache for
 	// long-lived workloads (REPL/server): pass it via
 	// CertainOptions.Prep so repeated oracle calls against an unchanged
-	// database reuse the frozen parts across calls. Entries are
-	// invalidated exactly when a relation the plan reads mutates
-	// (Relation.Version moves).
+	// database reuse the frozen parts across calls. When a relation the
+	// plan reads has only gained rows, the entry is advanced across them
+	// on its next lookup; any other mutation drops it. Lookups must be
+	// excluded from mutations of the database (a reader/writer lock).
 	NewPrepCache = plan.NewPrepCache
 )
 

@@ -212,10 +212,13 @@ type HealthResponse struct {
 // counters, and — when durability is enabled — the session's durable
 // state (WAL size, sequence numbers, last snapshot and last fsync). A
 // byte-identical repeated query shows up as ResultCache.Hits moving; a
-// plan-equal but differently spelled one as Cache.Hits; mutating a
-// relation shows up as Cache.Invalidations moving on the next affected
-// query (result-cache entries simply stop being reachable, their key
-// embeds the version vector). Versions is the session's current vector —
+// plan-equal but differently spelled one as Cache.Hits; appending to a
+// relation shows up as Cache.Advances moving — with Cache.Hits — on the
+// next affected query, whose prepared plan is advanced across the new rows,
+// and any other mutation (a replace, a restore, more appends than a
+// relation's append log remembers) as Cache.Invalidations, the entries
+// actually dropped (result-cache entries simply stop being reachable, their
+// key embeds the version vector). Versions is the session's current vector —
 // the freshest possible consistency token.
 type SessionStatus struct {
 	Name        string            `json:"name"`

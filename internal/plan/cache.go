@@ -12,20 +12,27 @@ import (
 // PrepCache caches Prepared plans across calls so that the frozen parts a
 // Prepared accumulates — the root's frozen answer, join tables, consolidated
 // barrier and subquery inputs — survive beyond a single oracle invocation,
-// along with the row partition and the relevant null ids. Entries
-// are keyed by (query rendering, mode, semantics, read-relation arities),
-// i.e. the same key the process-wide plan cache uses, and guarded by the
-// version vector Prepare recorded: a lookup revalidates the guard against
-// the caller's database, so an entry is invalidated exactly when a relation
-// its plan reads has mutated (or been replaced) since Prepare ran.
+// along with the row partition and the relevant null ids. Entries are keyed
+// by (query rendering, mode, semantics, read-relation arities and size
+// classes), i.e. the same key the process-wide plan cache uses, and guarded
+// by the pins Prepare recorded. A lookup brings the entry up to the caller's
+// database (Prepared.catchUp): it serves as it stands when no relation its
+// plan reads has changed, it is advanced — the appended rows folded into its
+// frozen artifacts — when those relations have only gained rows, and it is
+// dropped and prepared afresh otherwise (a removal, a replaced relation,
+// more appends than a relation's bounded append log remembers, an append
+// that would reclassify a node).
 //
 // All methods are safe for concurrent use, and the Prepared values handed
-// out are themselves safe for concurrent execution — a server can share one
-// PrepCache per session across request goroutines, provided mutations of
-// the underlying database are externally excluded from running queries (the
-// usual reader/writer discipline; the cache itself never mutates the
-// database). A nil *PrepCache is valid everywhere one is accepted and
-// simply prepares afresh on every call.
+// out are safe for concurrent execution — a server can share one PrepCache
+// per session across request goroutines — under the usual reader/writer
+// discipline, which the advance relies on: a Prepared is looked up and used
+// inside one hold of a lock that excludes mutations of the database, and not
+// kept across one. Then whoever looks an entry up first after an append
+// advances it in place, under the entry's own lock, while nobody can be
+// executing it: every execution in flight looked it up at the present
+// version. The cache itself never mutates the database. A nil *PrepCache is
+// valid everywhere one is accepted and simply prepares afresh on every call.
 type PrepCache struct {
 	capacity int
 
@@ -35,6 +42,7 @@ type PrepCache struct {
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
+	advances      atomic.Uint64
 	invalidations atomic.Uint64
 }
 
@@ -51,13 +59,16 @@ func NewPrepCache(capacity int) *PrepCache {
 	return &PrepCache{capacity: capacity, entries: map[string]*Prepared{}}
 }
 
-// CacheStats is a snapshot of the cache counters. An invalidation is a
-// lookup that found an entry whose version guard failed (the entry is
-// dropped and re-prepared); a miss is a lookup that found no entry at all.
+// CacheStats is a snapshot of the cache counters. A hit is a lookup served
+// by a cached entry, as it stood or advanced; an advance is a hit whose entry
+// first had appended rows folded in; an invalidation is a lookup that found
+// an entry it could not advance either (the entry is dropped and prepared
+// afresh); a miss is a lookup that found no entry at all.
 type CacheStats struct {
 	Entries       int    `json:"entries"`
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
+	Advances      uint64 `json:"advances"`
 	Invalidations uint64 `json:"invalidations"`
 }
 
@@ -73,37 +84,50 @@ func (c *PrepCache) Stats() CacheStats {
 		Entries:       n,
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
+		Advances:      c.advances.Load(),
 		Invalidations: c.invalidations.Load(),
 	}
 }
 
-// Get returns a Prepared for q against base, reusing a cached one when its
-// version guard still holds, and preparing (and caching) a fresh one
-// otherwise. A nil receiver prepares afresh without caching.
+// Get returns a Prepared for q against base: the cached one when its guard
+// still holds or it could be advanced to base's present version
+// (Prepared.catchUp), a freshly prepared (and cached) one otherwise. A nil
+// receiver prepares afresh without caching.
 func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) *Prepared {
 	if c == nil {
 		return PlanFor(q, base, mode, bag).Prepare(base)
 	}
 	key := cacheKey(q, base, mode, bag, true)
 	c.mu.Lock()
-	if prep, ok := c.entries[key]; ok {
-		if prep.ValidFor(base) {
-			c.order.Touch(key)
-			c.mu.Unlock()
+	prep := c.entries[key]
+	if prep != nil {
+		c.order.Touch(key)
+	}
+	c.mu.Unlock()
+	if prep == nil {
+		c.misses.Add(1)
+	} else {
+		// Catching up happens under the entry's own lock, not the cache's: an
+		// advance of one entry does not hold up lookups of the others.
+		switch prep.catchUp(base) {
+		case prepAdvanced:
+			c.advances.Add(1)
+			fallthrough
+		case prepCurrent:
 			c.hits.Add(1)
 			return prep
 		}
-		c.remove(key)
+		c.mu.Lock()
+		if c.entries[key] == prep {
+			c.remove(key)
+		}
 		c.mu.Unlock()
 		c.invalidations.Add(1)
-	} else {
-		c.mu.Unlock()
-		c.misses.Add(1)
 	}
 	// Prepare outside the lock: it walks every relation with nulls the plan
 	// scans. Concurrent misses on the same key prepare identical state and
 	// the last store wins harmlessly.
-	prep := PlanFor(q, base, mode, bag).Prepare(base)
+	prep = PlanFor(q, base, mode, bag).Prepare(base)
 	c.mu.Lock()
 	c.entries[key] = prep
 	c.order.Touch(key)

@@ -83,9 +83,9 @@ func TestPreparedValidForDom(t *testing.T) {
 }
 
 // TestPrepCacheReuseAndInvalidation drives the cache the way a session
-// does: repeated queries hit, a mutation of a touched relation invalidates
-// exactly the entries reading it, and results always match fresh
-// evaluation.
+// does: repeated queries hit, an append to a touched relation advances
+// exactly the entries reading it (a hit and an advance, nothing dropped), a
+// removal drops them, and results always match fresh evaluation.
 func TestPrepCacheReuseAndInvalidation(t *testing.T) {
 	db := guardDB()
 	c := NewPrepCache(8)
@@ -109,22 +109,26 @@ func TestPrepCacheReuseAndInvalidation(t *testing.T) {
 		t.Fatalf("after warmup: %+v, want 2 misses / 1 hit / 0 invalidations / 2 entries", st)
 	}
 
-	// Mutate S: the R⋈S entry must be invalidated, the U entry must not.
+	// Append to S: the R⋈S entry is advanced, the U entry is untouched.
 	db.MustRelation("S").Add(value.Consts("k1", "w9"))
 	check(qRS)
 	check(qU)
 	st = c.Stats()
-	if st.Invalidations != 1 {
-		t.Fatalf("mutating S: invalidations = %d, want exactly 1 (the R⋈S entry)", st.Invalidations)
+	if st.Advances != 1 || st.Invalidations != 0 || st.Misses != 2 {
+		t.Fatalf("appending to S: %+v, want exactly 1 advance (the R⋈S entry) and nothing dropped", st)
 	}
-	if st.Hits != 2 {
-		t.Fatalf("mutating S: hits = %d, want 2 (the U entry stayed valid)", st.Hits)
+	if st.Hits != 3 {
+		t.Fatalf("appending to S: hits = %d, want 3 (the advanced entry and the U entry both hit)", st.Hits)
 	}
 
-	// The re-prepared entry serves hits again.
+	// Remove the row again: no append log covers that, so the entry is
+	// dropped and prepared afresh — and serves hits again afterwards.
+	db.MustRelation("S").SetMult(value.Consts("k1", "w9"), 0)
 	check(qRS)
-	if st := c.Stats(); st.Hits != 3 {
-		t.Fatalf("re-prepared entry did not hit: %+v", st)
+	check(qRS)
+	st = c.Stats()
+	if st.Invalidations != 1 || st.Advances != 1 || st.Hits != 4 {
+		t.Fatalf("removing from S: %+v, want 1 invalidation, still 1 advance, 4 hits", st)
 	}
 }
 
@@ -175,13 +179,13 @@ func TestPrepCacheWorldEvalMatchesFresh(t *testing.T) {
 		cached.Close()
 		fresh.Close()
 		if round == 1 {
-			// Mid-test mutation: subsequent rounds must re-prepare.
+			// Mid-test append: the next round runs on the advanced entry.
 			db.MustRelation("S").Add(value.Consts("k2", "w9"))
 		}
 	}
 	st := c.Stats()
-	if st.Invalidations == 0 {
-		t.Fatalf("mutation did not invalidate: %+v", st)
+	if st.Advances != 1 || st.Invalidations != 0 {
+		t.Fatalf("append did not advance the entry: %+v", st)
 	}
 }
 

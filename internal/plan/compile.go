@@ -555,8 +555,22 @@ func (c *compiler) narrow(n pnode, need []bool) pnode {
 }
 
 // filterNode wraps in with the (already re-indexed) conditions, estimating
-// the result cardinality from the input's column statistics.
+// the result cardinality from the input's column statistics. Conjuncts that
+// probe an IN subquery get a filter of their own above the others: when the
+// subquery's result changes — with the world, or by an append — only they are
+// decided again, over the rows the cheap conjuncts let through.
 func (c *compiler) filterNode(in pnode, conds []algebra.Cond) pnode {
+	var plain, probing []algebra.Cond
+	for _, cond := range conds {
+		if condHasIn(cond) {
+			probing = append(probing, cond)
+		} else {
+			plain = append(plain, cond)
+		}
+	}
+	if plain != nil && probing != nil {
+		return c.filterNode(c.filterNode(in, plain), probing)
+	}
 	pcs := make([]pcond, len(conds))
 	for i, cond := range conds {
 		pcs[i] = c.compileCond(cond)

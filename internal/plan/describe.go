@@ -16,7 +16,10 @@ import (
 // world-invariant (Δ always empty); Barrier marks a node that does not
 // distribute over its inputs, whose frozen part is empty and which
 // re-emits its whole output per world; BuildFrozen marks a varying join
-// whose right input is frozen whole. FrozenRows is the size of the node's
+// whose right input is frozen whole; Rederived marks a node whose frozen
+// part the last advance of the Prepared could not fold the appended rows
+// into and dropped, to be re-derived on next use. FrozenRows is the size of
+// the node's
 // frozen part (known for scans, and for every node once it has executed),
 // DeltaRows the largest per-world Δ: the number of null rows for a scan,
 // otherwise the maximum seen under ANALYZE. Children are always populated —
@@ -31,6 +34,7 @@ type ExplainNode struct {
 	Frozen      bool           `json:"frozen,omitempty"`
 	BuildFrozen bool           `json:"build_frozen,omitempty"`
 	Barrier     bool           `json:"barrier,omitempty"`
+	Rederived   bool           `json:"rederived,omitempty"`
 	FrozenRows  *int64         `json:"frozen_rows,omitempty"`
 	DeltaRows   *int64         `json:"delta_rows,omitempty"`
 	EstRows     *float64       `json:"est_rows,omitempty"`
@@ -53,6 +57,9 @@ type ExplainInfo struct {
 	Physical    *ExplainNode     `json:"physical"`
 	Subqueries  []*ExplainNode   `json:"subqueries,omitempty"`
 	UsedColumns map[string][]int `json:"used_columns,omitempty"`
+	// AppendsAbsorbed counts the appended rows the prepared state has been
+	// advanced across since it was prepared (zero for a fresh one).
+	AppendsAbsorbed int `json:"appends_absorbed,omitempty"`
 
 	// Analyze fields: populated by DescribeAnalyze after an instrumented
 	// execution. Actual per-node rows/batches/wall time land on the
@@ -126,6 +133,9 @@ func describeInfo(q algebra.Expr, cat algebra.Catalog, p *Plan, prep *Prepared, 
 	if p.bag {
 		info.Semantics = "bag"
 	}
+	if prep != nil {
+		info.AppendsAbsorbed = prep.absorbed
+	}
 	info.Physical = describeTree(p, p.root, prep, tr)
 	for _, sub := range p.subs {
 		info.Subqueries = append(info.Subqueries, describeTree(sub, sub.root, prep, tr))
@@ -161,7 +171,7 @@ func describeTree(q *Plan, n pnode, prep *Prepared, tr *Trace) *ExplainNode {
 	if prep != nil {
 		nodes := prep.stateOf(q).nodes
 		st := &nodes[n.base().id]
-		out.Frozen, out.Barrier = !st.varying, st.barrier
+		out.Frozen, out.Barrier, out.Rederived = !st.varying, st.barrier, st.rederived
 		if j, ok := n.(*pjoin); ok && st.varying {
 			out.BuildFrozen = !nodes[j.right.base().id].varying
 		}
@@ -197,6 +207,9 @@ func (info *ExplainInfo) Text() string {
 	fmt.Fprintf(&b, "query:    %s\n", info.Query)
 	fmt.Fprintf(&b, "logical:  %s\n", info.Logical)
 	fmt.Fprintf(&b, "mode:     %s, %s semantics\n", info.Mode, info.Semantics)
+	if info.AppendsAbsorbed > 0 {
+		fmt.Fprintf(&b, "advanced: across %d appended row(s)\n", info.AppendsAbsorbed)
+	}
 	if info.Analyzed {
 		fmt.Fprintf(&b, "actual:   %d rows in %s (%d execution(s), %d frozen reuse(s))\n",
 			info.ResultRows, fmtMs(info.TotalMs), info.Execs, info.FrozenReuse)
@@ -255,6 +268,9 @@ func textTree(b *strings.Builder, n *ExplainNode, depth int) {
 	}
 	if n.BuildFrozen {
 		marker += "  [build side frozen]"
+	}
+	if n.Rederived {
+		marker += "  [re-derived after the last append]"
 	}
 	fmt.Fprintf(b, "%s%s%s\n", strings.Repeat("  ", depth), n.Op, marker)
 	if n.Frozen {

@@ -27,6 +27,9 @@ type exec struct {
 
 	delta bool
 	val   value.Valuation // nil: the identity (nulls stand for themselves)
+	// adv, when set, turns the delta phase into an advance (advance.go): Δ
+	// is what appended rows add to each node's frozen part.
+	adv *advPlan
 	// keepRows: an artifact built on this exec (a join table) retains rows
 	// of its arena, so the next reset gives the slabs up instead of
 	// rewinding them.
@@ -107,7 +110,7 @@ func (x *exec) release() {
 }
 
 func (x *exec) unbind() {
-	x.prep, x.ps, x.trace, x.tstats, x.val = nil, nil, nil, nil, nil
+	x.prep, x.ps, x.trace, x.tstats, x.val, x.adv = nil, nil, nil, nil, nil, nil
 }
 
 // frozen runs build on a frozen-phase exec for q.
@@ -118,6 +121,15 @@ func (x *exec) frozen(q *Plan, build func(fx *exec)) {
 }
 
 func (x *exec) st(n pnode) *nodeState { return &x.ps.nodes[n.base().id] }
+
+// varies reports whether n has a Δ in the current delta-phase pass: some
+// valuation changes it — or, in an advance, the appended rows reached it.
+func (x *exec) varies(n pnode) bool {
+	if x.adv != nil {
+		return len(x.adv.nodes[n.base().id].rows) > 0
+	}
+	return x.st(n).varying
+}
 
 // Exec evaluates the plan against db and returns the result relation
 // (normalized under set semantics, exact multiplicities under bag
@@ -186,6 +198,14 @@ func (x *exec) buildOut() *relation.Relation {
 // rows) has nothing to say, and every other node's frozen row count is
 // recorded for EXPLAIN.
 func stream(n pnode, x *exec, emit func(*vbatch)) {
+	if x.adv != nil {
+		// An advance runs the nodes bottom-up itself; an input's Δ⁺ is
+		// already there to be replayed.
+		if an := &x.adv.nodes[n.base().id]; len(an.rows) > 0 {
+			emit(an)
+		}
+		return
+	}
 	st := x.st(n)
 	if x.delta {
 		if !st.varying {
@@ -215,6 +235,10 @@ func stream(n pnode, x *exec, emit func(*vbatch)) {
 	}
 	st.frozenRows.Store(int64(o.emitted))
 }
+
+// consolidates reports whether n's frozen part is being re-derived from its
+// left input's consolidated frozen part (nodeState.consolidate).
+func (x *exec) consolidates(n pnode) bool { return !x.delta && x.st(n).consolidate }
 
 // frozenHit records one frozen-artifact reuse on the attached trace.
 func (x *exec) frozenHit() {
@@ -260,7 +284,7 @@ func (x *exec) source(n *pscan) *relation.Relation {
 // collected into slot.
 func (x *exec) side(n pnode, slot *deltaSet) side {
 	s := side{f: x.frozenRel(x.plan, n)}
-	if x.delta && x.st(n).varying {
+	if x.delta && x.varies(n) {
 		slot.reset()
 		stream(n, x, func(b *vbatch) {
 			for i, t := range b.rows {
@@ -277,7 +301,9 @@ func (x *exec) side(n pnode, slot *deltaSet) side {
 func (x *exec) subSide(sub *Plan) side {
 	s := side{f: x.frozenRel(sub, sub.root)}
 	top := x.top
-	if !x.delta || !top.prep.stateOf(sub).nodes[sub.root.base().id].varying {
+	if !x.delta || x.adv != nil || !top.prep.stateOf(sub).nodes[sub.root.base().id].varying {
+		// (An advance only evaluates conditions over subqueries that neither
+		// vary nor changed: anything else re-derives.)
 		return s
 	}
 	sx := top.subs[sub.subIdx]
@@ -314,6 +340,27 @@ func (x *exec) multOf(m int) int {
 func (n *pscan) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	part := x.st(n).scan
+	if x.adv != nil {
+		// Δ⁺: the appended rows. One with a null in a read column is one more
+		// template (the advance keeps this pass's arena, so it can live
+		// there); the others join the frozen part.
+		for _, a := range x.adv.added[n.name] {
+			if !a.Fresh && !x.bag {
+				continue
+			}
+			t := a.T
+			if n.cols != nil {
+				t = n.narrow(o.alloc(len(n.cols)), t)
+			}
+			if nullIn(a.T, n.cols) {
+				part.nulls = append(part.nulls, nullRow{t: t, m: a.M})
+			} else {
+				o.push(t, x.multOf(a.M), emit)
+			}
+		}
+		o.flush(emit)
+		return
+	}
 	if x.delta && !part.all {
 		// Δ(v): the null rows, instantiated into the arena slab.
 		for i := range part.nulls {
@@ -337,21 +384,26 @@ func (n *pscan) run(x *exec, emit func(*vbatch)) {
 		}
 		if n.cols != nil {
 			// Pruned scan: emit narrowed tuples carved from the slab.
-			nt := o.alloc(w)
-			for i, c := range n.cols {
-				nt[i] = t[c]
-			}
-			t = nt
+			t = n.narrow(o.alloc(w), t)
 		}
 		o.push(t, x.multOf(m), emit)
 	})
 	o.flush(emit)
 }
 
+// narrow copies the scan's columns of t into nt.
+func (n *pscan) narrow(nt, t value.Tuple) value.Tuple {
+	for i, c := range n.cols {
+		nt[i] = t[c]
+	}
+	return nt
+}
+
 func (n *pfilter) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
-	if x.st(n).barrier {
-		// An IN subquery varies: every input row is re-decided per world.
+	if x.st(n).barrier || x.consolidates(n) {
+		// An IN subquery varies: every input row is re-decided per world — or
+		// it grew, and every frozen one is re-decided now.
 		x.side(n.in, &o.ld).each(func(t value.Tuple, m int) {
 			if n.holds(x, t) {
 				o.push(t, x.multOf(m), emit)
@@ -423,9 +475,10 @@ func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 		o.flush(emit)
 		return
 	}
-	// Δ(v) = Fl⋈Δr ∪ Δl⋈Fr ∪ Δl⋈Δr. Δr is collected into the node's small
-	// reusable table first, so that Δl probes both right-hand terms in one
-	// pass; the tables over Fl and Fr are only touched by a non-empty Δ.
+	// Δ = Fl⋈Δr ∪ Δl⋈Fr ∪ Δl⋈Δr — per world, and just as well the insert
+	// rule of an advance. Δr is collected into the node's small reusable
+	// table first, so that Δl probes both right-hand terms in one pass; the
+	// tables over Fl and Fr are only touched by a non-empty Δ.
 	dr := &o.dtable
 	dr.reset(n.rkeys, 0)
 	stream(n.right, x, func(b *vbatch) {
@@ -433,6 +486,9 @@ func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 			dr.add(t, b.mults[i], sqlMode)
 		}
 	})
+	// An advance runs after the base took the rows: a table over Fl first
+	// built now holds Δl already, so probing it yields Δl⋈Δr too.
+	drProbed := x.adv == nil || !x.st(n).tableL.empty()
 	if len(dr.rows) > 0 && !x.st(n.left).noFrozen {
 		if fl := x.table(&x.st(n).tableL, n.left, n.lkeys); len(fl.rows) > 0 {
 			for i := range dr.rows {
@@ -440,7 +496,7 @@ func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 			}
 		}
 	}
-	if x.st(n.left).varying {
+	if x.varies(n.left) {
 		var fr *joinTable
 		if !x.st(n.right).noFrozen {
 			fr = x.table(&x.st(n).tableR, n.right, n.rkeys)
@@ -450,7 +506,9 @@ func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 				if fr != nil {
 					n.probe(x, o, fr, lt, b.mults[i], false, sqlMode, emit)
 				}
-				n.probe(x, o, dr, lt, b.mults[i], false, sqlMode, emit)
+				if drProbed {
+					n.probe(x, o, dr, lt, b.mults[i], false, sqlMode, emit)
+				}
 			}
 		})
 	}
@@ -581,7 +639,7 @@ func (x *exec) eachLeft(n, l pnode, consolidate bool, f func(t value.Tuple, m in
 func (n *pdiff) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	r := x.side(n.r, &o.rd)
-	x.eachLeft(n, n.l, x.bag, func(t value.Tuple, m int) {
+	x.eachLeft(n, n.l, x.bag || x.consolidates(n), func(t value.Tuple, m int) {
 		if x.bag {
 			if rest := m - r.mult(t); rest > 0 {
 				o.push(t, rest, emit)
@@ -651,7 +709,7 @@ func (n *pdivide) run(x *exec, emit func(*vbatch)) {
 func (n *pantiunify) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	r := x.side(n.r, &o.rd)
-	x.eachLeft(n, n.l, false, func(t value.Tuple, m int) {
+	x.eachLeft(n, n.l, x.consolidates(n), func(t value.Tuple, m int) {
 		blocked := false
 		unifies := func(s value.Tuple) bool {
 			blocked = value.Unifiable(t, s)
@@ -677,9 +735,14 @@ func (n *pdistinct) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	seen := &o.ld
 	seen.reset()
+	var had *relation.Relation
+	if x.adv != nil {
+		// Δ⁺ of a dedup: what the consolidated frozen part does not hold yet.
+		had = x.st(n).rel.p.Load()
+	}
 	stream(n.in, x, func(b *vbatch) {
 		for _, t := range b.rows {
-			if seen.contains(t) {
+			if seen.contains(t) || (had != nil && had.Contains(t)) {
 				continue
 			}
 			seen.add(t, 1)

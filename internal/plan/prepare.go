@@ -10,10 +10,13 @@ import (
 )
 
 // Prepared binds a plan to a base incomplete database D for execution over
-// the worlds v(D). The contract is (frozen, Δ): a valuation can only change
-// rows that carry a null in a column the plan reads, so Prepare partitions
-// every scanned relation into its null-free rows and those null rows, and
-// every operator's result in the world v(D) is
+// the worlds v(D), and keeps doing so while D gains rows. The contract has
+// two axes and one shape.
+//
+// Across worlds it is (frozen, Δ): a valuation can only change rows that
+// carry a null in a column the plan reads, so Prepare partitions every
+// scanned relation into its null-free rows and those null rows, and every
+// operator's result in the world v(D) is
 //
 //	frozen part  ∪  Δ(v)
 //
@@ -40,9 +43,28 @@ import (
 // consolidated once, their Δ collected per world — and re-emits its whole
 // output as Δ.
 //
+// Across appends it is (frozen, Δ⁺): when D has only gained rows since the
+// guards were taken, the same delta phase runs once with the appended rows
+// in place of instantiated null rows, and every frozen artifact becomes
+//
+//	frozen part  ∪  Δ⁺
+//
+// in place (advance.go; catchUp is the entry point and PrepCache.Get calls
+// it). The operators that distribute over worlds fold their Δ⁺ — the join
+// by the very same three terms. Those that do not distribute over ⊎ of the
+// input that grew — difference and anti-unify by their right side, a filter
+// by its IN subquery, bag difference and intersection, division, Dom — are
+// not maintained: the grown input's own artifact is advanced, the node's
+// and its ancestors' are dropped and re-derived on next use from the
+// advanced inputs, a barrier along time. An appended row with a null in a
+// read column is one more null row of its scan. A Prepared that cannot be
+// advanced (catchUp says prepStale) is simply prepared afresh.
+//
 // Frozen parts and the tables over them are built lazily, on first use. A
 // Prepared is safe for concurrent use: the lazy builds are synchronized and
-// every execution's mutable state lives in its Runner.
+// every execution's mutable state lives in its Runner. Catching up is the
+// exception — it rewrites the shared state — and belongs to the moment
+// after a mutation when nothing is executing yet (see PrepCache).
 //
 // A plan executed once on D itself (Plan.Exec) has no second world to share
 // a frozen part with, so its Prepared takes the degenerate partition: every
@@ -70,14 +92,21 @@ type Prepared struct {
 	domNulls  []value.Value
 	domConsts []value.Value
 
-	// guards pin the relations the plan reads (object and mutation version at
-	// Prepare time); ValidFor re-checks them so a Prepared can outlive a
-	// single oracle invocation (REPL/server workloads) and be dropped exactly
-	// when a touched relation changes. A plan reading the active domain (Dom)
+	// guards pin the relations the plan reads (object and mutation version as
+	// of Prepare or the last advance); ValidFor re-checks them so a Prepared
+	// can outlive a single oracle invocation (REPL/server workloads), and
+	// catchUp asks them what was appended since. A plan reading the active domain (Dom)
 	// depends on every relation of the base, so domAll pins the whole
 	// catalogue.
 	guards relation.Pins
 	domAll bool
+
+	// mu serializes catching the prepared state up with the base (catchUp):
+	// concurrent lookups of one cache entry after an append advance it once.
+	mu sync.Mutex
+	// absorbed counts the appended rows folded in by advances so far, for
+	// EXPLAIN.
+	absorbed int
 }
 
 // ValidFor reports whether the prepared state is still valid for db: db
@@ -171,8 +200,18 @@ type nodeState struct {
 	tableR, tableL lazy[joinTable]
 
 	// frozenRows is the size of the frozen part as last streamed (-1 until
-	// then), for EXPLAIN.
+	// then), for EXPLAIN; the advance also reads it to tell a node nothing
+	// has been built from yet.
 	frozenRows atomic.Int64
+	// rederived: the last advance could not fold the appended rows into this
+	// node's frozen part and dropped it to be re-derived on next use.
+	// consolidate: an advance has dropped the frozen part because the
+	// node's other input (right side, IN subquery) changed; from then on the
+	// frozen phase walks the left input's consolidated frozen part — which
+	// advances fold into — instead of streaming that subtree again, the way a
+	// barrier re-decides its input per world.
+	rederived   bool
+	consolidate bool
 }
 
 // scanPart is one scan's partition of its relation by row: nulls holds the
@@ -222,6 +261,10 @@ func (l *lazy[T]) fill(build func() *T) *T {
 // empty reports whether nothing has been built yet.
 func (l *lazy[T]) empty() bool { return l.p.Load() == nil }
 
+// clear drops the value, to be rebuilt on next use. Only an advance calls
+// it, when nothing else is using the Prepared.
+func (l *lazy[T]) clear() { l.p.Store(nil) }
+
 // tryPublish offers v, built as a by-product of other work, as the slot's
 // value. It never waits: when the slot is filled, or someone is building it
 // right now, v is dropped.
@@ -240,12 +283,18 @@ func (l *lazy[T]) tryPublish(v *T) {
 // is computed yet.
 func (p *Plan) Prepare(base *relation.Database) *Prepared {
 	prep := p.prepare(base, false)
-	if prep.domAll {
-		prep.guards = base.PinAll()
-	} else {
-		prep.guards = base.Pin(p.root.base().reads.names)
-	}
+	prep.pin()
 	return prep
+}
+
+// pin records the guards: the relations the plan reads as the base presents
+// them now — all of them when the plan reads the active domain.
+func (prep *Prepared) pin() {
+	if prep.domAll {
+		prep.guards = prep.base.PinAll()
+	} else {
+		prep.guards = prep.base.Pin(prep.p.root.base().reads.names)
+	}
 }
 
 // prepare is Prepare without the version guards, which only a Prepared that
@@ -258,12 +307,18 @@ func (p *Plan) prepare(base *relation.Database, once bool) *Prepared {
 	}
 	prep.main = prep.classify(p)
 	if prep.domAll {
-		prep.domConsts = base.Consts()
-		for _, id := range base.NullIDs() {
-			prep.domNulls = append(prep.domNulls, value.Null(id))
-		}
+		prep.loadDom()
 	}
 	return prep
+}
+
+// loadDom reads Dom's inputs off the base.
+func (prep *Prepared) loadDom() {
+	prep.domConsts = prep.base.Consts()
+	prep.domNulls = nil
+	for _, id := range prep.base.NullIDs() {
+		prep.domNulls = append(prep.domNulls, value.Null(id))
+	}
 }
 
 // stateOf returns the prepared state of q, the main plan or a subplan.
@@ -473,13 +528,7 @@ func (a Answer) Relation() *relation.Relation { return a.addDelta(a.Frozen.Clone
 
 // addDelta adds this world's Δ to out, a relation holding the frozen part.
 func (a Answer) addDelta(out *relation.Relation) *relation.Relation {
-	for i, t := range a.delta.rows {
-		if a.bag {
-			out.AddMult(t, a.delta.mults[i])
-		} else {
-			out.SetMult(t, 1)
-		}
-	}
+	addRows(out, a.delta.rows, a.delta.mults, a.bag)
 	return out
 }
 

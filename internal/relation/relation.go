@@ -47,7 +47,9 @@ type Relation struct {
 	idx map[int]map[value.Value][]*row
 	// nullState caches HasNulls: 0 unknown, 1 null-free, 2 has nulls.
 	// Atomic for the same reason as sorted: concurrent readers of a stable
-	// relation may race on the first computation, which is idempotent.
+	// relation may race on the first computation, which is idempotent. An
+	// insert keeps it (a null-free relation stays null-free unless the new
+	// row has a null; "has nulls" stays); only a removal resets it.
 	nullState atomic.Int32
 	// statsCache holds the lazily computed statistics snapshot (stats.go),
 	// keyed by the version it was computed at rather than invalidated
@@ -61,6 +63,12 @@ type Relation struct {
 	// requires external exclusivity anyway, so the counter is a plain word;
 	// readers of a stable relation see a stable value.
 	version uint64
+	// log is the append log (appendlog.go): the inserts since version
+	// logFrom, kept while watched says some holder of cached derived state
+	// pinned the relation and may ask for them (AppendedSince).
+	log     []Appended
+	logFrom uint64
+	watched atomic.Bool
 }
 
 // row is one stored tuple with its multiplicity and cached content hash.
@@ -123,7 +131,6 @@ func (r *Relation) lookup(t value.Tuple, h uint64) *row {
 func (r *Relation) invalidate() {
 	r.idx = nil
 	r.sorted.Store(nil)
-	r.nullState.Store(0)
 	r.version++
 }
 
@@ -144,6 +151,7 @@ func (r *Relation) Version() uint64 { return r.version }
 func (r *Relation) RestoreVersion(v uint64) {
 	if v > r.version {
 		r.version = v
+		r.endLog()
 	}
 }
 
@@ -160,6 +168,7 @@ func (r *Relation) removeRow(t value.Tuple, h uint64) {
 				r.rows[h] = bucket
 			}
 			r.distinct--
+			r.nullState.Store(0)
 			return
 		}
 	}
@@ -169,8 +178,12 @@ func (r *Relation) removeRow(t value.Tuple, h uint64) {
 // afterwards (Add clones on behalf of external callers, world
 // instantiation hands over freshly built or frozen tuples).
 func (r *Relation) insertRow(t value.Tuple, h uint64, m int) {
-	r.rows[h] = append(r.rows[h], &row{t: t, hash: h, mult: m, hasNull: t.HasNull()})
+	e := &row{t: t, hash: h, mult: m, hasNull: t.HasNull()}
+	r.rows[h] = append(r.rows[h], e)
 	r.distinct++
+	if e.hasNull {
+		r.nullState.Store(2)
+	}
 }
 
 // Add inserts one occurrence of t. It panics on arity mismatch: feeding a
@@ -187,11 +200,19 @@ func (r *Relation) AddMult(t value.Tuple, m int) {
 	r.invalidate()
 	h := t.Hash()
 	e := r.lookup(t, h)
+	switch {
+	case m < 0:
+		r.endLog()
+	case m > 0 && e == nil:
+		t = t.Clone()
+		r.logInsert(t, m, true)
+	case m > 0:
+		r.logInsert(e.t, m, false)
+	}
 	if e == nil {
-		if m <= 0 {
-			return
+		if m > 0 {
+			r.insertRow(t, h, m)
 		}
-		r.insertRow(t.Clone(), h, m)
 		return
 	}
 	e.mult += m
@@ -222,6 +243,7 @@ func (r *Relation) addFrozen(t value.Tuple, h uint64, hasNull bool, m int) {
 // SetMult sets the multiplicity of t to m exactly (removing it when m<=0).
 func (r *Relation) SetMult(t value.Tuple, m int) {
 	r.invalidate()
+	r.endLog()
 	h := t.Hash()
 	e := r.lookup(t, h)
 	if m <= 0 {
@@ -335,6 +357,7 @@ func (r *Relation) eachStored(f func(e *row) bool) {
 // would otherwise miss the multiplicity change.
 func (r *Relation) Normalize() {
 	r.version++
+	r.endLog()
 	for _, bucket := range r.rows {
 		for _, e := range bucket {
 			e.mult = 1
@@ -388,7 +411,7 @@ func (r *Relation) MatchCount(col int, v value.Value) int {
 // original; only the row entries themselves are fresh.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{name: r.name, attrs: append([]string(nil), r.attrs...), arity: r.arity,
-		rows: make(map[uint64][]*row, len(r.rows)), distinct: r.distinct, version: r.version}
+		rows: make(map[uint64][]*row, len(r.rows)), distinct: r.distinct, version: r.version, logFrom: r.version}
 	for h, bucket := range r.rows {
 		nb := make([]*row, len(bucket))
 		for i, e := range bucket {
@@ -445,8 +468,9 @@ func (r *Relation) SubsetOfSet(s *Relation) bool {
 }
 
 // HasNulls reports whether any stored tuple contains a null. The answer is
-// cached until the next structural mutation: preparing a plan consults it
-// per scanned relation to decide which a valuation can change at all.
+// cached and kept up to date by inserts — a removal resets it — so appends
+// do not make the next Prepare, which consults it per scanned relation to
+// decide which a valuation can change at all, walk the relation again.
 func (r *Relation) HasNulls() bool {
 	if s := r.nullState.Load(); s != 0 {
 		return s == 2

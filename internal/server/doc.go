@@ -5,9 +5,10 @@
 // its load endpoint in the raparse text format) and one prepared-plan
 // cache: the compile-once planner's Prepared state — row partitions, frozen
 // parts, the join tables over them — survives across requests
-// and is shared read-only by concurrent queries, guarded by the relations'
-// mutation versions so that mutating a touched relation invalidates
-// exactly the affected entries (see plan.PrepCache).
+// and is shared by concurrent queries, guarded by the relations' mutation
+// versions: an append to a touched relation advances exactly the affected
+// entries across the new rows on their next lookup, any other mutation
+// drops them (see plan.PrepCache).
 //
 // Endpoints (wire types in incdb/internal/api):
 //

@@ -125,7 +125,9 @@ func newMetrics(s *Server) *metrics {
 		func(sess *session) float64 { return float64(sess.prep.Stats().Hits) })
 	sessSeries(reg.CollectCounter, "incdb_prep_cache_misses_total", "Prepared-plan cache misses.",
 		func(sess *session) float64 { return float64(sess.prep.Stats().Misses) })
-	sessSeries(reg.CollectCounter, "incdb_prep_cache_invalidations_total", "Prepared plans dropped by version-guard checks.",
+	sessSeries(reg.CollectCounter, "incdb_prep_cache_advances_total", "Prepared-plan cache hits whose entry was first advanced across appended rows.",
+		func(sess *session) float64 { return float64(sess.prep.Stats().Advances) })
+	sessSeries(reg.CollectCounter, "incdb_prep_cache_invalidations_total", "Prepared plans dropped because they could not be advanced to the database's version.",
 		func(sess *session) float64 { return float64(sess.prep.Stats().Invalidations) })
 	sessSeries(reg.CollectGauge, "incdb_prep_cache_entries", "Prepared plans currently cached.",
 		func(sess *session) float64 { return float64(sess.prep.Stats().Entries) })

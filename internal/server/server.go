@@ -163,7 +163,8 @@ type session struct {
 	// mu orders mutation against evaluation: load (append or replace) and
 	// replicated apply take the write side, query/explain the read side.
 	// The prepared state handed out by prep is itself safe for concurrent
-	// execution.
+	// execution; it is looked up and executed inside one read-side hold,
+	// which is what lets a lookup advance it in place after an append.
 	mu      sync.RWMutex
 	db      *relation.Database
 	prep    *plan.PrepCache
@@ -658,9 +659,10 @@ func (s *Server) load(sp *obs.Span, name string, op store.Op, data string) (api.
 	if op == store.OpAppend {
 		if sess := s.sessionFor(name); sess != nil {
 			// Parse into the live database (atomic: a payload error leaves it
-			// untouched); version bumps on the touched relations invalidate
-			// exactly the prepared plans reading them, and result-cache keys
-			// embedding the old vector stop matching.
+			// untouched); the version bumps on the touched relations make the
+			// next lookup of exactly the prepared plans reading them advance
+			// across the new rows, and result-cache keys embedding the old
+			// vector stop matching.
 			resp, _, aerr := s.commit(sess, sp, op, data, func() error {
 				return raparse.ParseDatabaseInto(strings.NewReader(data), sess.db)
 			})

@@ -189,12 +189,15 @@ func TestResultCache(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidatesExactlyAffectedEntries: appending rows to a
-// relation invalidates the cached plans reading it — and only those — and
-// subsequent queries see the new data.
-func TestMutationInvalidatesExactlyAffectedEntries(t *testing.T) {
-	_, c := newTestServer(t)
-	if _, err := c.Load(ordersData, false); err != nil {
+// TestAppendAdvancesExactlyAffectedEntries: appending rows to a relation
+// advances the cached plans reading it — and only those, and drops none —
+// and subsequent queries see the new data.
+func TestAppendAdvancesExactlyAffectedEntries(t *testing.T) {
+	hs, c := newTestServer(t)
+	// Four orders and four payments: one more of each stays inside the
+	// relations' size classes, which the prepared-plan cache key folds in,
+	// so the lookup after the append finds the entry.
+	if _, err := c.Load(ordersData+"row Orders o4 c1\nrow Orders o5 c2\nrow Payments o4\nrow Payments o5\nrow Payments o9\n", false); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	// Warm two entries: one reading Orders+Payments, one reading Customers.
@@ -223,11 +226,13 @@ func TestMutationInvalidatesExactlyAffectedEntries(t *testing.T) {
 		t.Fatalf("after paid o3, unpaid cert = %v, want %v", qr.Results[0].Rows, want)
 	}
 	mid := sessionStatus(t, c, "test").Cache
-	// The stale entry must not serve: either its version guard failed (an
-	// invalidation) or the mutation moved the statistics epoch in the cache
-	// key (a miss that compiles afresh).
-	if mid.Invalidations == 0 && mid.Misses == before.Misses {
-		t.Fatalf("mutation neither invalidated nor recompiled: before %+v after %+v", before, mid)
+	// The entry did not serve as it stood, nor was it dropped or compiled
+	// again: it was advanced across the appended rows — a hit and an advance.
+	if mid.Advances != before.Advances+1 || mid.Hits != before.Hits+1 || mid.Misses != before.Misses || mid.Invalidations != 0 {
+		t.Fatalf("append did not advance the one affected entry: before %+v after %+v", before, mid)
+	}
+	if got := series(t, scrape(t, hs.URL), "incdb_prep_cache_advances_total", map[string]string{"session": "test"}); got != float64(mid.Advances) {
+		t.Fatalf("prep_cache_advances_total = %v, status says %d", got, mid.Advances)
 	}
 
 	// The Customers entry was untouched: querying it again must hit.
@@ -238,8 +243,8 @@ func TestMutationInvalidatesExactlyAffectedEntries(t *testing.T) {
 	if after.Hits <= mid.Hits {
 		t.Fatalf("unaffected entry did not hit after mutation: %+v -> %+v", mid, after)
 	}
-	if after.Invalidations != mid.Invalidations {
-		t.Fatalf("unaffected entry was invalidated: %+v -> %+v", mid, after)
+	if after.Invalidations != mid.Invalidations || after.Advances != mid.Advances {
+		t.Fatalf("unaffected entry was invalidated or advanced: %+v -> %+v", mid, after)
 	}
 }
 

@@ -25,6 +25,8 @@ import (
 const (
 	FpWALWrite       = "wal.write"       // the group-commit batch write
 	FpWALSync        = "wal.sync"        // the group-commit fsync
+	FpWALFlushed     = "wal.flushed"     // a flush leader, its batch durable, about to hand the log on
+	FpWALPark        = "wal.park"        // a Sync waiter about to park on the broadcast
 	FpWALTruncate    = "wal.truncate"    // post-snapshot WAL compaction
 	FpSnapshotWrite  = "snapshot.write"  // snapshot tmp-file body write
 	FpSnapshotSync   = "snapshot.sync"   // snapshot tmp-file fsync
@@ -50,6 +52,10 @@ type FailRule struct {
 	// Delay is added latency before the operation proceeds (applied whether
 	// or not the rule ultimately fires an error on this hit).
 	Delay time.Duration
+	// Wait, when non-nil, holds a firing hit at the site until the channel
+	// is closed: a test parks one goroutine at a named point while it
+	// arranges the others (FailpointHits tells it the point was reached).
+	Wait <-chan struct{}
 }
 
 type failState struct {
@@ -130,6 +136,9 @@ func failpointCheck(op string) (fire bool, err error, torn int) {
 	if r.Delay > 0 {
 		time.Sleep(r.Delay)
 	}
+	if r.Wait != nil {
+		<-r.Wait
+	}
 	err = r.Err
 	if err == nil {
 		err = fmt.Errorf("%w at %s", ErrInjected, op)
@@ -143,6 +152,10 @@ func fpErr(op string) error {
 	_, err, _ := failpointCheck(op)
 	return err
 }
+
+// fpPoint marks a site that does no I/O of its own: a firing rule counts the
+// hit and may hold it (Delay, Wait); its error is not used.
+func fpPoint(op string) { failpointCheck(op) }
 
 // fpWrite is f.Write(buf) behind the op failpoint: a firing rule may first
 // write a torn prefix of buf to the real file, then returns its error.

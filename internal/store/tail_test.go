@@ -203,3 +203,62 @@ func TestTailAcrossCompaction(t *testing.T) {
 	}
 	ok.Close()
 }
+
+// awaitHits spins until the failpoint site has fired n times.
+func awaitHits(t *testing.T, op string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); FailpointHits(op) < n; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("failpoint %s fired %d time(s), want %d", op, FailpointHits(op), n)
+		}
+	}
+}
+
+// TestSyncLostWakeup pins the window in which Sync used to lose a wake-up.
+// A flush leader is held (FpWALFlushed) after its batch is durable and
+// before it hands the log on; a second record is buffered — too late for
+// that batch — and its Sync finds the lock taken and goes to wait
+// (FpWALPark) for a broadcast that, before the fix, had already happened:
+// it then slept until some later append happened to flush. Now the leader
+// broadcasts after it has released the lock, so the waiter wakes, takes the
+// lock and flushes its own record — with no further append.
+func TestSyncLostWakeup(t *testing.T) {
+	defer ClearFailpoints()
+	l := openTestLog(t)
+	hold := make(chan struct{})
+	SetFailpoint(FpWALFlushed, FailRule{Count: 1, Wait: hold})
+	SetFailpoint(FpWALPark, FailRule{})
+
+	first, err := l.Buffer(OpAppend, "row R x\n", map[string]uint64{"R": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2) // one per Sync below
+	go func() { errs <- l.Sync(first) }()
+	awaitHits(t, FpWALFlushed, 1) // the leader's batch is durable; it still holds the log
+
+	second, err := l.Buffer(OpAppend, "row R y\n", map[string]uint64{"R": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { errs <- l.Sync(second) }()
+	awaitHits(t, FpWALPark, 1) // the waiter has subscribed, seen the lock held, and parks
+
+	close(hold)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("a Sync is still parked with record %d buffered and nobody flushing (durable %d): lost wake-up", second, l.DurableSeq())
+		}
+	}
+	if got := l.DurableSeq(); got != second {
+		t.Fatalf("durable seq %d, want %d", got, second)
+	}
+	if st := l.Stats(); st.Syncs != 2 {
+		t.Fatalf("%d fsyncs, want 2: the waiter's record missed the leader's batch", st.Syncs)
+	}
+}

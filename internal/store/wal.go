@@ -365,7 +365,15 @@ func (l *SessionLog) BufferRecord(rec *Record) error {
 // broadcast channel instead of queueing on the mutex, so a finished flush
 // releases the whole batch of waiters with one channel close rather than a
 // convoy of sequential mutex handoffs.
+//
+// No wake-up can be lost, by construction: every holder of syncMu
+// broadcasts after it has released it (release), and a waiter parks only
+// after it has subscribed and then seen the lock still held — so that
+// holder's broadcast is still to come and closes the waiter's channel. A
+// waiter whose record missed the holder's batch wakes to a free lock and
+// flushes it itself.
 func (l *SessionLog) Sync(seq uint64) error {
+	var ch <-chan struct{} // subscription taken since the lock was last seen held
 	for l.durable.Load() < seq {
 		if l.failed.Load() {
 			return fmt.Errorf("store: session %q wal failed earlier; record %d is not durable (restart to recover)", l.name, seq)
@@ -375,22 +383,33 @@ func (l *SessionLog) Sync(seq uint64) error {
 			if l.durable.Load() < seq {
 				err = l.flush()
 			}
-			l.syncMu.Unlock()
+			fpPoint(FpWALFlushed)
+			l.release()
 			if err != nil {
 				return err
 			}
+			ch = nil
 			continue
 		}
-		// A flush is in flight. Subscribe, re-check (the flusher may have
-		// finished in between — the subscribe-then-check order makes that
-		// race safe), then wait for its completion broadcast.
-		ch := l.changed()
-		if l.durable.Load() >= seq || l.failed.Load() {
+		// A flush is in flight. Subscribe first, then look again.
+		if ch == nil {
+			ch = l.changed()
 			continue
 		}
+		fpPoint(FpWALPark)
 		<-ch
+		ch = nil
 	}
 	return nil
+}
+
+// release hands syncMu on and then wakes everyone waiting on the durable
+// state — Sync waiters and WAL tailers. The order is what Sync's argument
+// rests on: a waiter that finds the lock held after subscribing is woken by
+// this broadcast, one that finds it free takes it.
+func (l *SessionLog) release() {
+	l.syncMu.Unlock()
+	l.notify()
 }
 
 // flush writes and fsyncs everything buffered. Caller holds syncMu.
@@ -431,7 +450,6 @@ func (l *SessionLog) flush() error {
 	l.syncs.Add(1)
 	l.lastSync.Store(time.Now().UnixNano())
 	l.durable.Store(end)
-	l.notify()
 	return nil
 }
 
@@ -449,7 +467,7 @@ func (l *SessionLog) Append(op Op, data string, versions map[string]uint64) (uin
 	return seq, l.Sync(seq)
 }
 
-// notify wakes every WAL tailer waiting for new durable records.
+// notify wakes everyone waiting for the durable state to change.
 func (l *SessionLog) notify() {
 	l.noteMu.Lock()
 	close(l.note)
@@ -482,7 +500,7 @@ func (l *SessionLog) InstallSnapshot(snap *Snapshot) error {
 		return fmt.Errorf("store: session %q wal failed earlier; refusing snapshot (restart to recover)", l.name)
 	}
 	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
+	defer l.release()
 	if m := l.metrics; m != nil {
 		start := time.Now()
 		defer func() { observe(m.SnapshotSeconds, time.Since(start).Seconds()) }()
@@ -542,7 +560,6 @@ func (l *SessionLog) InstallSnapshot(snap *Snapshot) error {
 	l.SetEpoch(snap.Epoch)
 	l.lastSnap.Store(time.Now().UnixNano())
 	l.walGen.Add(1)
-	l.notify()
 	return nil
 }
 
