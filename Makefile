@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fmt fmt-check vet build test race bench bench-test bench-check bench-compare bench-server smoke smoke-replication smoke-failover clean ci loc
+.PHONY: all fmt fmt-check vet build test race bench bench-test bench-check bench-compare smoke smoke-replication smoke-failover clean ci loc
 
 all: build
 
@@ -50,20 +50,13 @@ bench-check:
 	bash bench/run.sh --check
 
 # Measure the working tree against the previous commit (or BASE=<ref>),
-# report via benchstat when available, and emit BENCH_PR10.json. Fails when
-# a gated oracle microbenchmark (E1/E11) regresses more than 25%; CI
-# uploads the output as an artifact either way.
+# report via benchstat when available, and write the comparison to
+# bench-compare-out/compare.json. Fails when a gated oracle microbenchmark
+# (E1/E11) regresses more than 25%; CI uploads the output as an artifact
+# either way.
 BASE ?= HEAD~1
 bench-compare:
 	./scripts/bench_compare.sh $(BASE)
-
-# Warm-vs-cold prepared-plan cache throughput, the durable-load
-# group-commit concurrency curve, a live /v1/metrics snapshot, and the
-# sustained mixed-load harness (cmd/incdbload, tracing off vs on); emits
-# BENCH_PR4.json, BENCH_PR6.json, BENCH_PR9.json and BENCH_PR10.json
-# (see scripts/bench_server.sh).
-bench-server:
-	./scripts/bench_server.sh
 
 # End-to-end incdbd smoke: start the server, load the example database,
 # assert a certain answer, a prepared-plan cache hit, and an incdbctl

@@ -6,13 +6,14 @@ import (
 	"incdb/internal/value"
 )
 
-// The advance of a Prepared across appended rows (the second axis of the
-// contract in prepare.go): the delta phase runs once, bottom-up, with every
-// scan emitting the appended rows of its relation in place of instantiated
-// null rows, and each node's Δ⁺ — what the rows add to its frozen part — is
-// folded into the artifacts built over that part. Nodes that do not
-// distribute over ⊎ of the input that grew are dropped with their
-// ancestors and re-derived on next use; there is no retraction.
+// The advance of a Prepared across appended rows: the append-log source of
+// the contract in prepare.go. It is a driver over exec.go, not a walk of its
+// own: it decides node by node whether the appended rows reach a node that
+// can fold them — one that distributes over ⊎ of every input they reached —
+// runs the Δ pass the worlds run with the append log as its source, and
+// folds each node's Δ⁺ into the artifacts built over its frozen part: rel,
+// the root's answer, the join tables. A node that cannot fold is dropped
+// with its ancestors and re-derived on next use; there is no retraction.
 
 // catchUp brings the prepared state up to db, the base it was prepared
 // against, after the relations it reads may have changed: prepCurrent when the
@@ -48,14 +49,6 @@ const (
 	prepStale
 )
 
-// advPlan is one plan's share of an advance: the appended rows by relation
-// and every node's Δ⁺ — empty for a node the rows did not reach, and for one
-// whose frozen part was dropped instead (nodeState.rederived).
-type advPlan struct {
-	added map[string][]relation.Appended
-	nodes []vbatch
-}
-
 // advance folds the appended rows into the prepared state. It reports false,
 // having changed nothing, when they would reclassify a node.
 func (prep *Prepared) advance(added map[string][]relation.Appended) bool {
@@ -84,8 +77,16 @@ func (prep *Prepared) advance(added map[string][]relation.Appended) bool {
 		return false // Dom over a complete database would start to vary
 	}
 	prep.absorbed += rows
-	for _, q := range plans {
-		prep.advancePlan(q, added)
+	// Decide everywhere before any pass runs: a filter's pass asks whether
+	// the subplans it probes grew.
+	reached := make([]bool, len(plans))
+	for i, q := range plans {
+		reached[i] = prep.decide(q, added)
+	}
+	for i, q := range plans {
+		if reached[i] {
+			prep.fold(q, source{added: added})
+		}
 	}
 	if nullAdded {
 		prep.nullIDs.clear()
@@ -100,13 +101,15 @@ func (prep *Prepared) advance(added map[string][]relation.Appended) bool {
 	return true
 }
 
-// advancePlan runs q's nodes bottom-up in the delta phase over the appended
-// rows, folding or dropping each node's artifacts.
-func (prep *Prepared) advancePlan(q *Plan, added map[string][]relation.Appended) {
+// decide marks what the appended rows do to each node of q: it grows when
+// they reach it and it can fold its Δ⁺, and is rederived — its frozen part
+// dropped — when it cannot: an input they reached is one it does not
+// distribute over (Dom's is the whole database), or was dropped itself, or
+// nothing has been built from the node yet (dropping is free, and the first
+// use builds from the advanced inputs). A node without a frozen part has
+// none to fold into. It reports whether the rows reached q's root at all.
+func (prep *Prepared) decide(q *Plan, added map[string][]relation.Appended) bool {
 	ps := prep.stateOf(q)
-	for i := range ps.nodes {
-		ps.nodes[i].rederived = false
-	}
 	touched := func(n pnode) bool {
 		reads := n.base().reads
 		if reads.dom {
@@ -119,119 +122,106 @@ func (prep *Prepared) advancePlan(q *Plan, added map[string][]relation.Appended)
 		}
 		return false
 	}
-	if !touched(q.root) {
-		return
+	for _, n := range q.nodes {
+		st := &ps.nodes[n.base().id]
+		st.grows, st.rederived = false, false
+		if !touched(n) || st.noFrozen {
+			continue
+		}
+		_, scan := n.(*pscan)
+		_, blocked := n.(*pdom)
+		dropped := !scan && st.frozenRows.Load() < 0
+		prep.eachInput(ps, n, func(in pnode, is *nodeState) {
+			if touched(in) {
+				blocked = blocked || !distributes(n, in, q.bag)
+				dropped = dropped || is.rederived
+			}
+		})
+		if !blocked && !dropped {
+			st.grows = true
+			continue
+		}
+		// Blocked by an input it does not distribute over, with a left input
+		// that folds: from now on re-derived from that input's consolidated
+		// frozen part.
+		l, _ := inputs(n)
+		st.consolidate = st.consolidate || blocked && l != nil && st.frozenRows.Load() >= 0 && !ps.nodes[l.base().id].rederived
+		st.rederived = true
+		st.rel.clear()
+		st.frozenRows.Store(-1)
+		if n == q.root {
+			ps.out.clear()
+		}
 	}
+	return touched(q.root)
+}
+
+// fold runs q's Δ pass over the appended rows and folds each node's Δ⁺ into
+// the artifacts built over its frozen part. The pass sees every artifact at
+// the guards — a table or rel first built during it streams the relations
+// without the appended rows (source) — and the folds follow it.
+func (prep *Prepared) fold(q *Plan, src source) {
+	ps := prep.stateOf(q)
 	x := acquire(q, prep, nil, true)
-	x.adv = &advPlan{added: added, nodes: make([]vbatch, len(q.nodes))}
+	x.src, x.grown = src, make([]*vbatch, len(q.nodes))
 	defer func() {
-		// The tables keep rows of this pass's arena.
-		x.keepRows = true
+		// The tables and the templates keep rows of the pass's arena.
+		x.handOver()
 		x.release()
 	}()
-	for _, n := range q.nodes {
-		st, an := x.st(n), &x.adv.nodes[n.base().id]
-		j, _ := n.(*pjoin)
-		hadL := j != nil && !st.tableL.empty()
-		switch {
-		case !touched(n) || st.noFrozen:
-			// Nothing reaches the node, or it has no frozen part to reach.
-		case x.rederives(n, touched):
-			st.rederived = true
-			st.rel.clear()
-			if l, _ := inputs(n); l != nil && st.frozenRows.Load() >= 0 && !x.st(l).rederived {
-				// Dropped over its other input, with a left input that folds.
-				switch n.(type) {
-				case *pfilter, *pdiff, *pantiunify:
-					st.consolidate = true
-				}
-			}
-			st.frozenRows.Store(-1)
-			if n == q.root {
-				ps.out.clear()
-			}
-		default:
-			n.run(x, func(b *vbatch) {
-				an.rows = append(an.rows, b.rows...)
-				an.mults = append(an.mults, b.mults...)
-			})
+	// Top-down, so that a node no growing consumer streams — the root, an
+	// input of a re-derived node or a barrier — starts a stream of its own.
+	for i := len(q.nodes) - 1; i >= 0; i-- {
+		if ps.nodes[i].grows && x.grown[i] == nil {
+			stream(q.nodes[i], x, func(*vbatch) {})
+		}
+	}
+	for i, n := range q.nodes {
+		st, g := &ps.nodes[i], x.grown[i]
+		if g != nil {
 			if st.frozenRows.Load() >= 0 {
-				st.frozenRows.Add(int64(len(an.rows)))
+				st.frozenRows.Add(int64(len(g.rows)))
 			}
 			// A full-width scan's consolidated part may be the relation
 			// itself, which has the rows already.
 			if rel := st.rel.p.Load(); rel != nil && (st.scan == nil || rel != st.scan.rel) {
-				addRows(rel, an.rows, an.mults, true)
+				addRows(rel, g.rows, g.mults, true)
 			}
 			if out := ps.out.p.Load(); out != nil && n == q.root {
-				addRows(out, an.rows, an.mults, q.bag)
+				addRows(out, g.rows, g.mults, q.bag)
 			}
 		}
-		if j != nil {
+		if j, ok := n.(*pjoin); ok {
 			// The join's tables follow its inputs whatever became of the join
-			// itself; a table over Fl first built during the run is up to date.
-			if hadL {
-				x.advanceTable(&st.tableL, j.left)
-			}
-			x.advanceTable(&st.tableR, j.right)
+			// itself.
+			x.foldTable(&st.tableL, j.left)
+			x.foldTable(&st.tableR, j.right)
 		}
 	}
 }
 
-// rederives reports whether n's frozen part cannot take the appended rows
-// as a Δ⁺: an input was dropped, nothing has been built from the node yet
-// (dropping is free, and the first use builds from the advanced inputs), or
-// the node does not distribute over ⊎ of the input that changed.
-func (x *exec) rederives(n pnode, touched func(pnode) bool) bool {
-	dropped := func(c pnode) bool { return c != nil && x.st(c).rederived }
-	if l, r := inputs(n); dropped(l) || dropped(r) {
-		return true
+// grow wraps a node's consumer in an advance so that the node's Δ⁺ is kept
+// for the fold.
+func (x *exec) grow(n pnode, emit func(*vbatch)) func(*vbatch) {
+	g := &vbatch{}
+	x.grown[n.base().id] = g
+	return func(b *vbatch) {
+		g.rows = append(g.rows, b.rows...)
+		g.mults = append(g.mults, b.mults...)
+		emit(b)
 	}
-	st := x.st(n)
-	switch n := n.(type) {
-	case *pscan:
-		return false
-	case *pfilter:
-		changed := false
-		for _, c := range n.conds {
-			eachSub(c, func(sub *Plan) { changed = changed || touched(sub.root) })
-		}
-		if changed {
-			return true
-		}
-	case *pjoin:
-		if st.tableR.empty() {
-			return true
-		}
-	case *pdiff:
-		if x.bag || touched(n.r) {
-			return true
-		}
-	case *pantiunify:
-		if touched(n.r) {
-			return true
-		}
-	case *pinter:
-		if x.bag {
-			return true
-		}
-	case *pdivide, *pdom:
-		return true
-	}
-	return st.frozenRows.Load() < 0
 }
 
-// advanceTable brings a join table over the frozen part of input in up to
+// foldTable brings a join table over the frozen part of input in up to
 // date: the input's Δ⁺ is added, a table over a dropped input is dropped.
-func (x *exec) advanceTable(slot *lazy[joinTable], in pnode) {
+func (x *exec) foldTable(slot *lazy[joinTable], in pnode) {
 	if x.st(in).rederived {
 		slot.clear()
 		return
 	}
-	an := &x.adv.nodes[in.base().id]
-	if tb := slot.p.Load(); tb != nil {
-		for i, t := range an.rows {
-			tb.add(t, an.mults[i], x.mode == algebra.ModeSQL)
+	if tb, g := slot.p.Load(), x.grown[in.base().id]; tb != nil && g != nil {
+		for i, t := range g.rows {
+			tb.add(t, g.mults[i], x.mode == algebra.ModeSQL)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,15 +15,17 @@ import (
 // Prepared accumulates — the root's frozen answer, join tables, consolidated
 // barrier and subquery inputs — survive beyond a single oracle invocation,
 // along with the row partition and the relevant null ids. Entries are keyed
-// by (query rendering, mode, semantics, read-relation arities and size
-// classes), i.e. the same key the process-wide plan cache uses, and guarded
+// by (query rendering, mode, semantics, read-relation arities) and guarded
 // by the pins Prepare recorded. A lookup brings the entry up to the caller's
 // database (Prepared.catchUp): it serves as it stands when no relation its
 // plan reads has changed, it is advanced — the appended rows folded into its
 // frozen artifacts — when those relations have only gained rows, and it is
 // dropped and prepared afresh otherwise (a removal, a replaced relation,
 // more appends than a relation's bounded append log remembers, an append
-// that would reclassify a node).
+// that would reclassify a node). A relation that has moved to another log₂
+// size class since the plan was costed has the plan re-costed first: the
+// entry carries on when the cost model still picks the same physical plan,
+// and is prepared afresh with the new one when it does not.
 //
 // All methods are safe for concurrent use, and the Prepared values handed
 // out are safe for concurrent execution — a server can share one PrepCache
@@ -63,7 +67,8 @@ func NewPrepCache(capacity int) *PrepCache {
 // by a cached entry, as it stood or advanced; an advance is a hit whose entry
 // first had appended rows folded in; an invalidation is a lookup that found
 // an entry it could not advance either (the entry is dropped and prepared
-// afresh); a miss is a lookup that found no entry at all.
+// afresh); a miss is a lookup that found no entry for its plan — none at
+// all, or one whose re-costed plan has another shape.
 type CacheStats struct {
 	Entries       int    `json:"entries"`
 	Hits          uint64 `json:"hits"`
@@ -97,14 +102,14 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 	if c == nil {
 		return PlanFor(q, base, mode, bag).Prepare(base)
 	}
-	key := cacheKey(q, base, mode, bag, true)
+	key := cacheKey(q, base, mode, bag, false)
 	c.mu.Lock()
 	prep := c.entries[key]
 	if prep != nil {
 		c.order.Touch(key)
 	}
 	c.mu.Unlock()
-	if prep == nil {
+	if prep == nil || !prep.recost(base, q, mode, bag) {
 		c.misses.Add(1)
 	} else {
 		// Catching up happens under the entry's own lock, not the cache's: an
@@ -117,17 +122,13 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 			c.hits.Add(1)
 			return prep
 		}
-		c.mu.Lock()
-		if c.entries[key] == prep {
-			c.remove(key)
-		}
-		c.mu.Unlock()
 		c.invalidations.Add(1)
 	}
 	// Prepare outside the lock: it walks every relation with nulls the plan
 	// scans. Concurrent misses on the same key prepare identical state and
 	// the last store wins harmlessly.
 	prep = PlanFor(q, base, mode, bag).Prepare(base)
+	prep.epochs = epochs(base, prep.p)
 	c.mu.Lock()
 	c.entries[key] = prep
 	c.order.Touch(key)
@@ -136,6 +137,63 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 	}
 	c.mu.Unlock()
 	return prep
+}
+
+// recost reports whether the plan still fits db: when a relation it reads
+// has moved to another size class since it was costed, the cost model is
+// asked again, and the new plan takes the old one's place when it has the
+// same shape, so that the prepared state carries on.
+func (prep *Prepared) recost(db *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) bool {
+	prep.mu.Lock()
+	defer prep.mu.Unlock()
+	for i, name := range prep.p.root.base().reads.names {
+		if epochOf(db, name) != prep.epochs[i] {
+			p := PlanFor(q, db, mode, bag)
+			if p.shape() != prep.p.shape() {
+				return false
+			}
+			prep.p, prep.epochs = p, epochs(db, p)
+			break
+		}
+	}
+	return true
+}
+
+// epochs returns the statistics epoch of every relation p reads, in the
+// order of its read set.
+func epochs(db *relation.Database, p *Plan) []uint64 {
+	names := p.root.base().reads.names
+	out := make([]uint64, len(names))
+	for i, name := range names {
+		out[i] = epochOf(db, name)
+	}
+	return out
+}
+
+// epochOf returns the statistics epoch of a relation of db (its log₂ size
+// class), 0 for an absent one.
+func epochOf(db *relation.Database, name string) uint64 {
+	if rel := db.Relation(name); rel != nil {
+		return rel.StatsEpoch()
+	}
+	return 0
+}
+
+// shape renders what of a plan the cost model can change: every node's
+// operator and inputs, without the estimates.
+func (p *Plan) shape() string {
+	var b strings.Builder
+	for _, q := range append([]*Plan{p}, p.subs...) {
+		fmt.Fprintf(&b, "root #%d\n", q.root.base().id)
+		for _, n := range q.nodes {
+			b.WriteString(n.describe())
+			for _, c := range children(n) {
+				fmt.Fprintf(&b, " #%d", c.base().id)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }
 
 // remove drops key from the map and the LRU order; caller holds c.mu.

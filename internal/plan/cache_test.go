@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"incdb/internal/algebra"
+	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -292,4 +294,168 @@ func TestNilPrepCache(t *testing.T) {
 	if st := c.Stats(); st != (CacheStats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
+}
+
+// decisionDB is the instance TestCatchUpDecisions mutates: R (1100 rows, so
+// that even a log overrun stays inside its log₂ size class), S (5 rows, the
+// join's build side) and U (read by no query but Dom's); no nulls at all.
+func decisionDB() *relation.Database {
+	db := relation.NewDatabase()
+	r := relation.New("R", "a", "b")
+	for i := 0; i < 1100; i++ {
+		r.Add(value.Consts(fmt.Sprintf("r%d", i), fmt.Sprintf("k%d", i%5)))
+	}
+	s := relation.New("S", "a", "c")
+	for i := 0; i < 5; i++ {
+		s.Add(value.Consts(fmt.Sprintf("k%d", i), fmt.Sprintf("w%d", i)))
+	}
+	u := relation.New("U", "x")
+	u.Add(value.Consts("z"))
+	return db.Add(r).Add(s).Add(u)
+}
+
+// TestCatchUpDecisions pins what catching a Prepared up decides after each
+// kind of mutation, and that a PrepCache lookup counts the same outcome —
+// also when a relation moves to another size class:
+// current (a hit), advanced (a hit and an advance) or stale (an
+// invalidation: dropped and prepared afresh). A refactor that advances less
+// often still answers right, so only a test of the decisions catches it.
+func TestCatchUpDecisions(t *testing.T) {
+	const join = "sel(eq(1, 2), times(R, S))"
+	appendRows := func(name string, n int) func(db *relation.Database) *relation.Database {
+		return func(db *relation.Database) *relation.Database {
+			rel := db.MustRelation(name)
+			for i := 0; i < n; i++ {
+				rel.Add(value.Consts(fmt.Sprintf("new%d", i), fmt.Sprintf("k%d", i%5))[:rel.Arity()])
+			}
+			return db
+		}
+	}
+	rRow := value.Consts("r7", "k2")
+	for _, tc := range []struct {
+		name   string
+		q      string
+		mutate func(db *relation.Database) *relation.Database
+		want   catchUpResult
+	}{
+		{"guards hold", join, func(db *relation.Database) *relation.Database { return db }, prepCurrent},
+		{"an unread relation grows", join, appendRows("U", 1), prepCurrent},
+		{"a null-free append to the probe side", join, appendRows("R", 1), prepAdvanced},
+		{"a null-free append to the build side", join, appendRows("S", 2), prepAdvanced},
+		// S grows from 5 rows to 8, into the next log₂ size class; the cost
+		// model still builds S and probes R.
+		{"growth across a size class", join, appendRows("S", 3), prepAdvanced},
+		{"a first template for a null-free scan", join, func(db *relation.Database) *relation.Database {
+			db.MustRelation("R").Add(value.T(value.Const("r-null"), db.FreshNull()))
+			return db
+		}, prepStale},
+		{"a null reaching Dom over a complete base", "minus(dom(1), proj(0, S))", func(db *relation.Database) *relation.Database {
+			db.MustRelation("U").Add(value.T(db.FreshNull()))
+			return db
+		}, prepStale},
+		{"SetMult", join, func(db *relation.Database) *relation.Database {
+			db.MustRelation("R").SetMult(rRow, 2)
+			return db
+		}, prepStale},
+		{"a subtracting AddMult", join, func(db *relation.Database) *relation.Database {
+			db.MustRelation("R").AddMult(rRow, -1)
+			return db
+		}, prepStale},
+		{"Normalize", join, func(db *relation.Database) *relation.Database {
+			db.MustRelation("R").Normalize()
+			return db
+		}, prepStale},
+		{"RestoreVersion", join, func(db *relation.Database) *relation.Database {
+			r := db.MustRelation("R")
+			r.RestoreVersion(r.Version() + 5)
+			return db
+		}, prepStale},
+		{"another database", join, func(db *relation.Database) *relation.Database { return db.Clone() }, prepStale},
+		{"more appends than the log holds", join, appendRows("R", 300), prepStale},
+	} {
+		q, err := raparse.ParseQuery(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Straight through catchUp, on a Prepared whose artifacts are built.
+		db := decisionDB()
+		prep := PlanFor(q, db, algebra.ModeNaive, false).Prepare(db)
+		prep.Exec(db)
+		if got := prep.catchUp(tc.mutate(db)); got != tc.want {
+			t.Errorf("%s: catchUp = %v, want %v", tc.name, got, tc.want)
+		}
+		// Through a PrepCache: the counters must tell the same story.
+		db = decisionDB()
+		c := NewPrepCache(0)
+		c.Get(db, q, algebra.ModeNaive, false).Exec(db)
+		before := c.Stats()
+		db = tc.mutate(db)
+		got := c.Get(db, q, algebra.ModeNaive, false).Exec(db)
+		if want := algebra.EvalInterp(db, q, algebra.ModeNaive); !want.Equal(got) {
+			t.Errorf("%s: cached answer %v, interpreter %v", tc.name, got, want)
+		}
+		st := c.Stats()
+		d := CacheStats{Hits: st.Hits - before.Hits, Misses: st.Misses - before.Misses, Advances: st.Advances - before.Advances, Invalidations: st.Invalidations - before.Invalidations}
+		want := map[catchUpResult]CacheStats{
+			prepCurrent:  {Hits: 1},
+			prepAdvanced: {Hits: 1, Advances: 1},
+			prepStale:    {Invalidations: 1},
+		}[tc.want]
+		if d != want {
+			t.Errorf("%s: counters moved by %+v, want %+v", tc.name, d, want)
+		}
+	}
+}
+
+// TestPrepCacheAcrossSizeClasses: when an append moves a relation into
+// another log₂ size class, a cached entry is advanced and carries on with
+// the re-costed plan when that has the same shape, and is prepared afresh
+// when the join order flips (the TestPlanCacheStatsEpochFlip shape; relation
+// names are unique to this test because the plan cache is process-wide).
+func TestPrepCacheAcrossSizeClasses(t *testing.T) {
+	db := relation.NewDatabase()
+	a := relation.New("ClassA", "k", "v")
+	a.Add(value.Consts("c0", "a0"))
+	a.Add(value.Consts("c1", "a1"))
+	b := relation.New("ClassB", "k", "v")
+	for i := 0; i < 40; i++ {
+		b.Add(value.T(value.Const(fmt.Sprintf("c%d", i%4)), value.Int(i)))
+	}
+	db.Add(a).Add(b)
+	q := algebra.Sel(algebra.Times(algebra.R("ClassA"), algebra.R("ClassB")), algebra.CEq(0, 2))
+	c := NewPrepCache(0)
+	lookup := func(step string, want CacheStats) *Prepared {
+		t.Helper()
+		before := c.Stats()
+		prep := c.Get(db, q, algebra.ModeNaive, false)
+		if got, want := prep.Exec(db), algebra.EvalInterp(db, q, algebra.ModeNaive); !want.Equal(got) {
+			t.Fatalf("%s: cached answer %v, interpreter %v", step, got, want)
+		}
+		st := c.Stats()
+		if d := (CacheStats{Hits: st.Hits - before.Hits, Misses: st.Misses - before.Misses, Advances: st.Advances - before.Advances, Invalidations: st.Invalidations - before.Invalidations}); d != want {
+			t.Fatalf("%s: counters moved by %+v, want %+v", step, d, want)
+		}
+		return prep
+	}
+	lookup("first", CacheStats{Misses: 1})
+	// 2 → 5 rows: two classes up, and ClassB is still the one to probe.
+	for i := 0; i < 3; i++ {
+		a.Add(value.Consts(fmt.Sprintf("c%d", i), fmt.Sprintf("a%d", 2+i)))
+	}
+	prep := lookup("same order", CacheStats{Hits: 1, Advances: 1})
+	if prep.p != PlanFor(q, db, algebra.ModeNaive, false) {
+		t.Error("the advanced entry kept the plan costed for the old size class")
+	}
+	if got := scanOrder(prep.p.root); got[0] != "ClassB" {
+		t.Fatalf("scan order %v, want ClassB probed", got)
+	}
+	// 5 → 60 rows: ClassA now dwarfs ClassB and the join order flips.
+	for i := 0; i < 55; i++ {
+		a.Add(value.T(value.Const(fmt.Sprintf("c%d", i%4)), value.Int(100+i)))
+	}
+	prep = lookup("flipped order", CacheStats{Misses: 1})
+	if got := scanOrder(prep.p.root); got[0] != "ClassA" {
+		t.Fatalf("scan order %v after the flip, want ClassA probed", got)
+	}
+	lookup("after the flip", CacheStats{Hits: 1})
 }

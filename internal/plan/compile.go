@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -34,12 +35,6 @@ type Plan struct {
 	// evaluating requests back to back, keep reusing warm state.
 	pool sync.Pool
 }
-
-// Mode returns the evaluation mode the plan was compiled for.
-func (p *Plan) Mode() algebra.Mode { return p.mode }
-
-// Bag reports whether the plan evaluates under bag semantics.
-func (p *Plan) Bag() bool { return p.bag }
 
 // Arity returns the plan's output arity.
 func (p *Plan) Arity() int { return p.arity }
@@ -141,30 +136,21 @@ type pjoin struct {
 	cost         float64
 }
 
-type punion struct {
+// pbinary is the shape of the two-input operators other than the join.
+type pbinary struct {
 	pbase
 	l, r pnode
 }
 
-type pdiff struct {
-	pbase
-	l, r pnode
-}
+func (b *pbinary) operands() (l, r pnode) { return b.l, b.r }
 
-type pinter struct {
-	pbase
-	l, r pnode
-}
-
-type pdivide struct {
-	pbase
-	l, r pnode
-}
-
-type pantiunify struct {
-	pbase
-	l, r pnode
-}
+type (
+	punion     struct{ pbinary }
+	pdiff      struct{ pbinary }
+	pinter     struct{ pbinary }
+	pdivide    struct{ pbinary }
+	pantiunify struct{ pbinary }
+)
 
 // pdistinct eliminates duplicate tuples from its input stream, emitting
 // each distinct tuple exactly once with multiplicity one. The compiler
@@ -194,16 +180,8 @@ func inputs(n pnode) (l, r pnode) {
 		return n.in, nil
 	case *pjoin:
 		return n.left, n.right
-	case *punion:
-		return n.l, n.r
-	case *pdiff:
-		return n.l, n.r
-	case *pinter:
-		return n.l, n.r
-	case *pdivide:
-		return n.l, n.r
-	case *pantiunify:
-		return n.l, n.r
+	case interface{ operands() (l, r pnode) }:
+		return n.operands()
 	}
 	return nil, nil
 }
@@ -278,6 +256,11 @@ type compiler struct {
 
 func (c *compiler) newBase(width int, reads readSet) pbase {
 	return pbase{id: -1, width: width, reads: reads, est: -1}
+}
+
+// binary is the base of a two-input operator of width w over l and r.
+func (c *compiler) binary(w int, l, r pnode) pbinary {
+	return pbinary{c.newBase(w, l.base().reads.union(r.base().reads)), l, r}
 }
 
 // register assigns the node its id and records it on the plan.
@@ -390,10 +373,7 @@ func (c *compiler) compile(e algebra.Expr, need []bool) pnode {
 		return c.project(in, cols)
 	case algebra.Union:
 		l, r := c.compile(e.L, need), c.compile(e.R, need)
-		n := &punion{
-			pbase: c.newBase(l.base().width, l.base().reads.union(r.base().reads)),
-			l:     l, r: r,
-		}
+		n := &punion{c.binary(l.base().width, l, r)}
 		lb, rb := l.base(), r.base()
 		if lb.est >= 0 && rb.est >= 0 && lb.colDist != nil && rb.colDist != nil {
 			n.est = lb.est + rb.est
@@ -406,18 +386,12 @@ func (c *compiler) compile(e algebra.Expr, need []bool) pnode {
 		return c.register(n)
 	case algebra.Diff:
 		l, r := c.compile(e.L, nil), c.compile(e.R, nil)
-		n := &pdiff{
-			pbase: c.newBase(l.base().width, l.base().reads.union(r.base().reads)),
-			l:     l, r: r,
-		}
+		n := &pdiff{c.binary(l.base().width, l, r)}
 		c.annotateFromLeft(&n.pbase, l, l.base().width)
 		return c.narrow(c.register(n), need)
 	case algebra.Intersect:
 		l, r := c.compile(e.L, nil), c.compile(e.R, nil)
-		n := &pinter{
-			pbase: c.newBase(l.base().width, l.base().reads.union(r.base().reads)),
-			l:     l, r: r,
-		}
+		n := &pinter{c.binary(l.base().width, l, r)}
 		c.annotateFromLeft(&n.pbase, l, l.base().width)
 		if rb := r.base(); n.est >= 0 && rb.est >= 0 && rb.est < n.est {
 			n.est = rb.est
@@ -427,21 +401,15 @@ func (c *compiler) compile(e algebra.Expr, need []bool) pnode {
 	case algebra.Divide:
 		l, r := c.compile(e.L, nil), c.compile(e.R, nil)
 		w := l.base().width - r.base().width
-		n := &pdivide{
-			pbase: c.newBase(w, l.base().reads.union(r.base().reads)),
-			l:     l, r: r,
-		}
+		n := &pdivide{c.binary(w, l, r)}
 		if lb, rb := l.base(), r.base(); lb.est >= 0 && rb.est >= 0 && lb.colDist != nil {
-			n.est = lb.est / maxf(rb.est, 1)
+			n.est = lb.est / max(rb.est, 1)
 			n.colDist = capDist(lb.colDist[:w], n.est)
 		}
 		return c.narrow(c.register(n), need)
 	case algebra.AntiUnify:
 		l, r := c.compile(e.L, nil), c.compile(e.R, nil)
-		n := &pantiunify{
-			pbase: c.newBase(l.base().width, l.base().reads.union(r.base().reads)),
-			l:     l, r: r,
-		}
+		n := &pantiunify{c.binary(l.base().width, l, r)}
 		c.annotateFromLeft(&n.pbase, l, l.base().width)
 		return c.narrow(c.register(n), need)
 	case algebra.Dom:
@@ -477,9 +445,9 @@ func (c *compiler) annotateScan(n *pscan, ar int) {
 	}
 	n.colDist = make([]float64, len(cols))
 	n.nullFrac = make([]float64, len(cols))
-	rows := maxf(float64(st.Rows), 1)
+	rows := max(float64(st.Rows), 1)
 	for i, col := range cols {
-		n.colDist[i] = maxf(float64(st.ColDistinct[col]), 1)
+		n.colDist[i] = max(float64(st.ColDistinct[col]), 1)
 		n.nullFrac[i] = float64(st.ColNulls[col]) / rows
 	}
 }
@@ -851,7 +819,7 @@ func (c *compiler) compileCluster(e algebra.Expr, need []bool) pnode {
 func condReads(cs []pcond) readSet {
 	var out readSet
 	for _, c := range cs {
-		out = out.union(c.reads())
+		eachSub(c, func(sub *Plan) { out = out.union(sub.root.base().reads) })
 	}
 	return out
 }
@@ -889,26 +857,10 @@ func (n *pscan) describe() string {
 	if n.cols == nil {
 		return "scan " + n.name
 	}
-	parts := make([]string, len(n.cols))
-	for i, c := range n.cols {
-		parts[i] = fmt.Sprintf("%d", c)
-	}
-	return "scan " + n.name + "[" + strings.Join(parts, ",") + "]"
+	return "scan " + n.name + "[" + joinInts(n.cols) + "]"
 }
-func (n *pfilter) describe() string {
-	parts := make([]string, len(n.conds))
-	for i, c := range n.conds {
-		parts[i] = c.String()
-	}
-	return "filter " + strings.Join(parts, " ∧ ")
-}
-func (n *pproject) describe() string {
-	parts := make([]string, len(n.cols))
-	for i, c := range n.cols {
-		parts[i] = fmt.Sprintf("%d", c)
-	}
-	return "project [" + strings.Join(parts, ",") + "]"
-}
+func (n *pfilter) describe() string  { return "filter " + joinConds(n.conds) }
+func (n *pproject) describe() string { return "project [" + joinInts(n.cols) + "]" }
 func (n *pjoin) describe() string {
 	var s string
 	if len(n.lkeys) == 0 {
@@ -922,18 +874,10 @@ func (n *pjoin) describe() string {
 		s = "hash-join " + strings.Join(keys, ",")
 	}
 	if len(n.residual) > 0 {
-		parts := make([]string, len(n.residual))
-		for i, c := range n.residual {
-			parts[i] = c.String()
-		}
-		s += " residual " + strings.Join(parts, " ∧ ")
+		s += " residual " + joinConds(n.residual)
 	}
 	if n.outCols != nil {
-		parts := make([]string, len(n.outCols))
-		for i, c := range n.outCols {
-			parts[i] = fmt.Sprintf("%d", c)
-		}
-		s += " emit [" + strings.Join(parts, ",") + "]"
+		s += " emit [" + joinInts(n.outCols) + "]"
 	}
 	return s
 }
@@ -944,3 +888,21 @@ func (n *pdivide) describe() string    { return "divide" }
 func (n *pantiunify) describe() string { return "anti-unify" }
 func (n *pdistinct) describe() string  { return "distinct (semi-join dedup)" }
 func (n *pdom) describe() string       { return fmt.Sprintf("dom^%d", n.k) }
+
+// joinInts renders column indices as "0,1,2".
+func joinInts(cols []int) string {
+	parts := make([]string, len(cols))
+	for i, c := range cols {
+		parts[i] = strconv.Itoa(c)
+	}
+	return strings.Join(parts, ",")
+}
+
+// joinConds renders a conjunction.
+func joinConds(conds []pcond) string {
+	parts := make([]string, len(conds))
+	for i, c := range conds {
+		parts[i] = c.String()
+	}
+	return strings.Join(parts, " ∧ ")
+}

@@ -15,7 +15,6 @@ import (
 type pcond interface {
 	fmt.Stringer
 	eval(x *exec, t value.Tuple) logic.TV
-	reads() readSet
 }
 
 // catomic is a condition subtree containing no IN atoms.
@@ -38,12 +37,6 @@ func (c cand) String() string    { return "(" + c.l.String() + " ∧ " + c.r.Str
 func (c cor) String() string     { return "(" + c.l.String() + " ∨ " + c.r.String() + ")" }
 func (c cnot) String() string    { return "¬(" + c.c.String() + ")" }
 func (c cin) String() string     { return c.str }
-
-func (c catomic) reads() readSet { return readSet{} }
-func (c cand) reads() readSet    { return c.l.reads().union(c.r.reads()) }
-func (c cor) reads() readSet     { return c.l.reads().union(c.r.reads()) }
-func (c cnot) reads() readSet    { return c.c.reads() }
-func (c cin) reads() readSet     { return c.sub.root.base().reads }
 
 // compileCond compiles one conjunct. The common IN-free case keeps the
 // algebra AST and pays no indirection.

@@ -34,13 +34,6 @@ const dpMaxInputs = 8
 // relation through small build tables instead of building the large one.
 const buildWeight = 2
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // selCond estimates the selectivity of one condition. dist(col) returns the
 // (≥1) distinct-value estimate of a column; nullFrac(col) returns the
 // fraction of rows whose column is null, or -1 when unknown. Equality
@@ -53,11 +46,11 @@ func selCond(c algebra.Cond, dist func(int) float64, nullFrac func(int) float64)
 	case algebra.False:
 		return 0
 	case algebra.Eq:
-		return 1 / maxf(dist(c.I), dist(c.J))
+		return 1 / max(dist(c.I), dist(c.J))
 	case algebra.EqConst:
 		return 1 / dist(c.I)
 	case algebra.Neq:
-		return 1 - 1/maxf(dist(c.I), dist(c.J))
+		return 1 - 1/max(dist(c.I), dist(c.J))
 	case algebra.NeqConst:
 		return 1 - 1/dist(c.I)
 	case algebra.Less, algebra.LessConst, algebra.GreaterConst:
@@ -98,7 +91,7 @@ func distOfNode(n pnode) func(int) float64 {
 		if b.est >= 1 && d > b.est {
 			d = b.est
 		}
-		return maxf(d, 1)
+		return max(d, 1)
 	}
 }
 
@@ -119,7 +112,7 @@ func capDist(d []float64, est float64) []float64 {
 		if est >= 1 && v > est {
 			v = est
 		}
-		out[i] = maxf(v, 1)
+		out[i] = max(v, 1)
 	}
 	return out
 }

@@ -71,6 +71,24 @@ type ExplainInfo struct {
 	FrozenReuse int64   `json:"frozen_reuse,omitempty"`
 }
 
+// Explain renders the optimized logical expression and the physical
+// operator tree for q as text. When base is non-nil the plan is
+// additionally prepared against it and world-invariant (frozen) subplans
+// are marked: those are computed once per oracle call and shared across all
+// valuations. Explain is Describe followed by ExplainInfo.Text; consumers
+// that need the structured form (JSON explain, the server endpoint) call
+// Describe directly, so both outputs come from one rendering path.
+func Explain(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database) string {
+	return Describe(q, cat, mode, bag, base).Text()
+}
+
+// usedExplainable reports whether UsedColumns applies (it needs a
+// well-formed expression; Dom-reading queries use every column anyway).
+func usedExplainable(q algebra.Expr) bool {
+	_, usesDom := algebra.RelationsOf(q)
+	return !usesDom
+}
+
 // Describe returns the structured explain information for q, compiled
 // through the process-wide plan cache. When base is non-nil the plan is
 // additionally prepared against it and every node is marked with its

@@ -15,29 +15,16 @@ import (
 // only schema facts compilation consumes). Compiling the same query against
 // the same schema shape therefore happens once, no matter how many times —
 // or from how many goroutines — it is evaluated.
-var (
-	planCache     sync.Map // string → *Plan
-	planCacheSize atomic.Int64
-)
+var planCache boundedCache[*Plan]
 
-// planCacheCap bounds the cache; a workload cycling through more distinct
-// queries than this simply recompiles (compilation is cheap, the cap only
-// prevents unbounded growth under generated-query workloads).
+// planCacheCap bounds the process-wide caches; a workload cycling through
+// more distinct queries than this simply recompiles (compilation is cheap,
+// the cap only prevents unbounded growth under generated-query workloads).
 const planCacheCap = 1024
 
 // PlanFor returns the cached (or freshly compiled) plan for e.
 func PlanFor(e algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool) *Plan {
-	key := cacheKey(e, cat, mode, bag, true)
-	if v, ok := planCache.Load(key); ok {
-		return v.(*Plan)
-	}
-	p := compile(e, cat, mode, bag)
-	if planCacheSize.Load() < planCacheCap {
-		if _, loaded := planCache.LoadOrStore(key, p); !loaded {
-			planCacheSize.Add(1)
-		}
-	}
-	return p
+	return planCache.get(cacheKey(e, cat, mode, bag, true), func() *Plan { return compile(e, cat, mode, bag) })
 }
 
 // The process-wide logical-optimization cache: Optimize is pure in the
@@ -45,34 +32,43 @@ func PlanFor(e algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool) *
 // evaluation of the same query — the planner compiling main plans and IN
 // subplans, and ctable.EvalWith optimizing before its own row machinery —
 // shares one rewrite.
-var (
-	optCache     sync.Map // string → algebra.Expr
-	optCacheSize atomic.Int64
-)
+var optCache boundedCache[algebra.Expr]
 
 // OptimizedFor returns the cached (or freshly computed) logical
 // optimization of e over cat.
 func OptimizedFor(e algebra.Expr, cat algebra.Catalog) algebra.Expr {
-	key := cacheKey(e, cat, 0, false, false)
-	if v, ok := optCache.Load(key); ok {
-		return v.(algebra.Expr)
+	return optCache.get(cacheKey(e, cat, 0, false, false), func() algebra.Expr { return Optimize(e, cat) })
+}
+
+// boundedCache is a process-wide cache of at most planCacheCap values.
+type boundedCache[T any] struct {
+	m    sync.Map // string → T
+	size atomic.Int64
+}
+
+// get returns the value under key, computing it on a miss and keeping it
+// while there is room.
+func (c *boundedCache[T]) get(key string, compute func() T) T {
+	if v, ok := c.m.Load(key); ok {
+		return v.(T)
 	}
-	opt := Optimize(e, cat)
-	if optCacheSize.Load() < planCacheCap {
-		if _, loaded := optCache.LoadOrStore(key, opt); !loaded {
-			optCacheSize.Add(1)
+	v := compute()
+	if c.size.Load() < planCacheCap {
+		if _, loaded := c.m.LoadOrStore(key, v); !loaded {
+			c.size.Add(1)
 		}
 	}
-	return opt
+	return v
 }
 
 // cacheKey renders the facts a cached artifact depends on. Logical rewrites
-// (withStats false) depend only on the query and the relation arities.
-// Physical plans (withStats true) additionally fold in each read relation's
-// statistics epoch — its log₂ cardinality class — so a plan compiled for one
-// data size is reused until a relation roughly doubles or halves, at which
-// point the cost-based join order may flip and the plan recompiles. The
-// coarse bucketing keeps per-row mutations from thrashing the cache.
+// and PrepCache entries (withStats false) are keyed by the query and the
+// relation arities. Physical plans (withStats true) additionally fold in
+// each read relation's statistics epoch — its log₂ cardinality class — so a
+// plan compiled for one data size is reused until a relation roughly doubles
+// or halves, at which point the cost-based join order may flip and the plan
+// recompiles (a PrepCache entry re-costs then: Prepared.recost). The coarse
+// bucketing keeps per-row mutations from thrashing the cache.
 func cacheKey(e algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, withStats bool) string {
 	// Appended by hand: this runs on every evaluation, before any cache can
 	// help, and fmt costs more than the rest of a small query's execution.
@@ -115,9 +111,6 @@ func init() {
 	// in every binary that (transitively) links this package; the
 	// interpreter stays reachable as algebra.EvalInterp/EvalBagInterp.
 	algebra.RegisterPlanner(func(db *relation.Database, e algebra.Expr, mode algebra.Mode, bag bool) *relation.Relation {
-		if bag {
-			return EvalBag(db, e, mode)
-		}
-		return Eval(db, e, mode)
+		return PlanFor(e, db, mode, bag).Exec(db)
 	})
 }

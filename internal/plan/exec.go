@@ -1,22 +1,25 @@
 package plan
 
 import (
+	"slices"
+
 	"incdb/internal/algebra"
 	"incdb/internal/logic"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
 
-// exec carries one execution's state over a Prepared. There is one
-// executor and it runs in two phases. In the frozen phase (delta false) a
-// node streams its frozen part, computed from null-free rows only; it runs
-// once per Prepared per artifact that needs it (the root's frozen answer, a
-// join's hash tables, a barrier's consolidated inputs). In the delta phase
-// (delta true) a node streams Δ(val), computed from the null rows
-// instantiated under val; it runs once per world, the buffers rewound
-// between worlds. Execs of both phases are pooled per plan. The operators
-// below are written once for both phases: only scan (which rows) and join
-// (which cross terms) ask which phase they are in.
+// exec carries one execution's state over a Prepared. There is one executor
+// and it makes one kind of pass, the Δ pass (delta true): every node streams
+// what the exec's source adds to its frozen part — a world's Δ(v), the
+// identity's every row, an advance's Δ⁺ (the contract is in prepare.go).
+// Its frozen phase (delta false) streams the frozen part itself, computed
+// from the rows no source changes, once per Prepared per artifact that needs
+// it (the root's frozen answer, a join's hash tables, a barrier's
+// consolidated inputs), on an exec of its own. Execs of Δ passes over worlds
+// are pooled per plan, their buffers rewound between worlds. The operators
+// below are written once for both phases and every source: only scan (which
+// rows) and join (which cross terms) ask which phase they are in.
 type exec struct {
 	prep *Prepared
 	ps   *planState // prep.stateOf(plan)
@@ -26,14 +29,10 @@ type exec struct {
 	bufs []outBuf
 
 	delta bool
-	val   value.Valuation // nil: the identity (nulls stand for themselves)
-	// adv, when set, turns the delta phase into an advance (advance.go): Δ
-	// is what appended rows add to each node's frozen part.
-	adv *advPlan
-	// keepRows: an artifact built on this exec (a join table) retains rows
-	// of its arena, so the next reset gives the slabs up instead of
-	// rewinding them.
-	keepRows bool
+	src   source
+	// grown, in an advance, keeps each node's Δ⁺ (nil until it streamed)
+	// for the fold (advance.go).
+	grown []*vbatch
 
 	// trace, when set, receives execution statistics (trace.go); tstats is
 	// the per-node slot slice for plan, non-nil only under detail tracing.
@@ -51,6 +50,22 @@ type exec struct {
 	top   *exec
 	subs  []*exec // by Plan.subIdx; top only
 	epoch uint64  // top: current world; subplan exec: world root was collected for
+}
+
+// source is where a Δ pass's scan rows come from. It is fixed when an exec
+// is acquired — a Runner's execs take a valuation per world, a one-shot's
+// Prepared is prepared for the identity, an advance takes the append log —
+// and an exec that builds a frozen part on the way inherits it.
+//
+//   - valuation: the null templates of the partition instantiated under val
+//     (nil: the nulls stand for themselves);
+//   - identity: every row of the relation (Prepared.identity);
+//   - append log: the rows appended since the guards (added). The frozen
+//     part they are a Δ⁺ of is the relation without them, and that is what
+//     a frozen part first built during the advance streams.
+type source struct {
+	val   value.Valuation
+	added map[string][]relation.Appended
 }
 
 func newExec(p *Plan) *exec {
@@ -72,16 +87,11 @@ func (x *exec) bind(prep *Prepared, tr *Trace) {
 	}
 }
 
-// resetBufs rewinds the buffers for the next use — or, when an artifact
-// retains rows of the arena (keepRows), gives the slabs up to it.
+// resetBufs rewinds the buffers for the next world.
 func (x *exec) resetBufs() {
 	for i := range x.bufs {
 		x.bufs[i].reset()
-		if x.keepRows {
-			x.bufs[i].slab = nil
-		}
 	}
-	x.keepRows = false
 	x.root.reset()
 }
 
@@ -110,25 +120,39 @@ func (x *exec) release() {
 }
 
 func (x *exec) unbind() {
-	x.prep, x.ps, x.trace, x.tstats, x.val, x.adv = nil, nil, nil, nil, nil, nil
+	x.prep, x.ps, x.trace, x.tstats, x.src, x.grown = nil, nil, nil, nil, source{}, nil
 }
 
-// frozen runs build on a frozen-phase exec for q.
+// frozen runs build on a frozen-phase exec for q that inherits the source.
 func (x *exec) frozen(q *Plan, build func(fx *exec)) {
 	fx := acquire(q, x.prep, x.trace, false)
 	defer fx.release()
+	fx.src = x.src
 	build(fx)
+}
+
+// handOver gives the arena's slabs up to an artifact that keeps rows carved
+// from them (a join table): rows are carved from fresh slabs from then on,
+// and a reset rewinds nothing the artifact holds.
+func (x *exec) handOver() {
+	for i := range x.bufs {
+		x.bufs[i].slab = nil
+	}
 }
 
 func (x *exec) st(n pnode) *nodeState { return &x.ps.nodes[n.base().id] }
 
-// varies reports whether n has a Δ in the current delta-phase pass: some
-// valuation changes it — or, in an advance, the appended rows reached it.
-func (x *exec) varies(n pnode) bool {
-	if x.adv != nil {
-		return len(x.adv.nodes[n.base().id].rows) > 0
+// varies reports whether a node with prepared state st has a Δ in this
+// pass: some valuation changes it (in a one-shot, every node does), or the
+// appended rows reach it and it folds them. The frozen phase has none.
+func (x *exec) varies(st *nodeState) bool {
+	switch {
+	case !x.delta:
+		return false
+	case x.src.added != nil:
+		return st.grows
 	}
-	return x.st(n).varying
+	return st.varying
 }
 
 // Exec evaluates the plan against db and returns the result relation
@@ -142,8 +166,8 @@ func (p *Plan) Exec(db *relation.Database) *relation.Relation {
 // ExecTraced is Exec accumulating execution statistics into tr (which may
 // be shared across concurrent executions — all Trace fields are atomics).
 func (p *Plan) ExecTraced(db *relation.Database, tr *Trace) *relation.Relation {
-	// One world, nothing to share: the degenerate partition makes every row
-	// a Δ row, and the single Δ pass goes straight into the result.
+	// One world, nothing to share: the identity makes every row a Δ row, and
+	// the single Δ pass goes straight into the result.
 	x := acquire(p, p.prepare(db, true), tr, true)
 	defer x.release()
 	x.begin(nil)
@@ -155,12 +179,12 @@ func (p *Plan) ExecTraced(db *relation.Database, tr *Trace) *relation.Relation {
 	return out
 }
 
-// begin starts the evaluation of the world val(D) on a delta-phase exec.
+// begin starts the evaluation of the world val(D) on a Δ-pass exec.
 func (x *exec) begin(val value.Valuation) {
 	if x.trace != nil {
 		x.trace.Execs.Add(1)
 	}
-	x.val = val
+	x.src.val = val
 	x.epoch++
 	x.resetBufs()
 }
@@ -192,57 +216,53 @@ func (x *exec) buildOut() *relation.Relation {
 	return out
 }
 
-// stream is the dispatcher every operator goes through. In the delta phase
-// a node no valuation can change has nothing to say; in the frozen phase a
-// node without a frozen part (a barrier, or one above inputs without frozen
-// rows) has nothing to say, and every other node's frozen row count is
-// recorded for EXPLAIN.
+// stream is the dispatcher every operator goes through. In the frozen phase
+// a node without a frozen part (a barrier, or one above inputs without
+// frozen rows) has nothing to say, and every other node's frozen row count
+// is recorded for EXPLAIN; in a Δ pass a node the source does not reach has
+// nothing to say, and an advance keeps what every other node says.
 func stream(n pnode, x *exec, emit func(*vbatch)) {
-	if x.adv != nil {
-		// An advance runs the nodes bottom-up itself; an input's Δ⁺ is
-		// already there to be replayed.
-		if an := &x.adv.nodes[n.base().id]; len(an.rows) > 0 {
-			emit(an)
-		}
-		return
-	}
 	st := x.st(n)
-	if x.delta {
-		if !st.varying {
+	if !x.delta {
+		if st.noFrozen {
+			st.frozenRows.Store(0)
 			return
 		}
+		o := x.out(n)
+		o.emitted = 0
 		if x.tstats != nil {
-			streamTraced(n, x, emit)
-			return
+			x.traced(n, emit)
+		} else {
+			n.run(x, emit)
 		}
-		n.run(x, emit)
+		if u, ok := n.(*punion); ok {
+			// A union forwards its children's batches without buffering them.
+			o.emitted = int(x.st(u.l).frozenRows.Load() + x.st(u.r).frozenRows.Load())
+		}
+		st.frozenRows.Store(int64(o.emitted))
 		return
 	}
-	if st.noFrozen {
-		st.frozenRows.Store(0)
+	if !x.varies(st) {
 		return
 	}
-	o := x.out(n)
-	o.emitted = 0
+	if x.grown != nil {
+		emit = x.grow(n, emit)
+	}
 	if x.tstats != nil {
-		streamTraced(n, x, emit)
-	} else {
-		n.run(x, emit)
+		x.traced(n, emit)
+		return
 	}
-	if u, ok := n.(*punion); ok {
-		// A union forwards its children's batches without buffering them.
-		o.emitted = int(x.st(u.l).frozenRows.Load() + x.st(u.r).frozenRows.Load())
-	}
-	st.frozenRows.Store(int64(o.emitted))
+	n.run(x, emit)
 }
 
 // consolidates reports whether n's frozen part is being re-derived from its
 // left input's consolidated frozen part (nodeState.consolidate).
 func (x *exec) consolidates(n pnode) bool { return !x.delta && x.st(n).consolidate }
 
-// frozenHit records one frozen-artifact reuse on the attached trace.
+// frozenHit records one reuse of a frozen artifact by a Δ pass on the
+// attached trace.
 func (x *exec) frozenHit() {
-	if x.trace != nil {
+	if x.trace != nil && x.delta {
 		x.trace.FrozenReuse.Add(1)
 	}
 }
@@ -257,9 +277,7 @@ func (x *exec) frozenRel(q *Plan, n pnode) *relation.Relation {
 	if st.noFrozen {
 		return nil
 	}
-	if x.delta {
-		x.frozenHit()
-	}
+	x.frozenHit()
 	return st.rel.get(func() *relation.Relation {
 		if s, ok := n.(*pscan); ok && s.cols == nil && st.scan.rel != nil && len(st.scan.nulls) == 0 && x.tstats == nil {
 			// Shared-source shortcut, skipped under detail tracing so the
@@ -272,19 +290,11 @@ func (x *exec) frozenRel(q *Plan, n pnode) *relation.Relation {
 	})
 }
 
-func (x *exec) source(n *pscan) *relation.Relation {
-	r := x.st(n).scan.rel
-	if r == nil {
-		panic("plan: unknown relation " + n.name)
-	}
-	return r
-}
-
 // side returns input n of the executing plan in (frozen, Δ) form, Δ
 // collected into slot.
 func (x *exec) side(n pnode, slot *deltaSet) side {
 	s := side{f: x.frozenRel(x.plan, n)}
-	if x.delta && x.varies(n) {
+	if x.varies(x.st(n)) {
 		slot.reset()
 		stream(n, x, func(b *vbatch) {
 			for i, t := range b.rows {
@@ -301,9 +311,7 @@ func (x *exec) side(n pnode, slot *deltaSet) side {
 func (x *exec) subSide(sub *Plan) side {
 	s := side{f: x.frozenRel(sub, sub.root)}
 	top := x.top
-	if !x.delta || x.adv != nil || !top.prep.stateOf(sub).nodes[sub.root.base().id].varying {
-		// (An advance only evaluates conditions over subqueries that neither
-		// vary nor changed: anything else re-derives.)
+	if !x.varies(&top.prep.stateOf(sub).nodes[sub.root.base().id]) {
 		return s
 	}
 	sx := top.subs[sub.subIdx]
@@ -315,7 +323,7 @@ func (x *exec) subSide(sub *Plan) side {
 	}
 	if sx.prep != top.prep || sx.epoch != top.epoch {
 		sx.bind(top.prep, top.trace)
-		sx.val, sx.epoch = top.val, top.epoch
+		sx.src, sx.epoch = top.src, top.epoch
 		sx.resetBufs()
 		stream(sub.root, sx, sx.collect)
 	}
@@ -340,11 +348,44 @@ func (x *exec) multOf(m int) int {
 func (n *pscan) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	part := x.st(n).scan
-	if x.adv != nil {
+	switch {
+	case !x.delta || x.prep.identity:
+		// Rows straight from the relation: the frozen part — or, for the
+		// identity, every row as its Δ.
+		if part.rel == nil {
+			panic("plan: unknown relation " + n.name)
+		}
+		mixed := len(part.nulls) > 0
+		// Mid-advance, the frozen part is the one at the guards: without what
+		// the appended rows added.
+		var added value.TupleMap[int]
+		for _, a := range x.src.added[n.name] {
+			m, _ := added.Get(a.T)
+			added.Put(a.T, m+a.M)
+		}
+		w := len(n.cols)
+		part.rel.EachUnordered(func(t value.Tuple, m int) {
+			if mixed && nullIn(t, n.cols) {
+				return
+			}
+			if added.Len() > 0 {
+				if a, _ := added.Get(t); a > 0 {
+					if m -= a; m <= 0 {
+						return
+					}
+				}
+			}
+			if n.cols != nil {
+				// Pruned scan: emit narrowed tuples carved from the slab.
+				t = n.narrow(o.alloc(w), t)
+			}
+			o.push(t, x.multOf(m), emit)
+		})
+	case x.src.added != nil:
 		// Δ⁺: the appended rows. One with a null in a read column is one more
-		// template (the advance keeps this pass's arena, so it can live
-		// there); the others join the frozen part.
-		for _, a := range x.adv.added[n.name] {
+		// template (the advance hands its arena over, so it can live there);
+		// the others join the frozen part.
+		for _, a := range x.src.added[n.name] {
 			if !a.Fresh && !x.bag {
 				continue
 			}
@@ -358,36 +399,16 @@ func (n *pscan) run(x *exec, emit func(*vbatch)) {
 				o.push(t, x.multOf(a.M), emit)
 			}
 		}
-		o.flush(emit)
-		return
-	}
-	if x.delta && !part.all {
+	default:
 		// Δ(v): the null rows, instantiated into the arena slab.
 		for i := range part.nulls {
 			t := part.nulls[i].t
-			if x.val != nil {
-				t = x.val.ApplyInto(o.alloc(len(t)), t)
+			if x.src.val != nil {
+				t = x.src.val.ApplyInto(o.alloc(len(t)), t)
 			}
 			o.push(t, x.multOf(part.nulls[i].m), emit)
 		}
-		o.flush(emit)
-		return
 	}
-	// Rows straight from the relation: the frozen part — or, for the
-	// degenerate partition, every row as the Δ of the identity valuation.
-	src := x.source(n)
-	mixed := len(part.nulls) > 0
-	w := len(n.cols)
-	src.EachUnordered(func(t value.Tuple, m int) {
-		if mixed && nullIn(t, n.cols) {
-			return
-		}
-		if n.cols != nil {
-			// Pruned scan: emit narrowed tuples carved from the slab.
-			t = n.narrow(o.alloc(w), t)
-		}
-		o.push(t, x.multOf(m), emit)
-	})
 	o.flush(emit)
 }
 
@@ -447,13 +468,13 @@ func (n *pproject) run(x *exec, emit func(*vbatch)) {
 
 func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
+	st := x.st(n)
 	sqlMode := x.mode == algebra.ModeSQL
 	if !x.delta {
 		// Frozen part: Fl ⋈ Fr. When the right input varies, Δr will probe a
 		// table over Fl: Fl is streaming past right now, so the first pass
 		// fills that table instead of leaving it to a second run of the left
 		// subtree.
-		st := x.st(n)
 		fr := x.table(&st.tableR, n.right, n.rkeys)
 		var fl *joinTable
 		if x.st(n.right).varying && st.tableL.empty() {
@@ -469,16 +490,17 @@ func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 			}
 		})
 		if fl != nil {
-			x.keepRows = true
 			st.tableL.tryPublish(fl)
+			x.handOver()
 		}
 		o.flush(emit)
 		return
 	}
-	// Δ = Fl⋈Δr ∪ Δl⋈Fr ∪ Δl⋈Δr — per world, and just as well the insert
-	// rule of an advance. Δr is collected into the node's small reusable
-	// table first, so that Δl probes both right-hand terms in one pass; the
-	// tables over Fl and Fr are only touched by a non-empty Δ.
+	// Δ = Fl⋈Δr ∪ Δl⋈Fr ∪ Δl⋈Δr, whatever the source: the tables over Fl and
+	// Fr hold the frozen part the pass is relative to. Δr is collected into
+	// the node's small reusable table first, so that Δl probes both
+	// right-hand terms in one pass; the tables over Fl and Fr are only
+	// touched by a non-empty Δ.
 	dr := &o.dtable
 	dr.reset(n.rkeys, 0)
 	stream(n.right, x, func(b *vbatch) {
@@ -486,29 +508,21 @@ func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 			dr.add(t, b.mults[i], sqlMode)
 		}
 	})
-	// An advance runs after the base took the rows: a table over Fl first
-	// built now holds Δl already, so probing it yields Δl⋈Δr too.
-	drProbed := x.adv == nil || !x.st(n).tableL.empty()
-	if len(dr.rows) > 0 && !x.st(n.left).noFrozen {
-		if fl := x.table(&x.st(n).tableL, n.left, n.lkeys); len(fl.rows) > 0 {
+	if len(dr.rows) > 0 {
+		if fl := x.table(&st.tableL, n.left, n.lkeys); fl != nil {
 			for i := range dr.rows {
 				n.probe(x, o, fl, dr.rows[i].t, dr.rows[i].m, true, sqlMode, emit)
 			}
 		}
 	}
-	if x.varies(n.left) {
-		var fr *joinTable
-		if !x.st(n.right).noFrozen {
-			fr = x.table(&x.st(n).tableR, n.right, n.rkeys)
-		}
+	if x.varies(x.st(n.left)) {
+		fr := x.table(&st.tableR, n.right, n.rkeys)
 		stream(n.left, x, func(b *vbatch) {
 			for i, lt := range b.rows {
 				if fr != nil {
 					n.probe(x, o, fr, lt, b.mults[i], false, sqlMode, emit)
 				}
-				if drProbed {
-					n.probe(x, o, dr, lt, b.mults[i], false, sqlMode, emit)
-				}
+				n.probe(x, o, dr, lt, b.mults[i], false, sqlMode, emit)
 			}
 		})
 	}
@@ -518,22 +532,24 @@ func (n *pjoin) run(x *exec, emit func(*vbatch)) {
 // table returns one of a join's hash tables — over the frozen part of its
 // right input keyed on the right key columns (what Fl and Δl probe), or its
 // mirror image over the left input (what Δr probes) — building it on first
-// use. The table keeps rows of the arena it was streamed through.
+// use; nil when the input has no frozen part. The table keeps rows of the
+// arena it was streamed through.
 func (x *exec) table(slot *lazy[joinTable], in pnode, keys []int) *joinTable {
-	if x.delta {
-		x.frozenHit()
+	if x.st(in).noFrozen {
+		return nil
 	}
+	x.frozenHit()
 	return slot.get(func() *joinTable {
 		tb := &joinTable{}
 		tb.reset(keys, int(in.base().est))
 		sqlMode := x.mode == algebra.ModeSQL
 		x.frozen(x.plan, func(fx *exec) {
-			fx.keepRows = true
 			stream(in, fx, func(b *vbatch) {
 				for i, t := range b.rows {
 					tb.add(t, b.mults[i], sqlMode)
 				}
 			})
+			fx.handOver()
 		})
 		return tb
 	})
@@ -615,12 +631,13 @@ func (n *punion) run(x *exec, emit func(*vbatch)) {
 }
 
 // eachLeft feeds a whole-tuple operator its left input. An operator that
-// needs distinct tuples with exact multiplicities (consolidate) takes the
+// needs distinct tuples with exact multiplicities (exact), or whose frozen
+// part is re-derived from the consolidated one (consolidates), takes the
 // input whole in (frozen, Δ) form. Otherwise it decides row by row, so the
 // current phase's part streams through — and a barrier, which re-emits per
 // world what its frozen left rows yield too, walks those first.
-func (x *exec) eachLeft(n, l pnode, consolidate bool, f func(t value.Tuple, m int)) {
-	if consolidate {
+func (x *exec) eachLeft(n, l pnode, exact bool, f func(t value.Tuple, m int)) {
+	if exact || x.consolidates(n) {
 		x.side(l, &x.out(n).ld).each(f)
 		return
 	}
@@ -639,7 +656,7 @@ func (x *exec) eachLeft(n, l pnode, consolidate bool, f func(t value.Tuple, m in
 func (n *pdiff) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	r := x.side(n.r, &o.rd)
-	x.eachLeft(n, n.l, x.bag || x.consolidates(n), func(t value.Tuple, m int) {
+	x.eachLeft(n, n.l, x.bag, func(t value.Tuple, m int) {
 		if x.bag {
 			if rest := m - r.mult(t); rest > 0 {
 				o.push(t, rest, emit)
@@ -666,7 +683,7 @@ func (n *pinter) run(x *exec, emit func(*vbatch)) {
 		}
 		o.push(t, m, emit)
 	})
-	if x.delta && !x.bag && r.d != nil && r.d.len() > 0 {
+	if !x.bag && r.d != nil && r.d.len() > 0 {
 		// Set intersection distributes; the pass above emitted Δl ∩ (Fr ∪ Δr),
 		// the remaining Δ term is Fl ∩ Δr.
 		if fl := x.frozenRel(x.plan, n.l); fl != nil {
@@ -709,7 +726,7 @@ func (n *pdivide) run(x *exec, emit func(*vbatch)) {
 func (n *pantiunify) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	r := x.side(n.r, &o.rd)
-	x.eachLeft(n, n.l, x.consolidates(n), func(t value.Tuple, m int) {
+	x.eachLeft(n, n.l, false, func(t value.Tuple, m int) {
 		blocked := false
 		unifies := func(s value.Tuple) bool {
 			blocked = value.Unifiable(t, s)
@@ -735,9 +752,11 @@ func (n *pdistinct) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	seen := &o.ld
 	seen.reset()
+	// An advance folds the Δ⁺ of a dedup into its frozen part, so it is what
+	// that part does not hold yet. A world's Δ may repeat frozen tuples
+	// (Answer), which is cheaper than probing the frozen part per Δ row.
 	var had *relation.Relation
-	if x.adv != nil {
-		// Δ⁺ of a dedup: what the consolidated frozen part does not hold yet.
+	if x.src.added != nil {
 		had = x.st(n).rel.p.Load()
 	}
 	stream(n.in, x, func(b *vbatch) {
@@ -763,15 +782,7 @@ func (n *pdom) run(x *exec, emit func(*vbatch)) {
 	// leaves every constant in place.
 	adom := x.prep.domConsts[:len(x.prep.domConsts):len(x.prep.domConsts)]
 	for _, null := range x.prep.domNulls {
-		c := x.val.ApplyValue(null)
-		seen := false
-		for _, v := range adom {
-			if v == c {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if c := x.src.val.ApplyValue(null); !slices.Contains(adom, c) {
 			adom = append(adom, c)
 		}
 	}

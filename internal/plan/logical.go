@@ -27,6 +27,8 @@
 package plan
 
 import (
+	"sort"
+
 	"incdb/internal/algebra"
 )
 
@@ -149,57 +151,19 @@ func splitAnd(c algebra.Cond) []algebra.Cond {
 	return out
 }
 
-// condCols returns the sorted distinct column indices c reads.
+// condCols returns the sorted distinct column indices c reads: the ones
+// mapCond visits.
 func condCols(c algebra.Cond) []int {
 	seen := map[int]bool{}
-	var walk func(c algebra.Cond)
-	add := func(is ...int) {
-		for _, i := range is {
-			seen[i] = true
-		}
-	}
-	walk = func(c algebra.Cond) {
-		switch c := c.(type) {
-		case algebra.Eq:
-			add(c.I, c.J)
-		case algebra.Neq:
-			add(c.I, c.J)
-		case algebra.Less:
-			add(c.I, c.J)
-		case algebra.EqConst:
-			add(c.I)
-		case algebra.NeqConst:
-			add(c.I)
-		case algebra.LessConst:
-			add(c.I)
-		case algebra.GreaterConst:
-			add(c.I)
-		case algebra.IsNull:
-			add(c.I)
-		case algebra.IsConst:
-			add(c.I)
-		case algebra.And:
-			walk(c.L)
-			walk(c.R)
-		case algebra.Or:
-			walk(c.L)
-			walk(c.R)
-		case algebra.Not:
-			walk(c.C)
-		case algebra.InSub:
-			add(c.Cols...)
-		}
-	}
-	walk(c)
+	mapCond(c, func(i int) int {
+		seen[i] = true
+		return i
+	})
 	out := make([]int, 0, len(seen))
 	for i := range seen {
 		out = append(out, i)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort: tiny slices
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.Ints(out)
 	return out
 }
 

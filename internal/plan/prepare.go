@@ -10,72 +10,67 @@ import (
 )
 
 // Prepared binds a plan to a base incomplete database D for execution over
-// the worlds v(D), and keeps doing so while D gains rows. The contract has
-// two axes and one shape.
+// the worlds v(D), and keeps doing so while D gains rows. Everything rests on
+// one shape: every operator's result is
 //
-// Across worlds it is (frozen, Δ): a valuation can only change rows that
-// carry a null in a column the plan reads, so Prepare partitions every
-// scanned relation into its null-free rows and those null rows, and every
-// operator's result in the world v(D) is
+//	frozen part  ∪  Δ
 //
-//	frozen part  ∪  Δ(v)
+// where the frozen part is computed once, from the rows no source can
+// change, and is shared by every execution and goroutine, and Δ is what one
+// pass of the executor derives from a source of changed rows. There is one
+// such pass and it has three sources (exec.go):
 //
-// where the frozen part is computed once, from null-free rows only, and is
-// shared by every world and every goroutine, and Δ(v) is computed per world
-// from the instantiated null rows only. Scan, filter, project, union,
-// set-intersection and join distribute over a union of their input rows, so
-// for them the split is exact and per-world work is proportional to the
-// null rows; for a join,
+//   - a valuation v, for a world: a valuation can only change rows that
+//     carry a null in a column the plan reads, so Prepare partitions every
+//     scanned relation into its null-free rows, the frozen part, and those
+//     null rows, templates the pass instantiates under v; the world v(D) is
+//     frozen part ∪ Δ(v);
+//   - the append log, for an advance: when D has only gained rows since the
+//     guards were taken, the pass takes the appended rows instead, and every
+//     frozen artifact becomes frozen part ∪ Δ⁺ in place (advance.go; catchUp
+//     is the entry point and PrepCache.Get calls it); an appended row with a
+//     null in a read column is one more template;
+//   - the identity, for a one-shot (Plan.Exec): a plan executed once on D has
+//     no second world to share a frozen part with, so its Prepared takes the
+//     degenerate partition — every row is a Δ row, every frozen part is empty
+//     (and known to be, so nothing is built for it) — and the one pass is a
+//     plain single-pass execution.
+//
+// One rule says what an operator does with its inputs' Δ (distributes). Scan,
+// filter, project, union, join, dedup, set intersection, and set difference
+// and anti-unify by their left side distribute over ⊎ of their inputs: the
+// same code turns the inputs' Δ into the node's own, whatever the source,
+// and per-pass work is proportional to Δ. For a join,
 //
 //	(Fl ∪ Δl) ⋈ (Fr ∪ Δr) = Fl⋈Fr  ∪  Δl⋈Fr ∪ Fl⋈Δr ∪ Δl⋈Δr
 //
 // the first term is frozen and the other three are Δ, probing hash tables
-// over Fr and Fl that are built once.
+// over Fr and Fl that are built once. An operator does not distribute over
+// an input of which all of it decides every output row: the right side of
+// difference and anti-unify, the IN subqueries of a filter, both sides of
+// bag difference, bag intersection and division, the whole database under
+// Dom. When such an input changes, no part of the node's output can be kept:
 //
-// The operators that do not distribute are barriers: difference,
-// anti-unify and division whose right side varies with the world (whether a
-// left row survives depends on all of the right input, so no part of the
-// output is world-invariant), bag difference and bag intersection (max and
-// min of multiplicities are not additive over ⊎), division and Dom (every
-// output row depends on the whole input), and a filter over an IN subquery
-// whose result varies. A barrier has an empty frozen part: per world it
-// combines its inputs' (frozen, Δ) by probing — the inputs' frozen parts
-// consolidated once, their Δ collected per world — and re-emits its whole
-// output as Δ.
-//
-// Across appends it is (frozen, Δ⁺): when D has only gained rows since the
-// guards were taken, the same delta phase runs once with the appended rows
-// in place of instantiated null rows, and every frozen artifact becomes
-//
-//	frozen part  ∪  Δ⁺
-//
-// in place (advance.go; catchUp is the entry point and PrepCache.Get calls
-// it). The operators that distribute over worlds fold their Δ⁺ — the join
-// by the very same three terms. Those that do not distribute over ⊎ of the
-// input that grew — difference and anti-unify by their right side, a filter
-// by its IN subquery, bag difference and intersection, division, Dom — are
-// not maintained: the grown input's own artifact is advanced, the node's
-// and its ancestors' are dropped and re-derived on next use from the
-// advanced inputs, a barrier along time. An appended row with a null in a
-// read column is one more null row of its scan. A Prepared that cannot be
-// advanced (catchUp says prepStale) is simply prepared afresh.
+//   - per world the node is a barrier: its frozen part is empty, and each
+//     world combines its inputs' (frozen, Δ) by probing — the inputs' frozen
+//     parts consolidated once, their Δ collected per world — and re-emits its
+//     whole output as Δ;
+//   - per append it is re-derived, a barrier along time: its frozen part and
+//     its ancestors' are dropped and derived again on next use from the
+//     advanced inputs. There is no retraction; a Prepared that cannot be
+//     advanced at all (catchUp says prepStale) is simply prepared afresh.
 //
 // Frozen parts and the tables over them are built lazily, on first use. A
 // Prepared is safe for concurrent use: the lazy builds are synchronized and
 // every execution's mutable state lives in its Runner. Catching up is the
 // exception — it rewrites the shared state — and belongs to the moment
 // after a mutation when nothing is executing yet (see PrepCache).
-//
-// A plan executed once on D itself (Plan.Exec) has no second world to share
-// a frozen part with, so its Prepared takes the degenerate partition: every
-// row is a Δ row, every frozen part is empty (and known to be, so nothing
-// is built for it), and the one Δ pass is a plain single-pass execution.
 type Prepared struct {
 	p    *Plan
 	base *relation.Database
-	// once: private to a single execution of base under the identity
-	// valuation; scans partition every row into Δ.
-	once bool
+	// identity: private to a single execution of base under the identity
+	// source; scans partition every row into Δ.
+	identity bool
 
 	// main and subs hold the per-node prepared state of the main plan and
 	// of every IN subplan (by Plan.subIdx): filled by Prepare, read-only
@@ -100,6 +95,10 @@ type Prepared struct {
 	// catalogue.
 	guards relation.Pins
 	domAll bool
+	// epochs are the statistics epochs (log₂ size classes, in the order of
+	// the plan's read set) the plan of a PrepCache entry was costed at: the
+	// cache re-costs the plan when a relation moves to another class.
+	epochs []uint64
 
 	// mu serializes catching the prepared state up with the base (catchUp):
 	// concurrent lookups of one cache entry after an append advance it once.
@@ -131,25 +130,23 @@ func (prep *Prepared) NullIDs() []uint64 {
 			ids := prep.base.NullIDs()
 			return &ids
 		}
-		seen := map[uint64]struct{}{}
-		ids := []uint64{}
+		seen := map[uint64]bool{}
 		for _, ps := range append([]*planState{prep.main}, prep.subs...) {
 			for i := range ps.nodes {
-				if ps.nodes[i].scan == nil {
-					continue
-				}
-				for _, row := range ps.nodes[i].scan.nulls {
-					for _, v := range row.t {
-						if !v.IsNull() {
-							continue
-						}
-						if _, ok := seen[v.NullID()]; !ok {
-							seen[v.NullID()] = struct{}{}
-							ids = append(ids, v.NullID())
+				if part := ps.nodes[i].scan; part != nil {
+					for _, row := range part.nulls {
+						for _, v := range row.t {
+							if v.IsNull() {
+								seen[v.NullID()] = true
+							}
 						}
 					}
 				}
 			}
+		}
+		ids := make([]uint64, 0, len(seen))
+		for id := range seen {
+			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return &ids
@@ -162,7 +159,7 @@ func (prep *Prepared) NullIDs() []uint64 {
 // enumerates anything.
 func (prep *Prepared) Frozen() *relation.Relation {
 	return prep.main.out.get(func() *relation.Relation {
-		x := acquire(prep.p, prep, nil, false)
+		x := acquire(prep.p, prep, nil, true)
 		defer x.release()
 		return x.buildOut()
 	})
@@ -203,27 +200,26 @@ type nodeState struct {
 	// then), for EXPLAIN; the advance also reads it to tell a node nothing
 	// has been built from yet.
 	frozenRows atomic.Int64
-	// rederived: the last advance could not fold the appended rows into this
-	// node's frozen part and dropped it to be re-derived on next use.
-	// consolidate: an advance has dropped the frozen part because the
-	// node's other input (right side, IN subquery) changed; from then on the
-	// frozen phase walks the left input's consolidated frozen part — which
-	// advances fold into — instead of streaming that subtree again, the way a
-	// barrier re-decides its input per world.
-	rederived   bool
-	consolidate bool
+	// What the last advance decided (advance.go): grows — the appended rows
+	// reached the node and it folds its Δ⁺; rederived — it could not, and
+	// its frozen part was dropped to be re-derived on next use.
+	// consolidate: a re-derive over an input the node does not distribute
+	// over (right side, IN subquery) happened; from then on the frozen phase
+	// walks the left input's consolidated frozen part — which advances fold
+	// into — instead of streaming that subtree again, the way a barrier
+	// re-decides its input per world.
+	grows, rederived bool
+	consolidate      bool
 }
 
 // scanPart is one scan's partition of its relation by row: nulls holds the
 // rows with a null in a column the scan reads, already narrowed to those
 // columns, as templates a valuation instantiates; every other row is
-// frozen and streams straight from the relation. all is the degenerate
-// partition of a one-shot execution: every row is a Δ row, streamed
-// straight from the relation under the identity valuation.
+// frozen and streams straight from the relation. The identity's degenerate
+// partition has no templates: every row streams as Δ.
 type scanPart struct {
 	rel   *relation.Relation
 	nulls []nullRow
-	all   bool
 }
 
 type nullRow struct {
@@ -298,10 +294,10 @@ func (prep *Prepared) pin() {
 }
 
 // prepare is Prepare without the version guards, which only a Prepared that
-// outlives the call needs; once asks for the degenerate partition of a
+// outlives the call needs; identity asks for the degenerate partition of a
 // single execution.
-func (p *Plan) prepare(base *relation.Database, once bool) *Prepared {
-	prep := &Prepared{p: p, base: base, once: once, subs: make([]*planState, len(p.subs)), domAll: p.root.base().reads.dom}
+func (p *Plan) prepare(base *relation.Database, identity bool) *Prepared {
+	prep := &Prepared{p: p, base: base, identity: identity, subs: make([]*planState, len(p.subs)), domAll: p.root.base().reads.dom}
 	for _, sub := range p.subs {
 		prep.subState(sub)
 	}
@@ -344,72 +340,90 @@ func (prep *Prepared) subState(sub *Plan) *planState {
 // those are barriers, and the row partition of every scan.
 func (prep *Prepared) classify(q *Plan) *planState {
 	ps := &planState{nodes: make([]nodeState, len(q.nodes))}
-	varies := func(n pnode) bool { return ps.nodes[n.base().id].varying }
 	noFrozen := func(n pnode) bool { return ps.nodes[n.base().id].noFrozen }
 	// Children are registered before their parents, so node order is
 	// bottom-up; nodes compilation left unreachable classify harmlessly.
 	for _, n := range q.nodes {
 		st := &ps.nodes[n.base().id]
 		st.frozenRows.Store(-1)
+		// A node varies with its inputs, and is a barrier when one it does
+		// not distribute over varies.
+		prep.eachInput(ps, n, func(in pnode, is *nodeState) {
+			st.varying = st.varying || is.varying
+			st.barrier = st.barrier || is.varying && !distributes(n, in, q.bag)
+		})
 		l, r := inputs(n)
-		if l != nil {
-			st.varying = varies(l) || (r != nil && varies(r))
-			// No output row without a left row (filter, project, distinct,
-			// difference, anti-unify, division); the cases below refine.
-			st.noFrozen = noFrozen(l)
-		}
 		switch n := n.(type) {
 		case *pscan:
 			st.scan = prep.partition(n)
-			st.varying = st.scan.all || len(st.scan.nulls) > 0
-			st.noFrozen = st.scan.all
+			st.varying = prep.identity || len(st.scan.nulls) > 0
+			st.noFrozen = prep.identity
 		case *pdom:
-			st.varying = prep.once || (n.k > 0 && !prep.base.IsComplete())
-			st.barrier = true
-		case *pfilter:
-			if prep.subqueryVaries(n.conds) {
-				st.varying, st.barrier = true, true
-			}
-		case *pjoin:
+			// The active domain is an input Dom does not distribute over.
+			st.varying = prep.identity || (n.k > 0 && !prep.base.IsComplete())
+			st.barrier = st.varying
+		case *pjoin, *pinter:
 			st.noFrozen = noFrozen(l) || noFrozen(r)
 		case *punion:
 			st.noFrozen = noFrozen(l) && noFrozen(r)
-		case *pdiff:
-			st.barrier = q.bag || varies(n.r)
-		case *pinter:
-			st.barrier = q.bag
-			st.noFrozen = noFrozen(l) || noFrozen(r)
-		case *pdivide:
-			st.barrier = true
-		case *pantiunify:
-			st.barrier = varies(n.r)
+		default:
+			// No output row without a left row (filter, project, distinct,
+			// difference, anti-unify, division).
+			st.noFrozen = noFrozen(l)
 		}
-		st.barrier = st.barrier && st.varying
 		st.noFrozen = st.noFrozen || st.barrier
 	}
 	return ps
 }
 
-// subqueryVaries reports whether any IN atom of the conditions probes a
-// subquery whose result varies with the world.
-func (prep *Prepared) subqueryVaries(conds []pcond) bool {
-	varies := false
-	for _, c := range conds {
-		eachSub(c, func(sub *Plan) {
-			if prep.subState(sub).nodes[sub.root.base().id].varying {
-				varies = true
-			}
-		})
+// distributes reports whether n distributes over ⊎ of its input in — one of
+// inputs(n), or the root of an IN subplan one of a filter's conditions
+// probes: whether, when in gains the rows Δ, n gains exactly what its Δ rule
+// derives from Δ and the other inputs' frozen parts. It does not when the
+// whole of in decides each output row. classify makes a node a barrier when
+// such an input varies with the world; an advance re-derives a node when
+// such an input gained rows. Dom, which reads the whole database, distributes
+// over nothing.
+func distributes(n, in pnode, bag bool) bool {
+	switch n := n.(type) {
+	case *pfilter:
+		return in == n.in
+	case *pdiff:
+		return in == n.l && !bag
+	case *pantiunify:
+		return in == n.l
+	case *pinter:
+		return !bag
+	case *pdivide, *pdom:
+		return false
 	}
-	return varies
+	return true
+}
+
+// eachInput calls f on every input of n with its prepared state: its
+// operator inputs, and for a filter the root of every IN subplan its
+// conditions probe.
+func (prep *Prepared) eachInput(ps *planState, n pnode, f func(in pnode, st *nodeState)) {
+	l, r := inputs(n)
+	for _, c := range [2]pnode{l, r} {
+		if c != nil {
+			f(c, &ps.nodes[c.base().id])
+		}
+	}
+	if fl, ok := n.(*pfilter); ok {
+		for _, c := range fl.conds {
+			eachSub(c, func(sub *Plan) { f(sub.root, &prep.subState(sub).nodes[sub.root.base().id]) })
+		}
+	}
 }
 
 // partition splits the scanned relation by row. A relation without nulls
-// (the cached HasNulls) is frozen whole without a pass over it; a pruned
-// scan's templates are carved from one slab.
+// (the cached HasNulls) is frozen whole without a pass over it, and the
+// identity makes no templates; a pruned scan's templates are carved from
+// one slab.
 func (prep *Prepared) partition(n *pscan) *scanPart {
-	part := &scanPart{rel: prep.base.Relation(n.name), all: prep.once}
-	if part.all || part.rel == nil || !part.rel.HasNulls() {
+	part := &scanPart{rel: prep.base.Relation(n.name)}
+	if prep.identity || part.rel == nil || !part.rel.HasNulls() {
 		return part
 	}
 	var slab []value.Value
@@ -482,9 +496,7 @@ func (r Runner) Eval(v value.Valuation) Answer {
 		frozen = x.ps.out.get(x.buildOut)
 		x.frozenHit()
 	}
-	if x.st(x.plan.root).varying {
-		stream(x.plan.root, x, x.collect)
-	}
+	stream(x.plan.root, x, x.collect)
 	return Answer{Frozen: frozen, delta: &x.root, bag: x.bag}
 }
 
@@ -524,10 +536,8 @@ func (a Answer) Delta() []value.Tuple { return a.delta.rows }
 
 // Relation materializes the answer as a relation the caller owns, named and
 // attributed like the reference interpreter's output.
-func (a Answer) Relation() *relation.Relation { return a.addDelta(a.Frozen.Clone()) }
-
-// addDelta adds this world's Δ to out, a relation holding the frozen part.
-func (a Answer) addDelta(out *relation.Relation) *relation.Relation {
+func (a Answer) Relation() *relation.Relation {
+	out := a.Frozen.Clone()
 	addRows(out, a.delta.rows, a.delta.mults, a.bag)
 	return out
 }

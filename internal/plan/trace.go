@@ -139,11 +139,10 @@ func (t *Trace) flatten(p *Plan, n pnode, depth int, out *[]NodeActual) {
 	}
 }
 
-// streamTraced is the stream dispatcher under detail tracing: identical
-// batch flow, plus row/batch counts on every emission, inclusive wall time
-// around the node's execution and, in the delta phase, the size of the
-// world's Δ.
-func streamTraced(n pnode, x *exec, emit func(*vbatch)) {
+// traced runs n under detail tracing: identical batch flow, plus row/batch
+// counts on every emission, inclusive wall time around the node's execution
+// and, in a Δ pass, the size of the pass's Δ.
+func (x *exec) traced(n pnode, emit func(*vbatch)) {
 	st := x.tstats[n.base().id]
 	rows := int64(0)
 	counted := func(b *vbatch) {

@@ -34,8 +34,9 @@ func benchData(orders, payments int) string {
 // HTTP for a certain-answer query: cache=warm reuses the session's
 // prepared plans across requests, cache=cold resets the prepared-plan
 // cache before every request (the pre-PR behaviour of re-freezing every
-// null-free subplan per oracle invocation). scripts/bench_server.sh turns
-// the pair into the BENCH_PR4.json warm-vs-cold report.
+// null-free subplan per oracle invocation). The bench smoke runs it once;
+// compare the modes with `go test -run='^$' -bench=ServerQuery
+// ./internal/server`. Sustained serving numbers come from bench/.
 func BenchmarkServerQuery(b *testing.B) {
 	const query = "proj(0, sel(not(in(0, Payments)), Orders))"
 	srv := New(Options{Workers: 1})
@@ -84,9 +85,9 @@ func BenchmarkServerQuery(b *testing.B) {
 // fsync latency; with 4 and 16 clients the group commit batches appends
 // that arrive during an in-flight fsync into the next one, and throughput
 // should scale well past the single-fsync rate (ns/op here is wall time
-// per append across all clients — scripts/bench_server.sh converts the
-// curve into BENCH_PR6.json). The snapshot threshold is pushed high so
-// compaction does not interleave.
+// per append across all clients: the sub-benchmarks are the concurrency
+// curve; the bench smoke runs each once). The snapshot threshold is pushed
+// high so compaction does not interleave.
 func BenchmarkDurableLoadConcurrency(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {

@@ -335,16 +335,8 @@ func (c *Client) discoverPrimary() {
 func (c *Client) statusAt(base string, timeout time.Duration) (*api.StatusResponse, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
 	var out api.StatusResponse
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.get(ctx, base, "/v1/status", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -434,19 +426,8 @@ func (c *Client) Promote(force bool) (*api.PromoteResponse, error) {
 // store.Snapshot encoding): the bootstrap payload Restore (or a durable
 // snapshot file) accepts.
 func (c *Client) Snapshot() (string, error) {
-	resp, err := c.hc.Get(c.Base() + c.sessionPath("/snapshot"))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode/100 != 2 {
-		return "", api.DecodeError(resp.StatusCode, data)
-	}
-	return string(data), nil
+	data, err := c.getRaw(context.Background(), c.Base(), c.sessionPath("/snapshot"))
+	return string(data), err
 }
 
 // Restore replaces the session database from a snapshot export, preserving
@@ -468,12 +449,8 @@ func (c *Client) Restore(data string) (*api.LoadResponse, error) {
 // Status fetches the server-wide status snapshot of the preferred
 // endpoint.
 func (c *Client) Status() (*api.StatusResponse, error) {
-	resp, err := c.hc.Get(c.Base() + "/v1/status")
-	if err != nil {
-		return nil, err
-	}
 	var out api.StatusResponse
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.get(context.Background(), c.Base(), "/v1/status", &out); err != nil {
 		return nil, err
 	}
 	c.observeEpoch(out.Epoch)
@@ -483,29 +460,14 @@ func (c *Client) Status() (*api.StatusResponse, error) {
 // Metrics fetches the preferred endpoint's Prometheus text exposition
 // (GET /v1/metrics) verbatim; parse it with obs.ParseProm.
 func (c *Client) Metrics() (string, error) {
-	resp, err := c.hc.Get(c.Base() + "/v1/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("metrics: %s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	return string(data), nil
+	data, err := c.getRaw(context.Background(), c.Base(), "/v1/metrics")
+	return string(data), err
 }
 
 // SessionStatus fetches this session's status.
 func (c *Client) SessionStatus() (*api.SessionStatus, error) {
-	resp, err := c.hc.Get(c.Base() + c.sessionPath("/status"))
-	if err != nil {
-		return nil, err
-	}
 	var out api.SessionStatus
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.get(context.Background(), c.Base(), c.sessionPath("/status"), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -556,12 +518,8 @@ func (c *Client) Traces(limit int) (*api.TracesResponse, error) {
 	if limit > 0 {
 		path += fmt.Sprintf("?limit=%d", limit)
 	}
-	resp, err := c.hc.Get(c.Base() + path)
-	if err != nil {
-		return nil, err
-	}
 	var out api.TracesResponse
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.get(context.Background(), c.Base(), path, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -571,12 +529,8 @@ func (c *Client) Traces(limit int) (*api.TracesResponse, error) {
 // (GET /v1/traces/{id}). A distributed trace is assembled by calling this
 // on the primary and each replica and merging the span lists.
 func (c *Client) Trace(id string) (*api.TraceResponse, error) {
-	resp, err := c.hc.Get(c.Base() + "/v1/traces/" + url.PathEscape(id))
-	if err != nil {
-		return nil, err
-	}
 	var out api.TraceResponse
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.get(context.Background(), c.Base(), "/v1/traces/"+url.PathEscape(id), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -595,21 +549,47 @@ func (c *Client) post(base, path string, body, into any) error {
 	if tp := c.traceParent(); tp != "" {
 		req.Header.Set("traceparent", tp)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	return decodeResponse(resp, into)
+	data, err = c.do(req)
+	return decodeBody(data, err, into)
 }
 
-func decodeResponse(resp *http.Response, into any) error {
+// get is one GET of base+path, the JSON response decoded into into.
+func (c *Client) get(ctx context.Context, base, path string, into any) error {
+	data, err := c.getRaw(ctx, base, path)
+	return decodeBody(data, err, into)
+}
+
+// getRaw is one GET of base+path, returning the response body.
+func (c *Client) getRaw(ctx context.Context, base, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.do(req)
+}
+
+// do sends req and returns the body of a 2xx response; any other status is
+// returned as the server's error (api.DecodeError).
+func (c *Client) do(req *http.Request) ([]byte, error) {
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return api.DecodeError(resp.StatusCode, data)
+		return nil, api.DecodeError(resp.StatusCode, data)
+	}
+	return data, nil
+}
+
+// decodeBody unmarshals a response body fetched with err into into.
+func decodeBody(data []byte, err error, into any) error {
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(data, into); err != nil {
 		return fmt.Errorf("server: bad response: %w", err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -146,17 +147,13 @@ func TestPromoteNotCaughtUp(t *testing.T) {
 // ready probes /v1/readyz.
 func ready(t *testing.T, base string) (bool, string) {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/readyz")
-	if err != nil {
-		t.Fatalf("readyz: %v", err)
-	}
 	var hr api.HealthResponse
-	if err := decodeResponse(resp, &hr); err != nil {
+	if err := NewClient(base, "").get(context.Background(), base, "/v1/readyz", &hr); err != nil {
 		var aerr *api.Error
 		if errors.As(err, &aerr) {
 			return false, aerr.Message
 		}
-		t.Fatalf("readyz decode: %v", err)
+		t.Fatalf("readyz: %v", err)
 	}
 	return hr.Ok, hr.Reason
 }

@@ -10,13 +10,10 @@
 #   BENCHTIME    go test -benchtime value  (default: 0.2s)
 #   COUNT        go test -count value      (default: 3)
 #   OUT          output directory          (default: bench-compare-out)
-#   PRNUM        PR number for the JSON report (default: 3)
-#   PRTITLE      PR title for the JSON report
 #
-# Besides the benchstat (or raw) text comparison, the run emits
-# BENCH_PR$PRNUM.json — median-of-$COUNT per benchmark, same schema as the
-# committed BENCH_PR2.json — via scripts/benchjson; CI uploads it as an
-# artifact alongside the text report.
+# Besides the benchstat (or raw) text comparison, the run writes
+# $OUT/compare.json — median-of-$COUNT per benchmark for both sides and the
+# ratios — via scripts/benchjson; CI uploads $OUT as an artifact.
 #
 # The base ref defaults to HEAD~1 (the previous commit), checked out into a
 # temporary git worktree so the working tree is never disturbed. Exit code
@@ -31,8 +28,6 @@ BENCH="${BENCH:-BenchmarkOperatorJoin|BenchmarkE5CTableStrategies|BenchmarkE1Fig
 BENCHTIME="${BENCHTIME:-0.2s}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-bench-compare-out}"
-PRNUM="${PRNUM:-10}"
-PRTITLE="${PRTITLE:-Distributed request tracing across client → primary → WAL → replica}"
 GATE="${GATE:-BenchmarkE1Figure1|BenchmarkE11NaiveEval}"
 GATE_PCT="${GATE_PCT:-25}"
 
@@ -85,9 +80,9 @@ fi
 echo "== JSON report and regression gate =="
 go run ./scripts/benchjson \
     -old "$OUT/old.txt" -new "$OUT/new.txt" \
-    -out "BENCH_PR$PRNUM.json" -pr "$PRNUM" -title "$PRTITLE" \
+    -out "$OUT/compare.json" \
     -method "go test -run='^\$' -bench='$BENCH' -benchmem -benchtime=$BENCHTIME -count=$COUNT; medians of $COUNT runs" \
     -before "$(git log -1 --format='%h (%s)' "$BASE_REF" | cut -c1-120)" \
     -gate "$GATE" -fail-over "$GATE_PCT"
 
-echo "results in $OUT/ and BENCH_PR$PRNUM.json"
+echo "results in $OUT/"

@@ -1,7 +1,7 @@
 // Command benchjson turns two `go test -bench` output files (a base run and
-// a working-tree run) into the BENCH_PR<n>.json comparison format the repo
-// records per performance PR: per benchmark, the median ns/op, B/op and
-// allocs/op of each side plus the speedup ratios. It is invoked by
+// a working-tree run) into a JSON comparison: per benchmark, the median
+// ns/op, B/op and allocs/op of each side plus the speedup ratios, and it
+// gates the run on the regressions of chosen benchmarks. It is invoked by
 // scripts/bench_compare.sh after the two measurement passes.
 package main
 
@@ -33,8 +33,6 @@ type cmp struct {
 }
 
 type report struct {
-	PR           int            `json:"pr"`
-	Title        string         `json:"title"`
 	Method       string         `json:"method"`
 	Machine      string         `json:"machine"`
 	BeforeCommit string         `json:"before_commit"`
@@ -121,8 +119,6 @@ func main() {
 	oldPath := flag.String("old", "", "bench output of the base commit")
 	newPath := flag.String("new", "", "bench output of the working tree")
 	out := flag.String("out", "", "output JSON path")
-	pr := flag.Int("pr", 0, "PR number")
-	title := flag.String("title", "", "PR title")
 	method := flag.String("method", "", "measurement method description")
 	before := flag.String("before", "", "base commit description")
 	gate := flag.String("gate", "", "regexp of benchmarks whose ns/op regression fails the run")
@@ -142,12 +138,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	rep := report{PR: *pr, Title: *title, Method: *method,
-		Machine: machine(), BeforeCommit: *before, Benchmarks: map[string]cmp{}}
+	rep := report{Method: *method, Machine: machine(), BeforeCommit: *before, Benchmarks: map[string]cmp{}}
 	for name, after := range newRuns {
 		beforeRuns, ok := oldRuns[name]
 		if !ok {
-			continue // benchmark new in this PR: nothing to compare
+			continue // benchmark new in the working tree: nothing to compare
 		}
 		b, a := medians(beforeRuns), medians(after)
 		rep.Benchmarks[name] = cmp{
