@@ -242,6 +242,69 @@ func TestAppendsMatchFreshRandom(t *testing.T) {
 	}
 }
 
+// TestAdvanceOverConsolidatedInput follows a join whose input re-decides the
+// frozen part of a null-free, full-width scan whole — a filter whose IN
+// subquery grew, an anti-unify whose right side did — across catch-ups that
+// append to both join sides. The scan's frozen part is then the relation
+// itself, which already holds the appended rows: a join table first built
+// during such an advance must still count them once. A outnumbers B, so
+// that B is the join's build side and the table over A's side is the one
+// first built during the advance.
+func TestAdvanceOverConsolidatedInput(t *testing.T) {
+	const data = `
+rel A a b
+row A k1 x
+row A k2 x
+row A k3 x
+row A k4 x
+row A k5 x
+row A k6 x
+row A k7 x
+rel B a c
+row B k1 y
+row B k2 y
+rel T x
+row T k1
+rel W a b
+row W k9 x
+`
+	loads := []string{
+		"row T k2\nrow W k8 x", // the blocking inputs grow: re-derived from A whole
+		"row A k2 x\nrow B k2 z",
+		"row A k1 x\nrow B k1 z\nrow B k3 z",
+	}
+	blocked := []algebra.Expr{
+		algebra.Sel(algebra.R("A"), algebra.CIn(algebra.R("T"), 0)),
+		algebra.AntiJoin(algebra.R("A"), algebra.R("W")),
+	}
+	for _, l := range blocked {
+		for _, q := range []algebra.Expr{
+			algebra.Join(l, algebra.R("B"), algebra.CEq(0, 2)),
+			algebra.Join(algebra.R("B"), l, algebra.CEq(0, 2)),
+		} {
+			for _, mode := range []algebra.Mode{algebra.ModeNaive, algebra.ModeSQL} {
+				for _, bag := range []bool{false, true} {
+					db, err := raparse.ParseDatabase(strings.NewReader(data))
+					if err != nil {
+						t.Fatal(err)
+					}
+					a := follow(t, db, q, mode, bag)
+					a.check(nil, 1, "before")
+					for _, load := range loads {
+						if err := raparse.ParseDatabaseInto(strings.NewReader(load), db); err != nil {
+							t.Fatal(err)
+						}
+						if res := a.catchUp(); res != prepAdvanced {
+							t.Errorf("%s bag=%t: catchUp after %q = %v, want advanced", q, bag, load, res)
+						}
+						a.check(nil, 1, fmt.Sprintf("after %q", load))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAdvanceConcurrentReaders is the serving discipline under -race: a
 // writer appends under the write lock; readers, under the read lock, look
 // the query up in a shared PrepCache — the first one after an append

@@ -141,18 +141,18 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 
 // recost reports whether the plan still fits db: when a relation it reads
 // has moved to another size class since it was costed, the cost model is
-// asked again, and the new plan takes the old one's place when it has the
-// same shape, so that the prepared state carries on.
+// asked again, and the plan carries on — with its prepared state and its
+// estimates — when the new one has the same shape. The epochs then record
+// the classes it was last checked at.
 func (prep *Prepared) recost(db *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) bool {
 	prep.mu.Lock()
 	defer prep.mu.Unlock()
 	for i, name := range prep.p.root.base().reads.names {
 		if epochOf(db, name) != prep.epochs[i] {
-			p := PlanFor(q, db, mode, bag)
-			if p.shape() != prep.p.shape() {
+			if PlanFor(q, db, mode, bag).shape() != prep.p.shape() {
 				return false
 			}
-			prep.p, prep.epochs = p, epochs(db, p)
+			prep.epochs = epochs(db, prep.p)
 			break
 		}
 	}

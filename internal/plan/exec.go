@@ -53,19 +53,20 @@ type exec struct {
 }
 
 // source is where a Δ pass's scan rows come from. It is fixed when an exec
-// is acquired — a Runner's execs take a valuation per world, a one-shot's
-// Prepared is prepared for the identity, an advance takes the append log —
-// and an exec that builds a frozen part on the way inherits it.
+// is acquired — from the Prepared's: the identity for a one-shot's, the
+// valuation otherwise, each world binding its val; an advance sets the
+// append log — and an exec that builds a frozen part on the way inherits it.
 //
 //   - valuation: the null templates of the partition instantiated under val
 //     (nil: the nulls stand for themselves);
-//   - identity: every row of the relation (Prepared.identity);
+//   - identity: every row of the relation;
 //   - append log: the rows appended since the guards (added). The frozen
 //     part they are a Δ⁺ of is the relation without them, and that is what
 //     a frozen part first built during the advance streams.
 type source struct {
-	val   value.Valuation
-	added map[string][]relation.Appended
+	identity bool
+	val      value.Valuation
+	added    map[string][]relation.Appended
 }
 
 func newExec(p *Plan) *exec {
@@ -102,7 +103,7 @@ func acquire(q *Plan, prep *Prepared, tr *Trace, delta bool) *exec {
 		x = newExec(q)
 	}
 	x.bind(prep, tr)
-	x.delta = delta
+	x.delta, x.src = delta, prep.src
 	return x
 }
 
@@ -168,7 +169,7 @@ func (p *Plan) Exec(db *relation.Database) *relation.Relation {
 func (p *Plan) ExecTraced(db *relation.Database, tr *Trace) *relation.Relation {
 	// One world, nothing to share: the identity makes every row a Δ row, and
 	// the single Δ pass goes straight into the result.
-	x := acquire(p, p.prepare(db, true), tr, true)
+	x := acquire(p, p.prepare(db, source{identity: true}), tr, true)
 	defer x.release()
 	x.begin(nil)
 	out := x.newOut()
@@ -269,25 +270,32 @@ func (x *exec) frozenHit() {
 
 // frozenRel returns the consolidated frozen part of node n of plan q
 // (exact multiplicities), building it on first use — nil for a node that
-// has none (noFrozen). A full-width scan of a relation without null rows is
-// the relation itself: stored rows are immutable and every consumer is
-// read-only.
+// has none (noFrozen).
 func (x *exec) frozenRel(q *Plan, n pnode) *relation.Relation {
 	st := &x.prep.stateOf(q).nodes[n.base().id]
 	if st.noFrozen {
 		return nil
 	}
 	x.frozenHit()
-	return st.rel.get(func() *relation.Relation {
-		if s, ok := n.(*pscan); ok && s.cols == nil && st.scan.rel != nil && len(st.scan.nulls) == 0 && x.tstats == nil {
-			// Shared-source shortcut, skipped under detail tracing so the
-			// scan's actual rows are counted.
-			return st.scan.rel
-		}
+	build := func() *relation.Relation {
 		out := relation.NewArity("t", n.base().width)
 		x.frozen(q, func(fx *exec) { stream(n, fx, relSink(out)) })
 		return out
-	})
+	}
+	// A full-width scan of a relation without null rows is the relation
+	// itself: stored rows are immutable and every consumer is read-only. The
+	// shortcut is skipped under detail tracing, so the scan's actual rows are
+	// counted, and while the source appends to the relation, which then holds
+	// the appended rows already: the frozen part is streamed without them
+	// and not kept.
+	s, ok := n.(*pscan)
+	if !ok || s.cols != nil || st.scan.rel == nil || len(st.scan.nulls) > 0 || x.tstats != nil {
+		return st.rel.get(build)
+	}
+	if len(x.src.added[s.name]) > 0 {
+		return build()
+	}
+	return st.rel.get(func() *relation.Relation { return st.scan.rel })
 }
 
 // side returns input n of the executing plan in (frozen, Δ) form, Δ
@@ -349,7 +357,7 @@ func (n *pscan) run(x *exec, emit func(*vbatch)) {
 	o := x.out(n)
 	part := x.st(n).scan
 	switch {
-	case !x.delta || x.prep.identity:
+	case !x.delta || x.src.identity:
 		// Rows straight from the relation: the frozen part — or, for the
 		// identity, every row as its Δ.
 		if part.rel == nil {

@@ -68,9 +68,11 @@ import (
 type Prepared struct {
 	p    *Plan
 	base *relation.Database
-	// identity: private to a single execution of base under the identity
-	// source; scans partition every row into Δ.
-	identity bool
+	// src is the source every exec over the Prepared is acquired with, which
+	// classify and partition ask too. Under the identity the Prepared is
+	// private to a single execution of base, and scans partition every row
+	// into Δ.
+	src source
 
 	// main and subs hold the per-node prepared state of the main plan and
 	// of every IN subplan (by Plan.subIdx): filled by Prepare, read-only
@@ -278,7 +280,7 @@ func (l *lazy[T]) tryPublish(v *T) {
 // classifies every node as frozen, distributing or barrier. No frozen part
 // is computed yet.
 func (p *Plan) Prepare(base *relation.Database) *Prepared {
-	prep := p.prepare(base, false)
+	prep := p.prepare(base, source{})
 	prep.pin()
 	return prep
 }
@@ -294,10 +296,10 @@ func (prep *Prepared) pin() {
 }
 
 // prepare is Prepare without the version guards, which only a Prepared that
-// outlives the call needs; identity asks for the degenerate partition of a
-// single execution.
-func (p *Plan) prepare(base *relation.Database, identity bool) *Prepared {
-	prep := &Prepared{p: p, base: base, identity: identity, subs: make([]*planState, len(p.subs)), domAll: p.root.base().reads.dom}
+// outlives the call needs, for the source src: the identity asks for the
+// degenerate partition of a single execution.
+func (p *Plan) prepare(base *relation.Database, src source) *Prepared {
+	prep := &Prepared{p: p, base: base, src: src, subs: make([]*planState, len(p.subs)), domAll: p.root.base().reads.dom}
 	for _, sub := range p.subs {
 		prep.subState(sub)
 	}
@@ -356,11 +358,11 @@ func (prep *Prepared) classify(q *Plan) *planState {
 		switch n := n.(type) {
 		case *pscan:
 			st.scan = prep.partition(n)
-			st.varying = prep.identity || len(st.scan.nulls) > 0
-			st.noFrozen = prep.identity
+			st.varying = prep.src.identity || len(st.scan.nulls) > 0
+			st.noFrozen = prep.src.identity
 		case *pdom:
 			// The active domain is an input Dom does not distribute over.
-			st.varying = prep.identity || (n.k > 0 && !prep.base.IsComplete())
+			st.varying = prep.src.identity || (n.k > 0 && !prep.base.IsComplete())
 			st.barrier = st.varying
 		case *pjoin, *pinter:
 			st.noFrozen = noFrozen(l) || noFrozen(r)
@@ -423,7 +425,7 @@ func (prep *Prepared) eachInput(ps *planState, n pnode, f func(in pnode, st *nod
 // one slab.
 func (prep *Prepared) partition(n *pscan) *scanPart {
 	part := &scanPart{rel: prep.base.Relation(n.name)}
-	if prep.identity || part.rel == nil || !part.rel.HasNulls() {
+	if prep.src.identity || part.rel == nil || !part.rel.HasNulls() {
 		return part
 	}
 	var slab []value.Value
