@@ -17,7 +17,6 @@ import (
 	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/ctable"
-	"incdb/internal/engine"
 	"incdb/internal/fo"
 	"incdb/internal/gen"
 	"incdb/internal/logic"
@@ -212,7 +211,7 @@ func BenchmarkE6MuConvergence(b *testing.B) {
 	for _, k := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("muK/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := prob.MuK(db, q, nil, value.Consts("1"), k); err != nil {
+				if _, err := prob.MuK(db, q, nil, value.Consts("1"), k, certain.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -221,7 +220,7 @@ func BenchmarkE6MuConvergence(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("muK/k=64/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := prob.MuKWith(db, q, nil, value.Consts("1"), 64, engine.Options{Workers: workers}); err != nil {
+				if _, err := prob.MuK(db, q, nil, value.Consts("1"), 64, certain.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -229,7 +228,7 @@ func BenchmarkE6MuConvergence(b *testing.B) {
 	}
 	b.Run("mu-limit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := prob.Mu(db, q, nil, value.Consts("1")); err != nil {
+			if _, err := prob.Mu(db, q, nil, value.Consts("1"), certain.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -251,7 +250,7 @@ func BenchmarkE7ConditionalMu(b *testing.B) {
 	q := algebra.Minus(algebra.R("T"), algebra.R("S"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := prob.Mu(db, q, sigma, value.Consts("1")); err != nil {
+		if _, err := prob.Mu(db, q, sigma, value.Consts("1"), certain.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

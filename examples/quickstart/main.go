@@ -43,7 +43,7 @@ func main() {
 
 	// The laptop's membership is a matter of probability: the unknown
 	// warehouse is almost certainly not berlin.
-	mu, err := incdb.Mu(db, q, nil, incdb.Consts("laptop"))
+	mu, err := incdb.Mu(db, q, nil, incdb.Consts("laptop"), incdb.CertainOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"incdb"
 	"incdb/internal/constraint"
-	"incdb/internal/prob"
 )
 
 func main() {
@@ -27,14 +26,14 @@ func main() {
 	fmt.Println("R = {1}, S = {⊥}, Q = R − S, ā = (1)")
 	fmt.Println("k     µk(Q,D,ā)")
 	for _, k := range []int{2, 4, 8, 16, 32, 64} {
-		muk, err := prob.MuK(db, q, nil, target, k)
+		muk, err := incdb.MuK(db, q, nil, target, k, incdb.CertainOptions{})
 		if err != nil {
 			panic(err)
 		}
 		f, _ := muk.Float64()
 		fmt.Printf("%-5d %.4f\n", k, f)
 	}
-	mu, _ := incdb.Mu(db, q, nil, target)
+	mu, _ := incdb.Mu(db, q, nil, target, incdb.CertainOptions{})
 	fmt.Printf("limit %s — almost certainly true (Theorem 4.10)\n\n", mu.RatString())
 
 	// Under the constraint S ⊆ T with T = {1,2}, the probability becomes
@@ -49,7 +48,7 @@ func main() {
 	db2.Add(s2)
 	sigma := incdb.Constraints{constraint.IND{R1: "S", Cols1: []int{0}, R2: "T", Cols2: []int{0}}}
 	q2 := incdb.Minus(incdb.R("T"), incdb.R("S"))
-	muCond, err := incdb.Mu(db2, q2, sigma, incdb.Consts("1"))
+	muCond, err := incdb.Mu(db2, q2, sigma, incdb.Consts("1"), incdb.CertainOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -34,8 +34,8 @@ import (
 	"incdb/internal/constraint"
 	"incdb/internal/core"
 	"incdb/internal/ctable"
-	"incdb/internal/engine"
 	"incdb/internal/plan"
+	"incdb/internal/prob"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -60,15 +60,11 @@ type (
 	Expr = algebra.Expr
 	// Cond is a selection condition.
 	Cond = algebra.Cond
-	// CertainOptions bounds the exact certain-answer oracle and selects
-	// its worker count (CertainOptions.Workers: 0 = one per CPU, 1 =
-	// serial).
+	// CertainOptions is the one options type of every procedure that takes
+	// options: the certainty oracles, Mu, MuK and CTableAnswers. Workers
+	// selects the worker count (0 = one per CPU, 1 = serial) and never
+	// changes a result; MaxWorlds bounds the oracles' enumeration.
 	CertainOptions = certain.Options
-	// EngineOptions configures the shared parallel-execution subsystem
-	// (internal/engine) for the procedures that take an explicit pool:
-	// Workers 0 means one per CPU, 1 forces the serial reference path.
-	// Results never depend on the worker count.
-	EngineOptions = engine.Options
 	// Strategy selects a c-table evaluation strategy.
 	Strategy = ctable.Strategy
 	// Constraints is a set of integrity constraints (FDs/INDs).
@@ -144,19 +140,17 @@ var (
 	CIn       = algebra.CIn
 )
 
-// Evaluation procedures (see package core for details).
+// Evaluation procedures.
 var (
 	// SQL is three-valued SQL evaluation; Naive treats nulls as fresh
-	// constants; the Bag variants follow SQL's multiset arithmetic.
-	SQL      = core.SQL
-	Naive    = core.Naive
-	SQLBag   = core.SQLBag
-	NaiveBag = core.NaiveBag
+	// constants.
+	SQL   = algebra.SQL
+	Naive = algebra.Naive
 
 	// CertainWithNulls and CertainIntersection are the exact (guarded
 	// exponential) certainty oracles.
-	CertainWithNulls    = core.CertainWithNulls
-	CertainIntersection = core.CertainIntersection
+	CertainWithNulls    = certain.WithNulls
+	CertainIntersection = certain.Intersection
 
 	// ApproxPlus/ApproxPossible evaluate the Figure 2(b) rewritings;
 	// ApproxTrueFalse the Figure 2(a) ones.
@@ -164,21 +158,24 @@ var (
 	ApproxPossible  = core.ApproxPossible
 	ApproxTrueFalse = core.ApproxTrueFalse
 
-	// CTableAnswers evaluates via conditional tables under a strategy;
-	// CTableAnswersWith takes an explicit worker pool.
-	CTableAnswers     = core.CTableAnswers
-	CTableAnswersWith = core.CTableAnswersWith
+	// CTableAnswers evaluates via conditional tables under a strategy.
+	CTableAnswers = core.CTableAnswers
 
-	// AlmostCertainlyTrue and Mu are the probabilistic answers of §4.3;
-	// MuWith and MuK take an explicit worker pool.
-	AlmostCertainlyTrue = core.AlmostCertainlyTrue
-	Mu                  = core.Mu
-	MuWith              = core.MuWith
-	MuK                 = core.MuK
+	// AlmostCertainlyTrue, Mu and the finite-domain MuK are the
+	// probabilistic answers of §4.3.
+	AlmostCertainlyTrue = prob.AlmostCertainlyTrue
+	Mu                  = prob.Mu
+	MuK                 = prob.MuK
 
 	// Analyze runs everything and classifies SQL's errors.
 	Analyze = core.Analyze
 )
+
+// SQLBag and NaiveBag are the bag-semantics variants of SQL and Naive
+// (Section 4.2).
+func SQLBag(db *Database, q Expr) *Relation { return algebra.EvalBag(db, q, algebra.ModeSQL) }
+
+func NaiveBag(db *Database, q Expr) *Relation { return algebra.EvalBag(db, q, algebra.ModeNaive) }
 
 // Query planning. Evaluation is planned by default: SQL/Naive and every
 // oracle run through internal/plan's compile-once physical plans (selection

@@ -37,16 +37,32 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil || poss.Len() != 2 {
 		t.Fatalf("Q? = %v, %v", poss, err)
 	}
-	mu, err := incdb.Mu(db, q, nil, incdb.Consts("laptop"))
+	inter, err := incdb.CertainIntersection(db, q, incdb.CertainOptions{Workers: 2})
+	if err != nil || inter.Len() != 1 || !inter.Contains(incdb.Consts("radio")) {
+		t.Fatalf("cert∩ = %v, %v", inter, err)
+	}
+	if got := incdb.NaiveBag(db, q); got.Mult(incdb.Consts("laptop")) != 1 {
+		t.Fatalf("NaiveBag = %v", got)
+	}
+	if got := incdb.SQLBag(db, q); got.Mult(incdb.Consts("radio")) != 1 || got.Len() != 1 {
+		t.Fatalf("SQLBag = %v", got)
+	}
+	mu, err := incdb.Mu(db, q, nil, incdb.Consts("laptop"), incdb.CertainOptions{})
 	if err != nil || mu.RatString() != "1" {
 		t.Fatalf("µ = %v, %v", mu, err)
+	}
+	// Four constants (tv, berlin, radio, paris) plus laptop: µ⁵ has every
+	// world but the one sending ⊥ to berlin.
+	muk, err := incdb.MuK(db, q, nil, incdb.Consts("laptop"), 5, incdb.CertainOptions{Workers: 2})
+	if err != nil || muk.RatString() != "4/5" {
+		t.Fatalf("µ⁵ = %v, %v", muk, err)
 	}
 	ok, err := incdb.AlmostCertainlyTrue(db, q, incdb.Consts("laptop"))
 	if err != nil || !ok {
 		t.Fatalf("AlmostCertainlyTrue = %v, %v", ok, err)
 	}
 	for _, s := range []incdb.Strategy{incdb.Eager, incdb.SemiEager, incdb.Lazy, incdb.Aware} {
-		cpart, ppart, err := incdb.CTableAnswers(db, q, s)
+		cpart, ppart, err := incdb.CTableAnswers(db, q, s, incdb.CertainOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}

@@ -49,6 +49,7 @@ package certain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -60,10 +61,17 @@ import (
 	"incdb/internal/value"
 )
 
-// Options bounds the exhaustive enumeration and configures parallelism.
+// Options is the one options type of every procedure that quantifies over
+// valuations: the oracles here, µ and µᵏ (internal/prob), and the rows of
+// core.Procs. Workers, Trace, Prep and Ctx configure how the worlds are run
+// and are read by all of them (the c-table rows read only Workers);
+// MaxWorlds and FreshCount shape the oracles' valuation space and are read
+// only by the oracles — µᵏ ranges over k constants by definition and µ over
+// patterns. Only MaxWorlds, FreshCount and a cancelled Ctx change what a
+// call returns, and only Workers changes how many worlds it evaluates.
 type Options struct {
-	// MaxWorlds caps the number of valuations enumerated; Compute returns
-	// an error beyond it. Zero means DefaultMaxWorlds.
+	// MaxWorlds caps the number of valuations enumerated; the oracles
+	// return an error beyond it. Zero means DefaultMaxWorlds.
 	MaxWorlds int
 	// FreshCount overrides the number of fresh constants added to the
 	// valuation range. Zero means |Null(D)| + 1: n fresh constants make
@@ -105,7 +113,8 @@ func (o Options) maxWorlds() int {
 
 func (o Options) engine() engine.Options { return engine.Options{Workers: o.Workers} }
 
-func (o Options) ctx() context.Context {
+// Context returns Ctx, or the background context when Ctx is nil.
+func (o Options) Context() context.Context {
 	if o.Ctx == nil {
 		return context.Background()
 	}
@@ -164,13 +173,7 @@ func spaceForTuple(db *relation.Database, q algebra.Expr, t value.Tuple, ids []u
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	consts := algebra.ConstsOf(q)
-	for _, v := range t {
-		if v.IsConst() {
-			consts = append(consts, v)
-		}
-	}
-	return newSpace(db, ids, consts, opts)
+	return newSpace(db, ids, append(algebra.ConstsOf(q), t...), opts)
 }
 
 // bagNulls returns the sorted nulls the bag-semantics bounds quantify over.
@@ -210,22 +213,29 @@ func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts O
 		// session).
 		return &Space{count: 1}, nil
 	}
+	fresh := opts.FreshCount
+	if fresh <= 0 {
+		fresh = len(ids) + 1
+	}
+	return SpaceOf(ids, Range(db, qconsts, fresh), opts.maxWorlds())
+}
+
+// Range returns the relevant constants R = Const(D) ∪ consts — in that
+// order, without repeats, non-constants in consts skipped — followed by
+// fresh constants outside R, len(Range) − |R| = fresh of them.
+func Range(db *relation.Database, consts []value.Value, fresh int) []value.Value {
 	rng := append([]value.Value(nil), db.Consts()...)
 	have := map[value.Value]bool{}
 	for _, c := range rng {
 		have[c] = true
 	}
-	for _, c := range qconsts {
-		if !have[c] {
+	for _, c := range consts {
+		if c.IsConst() && !have[c] {
 			have[c] = true
 			rng = append(rng, c)
 		}
 	}
-	freshCount := opts.FreshCount
-	if freshCount <= 0 {
-		freshCount = len(ids) + 1
-	}
-	for i := 0; i < freshCount; i++ {
+	for i := 0; i < fresh; i++ {
 		// Fresh constants must avoid everything present; the prefix makes
 		// collisions with user data implausible and the loop rules them out.
 		base := "⁑fresh" + strconv.Itoa(i)
@@ -236,13 +246,15 @@ func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts O
 		have[c] = true
 		rng = append(rng, c)
 	}
-	count := 1
-	for range ids {
-		count *= len(rng)
-		if count > opts.maxWorlds() || count < 0 {
-			return nil, fmt.Errorf("certain: valuation space %d^%d exceeds MaxWorlds %d",
-				len(rng), len(ids), opts.maxWorlds())
-		}
+	return rng
+}
+
+// SpaceOf returns the space of valuations of ids into rng, or an error when
+// it holds more than maxWorlds valuations (or more than an int can count).
+func SpaceOf(ids []uint64, rng []value.Value, maxWorlds int) (*Space, error) {
+	count := value.EnumSize(ids, rng)
+	if count < 0 || count > maxWorlds {
+		return nil, fmt.Errorf("certain: valuation space %d^%d exceeds MaxWorlds %d", len(rng), len(ids), maxWorlds)
 	}
 	return &Space{ids: ids, rng: rng, count: count}, nil
 }
@@ -277,37 +289,35 @@ func (s *Space) shards(eng engine.Options) [][2]int {
 	return engine.Split(s.count, w*4)
 }
 
-// worldIter enumerates one shard's worlds: it evaluates the prepared plan
-// under each valuation of the shard's range, in index order, and hands the
-// answer — valid for that call only — to visit, until visit returns false
-// or the oracle is cancelled.
-type worldIter func(visit func(a plan.Answer, v value.Valuation) bool)
+// Worlds enumerates one shard's worlds in index order: it hands visit the
+// shard's Runner and each valuation of the shard's range — visit evaluates
+// the world with r.Eval(v) if it needs it, the answer valid until the next
+// call — until visit returns false or the procedure is cancelled.
+type Worlds func(visit func(r plan.Runner, v value.Valuation) bool)
 
-// eachShard is the one world loop of the package. It splits the space into
-// shards, gives each shard a Runner of its own — so the worlds of a shard
-// reuse one set of buffers and allocate nothing — and returns what scan
-// made of each shard, in shard order. With one shard everything runs on the
-// calling goroutine.
-func eachShard[T any](space *Space, prep *plan.Prepared, opts Options, scan func(worlds worldIter) T) ([]T, error) {
+// EachShard is the one world loop of every procedure that quantifies over
+// valuations. It splits the space into shards, gives each shard a Runner of
+// its own — so the worlds of a shard reuse one set of buffers and allocate
+// nothing — polls opts.Ctx every pollInterval worlds, and returns what scan
+// made of each shard, in shard order. The first error a scan returns
+// cancels the other shards and is returned. With one shard everything runs
+// on the calling goroutine. It reads opts.Workers, Trace and Ctx.
+func EachShard[T any](space *Space, prep *plan.Prepared, opts Options, scan func(worlds Worlds) (T, error)) ([]T, error) {
 	shards := space.shards(opts.engine())
-	return engine.Map(opts.ctx(), opts.engine(), len(shards),
+	return engine.Map(opts.Context(), opts.engine(), len(shards),
 		func(ctx context.Context, si int) (T, error) {
-			return scan(shardWorlds(ctx, space, prep, opts, shards[si])), nil
+			return scan(func(visit func(r plan.Runner, v value.Valuation) bool) {
+				r := prep.Runner(opts.Trace)
+				defer r.Close()
+				step := 0
+				space.EachRange(shards[si][0], shards[si][1], func(v value.Valuation) bool {
+					if step++; step%pollInterval == 0 && engine.Canceled(ctx) {
+						return false
+					}
+					return visit(r, v)
+				})
+			})
 		})
-}
-
-func shardWorlds(ctx context.Context, space *Space, prep *plan.Prepared, opts Options, shard [2]int) worldIter {
-	return func(visit func(a plan.Answer, v value.Valuation) bool) {
-		r := prep.Runner(opts.Trace)
-		defer r.Close()
-		step := 0
-		space.EachRange(shard[0], shard[1], func(v value.Valuation) bool {
-			if step++; step%pollInterval == 0 && engine.Canceled(ctx) {
-				return false
-			}
-			return visit(r.Eval(v), v)
-		})
-	}
 }
 
 // WithNulls computes cert⊥(Q, D) exactly. Candidates are drawn from the
@@ -358,7 +368,7 @@ func survivors(space *Space, prep *plan.Prepared, candidates []value.Tuple, opts
 	for i, t := range candidates {
 		hasNull[i] = t.HasNull()
 	}
-	locals, err := eachShard(space, prep, opts, func(worlds worldIter) []bool {
+	locals, err := EachShard(space, prep, opts, func(worlds Worlds) ([]bool, error) {
 		local := make([]bool, len(candidates))
 		for i := range local {
 			local[i] = true
@@ -367,7 +377,8 @@ func survivors(space *Space, prep *plan.Prepared, candidates []value.Tuple, opts
 		// One probe buffer per shard: candidate instantiation reuses it
 		// instead of allocating a tuple per candidate per world.
 		buf := make(value.Tuple, len(candidates[0]))
-		worlds(func(a plan.Answer, v value.Valuation) bool {
+		worlds(func(r plan.Runner, v value.Valuation) bool {
+			a := r.Eval(v)
 			for i, t := range candidates {
 				if !local[i] {
 					continue
@@ -387,7 +398,7 @@ func survivors(space *Space, prep *plan.Prepared, candidates []value.Tuple, opts
 			}
 			return remaining > 0
 		})
-		return local
+		return local, nil
 	})
 	if err != nil {
 		return nil, err
@@ -413,10 +424,11 @@ func Intersection(db *relation.Database, q algebra.Expr, opts Options) (*relatio
 	if err != nil {
 		return nil, err
 	}
-	parts, err := eachShard(space, prep, opts, func(worlds worldIter) []value.Tuple {
+	parts, err := EachShard(space, prep, opts, func(worlds Worlds) ([]value.Tuple, error) {
 		var acc []value.Tuple
 		first := true
-		worlds(func(a plan.Answer, _ value.Valuation) bool {
+		worlds(func(r plan.Runner, v value.Valuation) bool {
+			a := r.Eval(v)
 			if first {
 				// The accumulator outlives the world: clone what it keeps.
 				first = false
@@ -428,7 +440,7 @@ func Intersection(db *relation.Database, q algebra.Expr, opts Options) (*relatio
 			}
 			return len(acc) > 0
 		})
-		return acc
+		return acc, nil
 	})
 	if err != nil {
 		return nil, err
@@ -460,21 +472,27 @@ func keep(ts []value.Tuple, pred func(value.Tuple) bool) []value.Tuple {
 	return kept
 }
 
+// errRefuted is what a shard of forallWorlds returns on a counterexample:
+// engine.Map stops at the first error, which cancels the other shards.
+var errRefuted = errors.New("certain: counterexample")
+
 // forallWorlds reports whether pred holds of the query's answer in every
 // world of the space, stopping — across all workers — at the first
 // counterexample.
 func forallWorlds(space *Space, prep *plan.Prepared, opts Options, pred func(a plan.Answer, v value.Valuation) bool) (bool, error) {
-	shards := space.shards(opts.engine())
-	refuted, err := engine.Search(opts.ctx(), opts.engine(), len(shards),
-		func(ctx context.Context, si int) (bool, error) {
-			counterexample := false
-			shardWorlds(ctx, space, prep, opts, shards[si])(func(a plan.Answer, v value.Valuation) bool {
-				counterexample = !pred(a, v)
-				return !counterexample
-			})
-			return counterexample, nil
+	_, err := EachShard(space, prep, opts, func(worlds Worlds) (_ struct{}, refuted error) {
+		worlds(func(r plan.Runner, v value.Valuation) bool {
+			if !pred(r.Eval(v), v) {
+				refuted = errRefuted
+			}
+			return refuted == nil
 		})
-	return !refuted, err
+		return struct{}{}, refuted
+	})
+	if errors.Is(err, errRefuted) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // existsWorld reports whether pred holds in some world of the space,
@@ -550,17 +568,17 @@ func extremeMult(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opti
 	prep := opts.prepared(db, q, true)
 	// Each shard's extremum; a shard always sees the first world of its
 	// range, and a minimum of zero cannot improve, so it stops there.
-	parts, err := eachShard(space, prep, opts, func(worlds worldIter) int {
+	parts, err := EachShard(space, prep, opts, func(worlds Worlds) (int, error) {
 		best, first := 0, true
 		buf := make(value.Tuple, len(t))
-		worlds(func(a plan.Answer, v value.Valuation) bool {
-			m := a.Mult(v.ApplyInto(buf, t))
+		worlds(func(r plan.Runner, v value.Valuation) bool {
+			m := r.Eval(v).Mult(v.ApplyInto(buf, t))
 			if first || (min && m < best) || (!min && m > best) {
 				best, first = m, false
 			}
 			return !(min && best == 0)
 		})
-		return best
+		return best, nil
 	})
 	if err != nil {
 		return 0, err

@@ -1,6 +1,8 @@
 package certain
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"incdb/internal/algebra"
@@ -259,6 +261,28 @@ func TestSpaceGuard(t *testing.T) {
 	_, err := WithNulls(db, algebra.R("R"), Options{MaxWorlds: 1000})
 	if err == nil {
 		t.Fatalf("expected a MaxWorlds error")
+	}
+}
+
+// TestSpaceOverflowIsRefused: 15 constants, 16 nulls and 17 fresh constants
+// make a 32^16 = 2^80 space, whose int product wraps to exactly zero. Read as
+// an empty space it left every constant of R certain in R − S; under any
+// MaxWorlds it must be refused instead.
+func TestSpaceOverflowIsRefused(t *testing.T) {
+	db := relation.NewDatabase()
+	r := relation.New("R", "a")
+	for i := 0; i < 15; i++ {
+		r.Add(value.Consts(fmt.Sprintf("c%d", i)))
+	}
+	db.Add(r)
+	s := relation.New("S", "a")
+	for i := 1; i <= 16; i++ {
+		s.Add(value.T(n(uint64(i))))
+	}
+	db.Add(s)
+	got, err := WithNulls(db, algebra.Minus(algebra.R("R"), algebra.R("S")), Options{MaxWorlds: 1 << 62})
+	if err == nil || !strings.Contains(err.Error(), "exceeds MaxWorlds") {
+		t.Fatalf("WithNulls = %v, %v; want an exceeds-MaxWorlds error", got, err)
 	}
 }
 

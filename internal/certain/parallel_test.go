@@ -7,7 +7,6 @@ import (
 
 	"incdb/internal/algebra"
 	"incdb/internal/gen"
-	"incdb/internal/plan"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/tpch"
@@ -194,40 +193,6 @@ func testParallelMatchesSerial(t *testing.T, db *relation.Database, q algebra.Ex
 		pd, err2 := DiamondMult(db, q, tuple, parallel)
 		if (err1 == nil) != (err2 == nil) || sd != pd {
 			t.Errorf("DiamondMult[%d] %v: serial %v/%v parallel %v/%v", i, tuple, sd, err1, pd, err2)
-		}
-	}
-}
-
-// TestWorldCountRepeats: the number of worlds an oracle evaluates
-// (Trace.Execs, what the server reports as "worlds") is a function of the
-// database, the query and Workers. Every early exit is taken either before
-// sharding or by a shard from its own range, so twenty repeats at Workers 2
-// must report one number — with and without a prepared-plan cache — and one
-// answer.
-func TestWorldCountRepeats(t *testing.T) {
-	db, queries := nullWorldsCorpus(t)
-	oracles := map[string]func(*relation.Database, algebra.Expr, Options) (*relation.Relation, error){
-		"WithNulls": WithNulls, "Intersection": Intersection,
-	}
-	for i, q := range queries {
-		for name, oracle := range oracles {
-			for _, cache := range []*plan.PrepCache{nil, plan.NewPrepCache(0)} {
-				var worlds int64
-				var answer string
-				for rep := 0; rep < 20; rep++ {
-					tr := plan.NewTrace(false)
-					r, err := oracle(db, q, Options{Workers: 2, Prep: cache, Trace: tr})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep == 0 {
-						worlds, answer = tr.Execs.Load(), r.String()
-					} else if got := tr.Execs.Load(); got != worlds || r.String() != answer {
-						t.Fatalf("query %d %s (cache %t) repeat %d: %d worlds, first run %d; answer %s, first run %s",
-							i, name, cache != nil, rep, got, worlds, r, answer)
-					}
-				}
-			}
 		}
 	}
 }

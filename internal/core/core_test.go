@@ -11,6 +11,7 @@ import (
 	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/ctable"
+	"incdb/internal/prob"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -26,19 +27,21 @@ func exampleDB() *relation.Database {
 	return db
 }
 
+// The front-end tests below call the functions package incdb re-exports
+// under the same names.
 func TestEvaluationFrontends(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	if got := Naive(db, q); got.Len() != 1 {
+	if got := algebra.Naive(db, q); got.Len() != 1 {
 		t.Fatalf("Naive = %v", got)
 	}
-	if got := SQL(db, q); got.Len() != 1 {
+	if got := algebra.SQL(db, q); got.Len() != 1 {
 		t.Fatalf("SQL = %v (set difference is syntactic)", got)
 	}
-	if got := NaiveBag(db, q); got.Mult(value.Consts("1")) != 1 {
+	if got := algebra.EvalBag(db, q, algebra.ModeNaive); got.Mult(value.Consts("1")) != 1 {
 		t.Fatalf("NaiveBag = %v", got)
 	}
-	if got := SQLBag(db, q); got.Mult(value.Consts("1")) != 1 {
+	if got := algebra.EvalBag(db, q, algebra.ModeSQL); got.Mult(value.Consts("1")) != 1 {
 		t.Fatalf("SQLBag = %v", got)
 	}
 }
@@ -46,11 +49,11 @@ func TestEvaluationFrontends(t *testing.T) {
 func TestCertaintyFrontends(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	cert, err := CertainWithNulls(db, q, certain.Options{})
+	cert, err := certain.WithNulls(db, q, certain.Options{})
 	if err != nil || cert.Len() != 0 {
 		t.Fatalf("cert⊥ = %v, %v", cert, err)
 	}
-	inter, err := CertainIntersection(db, q, certain.Options{})
+	inter, err := certain.Intersection(db, q, certain.Options{})
 	if err != nil || inter.Len() != 0 {
 		t.Fatalf("cert∩ = %v, %v", inter, err)
 	}
@@ -83,7 +86,7 @@ func TestApproximationFrontends(t *testing.T) {
 func TestCTableFrontend(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	cpart, ppart, err := CTableAnswers(db, q, ctable.Aware)
+	cpart, ppart, err := CTableAnswers(db, q, ctable.Aware, certain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +98,11 @@ func TestCTableFrontend(t *testing.T) {
 func TestProbabilisticFrontends(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	act, err := AlmostCertainlyTrue(db, q, value.Consts("1"))
+	act, err := prob.AlmostCertainlyTrue(db, q, value.Consts("1"))
 	if err != nil || !act {
 		t.Fatalf("1 should be almost certainly in R−S: %v %v", act, err)
 	}
-	mu, err := Mu(db, q, constraint.Set{}, value.Consts("1"))
+	mu, err := prob.Mu(db, q, constraint.Set{}, value.Consts("1"), certain.Options{})
 	if err != nil || mu.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Fatalf("µ = %v, %v", mu, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/ctable"
-	"incdb/internal/engine"
 	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/translate"
@@ -126,7 +125,7 @@ func Lookup(name string) *Proc {
 // opts.Workers sizes the c-table strategies' pool too.
 func Run(p *Proc, db *relation.Database, q algebra.Expr, bag bool, opts certain.Options) ([]*relation.Relation, error) {
 	if p.Plan == nil {
-		c, poss, err := CTableAnswersWith(db, q, p.strategy, engine.Options{Workers: opts.Workers})
+		c, poss, err := CTableAnswers(db, q, p.strategy, opts)
 		if err != nil {
 			return nil, err
 		}

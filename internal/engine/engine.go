@@ -5,12 +5,12 @@
 // The exponential oracles of internal/certain, the valuation counting of
 // internal/prob and the per-row grounding of internal/ctable all reduce to
 // the same shape — a large, embarrassingly parallel index space whose
-// per-index work is pure and whose results merge associatively. Map and
-// Search cover that shape: Map fans n shards out over a fixed number of
-// goroutines and returns the per-shard results in shard order, so that any
-// order-sensitive reduction performed by the caller is byte-identical to
-// the serial computation; Search is the existential variant that cancels
-// all remaining work as soon as one shard reports a hit.
+// per-index work is pure and whose results merge associatively. Map covers
+// that shape: it fans n shards out over a fixed number of goroutines and
+// returns the per-shard results in shard order, so that any order-sensitive
+// reduction performed by the caller is byte-identical to the serial
+// computation. An existential search is Map with a sentinel error: the
+// first shard to return it cancels all remaining work.
 //
 // Workers=1 always degenerates to a plain loop on the calling goroutine,
 // which is the reference semantics every parallel caller is tested against.
@@ -124,7 +124,7 @@ func (p panicErr) Error() string { return fmt.Sprint(p.v) }
 
 // Canceled reports whether ctx has been canceled. Workers iterating large
 // shards should poll it periodically (every few hundred items) so that
-// Search hits and Map errors propagate promptly.
+// Map errors propagate promptly.
 func Canceled(ctx context.Context) bool {
 	select {
 	case <-ctx.Done():
@@ -201,76 +201,4 @@ func Map[T any](ctx context.Context, opts Options, n int, f func(ctx context.Con
 		return nil, err
 	}
 	return results, nil
-}
-
-// Search runs pred on shard indices in [0, n) and reports whether any shard
-// returned true, canceling the context seen by the remaining workers on the
-// first hit. Like Map it degenerates to an ordered serial loop (with its
-// usual short-circuit) when Workers is 1. The first error wins and
-// suppresses the boolean result.
-func Search(ctx context.Context, opts Options, n int, pred func(ctx context.Context, shard int) (bool, error)) (bool, error) {
-	if n <= 0 {
-		return false, ctx.Err()
-	}
-	workers := opts.WorkerCount()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			hit, err := pred(ctx, i)
-			if err != nil {
-				return false, err
-			}
-			if hit {
-				return true, nil
-			}
-		}
-		return false, ctx.Err()
-	}
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		found    atomic.Bool
-		firstErr error
-		errOnce  sync.Once
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || Canceled(wctx) {
-					return
-				}
-				hit, err := pred(wctx, i)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
-				if hit {
-					found.Store(true)
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return false, firstErr
-	}
-	if !found.Load() {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-	}
-	return found.Load(), nil
 }

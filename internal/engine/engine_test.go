@@ -122,15 +122,33 @@ func TestMapRespectsCallerContext(t *testing.T) {
 	}
 }
 
+// errHit is the sentinel an existential search over Map returns from the
+// shard that finds a witness: Map stops on the first error, so the search
+// stops at the first hit.
+var errHit = errors.New("hit")
+
+// search is the existential search the oracles build from Map: whether some
+// shard in [0, n) satisfies pred.
+func search(ctx context.Context, opts Options, n int, pred func(i int) bool) (bool, error) {
+	_, err := Map(ctx, opts, n, func(_ context.Context, i int) (struct{}, error) {
+		if pred(i) {
+			return struct{}{}, errHit
+		}
+		return struct{}{}, nil
+	})
+	if errors.Is(err, errHit) {
+		return true, nil
+	}
+	return false, err
+}
+
 func TestSearchFindsWitness(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		found, err := Search(context.Background(), Options{Workers: workers}, 100,
-			func(_ context.Context, i int) (bool, error) { return i == 73, nil })
+		found, err := search(context.Background(), Options{Workers: workers}, 100, func(i int) bool { return i == 73 })
 		if err != nil || !found {
 			t.Errorf("workers=%d: found=%v err=%v, want true,nil", workers, found, err)
 		}
-		found, err = Search(context.Background(), Options{Workers: workers}, 100,
-			func(_ context.Context, i int) (bool, error) { return false, nil })
+		found, err = search(context.Background(), Options{Workers: workers}, 100, func(int) bool { return false })
 		if err != nil || found {
 			t.Errorf("workers=%d: found=%v err=%v, want false,nil", workers, found, err)
 		}
@@ -139,8 +157,7 @@ func TestSearchFindsWitness(t *testing.T) {
 
 func TestSearchSerialShortCircuits(t *testing.T) {
 	visited := 0
-	found, err := Search(context.Background(), Options{Workers: 1}, 100,
-		func(_ context.Context, i int) (bool, error) { visited++; return i == 3, nil })
+	found, err := search(context.Background(), Options{Workers: 1}, 100, func(i int) bool { visited++; return i == 3 })
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -151,11 +168,10 @@ func TestSearchSerialShortCircuits(t *testing.T) {
 
 func TestSearchCancelsAfterHit(t *testing.T) {
 	var polls atomic.Int64
-	found, err := Search(context.Background(), Options{Workers: 4}, 500,
-		func(ctx context.Context, i int) (bool, error) {
-			polls.Add(1)
-			return i == 2, nil
-		})
+	found, err := search(context.Background(), Options{Workers: 4}, 500, func(i int) bool {
+		polls.Add(1)
+		return i == 2
+	})
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}

@@ -60,7 +60,7 @@ func E8UnifSemantics() string {
 	inner := algebra.Sel(algebra.R("S"), algebra.CNot(algebra.CIn(algebra.R("T"), 0)))
 	qSQL := algebra.Sel(algebra.R("R"), algebra.CNot(algebra.CIn(inner, 0)))
 	sqlRes := algebra.SQL(db2, qSQL)
-	mu, err := prob.Mu(db2, q, nil, value.Consts("1"))
+	mu, err := prob.Mu(db2, q, nil, value.Consts("1"), certain.Options{})
 	if err != nil {
 		return err.Error()
 	}

@@ -191,14 +191,14 @@ func E6MuConvergence() string {
 	for _, c := range cases {
 		row := []string{c.name}
 		for _, k := range []int{2, 4, 8, 16, 32} {
-			muk, err := prob.MuK(db, c.q, nil, c.tuple, k)
+			muk, err := prob.MuK(db, c.q, nil, c.tuple, k, certain.Options{})
 			if err != nil {
 				return err.Error()
 			}
 			f, _ := muk.Float64()
 			row = append(row, fmt.Sprintf("%.4f", f))
 		}
-		mu, err := prob.Mu(db, c.q, nil, c.tuple)
+		mu, err := prob.Mu(db, c.q, nil, c.tuple, certain.Options{})
 		if err != nil {
 			return err.Error()
 		}
@@ -229,11 +229,11 @@ func E7ConditionalMu() string {
 	db.Add(s)
 	sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "T", Cols2: []int{0}}}
 	q := algebra.Minus(algebra.R("T"), algebra.R("S"))
-	mu, err := prob.Mu(db, q, sigma, value.Consts("1"))
+	mu, err := prob.Mu(db, q, sigma, value.Consts("1"), certain.Options{})
 	if err != nil {
 		return err.Error()
 	}
-	mu0, _ := prob.Mu(db, q, nil, value.Consts("1"))
+	mu0, _ := prob.Mu(db, q, nil, value.Consts("1"), certain.Options{})
 	fmt.Fprintf(&b, "T = {1,2}, S = {⊥}, Σ: S ⊆ T, Q = T−S, ā = (1):\n")
 	fmt.Fprintf(&b, "  µ(Q, D, ā)      = %s   (unconditional: ⊥ almost surely misses 1)\n", mu0.RatString())
 	fmt.Fprintf(&b, "  µ(Q|Σ, D, ā)    = %s   (paper: exactly 1/2)\n\n", mu.RatString())
@@ -258,7 +258,7 @@ func E7ConditionalMu() string {
 		db2.Add(s2)
 		sig := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "T", Cols2: []int{0}}}
 		bq := algebra.Proj(algebra.Inter(algebra.R("S"), algebra.R("P")))
-		got, err := prob.Mu(db2, bq, sig, value.Tuple{})
+		got, err := prob.Mu(db2, bq, sig, value.Tuple{}, certain.Options{})
 		if err != nil {
 			return err.Error()
 		}
@@ -281,8 +281,8 @@ func E7ConditionalMu() string {
 	fds, _ := fd.FDs()
 	chased, _ := constraint.Chase(db3, fds)
 	q3 := algebra.Proj(algebra.R("R"), 1)
-	muC, _ := prob.Mu(db3, q3, fd, value.Consts("a"))
-	muChase, _ := prob.Mu(chased, q3, nil, value.Consts("a"))
+	muC, _ := prob.Mu(db3, q3, fd, value.Consts("a"), certain.Options{})
+	muChase, _ := prob.Mu(chased, q3, nil, value.Consts("a"), certain.Options{})
 	fmt.Fprintf(&b, "\nFDs via the chase: R = {(1,a),(1,⊥)}, Σ: k→v.\n")
 	fmt.Fprintf(&b, "  µ(a ∈ πv R | Σ, D) = %s;  µ(a ∈ πv R, D_Σ) = %s  (must agree; both 1 since the chase binds ⊥ = a)\n",
 		muC.RatString(), muChase.RatString())

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"incdb/internal/algebra"
+	"incdb/internal/certain"
 	"incdb/internal/constraint"
-	"incdb/internal/engine"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -24,20 +24,20 @@ func probDB(nulls int) *relation.Database {
 	return db
 }
 
-// TestMuKWithMatchesSerial shards the kⁿ counter and checks the rational is
+// TestMuKParallelMatchesSerial shards the kⁿ counter and checks the rational is
 // bit-identical to the serial count, with and without constraints.
-func TestMuKWithMatchesSerial(t *testing.T) {
+func TestMuKParallelMatchesSerial(t *testing.T) {
 	db := probDB(3)
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
 	sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "R", Cols2: []int{0}}}
 	tuple := value.Consts("1")
 	for _, k := range []int{4, 9} {
 		for _, sg := range []constraint.Set{nil, sigma} {
-			serial, err := MuKWith(db, q, sg, tuple, k, engine.Options{Workers: 1})
+			serial, err := MuK(db, q, sg, tuple, k, certain.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := MuKWith(db, q, sg, tuple, k, engine.Options{Workers: 8})
+			parallel, err := MuK(db, q, sg, tuple, k, certain.Options{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,19 +48,19 @@ func TestMuKWithMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMuWithMatchesSerial shards the pattern enumeration on the first
+// TestMuParallelMatchesSerial shards the pattern enumeration on the first
 // null's branch and checks the asymptotic µ is unchanged.
-func TestMuWithMatchesSerial(t *testing.T) {
+func TestMuParallelMatchesSerial(t *testing.T) {
 	db := probDB(3)
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
 	sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "R", Cols2: []int{0}}}
 	tuple := value.Consts("1")
 	for _, sg := range []constraint.Set{nil, sigma} {
-		serial, err := MuWith(db, q, sg, tuple, engine.Options{Workers: 1})
+		serial, err := Mu(db, q, sg, tuple, certain.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := MuWith(db, q, sg, tuple, engine.Options{Workers: 8})
+		parallel, err := Mu(db, q, sg, tuple, certain.Options{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func TestMuWithMatchesSerial(t *testing.T) {
 	}
 	// Null-free database: the single empty valuation, any worker count.
 	empty := probDB(0)
-	serial, err := MuWith(empty, q, nil, tuple, engine.Options{Workers: 1})
+	serial, err := Mu(empty, q, nil, tuple, certain.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MuWith(empty, q, nil, tuple, engine.Options{Workers: 8})
+	parallel, err := Mu(empty, q, nil, tuple, certain.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,11 @@ package prob
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
-	"strconv"
 
 	"incdb/internal/algebra"
+	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/engine"
 	"incdb/internal/plan"
@@ -33,43 +34,6 @@ import (
 // MaxNulls bounds the pattern/valuation enumerations; both are exponential
 // in the number of nulls (computing µ exactly is FP^#P-hard, Section 4.3).
 const MaxNulls = 8
-
-// Options configures the probabilistic procedures beyond their engine
-// pool: Prep, when non-nil, supplies version-guarded prepared plans that
-// survive across invocations (REPL/server workloads), exactly like
-// certain.Options.Prep. Results never depend on any field.
-type Options struct {
-	Engine engine.Options
-	Prep   *plan.PrepCache
-	// Trace, when non-nil, accumulates execution statistics across the
-	// whole enumeration (Execs = worlds evaluated, FrozenReuse =
-	// frozen-part serves), exactly like certain.Options.Trace. Shared by
-	// all worker shards; results are identical with or without it.
-	Trace *plan.Trace
-	// Ctx, when non-nil, cancels the enumeration, exactly like
-	// certain.Options.Ctx.
-	Ctx context.Context
-}
-
-func (o Options) ctx() context.Context {
-	if o.Ctx == nil {
-		return context.Background()
-	}
-	return o.Ctx
-}
-
-// prepared returns the plan every world of the enumeration runs on. As in
-// internal/certain a world is a valuation handed to the executor, never a
-// rebuilt database: each worker shard takes one plan.Runner and the answer
-// in v(D) comes back as (frozen, Δ(v)), so the µᵏ counting loop pays for
-// the null rows, not for the database.
-func (o Options) prepared(db *relation.Database, q algebra.Expr) *plan.Prepared {
-	return o.Prep.Get(db, q, algebra.ModeNaive, false)
-}
-
-// pollInterval is how many worlds a worker evaluates between cancellation
-// checks.
-const pollInterval = 64
 
 // sigmaWorld builds the worlds v(D) one worker checks Σ on. Constraints are
 // Boolean queries over a complete database, not query plans, so they need
@@ -109,64 +73,17 @@ func (w *sigmaWorld) holds(v value.Valuation) bool {
 	return w.sigma.Holds(w.world)
 }
 
-// relevantConsts collects R = Const(D) ∪ consts(Q) ∪ consts(ā).
-func relevantConsts(db *relation.Database, q algebra.Expr, tuple value.Tuple) []value.Value {
-	seen := map[value.Value]bool{}
-	var out []value.Value
-	add := func(v value.Value) {
-		if v.IsConst() && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for _, c := range db.Consts() {
-		add(c)
-	}
-	for _, c := range algebra.ConstsOf(q) {
-		add(c)
-	}
-	for _, v := range tuple {
-		add(v)
-	}
-	return out
-}
-
-// freshConsts returns m constants outside the avoid set.
-func freshConsts(m int, avoid []value.Value) []value.Value {
-	have := map[value.Value]bool{}
-	for _, v := range avoid {
-		have[v] = true
-	}
-	var out []value.Value
-	for i := 0; len(out) < m; i++ {
-		c := value.Const("✶" + strconv.Itoa(i))
-		if !have[c] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // MuK computes µᵏ(Q|Σ, D, ā): the fraction of valuations v with range in
 // {c₁,…,c_k} that satisfy v(D) ⊨ Σ and v(ā) ∈ Q(v(D)), among those
 // satisfying Σ. A nil Σ is the unconditional µᵏ of (the display before)
 // Theorem 4.10. The first k constants are taken as the relevant constants
 // R followed by fresh ones; k must be at least |R| for the value to be
-// enumeration-independent, and the enumeration costs kⁿ worlds.
-func MuK(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int) (*big.Rat, error) {
-	return MuKWith(db, q, sigma, tuple, k, engine.Options{})
-}
-
-// MuKWith is MuK with an explicit worker pool: the kⁿ valuations are
-// sharded across eng's workers and the per-shard counters summed, so the
-// result is independent of the worker count.
-func MuKWith(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int, eng engine.Options) (*big.Rat, error) {
-	return MuKOpts(db, q, sigma, tuple, k, Options{Engine: eng})
-}
-
-// MuKOpts is MuKWith with full Options (worker pool and prepared-plan
-// reuse across calls).
-func MuKOpts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int, opts Options) (*big.Rat, error) {
+// enumeration-independent, and the enumeration costs kⁿ worlds. The kⁿ
+// valuations are counted on certain's world loop, sharded over
+// opts.Workers with per-shard counters summed, so the result is independent
+// of the worker count; opts.Prep, Trace and Ctx act as for the oracles, and
+// MaxWorlds and FreshCount are not read.
+func MuK(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int, opts certain.Options) (*big.Rat, error) {
 	num, den, err := suppCounts(db, q, sigma, tuple, k, opts)
 	if err != nil {
 		return nil, err
@@ -179,50 +96,36 @@ func MuKOpts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple 
 
 // suppCounts enumerates the kⁿ valuations once and returns
 // (|Suppᵏ(Σ∧Q)|, |Suppᵏ(Σ)|); with nil Σ the denominator counts every
-// valuation.
-func suppCounts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int, opts Options) (int64, int64, error) {
-	eng := opts.Engine
+// valuation. A world failing Σ is never evaluated.
+func suppCounts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int, opts certain.Options) (int64, int64, error) {
 	ids := db.NullIDs()
 	if len(ids) > MaxNulls {
 		return 0, 0, fmt.Errorf("prob: %d nulls exceed MaxNulls=%d", len(ids), MaxNulls)
 	}
-	rel := relevantConsts(db, q, tuple)
-	if k < len(rel) {
-		return 0, 0, fmt.Errorf("prob: k=%d below |R|=%d; µᵏ would depend on the enumeration", k, len(rel))
+	k0 := max(k, 0)
+	rng := certain.Range(db, append(algebra.ConstsOf(q), tuple...), k0) // R, then k fresh constants
+	if rel := len(rng) - k0; k < rel {
+		return 0, 0, fmt.Errorf("prob: k=%d below |R|=%d; µᵏ would depend on the enumeration", k, rel)
 	}
-	rng := append(append([]value.Value{}, rel...), freshConsts(k-len(rel), rel)...)
-	total := value.EnumSize(ids, rng)
-	if total < 0 {
-		return 0, 0, fmt.Errorf("prob: %d^%d valuations overflow the enumeration", len(rng), len(ids))
+	// µᵏ is bounded by MaxNulls, not by MaxWorlds: only an overflowing kⁿ
+	// is refused.
+	space, err := certain.SpaceOf(ids, rng[:k0], math.MaxInt)
+	if err != nil {
+		return 0, 0, err
 	}
-	// Compile and prepare the query once for the whole kⁿ enumeration; the
-	// prepared plan is shared by all worker shards (and, with opts.Prep,
-	// reused across calls under its version guard).
-	prep := opts.prepared(db, q)
 	type counts struct{ num, den int64 }
-	shards := [][2]int{{0, total}}
-	if eng.WorkerCount() > 1 && total >= engine.MinParallel {
-		shards = engine.Split(total, eng.WorkerCount()*4)
-	}
-	parts, err := engine.Map(opts.ctx(), eng, len(shards),
-		func(ctx context.Context, si int) (c counts, _ error) {
-			r := prep.Runner(opts.Trace)
-			defer r.Close()
+	parts, err := certain.EachShard(space, opts.Prep.Get(db, q, algebra.ModeNaive, false), opts,
+		func(worlds certain.Worlds) (c counts, _ error) {
 			sw := newSigmaWorld(db, sigma)
 			// One instantiation buffer per worker shard; ā is tiny but the
 			// enumeration visits kⁿ worlds, so per-world allocations add up.
 			buf := make(value.Tuple, len(tuple))
-			step := 0
-			value.EnumValuations(ids, rng, shards[si][0], shards[si][1], func(v value.Valuation) bool {
-				if step++; step%pollInterval == 0 && engine.Canceled(ctx) {
-					return false
-				}
-				if !sw.holds(v) {
-					return true
-				}
-				c.den++
-				if r.Eval(v).Contains(v.ApplyInto(buf, tuple)) {
-					c.num++
+			worlds(func(r plan.Runner, v value.Valuation) bool {
+				if sw.holds(v) {
+					c.den++
+					if r.Eval(v).Contains(v.ApplyInto(buf, tuple)) {
+						c.num++
+					}
 				}
 				return true
 			})
@@ -237,14 +140,6 @@ func suppCounts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tup
 		den += p.den
 	}
 	return num, den, nil
-}
-
-// Mu computes the asymptotic µ(Q|Σ, D, ā) = lim_k µᵏ exactly, by pattern
-// enumeration. With nil Σ the result is 0 or 1 (Theorem 4.10); with
-// constraints it is an arbitrary rational in [0,1] (Theorem 4.11). The
-// convention µ = 0 applies when no valuation satisfies Σ.
-func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple) (*big.Rat, error) {
-	return MuWith(db, q, sigma, tuple, engine.Options{})
 }
 
 // patternEnum carries the fixed inputs of the Mu pattern enumeration so
@@ -316,59 +211,52 @@ func (w *patternWalk) count(i, classes int) {
 	}
 }
 
-// MuWith is Mu with an explicit worker pool. The pattern tree is sharded on
-// the first null's choice (each relevant constant, or the first fresh
-// class); the per-branch polynomial coefficients are summed, so the result
-// is independent of the worker count.
-func MuWith(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, eng engine.Options) (*big.Rat, error) {
-	return MuOpts(db, q, sigma, tuple, Options{Engine: eng})
-}
-
-// MuOpts is MuWith with full Options (worker pool and prepared-plan reuse
-// across calls).
-func MuOpts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, opts Options) (*big.Rat, error) {
-	eng := opts.Engine
+// Mu computes the asymptotic µ(Q|Σ, D, ā) = lim_k µᵏ exactly, by pattern
+// enumeration. With nil Σ the result is 0 or 1 (Theorem 4.10); with
+// constraints it is an arbitrary rational in [0,1] (Theorem 4.11). The
+// convention µ = 0 applies when no valuation satisfies Σ. The pattern tree
+// is sharded over opts.Workers on the first null's choice (each relevant
+// constant, or the first fresh class) and the per-branch polynomial
+// coefficients are summed, so the result is independent of the worker
+// count; opts.Prep, Trace and Ctx act as for the oracles, and MaxWorlds and
+// FreshCount are not read.
+func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, opts certain.Options) (*big.Rat, error) {
+	eng := engine.Options{Workers: opts.Workers}
 	ids := db.NullIDs()
 	if len(ids) > MaxNulls {
 		return nil, fmt.Errorf("prob: %d nulls exceed MaxNulls=%d", len(ids), MaxNulls)
 	}
-	rel := relevantConsts(db, q, tuple)
-	fresh := freshConsts(len(ids), rel)
+	rng := certain.Range(db, append(algebra.ConstsOf(q), tuple...), len(ids))
+	rel, fresh := rng[:len(rng)-len(ids)], rng[len(rng)-len(ids):]
 	e := &patternEnum{db: db, sigma: sigma, tuple: tuple, ids: ids, rel: rel, fresh: fresh,
-		prep: opts.prepared(db, q), trace: opts.Trace, ctx: opts.ctx()}
+		prep: opts.Prep.Get(db, q, algebra.ModeNaive, false), trace: opts.Trace, ctx: opts.Context()}
 
-	branches := len(rel) + 1 // first null's choices: each c ∈ R, or fresh class 0
-	// Pattern count is bounded by the valuations into R ∪ fresh; below the
-	// engine threshold the serial walk wins, like every other oracle here.
-	bound := value.EnumSize(ids, append(append([]value.Value{}, rel...), fresh...))
-	small := bound >= 0 && bound < engine.MinParallel
-	var parts []*patternWalk
-	if len(ids) == 0 || eng.WorkerCount() == 1 || branches == 1 || small {
-		w := e.walk()
-		w.count(0, 0)
-		w.r.Close()
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		parts = []*patternWalk{w}
-	} else {
-		var err error
-		parts, err = engine.Map(e.ctx, eng, branches,
-			func(_ context.Context, bi int) (*patternWalk, error) {
-				w := e.walk()
-				defer w.r.Close()
-				if bi < len(rel) {
-					w.v.Set(ids[0], rel[bi])
-					w.count(1, 0)
-				} else {
-					w.v.Set(ids[0], fresh[0])
-					w.count(1, 1)
-				}
-				return w, nil
-			})
-		if err != nil {
-			return nil, err
-		}
+	// Shard on the first null's choice — each c ∈ R, or fresh class 0 —
+	// unless the pattern count, bounded by the valuations into R ∪ fresh,
+	// is below the engine threshold: then the serial walk wins, like every
+	// other oracle here.
+	branches := len(rel) + 1
+	if bound := value.EnumSize(ids, rng); len(ids) == 0 || eng.WorkerCount() == 1 || (bound >= 0 && bound < engine.MinParallel) {
+		branches = 0 // the whole tree in one walk
+	}
+	parts, err := engine.Map(e.ctx, eng, max(branches, 1),
+		func(_ context.Context, bi int) (*patternWalk, error) {
+			w := e.walk()
+			defer w.r.Close()
+			switch {
+			case branches == 0:
+				w.count(0, 0)
+			case bi < len(rel):
+				w.v.Set(ids[0], rel[bi])
+				w.count(1, 0)
+			default:
+				w.v.Set(ids[0], fresh[0])
+				w.count(1, 1)
+			}
+			return w, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	// Summing the per-branch polynomial coefficients makes the result
 	// independent of the worker count.
@@ -400,7 +288,7 @@ func MuOpts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple v
 // computation, and the equivalence with naive evaluation is verified by
 // the test suite.
 func AlmostCertainlyTrue(db *relation.Database, q algebra.Expr, tuple value.Tuple) (bool, error) {
-	mu, err := Mu(db, q, nil, tuple)
+	mu, err := Mu(db, q, nil, tuple, certain.Options{})
 	if err != nil {
 		return false, err
 	}
@@ -410,7 +298,7 @@ func AlmostCertainlyTrue(db *relation.Database, q algebra.Expr, tuple value.Tupl
 // SuppCount returns |Suppᵏ(Σ∧Q)| and |Suppᵏ(Σ)| for diagnostics: the raw
 // counts behind µᵏ (with nil Σ the second count is all kⁿ valuations).
 func SuppCount(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int) (sat, total int, err error) {
-	num, den, err := suppCounts(db, q, sigma, tuple, k, Options{})
+	num, den, err := suppCounts(db, q, sigma, tuple, k, certain.Options{})
 	if err != nil {
 		return 0, 0, err
 	}

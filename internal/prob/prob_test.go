@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"incdb/internal/algebra"
+	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/gen"
 	"incdb/internal/relation"
@@ -27,7 +28,7 @@ func TestDifferenceAlmostCertainlyTrue(t *testing.T) {
 	s.Add(value.T(n(1)))
 	db.Add(s)
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	mu, err := Mu(db, q, nil, value.Consts("1"))
+	mu, err := Mu(db, q, nil, value.Consts("1"), certain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestDifferenceAlmostCertainlyTrue(t *testing.T) {
 	}
 	// µᵏ = (k−1)/k: exactly one of k choices for ⊥ kills the answer.
 	for _, k := range []int{2, 3, 5, 10} {
-		muk, err := MuK(db, q, nil, value.Consts("1"), k)
+		muk, err := MuK(db, q, nil, value.Consts("1"), k, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestTheorem410ZeroOneLaw(t *testing.T) {
 		// Check over candidate tuples from the active domain.
 		for _, v := range db.ActiveDomain() {
 			tuple := value.T(v)
-			mu, err := Mu(db, q, nil, tuple)
+			mu, err := Mu(db, q, nil, tuple, certain.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,15 +96,15 @@ func TestMuKConvergesToMu(t *testing.T) {
 		q := gen.Query(r, qcfg, 1)
 		adom := db.ActiveDomain()
 		tuple := value.T(adom[r.Intn(len(adom))])
-		mu, err := Mu(db, q, nil, tuple)
+		mu, err := Mu(db, q, nil, tuple, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := relevantConsts(db, q, tuple)
+		rel := len(certain.Range(db, append(algebra.ConstsOf(q), tuple...), 0))
 		prevGap := new(big.Rat)
 		first := true
-		for _, k := range []int{len(rel) + 2, len(rel) + 6, len(rel) + 12} {
-			muk, err := MuK(db, q, nil, tuple, k)
+		for _, k := range []int{rel + 2, rel + 6, rel + 12} {
+			muk, err := MuK(db, q, nil, tuple, k, certain.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +132,7 @@ func TestConditionalHalf(t *testing.T) {
 	db.Add(s)
 	sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "T", Cols2: []int{0}}}
 	q := algebra.Minus(algebra.R("T"), algebra.R("S"))
-	mu, err := Mu(db, q, sigma, value.Consts("1"))
+	mu, err := Mu(db, q, sigma, value.Consts("1"), certain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestConditionalHalf(t *testing.T) {
 		t.Fatalf("µ(1 ∈ T−S | S⊆T) = %v, want 1/2", mu)
 	}
 	// Without the constraint, µ = 1 (⊥ almost surely misses 1).
-	mu0, err := Mu(db, q, nil, value.Consts("1"))
+	mu0, err := Mu(db, q, nil, value.Consts("1"), certain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestConditionalRealizesRationals(t *testing.T) {
 		sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "T", Cols2: []int{0}}}
 		// Boolean query ∃x (S(x) ∧ P(x)) as π∅(S ∩ P).
 		q := algebra.Proj(algebra.Inter(algebra.R("S"), algebra.R("P")))
-		mu, err := Mu(db, q, sigma, value.Tuple{})
+		mu, err := Mu(db, q, sigma, value.Tuple{}, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +197,11 @@ func TestFDConditionalEqualsChased(t *testing.T) {
 	}
 	q := algebra.Proj(algebra.R("R"), 1)
 	for _, tuple := range []value.Tuple{value.Consts("a"), value.T(n(2)), value.Consts("zz")} {
-		muCond, err := Mu(db, q, sigma, tuple)
+		muCond, err := Mu(db, q, sigma, tuple, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		muChase, err := Mu(chased, q, nil, tuple)
+		muChase, err := Mu(chased, q, nil, tuple, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,18 +230,18 @@ func TestMuMatchesMuKAsymptotics(t *testing.T) {
 		q := gen.Query(r, qcfg, 1)
 		adom := db.ActiveDomain()
 		tuple := value.T(adom[r.Intn(len(adom))])
-		mu, err := Mu(db, q, sigma, tuple)
+		mu, err := Mu(db, q, sigma, tuple, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := relevantConsts(db, q, tuple)
+		rel := len(certain.Range(db, append(algebra.ConstsOf(q), tuple...), 0))
 		// µᵏ − µ must be O(1/k): check the gap at two growing k values.
-		k1, k2 := len(rel)+8, len(rel)+16
-		mu1, err := MuK(db, q, sigma, tuple, k1)
+		k1, k2 := rel+8, rel+16
+		mu1, err := MuK(db, q, sigma, tuple, k1, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mu2, err := MuK(db, q, sigma, tuple, k2)
+		mu2, err := MuK(db, q, sigma, tuple, k2, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +285,7 @@ func TestGuards(t *testing.T) {
 		r.Add(value.T(value.Null(uint64(i + 1))))
 	}
 	db.Add(r)
-	if _, err := Mu(db, algebra.R("R"), nil, value.Consts("1")); err == nil {
+	if _, err := Mu(db, algebra.R("R"), nil, value.Consts("1"), certain.Options{}); err == nil {
 		t.Fatalf("expected MaxNulls guard")
 	}
 	// k below |R| is rejected.
@@ -294,7 +295,7 @@ func TestGuards(t *testing.T) {
 	r2.Add(value.Consts("2"))
 	r2.Add(value.T(n(1)))
 	db2.Add(r2)
-	if _, err := MuK(db2, algebra.R("R"), nil, value.Consts("1"), 1); err == nil {
+	if _, err := MuK(db2, algebra.R("R"), nil, value.Consts("1"), 1, certain.Options{}); err == nil {
 		t.Fatalf("expected k < |R| error")
 	}
 }
@@ -308,7 +309,7 @@ func TestUnsatisfiableSigma(t *testing.T) {
 	// S ⊆ E where E is empty: no valuation satisfies it.
 	db.Add(relation.New("E", "a"))
 	sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "E", Cols2: []int{0}}}
-	mu, err := Mu(db, algebra.R("S"), sigma, value.T(n(1)))
+	mu, err := Mu(db, algebra.R("S"), sigma, value.T(n(1)), certain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

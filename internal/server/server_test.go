@@ -449,6 +449,29 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestOverflowingSpaceIsRefused: R has 15 constants and S 16 nulls, so cert
+// of R − S ranges over 32^16 = 2^80 valuations, an int product that wraps to
+// zero. Even under the largest max_worlds the query must be refused, not
+// answered with every constant of R after one world.
+func TestOverflowingSpaceIsRefused(t *testing.T) {
+	_, c := newTestServer(t)
+	var data strings.Builder
+	data.WriteString("rel R a\nrel S a\n")
+	for i := 0; i < 15; i++ {
+		fmt.Fprintf(&data, "row R c%d\n", i)
+	}
+	for i := 1; i <= 16; i++ {
+		fmt.Fprintf(&data, "row S _%d\n", i)
+	}
+	if _, err := c.Load(data.String(), false); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	qr, err := c.Query("minus(R, S)", "cert", false, 1<<62)
+	if err == nil || !strings.Contains(err.Error(), "exceeds MaxWorlds") {
+		t.Fatalf("query = %+v, %v; want an exceeds-MaxWorlds error", qr, err)
+	}
+}
+
 // TestAppendIsAtomic: a payload that fails mid-parse must leave the
 // session database untouched, so the client can fix it and re-post
 // without duplicating the valid prefix.

@@ -1,18 +1,20 @@
 package value
 
+import "math"
+
 // EnumSize returns the number of valuations of ids into rng — len(rng)^len(ids)
-// — or -1 when that count overflows int. A nil ids slice has exactly one
-// valuation (the empty one).
+// — or -1 when that count overflows int, tested before each product (a wrapped
+// one can be zero or positive). A nil ids slice has exactly one valuation.
 func EnumSize(ids []uint64, rng []Value) int {
 	if len(ids) > 0 && len(rng) == 0 {
 		return 0 // nulls to bind but nothing to bind them to
 	}
 	count := 1
 	for range ids {
-		count *= len(rng)
-		if count <= 0 {
+		if count > math.MaxInt/len(rng) {
 			return -1
 		}
+		count *= len(rng)
 	}
 	return count
 }
@@ -38,9 +40,7 @@ func EnumValuations(ids []uint64, rng []Value, lo, hi int, f func(v Valuation) b
 	if size == 0 { // empty range with nulls to bind: no valuations
 		return
 	}
-	if lo < 0 {
-		lo = 0
-	}
+	lo = max(lo, 0)
 	if size > 0 && hi > size {
 		hi = size
 	}

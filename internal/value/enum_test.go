@@ -1,6 +1,8 @@
 package value
 
 import (
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,25 @@ func TestEnumSize(t *testing.T) {
 	}
 	if got := EnumSize(many, rng); got != -1 {
 		t.Errorf("EnumSize(3^64) = %d, want -1 (overflow)", got)
+	}
+}
+
+// TestEnumSizeMatchesBig checks EnumSize against exact arithmetic on every
+// (range, nulls) pair around the int boundary, including the powers of two
+// whose int products wrap to exactly zero (32^16 = 2^80).
+func TestEnumSizeMatchesBig(t *testing.T) {
+	maxInt := big.NewInt(math.MaxInt)
+	for r := 0; r <= 70; r++ {
+		rng := make([]Value, r)
+		for n := 0; n <= 70; n++ {
+			want := new(big.Int).Exp(big.NewInt(int64(r)), big.NewInt(int64(n)), nil)
+			if want.Cmp(maxInt) > 0 {
+				want.SetInt64(-1)
+			}
+			if got := EnumSize(make([]uint64, n), rng); int64(got) != want.Int64() {
+				t.Fatalf("EnumSize(%d nulls, %d values) = %d, want %s", n, r, got, want)
+			}
+		}
 	}
 }
 
