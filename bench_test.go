@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"incdb/internal/algebra"
+	"incdb/internal/api"
 	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/ctable"
@@ -364,6 +365,54 @@ func BenchmarkTPCHMultiJoin(b *testing.B) {
 			}
 		})
 	}
+}
+
+// wireSink keeps BenchmarkWireQueryResponse's encoder output live.
+var wireSink []byte
+
+// BenchmarkWireQueryResponse measures the query-response codec on the
+// largest answer of the tpch_join workload's shape — BenchConfig with 2 %
+// nulls, Q1–Q12 under sql, naive and plus: encode renders the answer from
+// its relation into response bytes the way incdbd does on a result-cache
+// miss, decode parses those bytes the way server.Client does.
+func BenchmarkWireQueryResponse(b *testing.B) {
+	db := tpch.Dirty(tpch.Generate(tpch.BenchConfig()), 0.02, 0, 21)
+	var labels []string
+	var rels []*relation.Relation
+	size := 0
+	for _, nq := range append(tpch.Queries(), tpch.MultiJoinQueries()...) {
+		plus, _, err := translate.Fig2b(nq.Q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for proc, r := range map[string]*relation.Relation{
+			"sql": algebra.SQL(db, nq.Q), "naive": algebra.Naive(db, nq.Q), "plus": algebra.Naive(db, plus),
+		} {
+			if n := len(api.AppendResults(nil, []string{proc}, []*relation.Relation{r})); n > size {
+				labels, rels, size = []string{proc}, []*relation.Relation{r}, n
+			}
+		}
+	}
+	resp := api.QueryResponse{Session: "bench", Proc: labels[0], Query: "q", ElapsedMs: 0.25, Worlds: 1, Versions: db.Versions()}
+	body := api.AppendQueryResponse(nil, &resp, api.AppendResults(nil, labels, rels))
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			results := api.AppendResults(nil, labels, rels)
+			wireSink = api.AppendQueryResponse(make([]byte, 0, len(results)+512), &resp, results)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		var out api.QueryResponse
+		for i := 0; i < b.N; i++ {
+			if err := api.DecodeQueryResponse(body, &out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // Operator micro-benchmarks.

@@ -2,7 +2,8 @@
 // every request and response type exchanged between the server
 // (internal/server), its client (server.Client, backing incdbctl), and the
 // replication tier. One source of truth — handlers and clients cannot
-// drift apart, because they marshal the same structs.
+// drift apart, because they marshal the same structs (QueryResponse through
+// a hand-written codec held to encoding/json's bytes, see codec.go).
 //
 // Routes are session-scoped: the session name lives in the URL path,
 //

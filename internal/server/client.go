@@ -576,22 +576,32 @@ func (c *Client) do(req *http.Request) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// Size the buffer from Content-Length instead of growing it by doubling.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
+	data := buf.Bytes()
 	if resp.StatusCode/100 != 2 {
 		return nil, api.DecodeError(resp.StatusCode, data)
 	}
 	return data, nil
 }
 
-// decodeBody unmarshals a response body fetched with err into into.
+// decodeBody unmarshals a response body fetched with err into into; a query
+// response goes through its own codec, everything else through
+// encoding/json.
 func decodeBody(data []byte, err error, into any) error {
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(data, into); err != nil {
+	switch into := into.(type) {
+	case *api.QueryResponse:
+		err = api.DecodeQueryResponse(data, into)
+	default:
+		err = json.Unmarshal(data, into)
+	}
+	if err != nil {
 		return fmt.Errorf("server: bad response: %w", err)
 	}
 	return nil

@@ -18,7 +18,6 @@ import (
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/store"
-	"incdb/internal/value"
 )
 
 // servedProc resolves a request's proc field (empty means sql) against the
@@ -78,11 +77,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// A byte-identical repeated request against an unchanged version vector
 	// is answered from the result cache — O(1) regardless of what the query
-	// costs to evaluate.
+	// costs to evaluate: the answer is already encoded.
 	csp := sp.StartChild("result_cache.lookup")
 	sess.mu.RLock()
 	resp.Versions = sess.db.Versions()
-	resp.Results, resp.Cached = sess.results.get(resultKey(&req, proc.Name, resp.Versions))
+	var results []byte
+	results, resp.Cached = sess.results.get(resultKey(&req, proc.Name, resp.Versions))
 	sess.mu.RUnlock()
 	csp.Attr("hit", strconv.FormatBool(resp.Cached))
 	csp.End()
@@ -94,7 +94,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer s.release()
-		if slowPlan, aerr = s.evaluate(r.Context(), sess, proc, &req, start, &resp); aerr != nil {
+		if results, slowPlan, aerr = s.evaluate(r.Context(), sess, proc, &req, start, &resp); aerr != nil {
 			s.fail(w, aerr)
 			return
 		}
@@ -126,7 +126,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if slowPlan != "" {
 		s.logSlow(r, &resp, slowPlan)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, api.AppendQueryResponse(make([]byte, 0, len(results)+512), &resp, results))
 }
 
 // parsed runs f on the parsed query text, validated against the session
@@ -148,12 +148,13 @@ func (sess *session) parsed(text string, f func(q algebra.Expr) error) error {
 
 // evaluate is the pipeline's evaluation stage: core.Run on the session
 // database through the session's prepared-plan cache (so concurrent
-// requests reuse each other's prepared state), filling resp and storing the
-// answer in the result cache under the vector it was computed at — which
-// may have moved since the lookup stage. The request context cancels the
-// oracles' enumeration. The returned string is the optimized logical
-// expression, rendered only when evaluation ran past -slow-query.
-func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, req *api.QueryRequest, start time.Time, resp *api.QueryResponse) (slowPlan string, aerr *api.Error) {
+// requests reuse each other's prepared state), filling resp's counters and
+// returning the encoded "results" array, which it also stores in the result
+// cache under the vector it was computed at — which may have moved since the
+// lookup stage. The request context cancels the oracles' enumeration.
+// slowPlan is the optimized logical expression, rendered only when
+// evaluation ran past -slow-query.
+func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, req *api.QueryRequest, start time.Time, resp *api.QueryResponse) (results []byte, slowPlan string, aerr *api.Error) {
 	sp := obs.SpanFromContext(ctx)
 	esp := sp.StartChild("evaluate")
 	defer esp.End()
@@ -185,11 +186,8 @@ func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, r
 		if err != nil {
 			return err
 		}
-		resp.Results = make([]api.Resultset, len(rels))
-		for i, r := range rels {
-			resp.Results[i] = resultset(proc.Labels[i], r)
-		}
-		sess.results.put(resultKey(req, proc.Name, resp.Versions), resp.Results)
+		results = api.AppendResults(nil, proc.Labels, rels)
+		sess.results.put(resultKey(req, proc.Name, resp.Versions), results)
 		if s.opts.SlowQuery > 0 && time.Since(start) >= s.opts.SlowQuery {
 			slowPlan = plan.OptimizedFor(q, sess.db).String()
 		}
@@ -202,14 +200,14 @@ func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, r
 			// The client is gone or out of time: the enumeration stopped
 			// at its next poll and the caller's release frees the slot.
 			s.obs.cancelled.Inc()
-			return "", api.Errorf(statusClientClosedRequest, api.CodeRequestCancelled,
+			return nil, "", api.Errorf(statusClientClosedRequest, api.CodeRequestCancelled,
 				"query abandoned after %d worlds: %v", resp.Worlds, err)
 		}
-		return "", api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err)
+		return nil, "", api.Errorf(http.StatusUnprocessableEntity, api.CodeBadQuery, "%v", err)
 	}
 	esp.Attr("worlds", strconv.FormatInt(resp.Worlds, 10))
 	s.spanPlanNodes(esp, tr, evalStart)
-	return slowPlan, nil
+	return results, slowPlan, nil
 }
 
 // warmSession adopts warm keys a snapshot carried (oldest first) and
@@ -269,35 +267,4 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ExplainResponse{Session: sess.name, Plan: info, Text: info.Text()})
-}
-
-// resultset renders a relation for the wire: deterministic row order,
-// values in the database text format (nulls as _k), multiplicities only
-// when some row's differs from one.
-func resultset(name string, r *relation.Relation) api.Resultset {
-	out := api.Resultset{Name: name, Columns: append([]string(nil), r.Attrs()...), Rows: [][]string{}}
-	var mults []int
-	hasMult := false
-	r.Each(func(t value.Tuple, m int) {
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = renderValue(v)
-		}
-		out.Rows = append(out.Rows, row)
-		mults = append(mults, m)
-		if m != 1 {
-			hasMult = true
-		}
-	})
-	if hasMult {
-		out.Mults = mults
-	}
-	return out
-}
-
-func renderValue(v value.Value) string {
-	if v.IsNull() {
-		return "_" + strconv.FormatUint(v.NullID(), 10)
-	}
-	return v.ConstVal()
 }

@@ -19,14 +19,15 @@ import (
 // so every entry computed before the mutation simply stops being reachable
 // and ages out of the LRU. A byte-identical repeated query against an
 // unchanged database is answered without touching the planner or the
-// oracles at all.
+// oracles at all. An entry is the answer's encoded "results" array
+// (api.AppendResults), so a hit copies bytes and renders nothing.
 //
 // Replacing the database wholesale could reuse a vector (fresh relations
 // restart their counters), so the server discards the whole cache on
 // replace — the same rule the prepared-plan cache follows.
 type resultCache struct {
 	mu      sync.Mutex
-	entries map[string][]api.Resultset
+	entries map[string][]byte
 	order   lru.Order
 
 	hits   atomic.Uint64
@@ -37,7 +38,7 @@ type resultCache struct {
 const defaultResultCacheCap = 256
 
 func newResultCache() *resultCache {
-	return &resultCache{entries: map[string][]api.Resultset{}}
+	return &resultCache{entries: map[string][]byte{}}
 }
 
 // resultKey builds the cache key for one request against the session's
@@ -66,9 +67,9 @@ func resultKey(req *api.QueryRequest, proc string, versions map[string]uint64) s
 	return b.String()
 }
 
-func (c *resultCache) get(key string) ([]api.Resultset, bool) {
+func (c *resultCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
-	rs, ok := c.entries[key]
+	results, ok := c.entries[key]
 	if ok {
 		c.order.Touch(key)
 	}
@@ -78,12 +79,12 @@ func (c *resultCache) get(key string) ([]api.Resultset, bool) {
 	} else {
 		c.misses.Add(1)
 	}
-	return rs, ok
+	return results, ok
 }
 
-func (c *resultCache) put(key string, rs []api.Resultset) {
+func (c *resultCache) put(key string, results []byte) {
 	c.mu.Lock()
-	c.entries[key] = rs
+	c.entries[key] = results
 	c.order.Touch(key)
 	for len(c.entries) > defaultResultCacheCap {
 		oldest := c.order.Oldest()

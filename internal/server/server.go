@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -1037,12 +1038,26 @@ func decode(w http.ResponseWriter, r *http.Request, into any, allowEmpty bool) *
 	return nil
 }
 
+// writeJSON encodes body before writing it, so every response carries a
+// Content-Length and a body that fails to encode is a 500, not a truncated
+// 200.
 func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
+	if err := enc.Encode(body); err != nil {
+		writeErr(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "encode response: %v", err))
+		return
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody writes an encoded JSON response in one Write.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body) // the client is gone; nothing left to tell it
 }
 
 // writeErr writes the uniform error envelope:

@@ -21,12 +21,12 @@
 # microbenchmark (E1/E11) regresses more than GATE_PCT percent — the
 # benchjson gate enforces this from the same medians the JSON reports, so
 # it works offline; benchstat output, when available, is informational.
-# The default set includes the µᵏ and µ benchmarks (E6, E7): reported,
-# not gated.
+# The default set includes the µᵏ and µ benchmarks (E6, E7) and the
+# query-response codec (BenchmarkWireQueryResponse): reported, not gated.
 set -eu
 
 BASE_REF="${1:-HEAD~1}"
-BENCH="${BENCH:-BenchmarkOperatorJoin|BenchmarkE5CTableStrategies|BenchmarkE1Figure1|BenchmarkE11NaiveEval|BenchmarkOperatorDifference|BenchmarkOperatorAntiUnify|BenchmarkTPCHMultiJoin|BenchmarkE6MuConvergence|BenchmarkE7ConditionalMu}"
+BENCH="${BENCH:-BenchmarkOperatorJoin|BenchmarkE5CTableStrategies|BenchmarkE1Figure1|BenchmarkE11NaiveEval|BenchmarkOperatorDifference|BenchmarkOperatorAntiUnify|BenchmarkTPCHMultiJoin|BenchmarkE6MuConvergence|BenchmarkE7ConditionalMu|BenchmarkWireQueryResponse}"
 BENCHTIME="${BENCHTIME:-0.2s}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-bench-compare-out}"
