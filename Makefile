@@ -28,7 +28,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup' ./internal/plan ./internal/store
+	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup|ConcurrentSpans' ./internal/plan ./internal/store ./internal/obs
 
 # One iteration per benchmark: a smoke pass proving every benchmark still
 # runs, not a measurement.

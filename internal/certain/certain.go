@@ -12,14 +12,19 @@
 // All of these are computed by enumerating a finite valuation space. By
 // genericity (Section 2) a query's behaviour depends only on the
 // isomorphism type of the database over the constants mentioned in the
-// query, so it suffices to range valuations over Const(D) ∪ consts(Q) ∪ F
-// where F holds |Null(D)| + 1 fresh constants: any valuation is isomorphic,
-// over the relevant constants, to one in this space, and the extra fresh
-// constant refutes spurious fresh tuples in intersections. The enumeration is
-// exponential in |Null(D)| — certain answers are coNP-hard (Theorem 3.12),
-// so an exact oracle cannot do better — and is therefore guarded by
-// Options.MaxWorlds. The package is the ground-truth oracle against which
-// the tractable approximations of Section 4 are tested.
+// query, class by class of the columns it compares (algebra.ColumnClasses),
+// so a null of class K ranges over Const_K(D) ∪ consts_K(Q) ∪ F_K where F_K
+// holds |nulls in K| + 1 fresh constants: any valuation is isomorphic, class
+// by class over the relevant constants, to one in this space, and the extra
+// fresh constant refutes spurious fresh tuples in intersections. Classes an
+// order comparison or an unmodelled operator pins, every class of a query
+// reading Dom, and µᵏ and µ (internal/prob), which range over constants by
+// definition, keep the shared Range: Const(D) ∪ consts(Q) ∪ |nulls| + 1
+// fresh constants. The enumeration is exponential in the number of nulls —
+// certain answers are coNP-hard (Theorem 3.12), so an exact oracle cannot
+// do better — and is therefore guarded by Options.MaxWorlds. The package is
+// the ground-truth oracle against which the tractable approximations of
+// Section 4 are tested.
 //
 // The only lever an exact oracle has is therefore the cost of one world,
 // and the unit of per-world work here is the null rows, not the database.
@@ -51,6 +56,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -65,22 +71,14 @@ import (
 // valuations: the oracles here, µ and µᵏ (internal/prob), and the rows of
 // core.Procs. Workers, Trace, Prep and Ctx configure how the worlds are run
 // and are read by all of them (the c-table rows read only Workers);
-// MaxWorlds and FreshCount shape the oracles' valuation space and are read
-// only by the oracles — µᵏ ranges over k constants by definition and µ over
-// patterns. Only MaxWorlds, FreshCount and a cancelled Ctx change what a
-// call returns, and only Workers changes how many worlds it evaluates.
+// MaxWorlds bounds the oracles' valuation space and is read only by the
+// oracles — µᵏ ranges over k constants by definition and µ over patterns.
+// Only MaxWorlds and a cancelled Ctx change what a call returns, and only
+// Workers changes how many worlds it evaluates.
 type Options struct {
 	// MaxWorlds caps the number of valuations enumerated; the oracles
 	// return an error beyond it. Zero means DefaultMaxWorlds.
 	MaxWorlds int
-	// FreshCount overrides the number of fresh constants added to the
-	// valuation range. Zero means |Null(D)| + 1: n fresh constants make
-	// the enumeration complete for cert⊥ membership of tuples over dom(D)
-	// (any valuation uses at most n distinct values outside the mentioned
-	// constants), and the extra one guarantees that every tuple mentioning
-	// a fresh constant is refuted in cert∩ by a valuation avoiding it.
-	// Smaller values trade exactness for speed.
-	FreshCount int
 	// Workers is the number of goroutines sharding the valuation
 	// enumeration: 0 means one per CPU, 1 forces the serial reference
 	// path. Results are independent of the setting.
@@ -99,6 +97,8 @@ type Options struct {
 	// Ctx, when non-nil, cancels the enumeration: workers poll it every
 	// pollInterval worlds and the oracle returns its error.
 	Ctx context.Context
+	// sharedRange puts every null on the shared Range (tests only).
+	sharedRange bool
 }
 
 // DefaultMaxWorlds bounds enumeration to about a million possible worlds.
@@ -132,17 +132,17 @@ func (o Options) prepared(db *relation.Database, q algebra.Expr, bag bool) *plan
 const pollInterval = 64
 
 // Space is the finite valuation space used by the oracle: the null
-// identifiers of D and the candidate range.
+// identifiers of D and each one's candidate range.
 type Space struct {
 	ids   []uint64
-	rng   []value.Value
+	rngs  [][]value.Value
 	count int
 }
 
 // NewSpace builds the valuation space for db and query constants qconsts,
-// quantifying over every null of the database.
+// quantifying over every null of the database, each over the shared Range.
 func NewSpace(db *relation.Database, qconsts []value.Value, opts Options) (*Space, error) {
-	return newSpace(db, db.NullIDs(), qconsts, opts)
+	return newSpace(db, db.NullIDs(), qconsts, opts, nil)
 }
 
 // NewSpaceForQuery builds the valuation space restricted to the nulls the
@@ -150,18 +150,24 @@ func NewSpace(db *relation.Database, qconsts []value.Value, opts Options) (*Spac
 // (every null of the database when it reads the active domain). The
 // set-semantics query result Q(v(D)) does not depend on the bindings of
 // other nulls, so universal and existential conditions over valuations are
-// unchanged — while the enumeration shrinks from |rng|^|Null(D)| to
-// |rng|^|relevant|. The identifiers come from the row partition the
-// prepared plan already holds, so with Options.Prep a repeated call walks
-// no relation.
+// unchanged — while the enumeration shrinks from |rng|^|Null(D)| to the
+// product of the relevant nulls' ranges, each that of its column class
+// (newSpace). Both come from the prepared plan, so with Options.Prep a
+// repeated call walks no relation.
 func NewSpaceForQuery(db *relation.Database, q algebra.Expr, opts Options) (*Space, error) {
-	return newSpace(db, opts.prepared(db, q, false).NullIDs(), algebra.ConstsOf(q), opts)
+	return querySpace(db, q, opts.prepared(db, q, false), opts)
+}
+
+// querySpace is the space of a set oracle over prep, the prepared plan of q.
+func querySpace(db *relation.Database, q algebra.Expr, prep *plan.Prepared, opts Options) (*Space, error) {
+	return newSpace(db, prep.NullIDs(), algebra.ConstsOf(q), opts, func() *algebra.Classes { return prep.Classes(q) })
 }
 
 // spaceForTuple builds the space for tuple-level checks: the membership
 // condition v(t̄) ∈ Q(v(D)) depends on the nulls in ids plus any nulls and
-// constants of t̄ itself.
-func spaceForTuple(db *relation.Database, q algebra.Expr, t value.Tuple, ids []uint64, opts Options) (*Space, error) {
+// constants of t̄ itself, which join the classes of their columns in a copy
+// of the column classes prep keeps.
+func spaceForTuple(db *relation.Database, q algebra.Expr, t value.Tuple, ids []uint64, prep *plan.Prepared, opts Options) (*Space, error) {
 	seen := map[uint64]bool{}
 	for _, id := range ids {
 		seen[id] = true
@@ -173,7 +179,7 @@ func spaceForTuple(db *relation.Database, q algebra.Expr, t value.Tuple, ids []u
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return newSpace(db, ids, append(algebra.ConstsOf(q), t...), opts)
+	return newSpace(db, ids, append(algebra.ConstsOf(q), t...), opts, func() *algebra.Classes { return prep.Classes(q).WithAnswer(t) })
 }
 
 // bagNulls returns the sorted nulls the bag-semantics bounds quantify over.
@@ -204,7 +210,15 @@ func bagNulls(db *relation.Database, q algebra.Expr) []uint64 {
 	return ids
 }
 
-func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts Options) (*Space, error) {
+// newSpace builds the space of ids. A null of column class K in classes()
+// ranges over Const_K(D) ∪ consts_K(Q) and |ids in K| + 1 fresh constants;
+// one without a class of its own (Classes.Class is -1), or every null when
+// classes is nil, over the shared Range of db and qconsts. n fresh constants
+// make the enumeration complete for cert⊥ membership of tuples over dom(D) —
+// a valuation of n nulls uses at most n values outside the mentioned
+// constants — and the extra one refutes in cert∩ every tuple mentioning a
+// fresh constant.
+func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts Options, classes func() *algebra.Classes) (*Space, error) {
 	if len(ids) == 0 {
 		// No nulls to bind: the space is the single empty valuation, and
 		// the candidate range is irrelevant — skip collecting Const(D).
@@ -213,19 +227,39 @@ func newSpace(db *relation.Database, ids []uint64, qconsts []value.Value, opts O
 		// session).
 		return &Space{count: 1}, nil
 	}
-	fresh := opts.FreshCount
-	if fresh <= 0 {
-		fresh = len(ids) + 1
+	cl := &algebra.Classes{} // no classes: every null on the shared Range
+	if classes != nil && !opts.sharedRange {
+		cl = classes()
 	}
-	return SpaceOf(ids, Range(db, qconsts, fresh), opts.maxWorlds())
+	size := map[int]int{}
+	for _, id := range ids {
+		size[cl.Class(id)]++
+	}
+	rngs, byClass := make([][]value.Value, len(ids)), map[int][]value.Value{}
+	for i, id := range ids {
+		k := cl.Class(id)
+		if byClass[k] == nil && k < 0 {
+			byClass[k] = Range(db, qconsts, len(ids)+1)
+		} else if byClass[k] == nil {
+			consts := cl.Consts(k)
+			byClass[k] = withFresh(consts, size[k]+1, func(c value.Value) bool {
+				_, found := slices.BinarySearchFunc(consts, c, value.OrderCompare)
+				return found
+			})
+		}
+		rngs[i] = byClass[k]
+	}
+	return SpaceOf(ids, rngs, opts.maxWorlds())
 }
 
 // Range returns the relevant constants R = Const(D) ∪ consts — in that
 // order, without repeats, non-constants in consts skipped — followed by
-// fresh constants outside R, len(Range) − |R| = fresh of them.
+// fresh constants outside R, len(Range) − |R| = fresh of them. It is the
+// range of every null the typed space gives no class of its own, and of µᵏ
+// and µ (internal/prob).
 func Range(db *relation.Database, consts []value.Value, fresh int) []value.Value {
 	rng := append([]value.Value(nil), db.Consts()...)
-	have := map[value.Value]bool{}
+	have := make(map[value.Value]bool, len(rng)+len(consts))
 	for _, c := range rng {
 		have[c] = true
 	}
@@ -235,28 +269,35 @@ func Range(db *relation.Database, consts []value.Value, fresh int) []value.Value
 			rng = append(rng, c)
 		}
 	}
-	for i := 0; i < fresh; i++ {
+	return withFresh(rng, fresh, func(c value.Value) bool { return have[c] })
+}
+
+// withFresh appends n fresh constants to rng, avoiding those taken reports.
+func withFresh(rng []value.Value, n int, taken func(value.Value) bool) []value.Value {
+	rng = slices.Grow(rng, n)
+	for i := 0; i < n; i++ {
 		// Fresh constants must avoid everything present; the prefix makes
 		// collisions with user data implausible and the loop rules them out.
+		// The suffix keeps the candidates of different i apart.
 		base := "⁑fresh" + strconv.Itoa(i)
 		c := value.Const(base)
-		for n := 0; have[c]; n++ {
-			c = value.Const(base + "_" + strconv.Itoa(n))
+		for j := 0; taken(c); j++ {
+			c = value.Const(base + "_" + strconv.Itoa(j))
 		}
-		have[c] = true
 		rng = append(rng, c)
 	}
 	return rng
 }
 
-// SpaceOf returns the space of valuations of ids into rng, or an error when
-// it holds more than maxWorlds valuations (or more than an int can count).
-func SpaceOf(ids []uint64, rng []value.Value, maxWorlds int) (*Space, error) {
-	count := value.EnumSize(ids, rng)
+// SpaceOf returns the space of valuations of each ids[i] into rngs[i], or
+// an error when it holds more than maxWorlds valuations (or more than an int
+// can count).
+func SpaceOf(ids []uint64, rngs [][]value.Value, maxWorlds int) (*Space, error) {
+	count := value.EnumSize(rngs)
 	if count < 0 || count > maxWorlds {
-		return nil, fmt.Errorf("certain: valuation space %d^%d exceeds MaxWorlds %d", len(rng), len(ids), maxWorlds)
+		return nil, fmt.Errorf("certain: valuation space of %d nulls exceeds MaxWorlds %d", len(ids), maxWorlds)
 	}
-	return &Space{ids: ids, rng: rng, count: count}, nil
+	return &Space{ids: ids, rngs: rngs, count: count}, nil
 }
 
 // Size returns the number of valuations in the space.
@@ -274,7 +315,7 @@ func (s *Space) Each(f func(v value.Valuation) bool) {
 // significant). Disjoint ranges can be enumerated concurrently: each call
 // owns its iteration state and only reads the space.
 func (s *Space) EachRange(lo, hi int, f func(v value.Valuation) bool) {
-	value.EnumValuations(s.ids, s.rng, lo, hi, f)
+	value.EnumValuations(s.ids, s.rngs, lo, hi, f)
 }
 
 // shards splits the space's index range for the pool: one range when the
@@ -328,7 +369,7 @@ func EachShard[T any](space *Space, prep *plan.Prepared, opts Options, scan func
 // and when there are none no world is enumerated.
 func WithNulls(db *relation.Database, q algebra.Expr, opts Options) (*relation.Relation, error) {
 	prep := opts.prepared(db, q, false)
-	space, err := newSpace(db, prep.NullIDs(), algebra.ConstsOf(q), opts)
+	space, err := querySpace(db, q, prep, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +461,7 @@ func survivors(space *Space, prep *plan.Prepared, candidates []value.Tuple, opts
 // intersected in shard order, which reproduces the serial fold exactly.
 func Intersection(db *relation.Database, q algebra.Expr, opts Options) (*relation.Relation, error) {
 	prep := opts.prepared(db, q, false)
-	space, err := newSpace(db, prep.NullIDs(), algebra.ConstsOf(q), opts)
+	space, err := querySpace(db, q, prep, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +548,7 @@ func existsWorld(space *Space, prep *plan.Prepared, opts Options, pred func(a pl
 // answer settles it without enumeration.
 func Bool(db *relation.Database, q algebra.Expr, opts Options) (bool, error) {
 	prep := opts.prepared(db, q, false)
-	space, err := newSpace(db, prep.NullIDs(), algebra.ConstsOf(q), opts)
+	space, err := querySpace(db, q, prep, opts)
 	if err != nil {
 		return false, err
 	}
@@ -536,7 +577,7 @@ func CertainTuple(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opt
 func tupleOracle(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options,
 	quantify func(*Space, *plan.Prepared, Options, func(plan.Answer, value.Valuation) bool) (bool, error)) (bool, error) {
 	prep := opts.prepared(db, q, false)
-	space, err := spaceForTuple(db, q, t, prep.NullIDs(), opts)
+	space, err := spaceForTuple(db, q, t, prep.NullIDs(), prep, opts)
 	if err != nil {
 		return false, err
 	}
@@ -561,11 +602,11 @@ func DiamondMult(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opti
 }
 
 func extremeMult(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options, min bool) (int, error) {
-	space, err := spaceForTuple(db, q, t, bagNulls(db, q), opts)
+	prep := opts.prepared(db, q, true)
+	space, err := spaceForTuple(db, q, t, bagNulls(db, q), prep, opts)
 	if err != nil {
 		return 0, err
 	}
-	prep := opts.prepared(db, q, true)
 	// Each shard's extremum; a shard always sees the first world of its
 	// range, and a minimum of zero cannot improve, so it stops there.
 	parts, err := EachShard(space, prep, opts, func(worlds Worlds) (int, error) {

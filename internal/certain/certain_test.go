@@ -252,7 +252,10 @@ func TestBagBoundsDifference(t *testing.T) {
 func TestSpaceGuard(t *testing.T) {
 	db := relation.NewDatabase()
 	r := relation.New("R", "a", "b", "c", "d")
-	// 24 nulls and several constants: the space must overflow the guard.
+	// 24 nulls and four constants. R's four columns are never compared,
+	// so they are four classes of one constant and six nulls each, every
+	// null ranging over 1 + 7 values: (8^6)^4 = 2^72 worlds must overflow
+	// the guard.
 	for i := 0; i < 6; i++ {
 		r.Add(value.T(n(uint64(4*i+1)), n(uint64(4*i+2)), n(uint64(4*i+3)), n(uint64(4*i+4))))
 	}
@@ -265,8 +268,9 @@ func TestSpaceGuard(t *testing.T) {
 }
 
 // TestSpaceOverflowIsRefused: 15 constants, 16 nulls and 17 fresh constants
-// make a 32^16 = 2^80 space, whose int product wraps to exactly zero. Read as
-// an empty space it left every constant of R certain in R − S; under any
+// make a 32^16 = 2^80 space — R − S aligns R's and S's column, so all of
+// them are one class — whose int product wraps to exactly zero. Read as an
+// empty space it left every constant of R certain in R − S; under any
 // MaxWorlds it must be refused instead.
 func TestSpaceOverflowIsRefused(t *testing.T) {
 	db := relation.NewDatabase()
@@ -329,13 +333,13 @@ func TestFreshConstantAvoidance(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[value.Value]bool{}
-	for _, v := range space.rng {
+	for _, v := range space.rngs[0] {
 		if seen[v] {
 			t.Fatalf("duplicate constant %v in range", v)
 		}
 		seen[v] = true
 	}
-	if space.Size() != len(space.rng) {
+	if space.Size() != len(space.rngs[0]) {
 		t.Fatalf("one null: size must equal range size")
 	}
 }

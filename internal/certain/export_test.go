@@ -5,3 +5,10 @@ package certain
 var NullWorldsCorpus = nullWorldsCorpus
 
 const PollInterval = pollInterval
+
+// SharedRange returns opts with every null of the oracles' spaces on the
+// shared Range instead of its column class's range.
+func SharedRange(opts Options) Options {
+	opts.sharedRange = true
+	return opts
+}

@@ -265,18 +265,21 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestConcurrentSpans exercises the buffer and ring under contention (run
-// with -race).
+// with -race). The ring holds every span the test stores, so no trace is
+// evicted before it is read: the subject is contention, and TestRingBounds
+// covers eviction.
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer(1, 256)
+	const goroutines, traces, spans = 8, 50, 4
+	tr := NewTracer(1, goroutines*traces*spans)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < traces; i++ {
 				root := tr.StartRoot("req", SpanContext{})
 				var cwg sync.WaitGroup
-				for c := 0; c < 3; c++ {
+				for c := 0; c < spans-1; c++ {
 					cwg.Add(1)
 					go func(c int) {
 						defer cwg.Done()
@@ -287,8 +290,8 @@ func TestConcurrentSpans(t *testing.T) {
 				}
 				cwg.Wait()
 				root.End()
-				if got := tr.Trace(root.TraceID()); len(got) != 4 {
-					t.Errorf("trace holds %d spans, want 4", len(got))
+				if got := tr.Trace(root.TraceID()); len(got) != spans {
+					t.Errorf("trace holds %d spans, want %d", len(got), spans)
 				}
 			}
 		}(g)

@@ -91,6 +91,9 @@ func (prep *Prepared) advance(added map[string][]relation.Appended) bool {
 	if nullAdded {
 		prep.nullIDs.clear()
 	}
+	if cl := prep.classes.p.Load(); cl != nil {
+		cl.File(added)
+	}
 	switch {
 	case prep.domAll && nullAdded:
 		prep.loadDom()

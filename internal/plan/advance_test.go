@@ -78,7 +78,8 @@ func (a *advancing) check(rng []value.Value, stride int, step string) {
 	}
 	if one(nil) {
 		i := -1
-		value.EnumValuations(ids, rng, 0, value.EnumSize(ids, rng), func(v value.Valuation) bool {
+		rngs := value.Uniform(len(ids), rng)
+		value.EnumValuations(ids, rngs, 0, value.EnumSize(rngs), func(v value.Valuation) bool {
 			i++
 			return i%stride != 0 || one(v)
 		})

@@ -493,7 +493,8 @@ func (c *compiler) project(in pnode, cols []int) pnode {
 			}
 			j.outCols = composed
 		} else {
-			j.outCols = append([]int(nil), cols...)
+			// Non-nil even when empty: a nil outCols emits every column.
+			j.outCols = append(make([]int, 0, len(cols)), cols...)
 		}
 		b.width = len(cols)
 		return j

@@ -139,7 +139,8 @@ func checkDelta(t *testing.T, db *relation.Database, q algebra.Expr, rng []value
 				return true
 			}
 			if check(nil) {
-				value.EnumValuations(ids, rng, 0, value.EnumSize(ids, rng), check)
+				rngs := value.Uniform(len(ids), rng)
+				value.EnumValuations(ids, rngs, 0, value.EnumSize(rngs), check)
 			}
 			run.Close()
 		}
@@ -225,11 +226,11 @@ func TestPreparedSharedAcrossLazyBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := db.NullIDs()
-	rng := append(value.Consts("k1", "k2", "v1", "w1"), value.Const("⁑fresh"))
-	size := value.EnumSize(ids, rng)
+	rngs := value.Uniform(len(ids), append(value.Consts("k1", "k2", "v1", "w1"), value.Const("⁑fresh")))
+	size := value.EnumSize(rngs)
 	want := make([]*relation.Relation, size)
 	i := 0
-	value.EnumValuations(ids, rng, 0, size, func(v value.Valuation) bool {
+	value.EnumValuations(ids, rngs, 0, size, func(v value.Valuation) bool {
 		want[i] = algebra.EvalInterp(db.Apply(v), q, algebra.ModeNaive)
 		i++
 		return true
@@ -247,7 +248,7 @@ func TestPreparedSharedAcrossLazyBuilds(t *testing.T) {
 				// first Δ each lazy table sees differs.
 				lo := g * size / 8
 				i := lo
-				value.EnumValuations(ids, rng, lo, size, func(v value.Valuation) bool {
+				value.EnumValuations(ids, rngs, lo, size, func(v value.Valuation) bool {
 					if got := run.Eval(v).Relation(); !want[i].Equal(got) {
 						t.Errorf("goroutine %d world %d: got %v want %v", g, i, got, want[i])
 						return false

@@ -250,3 +250,20 @@ used columns:
 		}
 	}
 }
+
+// TestZeroColumnProjectionOfJoin: a projection onto no columns folded into
+// a join must emit zero-ary tuples, not the join's whole rows.
+func TestZeroColumnProjectionOfJoin(t *testing.T) {
+	db := testDB()
+	q := algebra.Proj(algebra.Join(algebra.R("R"), algebra.R("S"), algebra.CEq(0, 2)))
+	want := algebra.EvalInterp(db, q, algebra.ModeNaive)
+	for _, bag := range []bool{false, true} {
+		p := compile(q, db, algebra.ModeNaive, bag)
+		if got := p.Exec(db); got.Arity() != 0 || got.Len() != want.Len() {
+			t.Errorf("bag=%t: Exec = %v (arity %d), interpreter = %v", bag, got, got.Arity(), want)
+		}
+		if got := p.Prepare(db).Frozen(); got.Arity() != 0 || got.Len() != want.Len() {
+			t.Errorf("bag=%t: frozen part %v (arity %d), interpreter = %v", bag, got, got.Arity(), want)
+		}
+	}
+}

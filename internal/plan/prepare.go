@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"incdb/internal/algebra"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -84,6 +85,9 @@ type Prepared struct {
 	// when the plan reads the active domain. Collected on first request: an
 	// execution of the base itself never asks.
 	nullIDs lazy[[]uint64]
+	// classes are the column classes of the plan's query, filled with the
+	// base's rows (Classes).
+	classes lazy[algebra.Classes]
 	// domNulls and domConsts are Dom's inputs, kept only when the plan reads
 	// the active domain.
 	domNulls  []value.Value
@@ -153,6 +157,13 @@ func (prep *Prepared) NullIDs() []uint64 {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return &ids
 	})
+}
+
+// Classes returns the column classes of q, the query the plan was compiled
+// from, filled with the rows of the base: built on first use, each advance
+// files its appended rows in them. They are shared and read-only.
+func (prep *Prepared) Classes(q algebra.Expr) *algebra.Classes {
+	return prep.classes.get(func() *algebra.Classes { return algebra.ColumnClasses(q, prep.base) })
 }
 
 // Frozen returns the frozen part of the plan's answer — the tuples that are

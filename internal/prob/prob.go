@@ -82,7 +82,7 @@ func (w *sigmaWorld) holds(v value.Valuation) bool {
 // valuations are counted on certain's world loop, sharded over
 // opts.Workers with per-shard counters summed, so the result is independent
 // of the worker count; opts.Prep, Trace and Ctx act as for the oracles, and
-// MaxWorlds and FreshCount are not read.
+// MaxWorlds is not read.
 func MuK(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, k int, opts certain.Options) (*big.Rat, error) {
 	num, den, err := suppCounts(db, q, sigma, tuple, k, opts)
 	if err != nil {
@@ -109,7 +109,7 @@ func suppCounts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tup
 	}
 	// µᵏ is bounded by MaxNulls, not by MaxWorlds: only an overflowing kⁿ
 	// is refused.
-	space, err := certain.SpaceOf(ids, rng[:k0], math.MaxInt)
+	space, err := certain.SpaceOf(ids, value.Uniform(len(ids), rng[:k0]), math.MaxInt)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -218,8 +218,8 @@ func (w *patternWalk) count(i, classes int) {
 // is sharded over opts.Workers on the first null's choice (each relevant
 // constant, or the first fresh class) and the per-branch polynomial
 // coefficients are summed, so the result is independent of the worker
-// count; opts.Prep, Trace and Ctx act as for the oracles, and MaxWorlds and
-// FreshCount are not read.
+// count; opts.Prep, Trace and Ctx act as for the oracles, and MaxWorlds is
+// not read.
 func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, opts certain.Options) (*big.Rat, error) {
 	eng := engine.Options{Workers: opts.Workers}
 	ids := db.NullIDs()
@@ -236,7 +236,7 @@ func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value
 	// is below the engine threshold: then the serial walk wins, like every
 	// other oracle here.
 	branches := len(rel) + 1
-	if bound := value.EnumSize(ids, rng); len(ids) == 0 || eng.WorkerCount() == 1 || (bound >= 0 && bound < engine.MinParallel) {
+	if bound := value.EnumSize(value.Uniform(len(ids), rng)); len(ids) == 0 || eng.WorkerCount() == 1 || (bound >= 0 && bound < engine.MinParallel) {
 		branches = 0 // the whole tree in one walk
 	}
 	parts, err := engine.Map(e.ctx, eng, max(branches, 1),

@@ -30,12 +30,13 @@ func TestCancelledEnumerationReleasesSlot(t *testing.T) {
 		return rec
 	}
 
-	// Four nulls over 36 constants, the query's own and five fresh ones:
-	// 42^4 ≈ 3.1M worlds, and both branches of the disjunction keep every
-	// null row a live candidate, so nothing ends the enumeration early.
+	// Four nulls in column v, whose class holds 36 constants, the query's
+	// own and five fresh ones: 42^4 ≈ 3.1M worlds, and both branches of the
+	// disjunction keep every null row a live candidate, so nothing ends the
+	// enumeration early.
 	var db strings.Builder
 	db.WriteString("rel R k v\n")
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 36; i++ {
 		fmt.Fprintf(&db, "row R k%d c%d\n", i, i)
 	}
 	for i := 0; i < 4; i++ {

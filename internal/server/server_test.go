@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -449,10 +450,12 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestOverflowingSpaceIsRefused: R has 15 constants and S 16 nulls, so cert
-// of R − S ranges over 32^16 = 2^80 valuations, an int product that wraps to
-// zero. Even under the largest max_worlds the query must be refused, not
-// answered with every constant of R after one world.
+// TestOverflowingSpaceIsRefused: R has 15 constants and S 16 nulls, and
+// R − S compares the two columns, so they form one class: cert ranges every
+// null over its 15 constants and 17 fresh ones, 32^16 = 2^80 valuations, an
+// int product that wraps to zero. Even under the largest max_worlds the
+// query must be refused, not answered with every constant of R after one
+// world.
 func TestOverflowingSpaceIsRefused(t *testing.T) {
 	_, c := newTestServer(t)
 	var data strings.Builder
@@ -469,6 +472,39 @@ func TestOverflowingSpaceIsRefused(t *testing.T) {
 	qr, err := c.Query("minus(R, S)", "cert", false, 1<<62)
 	if err == nil || !strings.Contains(err.Error(), "exceeds MaxWorlds") {
 		t.Fatalf("query = %+v, %v; want an exceeds-MaxWorlds error", qr, err)
+	}
+}
+
+// TestTypedSpaceAnswersUnderMaxWorlds: R's status column holds A, B, C and
+// two nulls, and the tautology compares it with A only, so cert ranges each
+// null over its class's three constants and three fresh ones: 6^2 = 36
+// worlds, where the shared range of all 35 constants and three fresh ones
+// holds 38^2 = 1444. A max_worlds between the two now gets the exact answer
+// with 36 worlds (plus the base run); one below the typed count is still
+// refused with the same error.
+func TestTypedSpaceAnswersUnderMaxWorlds(t *testing.T) {
+	_, c := newTestServer(t)
+	var data strings.Builder
+	data.WriteString("rel R k s\n")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&data, "row R k%d %c\n", i, 'A'+i%3)
+	}
+	data.WriteString("row R n0 _1\nrow R n1 _2\n")
+	if _, err := c.Load(data.String(), false); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	const q = "proj(0, sel(or(eqc(1, 'A'), neqc(1, 'A')), R))"
+	qr, err := c.Query(q, "cert", false, 100)
+	if err != nil {
+		t.Fatalf("cert under max_worlds 100: %v", err)
+	}
+	if qr.Worlds != 36+1 || len(qr.Results[0].Rows) != 32 {
+		t.Errorf("cert = %d rows over %d worlds, want all 32 keys over 36 worlds and the base run", len(qr.Results[0].Rows), qr.Worlds)
+	}
+	var apiErr *api.Error
+	qr, err = c.Query(q, "cert", false, 35)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity || !strings.Contains(err.Error(), "exceeds MaxWorlds") {
+		t.Fatalf("cert under max_worlds 35 = %+v, %v; want a 422 exceeds-MaxWorlds error", qr, err)
 	}
 }
 

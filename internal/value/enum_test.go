@@ -9,7 +9,7 @@ import (
 
 func enumToStrings(ids []uint64, rng []Value, lo, hi int) []string {
 	var out []string
-	EnumValuations(ids, rng, lo, hi, func(v Valuation) bool {
+	EnumValuations(ids, Uniform(len(ids), rng), lo, hi, func(v Valuation) bool {
 		out = append(out, v.String())
 		return true
 	})
@@ -18,18 +18,28 @@ func enumToStrings(ids []uint64, rng []Value, lo, hi int) []string {
 
 func TestEnumSize(t *testing.T) {
 	rng := []Value{Const("a"), Const("b"), Const("c")}
-	if got := EnumSize(nil, rng); got != 1 {
+	if got := EnumSize(nil); got != 1 {
 		t.Errorf("EnumSize(0 ids) = %d, want 1", got)
 	}
-	if got := EnumSize([]uint64{1, 2}, rng); got != 9 {
+	if got := EnumSize(Uniform(2, rng)); got != 9 {
 		t.Errorf("EnumSize(2 ids, 3 consts) = %d, want 9", got)
 	}
-	many := make([]uint64, 64)
-	for i := range many {
-		many[i] = uint64(i + 1)
-	}
-	if got := EnumSize(many, rng); got != -1 {
+	if got := EnumSize(Uniform(64, rng)); got != -1 {
 		t.Errorf("EnumSize(3^64) = %d, want -1 (overflow)", got)
+	}
+	if got := EnumSize([][]Value{rng, rng[:1], rng[:2]}); got != 6 {
+		t.Errorf("EnumSize(3·1·2) = %d, want 6", got)
+	}
+	if got := EnumSize([][]Value{rng, nil}); got != 0 {
+		t.Errorf("EnumSize(3·0) = %d, want 0", got)
+	}
+	// 2^62 fits, one more factor 3 does not, whichever radix comes first.
+	big := append(Uniform(62, rng[:2]), rng)
+	if got := EnumSize(big); got != -1 {
+		t.Errorf("EnumSize(2^62·3) = %d, want -1 (overflow)", got)
+	}
+	if got := EnumSize(append([][]Value{rng}, Uniform(62, rng[:2])...)); got != -1 {
+		t.Errorf("EnumSize(3·2^62) = %d, want -1 (overflow)", got)
 	}
 }
 
@@ -45,7 +55,7 @@ func TestEnumSizeMatchesBig(t *testing.T) {
 			if want.Cmp(maxInt) > 0 {
 				want.SetInt64(-1)
 			}
-			if got := EnumSize(make([]uint64, n), rng); int64(got) != want.Int64() {
+			if got := EnumSize(Uniform(n, rng)); int64(got) != want.Int64() {
 				t.Fatalf("EnumSize(%d nulls, %d values) = %d, want %s", n, r, got, want)
 			}
 		}
@@ -74,6 +84,40 @@ func TestEnumMatchesNestedLoops(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("valuation %d: %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestEnumMixedRadix: one radix per null, in the nested-loop order, and any
+// cut of the index range concatenates back to the full enumeration.
+func TestEnumMixedRadix(t *testing.T) {
+	ids := []uint64{3, 1, 7}
+	rngs := [][]Value{{Const("a"), Const("b")}, {Const("x"), Const("y"), Const("z")}, {Const("k")}}
+	var want []string
+	v := NewValuation()
+	for _, c0 := range rngs[0] {
+		for _, c1 := range rngs[1] {
+			for _, c2 := range rngs[2] {
+				v.Set(ids[0], c0)
+				v.Set(ids[1], c1)
+				v.Set(ids[2], c2)
+				want = append(want, v.String())
+			}
+		}
+	}
+	if size := EnumSize(rngs); size != len(want) {
+		t.Fatalf("EnumSize = %d, want %d", size, len(want))
+	}
+	for _, cut := range [][]int{{0, 6}, {0, 1, 4, 6}, {0, 2, 2, 5, 6}} {
+		var got []string
+		for i := 0; i+1 < len(cut); i++ {
+			EnumValuations(ids, rngs, cut[i], cut[i+1], func(v Valuation) bool {
+				got = append(got, v.String())
+				return true
+			})
+		}
+		if strings.Join(got, ";") != strings.Join(want, ";") {
+			t.Errorf("cuts %v: %v, want %v", cut, got, want)
 		}
 	}
 }
@@ -109,7 +153,7 @@ func TestEnumClampsAndStops(t *testing.T) {
 		t.Errorf("clamped enumeration yielded %d, want 3", len(got))
 	}
 	n := 0
-	EnumValuations(ids, rng, 0, 3, func(Valuation) bool { n++; return false })
+	EnumValuations(ids, Uniform(1, rng), 0, 3, func(Valuation) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early stop visited %d, want 1", n)
 	}
