@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all fmt fmt-check vet build test race bench bench-test bench-check bench-compare smoke smoke-replication smoke-failover clean ci loc
+.PHONY: all fmt fmt-check vet build test race fuzz bench bench-test bench-check bench-compare smoke smoke-replication smoke-failover clean ci loc
 
 all: build
 
@@ -29,6 +29,11 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup|ConcurrentSpans' ./internal/plan ./internal/store ./internal/obs
+
+# Planner ≡ interpreter: fuzz raparse query text × generated databases
+# against the reference interpreter, both modes and both semantics.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzPlannerMatchesInterp$$' -fuzztime=30s ./internal/plan
 
 # One iteration per benchmark: a smoke pass proving every benchmark still
 # runs, not a measurement.
@@ -81,4 +86,4 @@ loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec dirname {} \; | sort -u); do printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
 	@printf '%6d total\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 
-ci: fmt-check vet build race bench bench-test smoke smoke-replication smoke-failover
+ci: fmt-check vet build race fuzz bench bench-test smoke smoke-replication smoke-failover

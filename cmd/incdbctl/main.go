@@ -142,12 +142,7 @@ func runExplain(args []string) error {
 	if *sql {
 		mode = algebra.ModeSQL
 	}
-	var info *plan.ExplainInfo
-	if *analyze {
-		info = plan.DescribeAnalyze(q, db, mode, *bag, db, nil)
-	} else {
-		info = plan.Describe(q, db, mode, *bag, db)
-	}
+	info := plan.Describe(q, db, mode, *bag, nil, *analyze)
 	switch *format {
 	case "text":
 		fmt.Print(info.Text())

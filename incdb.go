@@ -182,14 +182,12 @@ func NaiveBag(db *Database, q Expr) *Relation { return algebra.EvalBag(db, q, al
 // pushdown, n-ary multi-key hash joins, and per-world execution as
 // frozen part ∪ Δ(valuation)). These re-exports expose the planner directly.
 var (
-	// Explain renders the optimized logical expression and the compiled
-	// physical plan for a query; a non-nil database marks every node's
-	// (frozen, Δ) split across its possible worlds.
-	Explain = plan.Explain
-
-	// Describe is the structured form of Explain (the JSON the incdbd
-	// server's /v1/explain endpoint and incdbctl explain -format json
-	// emit).
+	// Describe explains a query against a database: the optimized logical
+	// expression and the compiled physical plan with every node's
+	// (frozen, Δ) split across the possible worlds, optionally after one
+	// traced execution (EXPLAIN ANALYZE). It is the JSON the incdbd
+	// server's /v1/explain endpoint and incdbctl explain -format json emit;
+	// ExplainInfo.Text renders it as text.
 	Describe = plan.Describe
 
 	// EvalMode evaluates a query in an explicit mode (ModeNaive/ModeSQL)
@@ -213,7 +211,7 @@ type (
 	ExplainInfo = plan.ExplainInfo
 )
 
-// Evaluation modes for EvalMode and Explain.
+// Evaluation modes for EvalMode and Describe.
 const (
 	ModeNaive = algebra.ModeNaive
 	ModeSQL   = algebra.ModeSQL

@@ -387,8 +387,10 @@ func TestStarRejectsInSub(t *testing.T) {
 
 func TestNodesAndString(t *testing.T) {
 	e := Sel(Product{Rel{"R"}, Rel{"S"}}, And{Eq{0, 2}, NeqConst{1, c("x")}})
-	if Nodes(e) < 6 {
-		t.Fatalf("Nodes = %d", Nodes(e))
+	nodes := 0
+	Walk(e, func(Expr) bool { nodes++; return true }, func(Cond) bool { nodes++; return true })
+	if nodes != 7 {
+		t.Fatalf("Walk visited %d nodes, want 7", nodes)
 	}
 	s := e.String()
 	for _, frag := range []string{"σ", "×", "∧", "≠"} {

@@ -218,32 +218,6 @@ func arity(e Expr, cat Catalog) (int, error) {
 	return 0, fmt.Errorf("unknown expression %T", e)
 }
 
-// Nodes counts AST nodes (expressions and conditions), used to report
-// translated-query sizes in the experiments.
-func Nodes(e Expr) int {
-	switch e := e.(type) {
-	case Rel, Dom:
-		return 1
-	case Select:
-		return 1 + Nodes(e.In) + condNodes(e.Cond)
-	case Project:
-		return 1 + Nodes(e.In)
-	case Product:
-		return 1 + Nodes(e.L) + Nodes(e.R)
-	case Union:
-		return 1 + Nodes(e.L) + Nodes(e.R)
-	case Diff:
-		return 1 + Nodes(e.L) + Nodes(e.R)
-	case Intersect:
-		return 1 + Nodes(e.L) + Nodes(e.R)
-	case Divide:
-		return 1 + Nodes(e.L) + Nodes(e.R)
-	case AntiUnify:
-		return 1 + Nodes(e.L) + Nodes(e.R)
-	}
-	panic(fmt.Sprintf("algebra: unknown expression %T", e))
-}
-
 // Convenience constructors keeping query definitions readable.
 
 // Sel builds σ_c(in).

@@ -136,21 +136,6 @@ func (c InSub) String() string {
 func (True) String() string  { return "true" }
 func (False) String() string { return "false" }
 
-func condNodes(c Cond) int {
-	switch c := c.(type) {
-	case And:
-		return 1 + condNodes(c.L) + condNodes(c.R)
-	case Or:
-		return 1 + condNodes(c.L) + condNodes(c.R)
-	case Not:
-		return 1 + condNodes(c.C)
-	case InSub:
-		return 1 + Nodes(c.Sub)
-	default:
-		return 1
-	}
-}
-
 func validateCond(c Cond, width int, cat Catalog) error {
 	check := func(is ...int) error {
 		for _, i := range is {

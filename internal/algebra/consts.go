@@ -12,7 +12,19 @@ import (
 // computations must keep these constants in the valuation range.
 func ConstsOf(e Expr) []value.Value {
 	seen := map[value.Value]bool{}
-	collectExpr(e, seen)
+	Walk(e, nil, func(c Cond) bool {
+		switch c := c.(type) {
+		case EqConst:
+			seen[c.C] = true
+		case NeqConst:
+			seen[c.C] = true
+		case LessConst:
+			seen[c.C] = true
+		case GreaterConst:
+			seen[c.C] = true
+		}
+		return true
+	})
 	out := make([]value.Value, 0, len(seen))
 	for v := range seen {
 		out = append(out, v)
@@ -26,109 +38,18 @@ func ConstsOf(e Expr) []value.Value {
 // every relation is effectively read.
 func RelationsOf(e Expr) (names []string, usesDom bool) {
 	set := map[string]bool{}
-	var walkC func(Cond)
-	var walk func(Expr)
-	walk = func(e Expr) {
+	Walk(e, func(e Expr) bool {
 		switch e := e.(type) {
 		case Rel:
 			set[e.Name] = true
 		case Dom:
 			usesDom = true
-		case Select:
-			walk(e.In)
-			walkC(e.Cond)
-		case Project:
-			walk(e.In)
-		case Product:
-			walk(e.L)
-			walk(e.R)
-		case Union:
-			walk(e.L)
-			walk(e.R)
-		case Diff:
-			walk(e.L)
-			walk(e.R)
-		case Intersect:
-			walk(e.L)
-			walk(e.R)
-		case Divide:
-			walk(e.L)
-			walk(e.R)
-		case AntiUnify:
-			walk(e.L)
-			walk(e.R)
 		}
-	}
-	walkC = func(c Cond) {
-		switch c := c.(type) {
-		case And:
-			walkC(c.L)
-			walkC(c.R)
-		case Or:
-			walkC(c.L)
-			walkC(c.R)
-		case Not:
-			walkC(c.C)
-		case InSub:
-			walk(c.Sub)
-		}
-	}
-	walk(e)
+		return true
+	}, nil)
 	for name := range set {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, usesDom
-}
-
-func collectExpr(e Expr, seen map[value.Value]bool) {
-	switch e := e.(type) {
-	case Rel, Dom:
-	case Select:
-		collectExpr(e.In, seen)
-		collectCond(e.Cond, seen)
-	case Project:
-		collectExpr(e.In, seen)
-	case Product:
-		collectExpr(e.L, seen)
-		collectExpr(e.R, seen)
-	case Union:
-		collectExpr(e.L, seen)
-		collectExpr(e.R, seen)
-	case Diff:
-		collectExpr(e.L, seen)
-		collectExpr(e.R, seen)
-	case Intersect:
-		collectExpr(e.L, seen)
-		collectExpr(e.R, seen)
-	case Divide:
-		collectExpr(e.L, seen)
-		collectExpr(e.R, seen)
-	case AntiUnify:
-		collectExpr(e.L, seen)
-		collectExpr(e.R, seen)
-	}
-}
-
-func collectCond(c Cond, seen map[value.Value]bool) {
-	switch c := c.(type) {
-	case EqConst:
-		seen[c.C] = true
-	case NeqConst:
-		seen[c.C] = true
-	case LessConst:
-		seen[c.C] = true
-	case GreaterConst:
-		seen[c.C] = true
-	case And:
-		collectCond(c.L, seen)
-		collectCond(c.R, seen)
-	case Or:
-		collectCond(c.L, seen)
-		collectCond(c.R, seen)
-	case Not:
-		collectCond(c.C, seen)
-	case InSub:
-		collectExpr(c.Sub, seen)
-	}
 }

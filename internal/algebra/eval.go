@@ -413,7 +413,7 @@ func hashJoin(sel Select, prod Product, li, ri int, env *evalEnv) *relation.Rela
 // subquery expression on every lookup. Conditions without IN atoms are
 // returned unchanged.
 func (env *evalEnv) bindCond(c Cond) Cond {
-	if !condHasIn(c) {
+	if !HasIn(c) {
 		return c
 	}
 	switch c := c.(type) {
@@ -431,20 +431,6 @@ func (env *evalEnv) bindCond(c Cond) Cond {
 		return b
 	}
 	return c
-}
-
-func condHasIn(c Cond) bool {
-	switch c := c.(type) {
-	case And:
-		return condHasIn(c.L) || condHasIn(c.R)
-	case Or:
-		return condHasIn(c.L) || condHasIn(c.R)
-	case Not:
-		return condHasIn(c.C)
-	case InSub:
-		return true
-	}
-	return false
 }
 
 // BooleanResult interprets a zero-ary query result as a truth value: true

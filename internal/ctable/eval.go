@@ -255,43 +255,18 @@ func eval(db *relation.Database, q algebra.Expr, s Strategy, eng engine.Options)
 // so that queries are refused even when the offending node would see no
 // rows (e.g. a selection over an empty relation).
 func checkFragment(q algebra.Expr) {
-	switch q := q.(type) {
-	case algebra.Rel:
-	case algebra.Select:
-		checkFragment(q.In)
-		checkCondFragment(q.Cond)
-	case algebra.Project:
-		checkFragment(q.In)
-	case algebra.Product:
-		checkFragment(q.L)
-		checkFragment(q.R)
-	case algebra.Union:
-		checkFragment(q.L)
-		checkFragment(q.R)
-	case algebra.Diff:
-		checkFragment(q.L)
-		checkFragment(q.R)
-	case algebra.Intersect:
-		checkFragment(q.L)
-		checkFragment(q.R)
-	default:
-		panic(fmt.Sprintf("operator %T is outside the c-table fragment", q))
-	}
-}
-
-func checkCondFragment(c algebra.Cond) {
-	switch c := c.(type) {
-	case algebra.And:
-		checkCondFragment(c.L)
-		checkCondFragment(c.R)
-	case algebra.Or:
-		checkCondFragment(c.L)
-		checkCondFragment(c.R)
-	case algebra.Not:
-		checkCondFragment(c.C)
-	case algebra.InSub:
-		panic("IN subqueries are outside the c-table fragment")
-	}
+	algebra.Walk(q, func(e algebra.Expr) bool {
+		switch e.(type) {
+		case algebra.Rel, algebra.Select, algebra.Project, algebra.Product, algebra.Union, algebra.Diff, algebra.Intersect:
+			return true
+		}
+		panic(fmt.Sprintf("operator %T is outside the c-table fragment", e))
+	}, func(c algebra.Cond) bool {
+		if _, ok := c.(algebra.InSub); ok {
+			panic("IN subqueries are outside the c-table fragment")
+		}
+		return true
+	})
 }
 
 // condFormula instantiates a selection condition on a concrete tuple.

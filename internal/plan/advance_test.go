@@ -468,7 +468,7 @@ func assertExplainLikeFresh(t *testing.T, db *relation.Database, q algebra.Expr,
 			walk(a.Children[i], b.Children[i])
 		}
 	}
-	ia, ib := describeInfo(q, db, prep.p, prep, nil), describeInfo(q, db, prep.p, fresh, nil)
+	ia, ib := describeInfo(q, db, prep, nil), describeInfo(q, db, fresh, nil)
 	walk(ia.Physical, ib.Physical)
 	for i := range ia.Subqueries {
 		walk(ia.Subqueries[i], ib.Subqueries[i])
@@ -494,12 +494,12 @@ func TestExplainAfterAppends(t *testing.T) {
 	}
 	cache := NewPrepCache(0)
 	cache.Get(db, q, algebra.ModeNaive, false).Exec(db)
-	if text := DescribeCached(q, db, algebra.ModeNaive, false, db, cache).Text(); strings.Contains(text, "advanced:") || strings.Contains(text, "re-derived") {
+	if text := Describe(q, db, algebra.ModeNaive, false, cache, false).Text(); strings.Contains(text, "advanced:") || strings.Contains(text, "re-derived") {
 		t.Errorf("a Prepared that never advanced says it did:\n%s", text)
 	}
 
 	db.MustRelation("T").Add(value.Consts("t9"))
-	info := DescribeCached(q, db, algebra.ModeNaive, false, db, cache)
+	info := Describe(q, db, algebra.ModeNaive, false, cache, false)
 	if info.AppendsAbsorbed != 1 || !info.Physical.Rederived || info.Physical.Children[1].Rederived {
 		t.Errorf("append to the right side: absorbed %d, diff re-derived %t, scan T re-derived %t",
 			info.AppendsAbsorbed, info.Physical.Rederived, info.Physical.Children[1].Rederived)
@@ -514,7 +514,7 @@ func TestExplainAfterAppends(t *testing.T) {
 	cache.Get(db, q, algebra.ModeNaive, false).Exec(db)
 	db.MustRelation("S").Add(value.Consts("s9", "t9"))
 	db.MustRelation("S").Add(value.Consts("s9", "u9"))
-	info = DescribeCached(q, db, algebra.ModeNaive, false, db, cache)
+	info = Describe(q, db, algebra.ModeNaive, false, cache, false)
 	if info.AppendsAbsorbed != 3 || info.Physical.Rederived {
 		t.Errorf("appends to the left side: absorbed %d, diff re-derived %t", info.AppendsAbsorbed, info.Physical.Rederived)
 	}

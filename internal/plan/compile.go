@@ -531,7 +531,7 @@ func (c *compiler) narrow(n pnode, need []bool) pnode {
 func (c *compiler) filterNode(in pnode, conds []algebra.Cond) pnode {
 	var plain, probing []algebra.Cond
 	for _, cond := range conds {
-		if condHasIn(cond) {
+		if algebra.HasIn(cond) {
 			probing = append(probing, cond)
 		} else {
 			plain = append(plain, cond)
@@ -750,7 +750,7 @@ func (c *compiler) compileCluster(e algebra.Expr, need []bool) pnode {
 		// can; they guard the top as a filter, which can be a barrier.
 		var residual []pcond
 		for j, cj := range conjs {
-			if used[j] || len(cj.cols) == 0 || condHasIn(cj.cond) {
+			if used[j] || len(cj.cols) == 0 || algebra.HasIn(cj.cond) {
 				continue
 			}
 			avail := true

@@ -41,7 +41,7 @@ func (c cin) String() string     { return c.str }
 // compileCond compiles one conjunct. The common IN-free case keeps the
 // algebra AST and pays no indirection.
 func (c *compiler) compileCond(cond algebra.Cond) pcond {
-	if !condHasIn(cond) {
+	if !algebra.HasIn(cond) {
 		return catomic{c: cond}
 	}
 	switch cond := cond.(type) {
@@ -55,20 +55,6 @@ func (c *compiler) compileCond(cond algebra.Cond) pcond {
 		return cin{cols: cond.Cols, sub: c.subFor(cond.Sub), str: cond.String()}
 	}
 	panic(fmt.Sprintf("plan: compileCond: unexpected condition %T", cond))
-}
-
-func condHasIn(c algebra.Cond) bool {
-	switch c := c.(type) {
-	case algebra.And:
-		return condHasIn(c.L) || condHasIn(c.R)
-	case algebra.Or:
-		return condHasIn(c.L) || condHasIn(c.R)
-	case algebra.Not:
-		return condHasIn(c.C)
-	case algebra.InSub:
-		return true
-	}
-	return false
 }
 
 func (c catomic) eval(x *exec, t value.Tuple) logic.TV {

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -61,7 +62,7 @@ type ExplainInfo struct {
 	// advanced across since it was prepared (zero for a fresh one).
 	AppendsAbsorbed int `json:"appends_absorbed,omitempty"`
 
-	// Analyze fields: populated by DescribeAnalyze after an instrumented
+	// Analyze fields: populated by Describe with analyze after an instrumented
 	// execution. Actual per-node rows/batches/wall time land on the
 	// ExplainNodes; the totals below summarize the run.
 	Analyzed    bool    `json:"analyzed,omitempty"`
@@ -71,68 +72,29 @@ type ExplainInfo struct {
 	FrozenReuse int64   `json:"frozen_reuse,omitempty"`
 }
 
-// Explain renders the optimized logical expression and the physical
-// operator tree for q as text. When base is non-nil the plan is
-// additionally prepared against it and world-invariant (frozen) subplans
-// are marked: those are computed once per oracle call and shared across all
-// valuations. Explain is Describe followed by ExplainInfo.Text; consumers
-// that need the structured form (JSON explain, the server endpoint) call
-// Describe directly, so both outputs come from one rendering path.
-func Explain(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database) string {
-	return Describe(q, cat, mode, bag, base).Text()
-}
-
-// usedExplainable reports whether UsedColumns applies (it needs a
-// well-formed expression; Dom-reading queries use every column anyway).
-func usedExplainable(q algebra.Expr) bool {
-	_, usesDom := algebra.RelationsOf(q)
-	return !usesDom
-}
-
-// Describe returns the structured explain information for q, compiled
-// through the process-wide plan cache. When base is non-nil the plan is
-// additionally prepared against it and every node is marked with its
-// (frozen, Δ) split: frozen parts are computed once and shared across all
-// valuations. The used-column masks of algebra.UsedColumns are
-// reported alongside, since they drive the certain oracle's
-// valuation-space pruning that composes with plan reuse.
-func Describe(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database) *ExplainInfo {
-	p := PlanFor(q, cat, mode, bag)
-	var prep *Prepared
-	if base != nil {
-		prep = p.Prepare(base)
-	}
-	return describeInfo(q, cat, p, prep, nil)
-}
-
-// DescribeCached is Describe drawing the prepared state from a
-// version-guarded cache instead of preparing afresh: the markers reflect
-// exactly the Prepared a subsequent query through the same cache will
-// reuse (and the call warms that cache). The incdbd /v1/explain handler
-// uses it with the session's cache.
-func DescribeCached(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database, cache *PrepCache) *ExplainInfo {
-	prep := cache.Get(base, q, mode, bag)
-	return describeInfo(q, cat, prep.p, prep, nil)
-}
-
-// DescribeAnalyze is EXPLAIN ANALYZE: it executes the prepared plan once
-// against base under detail tracing and reports per-node actual rows,
-// batches, and inclusive wall time alongside the cost model's estimates.
-// The traced execution streams exactly the batches an untraced run would
-// (trace.go), so the answer the operator inspects is the answer a query
-// would return. cache may be nil to prepare afresh.
-func DescribeAnalyze(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool, base *relation.Database, cache *PrepCache) *ExplainInfo {
-	var prep *Prepared
-	if cache != nil {
-		prep = cache.Get(base, q, mode, bag)
-	} else {
-		prep = PlanFor(q, cat, mode, bag).Prepare(base)
+// Describe returns the structured explain information for q against db:
+// the optimized logical expression and the physical operator tree, every
+// node marked with its (frozen, Δ) split — frozen parts are computed once
+// and shared across all valuations. The prepared state comes from cache,
+// so the markers reflect exactly the Prepared a subsequent query through
+// the same cache reuses (and describing warms it); a nil cache prepares
+// afresh. The used columns are read off the plan's scans: they are the
+// columns whose nulls a certain-answer oracle binds (Prepared.NullIDs).
+// With analyze, Describe is EXPLAIN ANALYZE: it executes the prepared plan
+// once under detail tracing and reports per-node actual rows, batches and
+// inclusive wall time beside the cost model's estimates. The traced
+// execution streams exactly the batches an untraced run would (trace.go),
+// so the answer the operator inspects is the answer a query would return.
+func Describe(q algebra.Expr, db *relation.Database, mode algebra.Mode, bag bool, cache *PrepCache, analyze bool) *ExplainInfo {
+	prep := cache.Get(db, q, mode, bag)
+	if !analyze {
+		return describeInfo(q, db, prep, nil)
 	}
 	tr := NewTrace(true)
 	start := time.Now()
-	out := prep.ExecTraced(base, tr)
+	out := prep.ExecTraced(db, tr)
 	elapsed := time.Since(start)
-	info := describeInfo(q, cat, prep.p, prep, tr)
+	info := describeInfo(q, db, prep, tr)
 	info.Analyzed = true
 	info.ResultRows = int64(out.Len())
 	info.TotalMs = float64(elapsed.Nanoseconds()) / 1e6
@@ -141,37 +103,59 @@ func DescribeAnalyze(q algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag
 	return info
 }
 
-func describeInfo(q algebra.Expr, cat algebra.Catalog, p *Plan, prep *Prepared, tr *Trace) *ExplainInfo {
+func describeInfo(q algebra.Expr, cat algebra.Catalog, prep *Prepared, tr *Trace) *ExplainInfo {
+	p := prep.p
 	info := &ExplainInfo{
-		Query:     q.String(),
-		Logical:   OptimizedFor(q, cat).String(),
-		Mode:      p.mode.String(),
-		Semantics: "set",
+		Query:           q.String(),
+		Logical:         OptimizedFor(q, cat).String(),
+		Mode:            p.mode.String(),
+		Semantics:       "set",
+		AppendsAbsorbed: prep.absorbed,
+		UsedColumns:     usedColumns(p),
 	}
 	if p.bag {
 		info.Semantics = "bag"
-	}
-	if prep != nil {
-		info.AppendsAbsorbed = prep.absorbed
 	}
 	info.Physical = describeTree(p, p.root, prep, tr)
 	for _, sub := range p.subs {
 		info.Subqueries = append(info.Subqueries, describeTree(sub, sub.root, prep, tr))
 	}
-	if usedExplainable(q) {
-		used := algebra.UsedColumns(q, cat)
-		info.UsedColumns = make(map[string][]int, len(used))
-		for name, mask := range used {
-			cols := []int{}
-			for i, u := range mask {
-				if u {
-					cols = append(cols, i)
+	return info
+}
+
+// usedColumns collects, per relation, the columns the scans of the main
+// plan and of its IN subplans read — the scans whose partitions
+// Prepared.NullIDs draws the nulls to bind from. A plan reading the active
+// domain reads every column and reports none.
+func usedColumns(p *Plan) map[string][]int {
+	if p.root.base().reads.dom {
+		return nil
+	}
+	used := map[string][]int{}
+	for _, q := range append([]*Plan{p}, p.subs...) {
+		for _, n := range q.nodes {
+			s, ok := n.(*pscan)
+			if !ok {
+				continue
+			}
+			cols := s.cols
+			if cols == nil {
+				cols = make([]int, s.width)
+				for i := range cols {
+					cols[i] = i
 				}
 			}
-			info.UsedColumns[name] = cols
+			if used[s.name] == nil {
+				used[s.name] = []int{} // a scan kept only for its row count
+			}
+			used[s.name] = append(used[s.name], cols...)
 		}
 	}
-	return info
+	for name, cols := range used {
+		slices.Sort(cols)
+		used[name] = slices.Compact(cols)
+	}
+	return used
 }
 
 func describeTree(q *Plan, n pnode, prep *Prepared, tr *Trace) *ExplainNode {
@@ -186,28 +170,26 @@ func describeTree(q *Plan, n pnode, prep *Prepared, tr *Trace) *ExplainNode {
 	if s, ok := n.(*pscan); ok {
 		out.Columns = s.cols
 	}
-	if prep != nil {
-		nodes := prep.stateOf(q).nodes
-		st := &nodes[n.base().id]
-		out.Frozen, out.Barrier, out.Rederived = !st.varying, st.barrier, st.rederived
-		if j, ok := n.(*pjoin); ok && st.varying {
-			out.BuildFrozen = !nodes[j.right.base().id].varying
-		}
-		if rows := st.frozenRows.Load(); rows >= 0 {
-			out.FrozenRows = &rows
-		}
-		if st.scan != nil && st.scan.rel != nil {
-			nulls := int64(len(st.scan.nulls))
-			rows := int64(st.scan.rel.Len()) - nulls
-			out.FrozenRows, out.DeltaRows = &rows, &nulls
-		}
+	nodes := prep.stateOf(q).nodes
+	st := &nodes[n.base().id]
+	out.Frozen, out.Barrier, out.Rederived = !st.varying, st.barrier, st.rederived
+	if j, ok := n.(*pjoin); ok && st.varying {
+		out.BuildFrozen = !nodes[j.right.base().id].varying
+	}
+	if rows := st.frozenRows.Load(); rows >= 0 {
+		out.FrozenRows = &rows
+	}
+	if st.scan != nil && st.scan.rel != nil {
+		nulls := int64(len(st.scan.nulls))
+		rows := int64(st.scan.rel.Len()) - nulls
+		out.FrozenRows, out.DeltaRows = &rows, &nulls
 	}
 	if st := tr.stat(q, n.base().id); st != nil {
 		rows := st.Rows.Load()
 		out.ActualRows = &rows
 		out.Batches = st.Batches.Load()
 		out.WallMs = float64(st.WallNs.Load()) / 1e6
-		if prep != nil && out.DeltaRows == nil {
+		if out.DeltaRows == nil {
 			max := st.DeltaMax.Load()
 			out.DeltaRows = &max
 		}
@@ -219,7 +201,7 @@ func describeTree(q *Plan, n pnode, prep *Prepared, tr *Trace) *ExplainNode {
 }
 
 // Text renders the historical EXPLAIN text format from the structured
-// form; Explain is Describe followed by Text.
+// form.
 func (info *ExplainInfo) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", info.Query)

@@ -2,10 +2,13 @@ package plan
 
 import (
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"incdb/internal/algebra"
+	"incdb/internal/gen"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/value"
@@ -174,7 +177,7 @@ func TestPlanCacheReuse(t *testing.T) {
 func TestExplainMarksFrozenSubplans(t *testing.T) {
 	db := testDB()
 	q := algebra.Proj(algebra.Sel(algebra.Times(algebra.R("R"), algebra.R("S")), algebra.CEq(0, 2)), 1, 3)
-	out := Explain(q, db, algebra.ModeNaive, false, db)
+	out := Describe(q, db, algebra.ModeNaive, false, nil, false).Text()
 	for _, want := range []string{"logical:", "hash-join", "scan R", "scan S", "[build side frozen]", "used columns:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
@@ -218,11 +221,11 @@ used columns:
   S: [0,1]
   T: [0]
 `
-	if got := Explain(q, db, algebra.ModeNaive, false, db); got != want {
+	if got := Describe(q, db, algebra.ModeNaive, false, nil, false).Text(); got != want {
 		t.Errorf("explain text:\n%s\nwant:\n%s", got, want)
 	}
 
-	info := DescribeAnalyze(q, db, algebra.ModeNaive, false, db, nil)
+	info := Describe(q, db, algebra.ModeNaive, false, nil, true)
 	root := info.Physical
 	if !root.Barrier || root.Frozen || root.FrozenRows == nil || *root.FrozenRows != 0 {
 		t.Errorf("diff over a varying right side must be a barrier with an empty frozen part: %+v", root)
@@ -248,6 +251,54 @@ used columns:
 		if !strings.Contains(string(data), want) {
 			t.Errorf("structured plan missing %s:\n%s", want, data)
 		}
+	}
+}
+
+// TestExplainUsedColumnsAreTheOracleNulls: the nulls sitting in EXPLAIN's
+// used columns are exactly the nulls a certain-answer oracle binds
+// (Prepared.NullIDs), on a generated corpus of full relational algebra with
+// IN subqueries under set semantics; a query reading the active domain
+// reports no used columns.
+func TestExplainUsedColumnsAreTheOracleNulls(t *testing.T) {
+	r := rand.New(rand.NewSource(3301))
+	qcfg := gen.DefaultQueryConfig()
+	qcfg.InSubRate = 0.3
+	checked := 0
+	for trial := 0; trial < 600; trial++ {
+		db := gen.DB(r, gen.DefaultConfig())
+		q := gen.Query(r, qcfg, 1+trial%2)
+		if algebra.Validate(q, db) != nil {
+			continue
+		}
+		mode := algebra.Mode(trial % 2)
+		info := Describe(q, db, mode, false, nil, false)
+		var inUsed []uint64
+		seen := map[uint64]bool{}
+		for name, cols := range info.UsedColumns {
+			db.Relation(name).EachUnordered(func(tp value.Tuple, _ int) {
+				for _, c := range cols {
+					if v := tp[c]; v.IsNull() && !seen[v.NullID()] {
+						seen[v.NullID()] = true
+						inUsed = append(inUsed, v.NullID())
+					}
+				}
+			})
+		}
+		slices.Sort(inUsed)
+		want := PlanFor(q, db, mode, false).Prepare(db).NullIDs()
+		if !slices.Equal(inUsed, want) {
+			t.Fatalf("%s (%s): nulls in used columns %v %v, oracle binds %v", q, mode, info.UsedColumns, inUsed, want)
+		}
+		checked++
+	}
+	if checked < 400 {
+		t.Fatalf("only %d of 600 generated queries were valid", checked)
+	}
+
+	db := testDB()
+	q := algebra.Sel(algebra.Times(algebra.R("R"), algebra.DomK(1)), algebra.CEq(1, 2))
+	if info := Describe(q, db, algebra.ModeNaive, false, nil, false); info.UsedColumns != nil {
+		t.Fatalf("a Dom query reports used columns %v", info.UsedColumns)
 	}
 }
 

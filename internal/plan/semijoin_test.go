@@ -90,7 +90,7 @@ func TestInSemiJoinEquivalence(t *testing.T) {
 		}
 	}
 	// Explain surfaces the reduction.
-	if txt := Explain(q, db, algebra.ModeSQL, false, db); !strings.Contains(txt, "distinct (semi-join dedup)") {
+	if txt := Describe(q, db, algebra.ModeSQL, false, nil, false).Text(); !strings.Contains(txt, "distinct (semi-join dedup)") {
 		t.Fatalf("explain does not mention the semi-join dedup:\n%s", txt)
 	}
 }

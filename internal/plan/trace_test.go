@@ -88,7 +88,7 @@ func TestDescribeAnalyzeAttachesActuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := DescribeAnalyze(q, db, algebra.ModeNaive, false, db, nil)
+	info := Describe(q, db, algebra.ModeNaive, false, nil, true)
 	if !info.Analyzed {
 		t.Fatalf("info.Analyzed = false")
 	}
@@ -123,7 +123,7 @@ func TestDescribeAnalyzeAttachesActuals(t *testing.T) {
 
 	// Estimates still present and untouched by the traced run: the same
 	// query described without analyze reports the same estimated rows.
-	plain := Describe(q, db, algebra.ModeNaive, false, db)
+	plain := Describe(q, db, algebra.ModeNaive, false, nil, false)
 	switch pe, ae := plain.Physical.EstRows, info.Physical.EstRows; {
 	case (pe == nil) != (ae == nil):
 		t.Fatalf("analyze changed estimate presence: %v vs %v", ae, pe)

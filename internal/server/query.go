@@ -255,11 +255,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	var info *plan.ExplainInfo
 	err := sess.parsed(req.Query, func(q algebra.Expr) error {
-		if req.Analyze {
-			info = plan.DescribeAnalyze(q, sess.db, mode, req.Bag, sess.db, sess.prep)
-		} else {
-			info = plan.DescribeCached(q, sess.db, mode, req.Bag, sess.db, sess.prep)
-		}
+		info = plan.Describe(q, sess.db, mode, req.Bag, sess.prep, req.Analyze)
 		return nil
 	})
 	if err != nil {
