@@ -28,12 +28,14 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup|ConcurrentSpans' ./internal/plan ./internal/store ./internal/obs
+	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup|ConcurrentSpans|Tail' ./internal/plan ./internal/store ./internal/obs
 
 # Planner ≡ interpreter: fuzz raparse query text × generated databases
-# against the reference interpreter, both modes and both semantics.
+# against the reference interpreter, both modes and both semantics. Then
+# the WAL frame decoder on arbitrary bytes.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPlannerMatchesInterp$$' -fuzztime=30s ./internal/plan
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/store
 
 # One iteration per benchmark: a smoke pass proving every benchmark still
 # runs, not a measurement.

@@ -42,7 +42,7 @@ type metrics struct {
 	cancelled    *obs.Counter      // incdb_query_cancelled_total
 	errors       *obs.CounterVec   // incdb_errors_total{code}
 
-	wal *store.WALMetrics
+	wal *store.Observer
 }
 
 // collector is the shape of obs.Registry's CollectCounter and CollectGauge.
@@ -69,7 +69,7 @@ func newMetrics(s *Server) *metrics {
 			"Queries abandoned mid-evaluation because the request's context ended."),
 		errors: reg.CounterVec("incdb_errors_total",
 			"Requests failed, by machine-readable error code.", "code"),
-		wal: &store.WALMetrics{
+		wal: &store.Observer{
 			AppendSeconds: reg.Histogram("incdb_wal_append_seconds",
 				"Group-commit flush latency (write+fsync).", obs.LatencyBuckets),
 			FsyncSeconds: reg.Histogram("incdb_wal_fsync_seconds",
@@ -81,6 +81,9 @@ func newMetrics(s *Server) *metrics {
 			SnapshotSeconds: reg.Histogram("incdb_snapshot_seconds",
 				"Snapshot install latency (encode, fsync, rename, WAL truncation).", obs.LatencyBuckets),
 		},
+	}
+	if s.tracer != nil {
+		m.wal.Flush = s.walFsyncSpan
 	}
 
 	// Server-level gauges, computed at scrape time from the live state.

@@ -182,7 +182,7 @@ type session struct {
 	replSeq atomic.Uint64
 
 	// logMu serializes durable commits: it is held across the in-memory
-	// apply (which takes mu) and the WAL Buffer (which does not), so the
+	// apply (which takes mu) and the WAL buffer (which does not), so the
 	// log order is exactly the apply order; the group-commit fsync
 	// (SessionLog.Sync) runs outside both, so concurrent loads batch into
 	// shared fsyncs while queries proceed under the read lock. It also
@@ -273,7 +273,7 @@ func (s *Server) newSession(name string) *session {
 // from the snapshot's warm keys — and every future load is written ahead
 // and fsync'd before it is acknowledged. Must be called before serving.
 func (s *Server) EnableDurability(dir string) error {
-	st, err := store.Open(dir, store.Options{SnapshotBytes: s.opts.SnapshotBytes, Metrics: s.obs.wal, Trace: s.walTrace()})
+	st, err := store.Open(dir, store.Options{SnapshotBytes: s.opts.SnapshotBytes, Observer: s.obs.wal})
 	if err != nil {
 		return err
 	}

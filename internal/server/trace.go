@@ -9,7 +9,6 @@ import (
 	"incdb/internal/api"
 	"incdb/internal/obs"
 	"incdb/internal/plan"
-	"incdb/internal/store"
 )
 
 // handleTraces serves GET /v1/traces: recently finished root spans from
@@ -41,29 +40,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.TraceResponse{TraceID: id, Spans: spans})
 }
 
-// walTrace builds the store's tracing observer: the group-commit flush
-// leader calls it once per traced record after the fsync, and each call
-// becomes a wal.fsync span parented on the committing request's wal.commit
-// span — so the fsync a write actually waited on shows up in its trace,
-// even though a different request may have led the flush. Nil when tracing
-// is off, so the store pays nothing.
-func (s *Server) walTrace() *store.WALTrace {
-	if s.tracer == nil {
-		return nil
+// walFsyncSpan is the store Observer's Flush callback, set only when
+// tracing is on: the group-commit flush leader calls it once per traced
+// record after the fsync, and each call becomes a wal.fsync span parented
+// on the committing request's wal.commit span — so the fsync a write
+// actually waited on shows up in its trace, even though a different
+// request may have led the flush.
+func (s *Server) walFsyncSpan(traceparent string, records, bytes int, start time.Time, d time.Duration) {
+	sc, ok := obs.ParseTraceParent(traceparent)
+	if !ok {
+		return
 	}
-	return &store.WALTrace{
-		Flush: func(traceparent string, records, bytes int, start time.Time, d time.Duration) {
-			sc, ok := obs.ParseTraceParent(traceparent)
-			if !ok {
-				return
-			}
-			sp := s.tracer.StartLinked("wal.fsync", sc, false)
-			sp.SetStart(start)
-			sp.Attr("records", strconv.Itoa(records))
-			sp.Attr("bytes", strconv.Itoa(bytes))
-			sp.EndWithDuration(d)
-		},
-	}
+	sp := s.tracer.StartLinked("wal.fsync", sc, false)
+	sp.SetStart(start)
+	sp.Attr("records", strconv.Itoa(records))
+	sp.Attr("bytes", strconv.Itoa(bytes))
+	sp.EndWithDuration(d)
 }
 
 // spanPlanNodes synthesizes per-plan-node child spans from a detail

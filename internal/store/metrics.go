@@ -6,14 +6,15 @@ import (
 	"incdb/internal/obs"
 )
 
-// WALMetrics carries the durability subsystem's instrumentation hooks.
-// Every field is optional (a nil histogram is skipped), and the whole
-// struct may be nil — the store then runs exactly as before, paying
-// nothing. The server constructs one from its obs.Registry and passes it
+// Observer is the durability subsystem's one instrumentation hook: the
+// latency histograms and the distributed-tracing callback. Every field is
+// optional (a nil histogram or callback is skipped), and the whole struct
+// may be nil — the store then runs exactly as before, paying nothing. The
+// server constructs one from its obs.Registry and tracer and passes it
 // through Options; every SessionLog of the store shares it, so the
 // histograms aggregate across sessions (per-session sequence state is
 // exported separately via scrape-time collectors over Stats()).
-type WALMetrics struct {
+type Observer struct {
 	// AppendSeconds observes one group-commit flush end to end (write +
 	// fsync): the latency a load pays when it leads the flush.
 	AppendSeconds *obs.Histogram
@@ -28,18 +29,13 @@ type WALMetrics struct {
 	// SnapshotSeconds observes a snapshot install end to end (encode,
 	// fsync, rename, WAL truncation) — the compaction pause.
 	SnapshotSeconds *obs.Histogram
-}
 
-// WALTrace is WALMetrics' tracing sibling: optional callbacks the store
-// invokes for distributed-trace spans. The callback — or the whole
-// struct — may be nil; the store then runs exactly as before, paying
-// nothing on the durability path.
-type WALTrace struct {
 	// Flush is called by the group-commit flush leader once per traced
 	// record in a durable batch, after the fsync: the record's carried
 	// traceparent, the batch it rode in (records, bytes), the fsync start
 	// time and its duration. The server turns each call into a wal.fsync
-	// span parented on the committing request's span.
+	// span parented on the committing request's span. While Flush is nil
+	// the log does not even collect traceparents.
 	Flush func(traceparent string, records, bytes int, start time.Time, d time.Duration)
 }
 

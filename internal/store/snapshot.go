@@ -87,15 +87,6 @@ func (sn *Snapshot) EncodeTo(w io.Writer) error {
 	return err
 }
 
-// Encode returns the snapshot encoding as a string.
-func (sn *Snapshot) Encode() (string, error) {
-	var b strings.Builder
-	if err := sn.EncodeTo(&b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
 // DecodeSnapshot parses the snapshot encoding.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 64<<10)

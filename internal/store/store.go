@@ -21,6 +21,11 @@
 // short by the crash) is detected by the framing, discarded, and truncated
 // away.
 //
+// One codec frames every record: encodeFrame writes it, and readFrame is
+// its only decoder — crash replay, the WAL tailer feeding replicas and the
+// replica's stream reader (ReadFrame) all go through it, each keeping only
+// its own policy for a frame that fails to decode.
+//
 // Snapshots compact the log: the database is rendered to .idb text
 // (raparse.RenderDatabase) together with the version vector, the fresh-null
 // allocator position and the session's warm prepared-plan keys, written to
@@ -49,13 +54,10 @@ type Options struct {
 	// SnapshotBytes is the WAL size beyond which the server takes a
 	// snapshot and compacts the log (<= 0 means DefaultSnapshotBytes).
 	SnapshotBytes int64
-	// Metrics, when non-nil, receives WAL and snapshot latency
-	// observations from every session log of this store.
-	Metrics *WALMetrics
-	// Trace, when non-nil, receives per-traced-record flush callbacks
-	// from every session log of this store — the distributed-tracing
-	// sibling of Metrics.
-	Trace *WALTrace
+	// Observer, when non-nil, receives WAL and snapshot latency
+	// observations and per-traced-record flush callbacks from every
+	// session log of this store.
+	Observer *Observer
 }
 
 // DefaultSnapshotBytes is the default WAL-size snapshot threshold.
@@ -94,7 +96,10 @@ func (s *Store) SnapshotBytes() int64 {
 }
 
 // Session returns the log for the named session, creating its directory
-// and an empty WAL on first use. One SessionLog object exists per name.
+// and an empty WAL on first use. One SessionLog object exists per name. A
+// session directory Recover did not load is recovered here, so its
+// sequence numbers continue instead of colliding — and, as in Recover, a
+// corrupt snapshot or WAL is an error.
 func (s *Store) Session(name string) (*SessionLog, error) {
 	if name == "" {
 		return nil, fmt.Errorf("store: empty session name")
@@ -104,14 +109,12 @@ func (s *Store) Session(name string) (*SessionLog, error) {
 	if l, ok := s.sessions[name]; ok {
 		return l, nil
 	}
-	l, err := openSessionLog(name, s.sessionDir(name))
+	rec, err := s.recoverSession(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: recover session %q: %w", name, err)
 	}
-	l.metrics = s.opts.Metrics
-	l.trace = s.opts.Trace
-	s.sessions[name] = l
-	return l, nil
+	s.sessions[name] = rec.Log
+	return rec.Log, nil
 }
 
 func (s *Store) sessionDir(name string) string {
@@ -173,17 +176,24 @@ func (s *Store) Recover() ([]*Recovered, error) {
 	}
 	sort.Strings(names)
 
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []*Recovered
 	for _, name := range names {
 		rec, err := s.recoverSession(name)
 		if err != nil {
 			return nil, fmt.Errorf("store: recover session %q: %w", name, err)
 		}
+		s.sessions[name] = rec.Log
 		out = append(out, rec)
 	}
 	return out, nil
 }
 
+// recoverSession rebuilds one session from its snapshot and WAL (either may
+// be missing) and opens its log after the last intact record — the one
+// place a log's sequence state is worked out. The caller holds s.mu and
+// registers the log.
 func (s *Store) recoverSession(name string) (*Recovered, error) {
 	dir := s.sessionDir(name)
 	db := relation.NewDatabase()
@@ -231,15 +241,10 @@ func (s *Store) recoverSession(name string) (*Recovered, error) {
 		}
 	}
 
-	l, err := openSessionLogAt(name, dir, seq, snapSeq, epoch)
+	l, err := openSessionLogAt(name, dir, seq, snapSeq, epoch, s.opts.Observer)
 	if err != nil {
 		return nil, err
 	}
-	l.metrics = s.opts.Metrics
-	l.trace = s.opts.Trace
-	s.mu.Lock()
-	s.sessions[name] = l
-	s.mu.Unlock()
 	return &Recovered{Name: name, DB: db, Warm: warm, Log: l, Epoch: epoch}, nil
 }
 

@@ -247,6 +247,67 @@ func TestSnapshotCompaction(t *testing.T) {
 	assertRecovered(t, crashDir, replayTo(t, 3))
 }
 
+// TestSessionRecoversUnloadedDirectory: Session on a directory Recover did
+// not load takes the recovery path — the next record continues the
+// sequence at the recovered epoch — and so refuses a corrupt snapshot
+// instead of silently ignoring it.
+func TestSessionRecoversUnloadedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	l, err := s.Session("main")
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	l.SetEpoch(2)
+	db := relation.NewDatabase()
+	for _, ld := range loads[:3] {
+		appendLoad(t, l, db, ld.op, ld.data)
+	}
+	snap, err := TakeSnapshot("main", db, l.Seq(), nil)
+	if err != nil {
+		t.Fatalf("take snapshot: %v", err)
+	}
+	snap.Epoch = l.Epoch()
+	if err := l.InstallSnapshot(snap); err != nil {
+		t.Fatalf("install snapshot: %v", err)
+	}
+	l.SetEpoch(3)
+	for _, ld := range loads[3:] {
+		appendLoad(t, l, db, ld.op, ld.data)
+	}
+	last := l.Seq()
+	s.Close()
+
+	l2, err := openStore(t, dir).Session("main")
+	if err != nil {
+		t.Fatalf("session over existing state: %v", err)
+	}
+	seq, err := l2.BufferTrace(OpAppend, "row R s _1\n", nil, "")
+	if err != nil {
+		t.Fatalf("buffer: %v", err)
+	}
+	if err := l2.Sync(seq); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if seq != last+1 || l2.Epoch() != 3 {
+		t.Fatalf("next record got seq %d at epoch %d, want %d at epoch 3", seq, l2.Epoch(), last+1)
+	}
+	recs, err := replayWAL(filepath.Join(dir, "sessions", "main", walFile))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if got := recs[len(recs)-1]; got.Seq != last+1 || got.Epoch != 3 {
+		t.Fatalf("logged record seq %d epoch %d, want %d epoch 3", got.Seq, got.Epoch, last+1)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "sessions", "main", snapshotFile), []byte("not a snapshot\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openStore(t, dir).Session("main"); err == nil || !strings.Contains(err.Error(), "snapshot") {
+		t.Fatalf("session over a corrupt snapshot: err = %v, want a snapshot error", err)
+	}
+}
+
 // TestRandomizedCrashRecovery drives random load sequences, cuts the WAL at
 // a random byte, and asserts recovery equals the reference prefix — the
 // "SIGKILL at an arbitrary point" property, with the fsync boundary
@@ -430,11 +491,11 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("take: %v", err)
 	}
-	enc, err := snap.Encode()
-	if err != nil {
+	var enc strings.Builder
+	if err := snap.EncodeTo(&enc); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	dec, err := DecodeSnapshot(strings.NewReader(enc))
+	dec, err := DecodeSnapshot(strings.NewReader(enc.String()))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

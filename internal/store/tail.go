@@ -2,11 +2,10 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -102,29 +101,12 @@ func (t *Tail) Next(ctx context.Context) ([]byte, *Record, error) {
 // success. Incomplete or implausible bytes yield errFramePending — the
 // caller resolves whether that means "wait" or "gap".
 func (t *Tail) readFrame() ([]byte, *Record, error) {
-	var hdr [8]byte
-	if _, err := t.f.ReadAt(hdr[:], t.off); err != nil {
+	frame, rec, err := readFrame(io.NewSectionReader(t.f, t.off, math.MaxInt64))
+	if err != nil {
 		return nil, nil, errFramePending
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n == 0 || n > maxRecordBytes {
-		return nil, nil, errFramePending
-	}
-	buf := make([]byte, 8+int(n))
-	copy(buf, hdr[:])
-	if _, err := t.f.ReadAt(buf[8:], t.off+8); err != nil {
-		return nil, nil, errFramePending
-	}
-	if crc32.Checksum(buf[8:], walCRC) != sum {
-		return nil, nil, errFramePending
-	}
-	var rec Record
-	if err := json.Unmarshal(buf[8:], &rec); err != nil {
-		return nil, nil, errFramePending
-	}
-	t.off += int64(len(buf))
-	return buf, &rec, nil
+	t.off += int64(len(frame))
+	return frame, rec, nil
 }
 
 // Close releases the tail's file handle.

@@ -32,7 +32,7 @@ func TestGroupCommitBatchesBufferedRecords(t *testing.T) {
 	l := openTestLog(t)
 	var last uint64
 	for i := 0; i < 8; i++ {
-		seq, err := l.Buffer(OpAppend, "row R x\n", map[string]uint64{"R": uint64(i + 1)})
+		seq, err := l.BufferTrace(OpAppend, "row R x\n", map[string]uint64{"R": uint64(i + 1)}, "")
 		if err != nil {
 			t.Fatalf("buffer %d: %v", i, err)
 		}
@@ -229,7 +229,7 @@ func TestSyncLostWakeup(t *testing.T) {
 	SetFailpoint(FpWALFlushed, FailRule{Count: 1, Wait: hold})
 	SetFailpoint(FpWALPark, FailRule{})
 
-	first, err := l.Buffer(OpAppend, "row R x\n", map[string]uint64{"R": 1})
+	first, err := l.BufferTrace(OpAppend, "row R x\n", map[string]uint64{"R": 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSyncLostWakeup(t *testing.T) {
 	go func() { errs <- l.Sync(first) }()
 	awaitHits(t, FpWALFlushed, 1) // the leader's batch is durable; it still holds the log
 
-	second, err := l.Buffer(OpAppend, "row R y\n", map[string]uint64{"R": 2})
+	second, err := l.BufferTrace(OpAppend, "row R y\n", map[string]uint64{"R": 2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,11 @@ const (
 	// prefix is treated as corruption (the server caps request bodies well
 	// below this).
 	maxRecordBytes = 256 << 20
+
+	// frameChunk bounds how far readFrame's buffer runs ahead of the bytes
+	// that have actually arrived: a length prefix is only a claim until the
+	// payload backs it.
+	frameChunk = 64 << 10
 )
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -74,13 +80,14 @@ type Record struct {
 // SessionLog is the durable state of one session: its write-ahead log file
 // and snapshot slot.
 //
-// Commit is split in two so appends can group-commit: Buffer frames a
+// Commit is split in two so appends can group-commit: BufferTrace frames a
 // record and assigns it the next sequence number (cheap, no I/O — the
-// caller serializes Buffer/BufferRecord calls and InstallSnapshot with its
-// own commit mutex so log order is apply order), and Sync blocks until the
-// record is on disk. Records buffered while an fsync is in flight ride the
-// next one together: durable load throughput scales with concurrency
-// instead of fsync latency. Append is Buffer+Sync for sequential callers.
+// caller serializes BufferTrace/BufferRecord calls and InstallSnapshot with
+// its own commit mutex so log order is apply order), and Sync blocks until
+// the record is on disk. Records buffered while an fsync is in flight ride
+// the next one together: durable load throughput scales with concurrency
+// instead of fsync latency. Append is BufferTrace+Sync for sequential
+// callers.
 // Stats, Seq, DurableSeq and WalBytes are safe to call concurrently.
 type SessionLog struct {
 	name string
@@ -111,15 +118,12 @@ type SessionLog struct {
 	lastSync   atomic.Int64 // unix nanos of the last fsync'd append
 	lastSnap   atomic.Int64 // unix nanos of the last snapshot install
 
-	// metrics, when non-nil, receives flush/snapshot latency observations
-	// (shared across the store's sessions; set once before first use).
-	metrics *WALMetrics
-
-	// trace, when non-nil, is told about each traced record a group-commit
-	// flush made durable (set once before first use). pendingTrace holds
-	// the traceparents of buffered-but-not-yet-flushed records, guarded by
-	// mu alongside the batch they describe.
-	trace        *WALTrace
+	// observer, when non-nil, receives flush/snapshot latency observations
+	// and is told about each traced record a group-commit flush made
+	// durable (shared across the store's sessions; set once before first
+	// use). pendingTrace holds the traceparents of buffered-but-not-yet-
+	// flushed records, guarded by mu alongside the batch they describe.
+	observer     *Observer
 	pendingTrace []string
 
 	// noteMu/note broadcast "the durable state changed" to WAL tailers:
@@ -131,54 +135,20 @@ type SessionLog struct {
 	// bytes and — because the in-memory apply happens before the append —
 	// the live database has diverged from the log, so accepting further
 	// records would make replay reconstruct a different history than the
-	// one acknowledged. The log fail-stops instead: every later Buffer
+	// one acknowledged. The log fail-stops instead: every later buffer
 	// errors (the server keeps refusing this session's loads with 500)
 	// and a restart recovers to the last durable record.
 	failed atomic.Bool
 }
 
-// openSessionLog opens (creating if needed) the session directory and WAL
-// for a session with no prior state in memory.
-func openSessionLog(name, dir string) (*SessionLog, error) {
-	// A pre-existing directory means prior durable state; replay it so the
-	// sequence numbers continue instead of colliding. (The server recovers
-	// everything up front, so this is the fresh-session path in practice.)
-	if _, err := os.Stat(dir); err == nil {
-		records, err := replayWAL(filepath.Join(dir, walFile))
-		if err != nil {
-			return nil, err
-		}
-		var seq, snapSeq, epoch uint64
-		if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
-			if snap, derr := DecodeSnapshot(f); derr == nil {
-				snapSeq, epoch = snap.Seq, snap.Epoch
-			}
-			f.Close()
-		}
-		seq = snapSeq
-		for _, r := range records {
-			if r.Seq > seq {
-				seq = r.Seq
-			}
-			if r.Epoch > epoch {
-				epoch = r.Epoch
-			}
-		}
-		return openSessionLogAt(name, dir, seq, snapSeq, epoch)
-	}
+// openSessionLogAt opens (creating if needed) the session directory and
+// its WAL for appending with known sequence state; replayWAL must already
+// have run (it truncates any torn tail).
+func openSessionLogAt(name, dir string, seq, snapSeq, epoch uint64, o *Observer) (*SessionLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	syncDir(filepath.Dir(dir))
-	return openSessionLogAt(name, dir, 0, 0, 0)
-}
-
-// openSessionLogAt opens the WAL for appending with known sequence state;
-// replayWAL must already have run (it truncates any torn tail).
-func openSessionLogAt(name, dir string, seq, snapSeq, epoch uint64) (*SessionLog, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	path := filepath.Join(dir, walFile)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -189,7 +159,7 @@ func openSessionLogAt(name, dir string, seq, snapSeq, epoch uint64) (*SessionLog
 		f.Close()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	l := &SessionLog{name: name, dir: dir, f: f, note: make(chan struct{})}
+	l := &SessionLog{name: name, dir: dir, f: f, note: make(chan struct{}), observer: o}
 	if st.Size() == 0 {
 		if _, err := f.WriteString(walMagic); err != nil {
 			f.Close()
@@ -259,66 +229,69 @@ func encodeFrame(rec *Record) ([]byte, error) {
 	return buf, nil
 }
 
+// readFrame decodes one frame from r: the only decoder of encodeFrame's
+// framing. It returns the frame as read (header included, ready to relay
+// verbatim) and its record. io.EOF means r ended cleanly before a frame
+// began; a frame cut short after its first byte wraps io.ErrUnexpectedEOF,
+// so no caller can take a torn frame for a clean end. The buffer grows as
+// payload bytes arrive (frameChunk at a time), so a corrupt length prefix
+// costs the bytes actually present, not the length it claims.
+func readFrame(r io.Reader) ([]byte, *Record, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, nil, err // clean end
+		}
+		return nil, nil, fmt.Errorf("store: torn frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(hdr[0:4])
+	if n == 0 || n > maxRecordBytes {
+		return nil, nil, fmt.Errorf("store: bad frame length %d", n)
+	}
+	end := 8 + int(n)
+	frame := append(make([]byte, 0, min(end, 8+frameChunk)), hdr[:]...)
+	for len(frame) < end {
+		k := min(end-len(frame), frameChunk)
+		frame = slices.Grow(frame, k)
+		if _, err := io.ReadFull(r, frame[len(frame):len(frame)+k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, nil, fmt.Errorf("store: torn frame payload: %w", err)
+		}
+		frame = frame[:len(frame)+k]
+	}
+	if crc32.Checksum(frame[8:], walCRC) != binary.BigEndian.Uint32(hdr[4:8]) {
+		return nil, nil, fmt.Errorf("store: frame checksum mismatch")
+	}
+	var rec Record
+	if err := json.Unmarshal(frame[8:], &rec); err != nil {
+		return nil, nil, fmt.Errorf("store: frame decode: %w", err)
+	}
+	return frame, &rec, nil
+}
+
 // ReadFrame decodes one framed record from a stream (the body of a WAL
 // tailing response). io.EOF marks a cleanly closed stream; any torn or
 // corrupt frame is an error (over TCP, framing damage means a broken
 // stream, not a crash artifact to skip).
 func ReadFrame(r io.Reader) (*Record, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("store: torn frame header")
-		}
-		return nil, err // io.EOF: clean end
-	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n == 0 || n > maxRecordBytes {
-		return nil, fmt.Errorf("store: bad frame length %d", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("store: torn frame payload: %w", err)
-	}
-	if crc32.Checksum(payload, walCRC) != sum {
-		return nil, fmt.Errorf("store: frame checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("store: frame decode: %w", err)
-	}
-	return &rec, nil
+	_, rec, err := readFrame(r)
+	return rec, err
 }
 
-// Buffer frames a record, assigns it the next sequence number and queues
-// it for the next group fsync. The caller must serialize Buffer,
-// BufferRecord and InstallSnapshot (the server's per-session commit mutex
-// spans the in-memory apply and the Buffer, so log order is apply order);
-// Sync may then be called concurrently.
-func (l *SessionLog) Buffer(op Op, data string, versions map[string]uint64) (uint64, error) {
-	return l.BufferTrace(op, data, versions, "")
-}
-
-// BufferTrace is Buffer carrying the committing request's traceparent:
-// the record ships it to replicas, and the flush leader reports it to the
-// log's WALTrace observer once the record is durable.
+// BufferTrace frames a new record carrying the committing request's
+// traceparent, assigns it the next sequence number and queues it for the
+// next group fsync. The record ships the traceparent to replicas, and the
+// flush leader reports it to the log's Observer once the record is
+// durable. The caller must serialize BufferTrace, BufferRecord and
+// InstallSnapshot (the server's per-session commit mutex spans the
+// in-memory apply and the BufferTrace, so log order is apply order); Sync
+// may then be called concurrently.
 func (l *SessionLog) BufferTrace(op Op, data string, versions map[string]uint64, trace string) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed.Load() {
-		return 0, fmt.Errorf("store: session %q wal failed earlier; refusing further appends (restart to recover)", l.name)
-	}
-	rec := Record{Seq: l.seqLocked + 1, Epoch: l.epoch.Load(), Op: op, Data: data, Versions: versions, Trace: trace}
-	frame, err := encodeFrame(&rec)
-	if err != nil {
+	rec := Record{Op: op, Data: data, Versions: versions, Trace: trace}
+	if err := l.buffer(&rec, false); err != nil {
 		return 0, err
-	}
-	l.buf = append(l.buf, frame...)
-	l.bufRecords++
-	l.seqLocked = rec.Seq
-	l.seq.Store(rec.Seq)
-	if trace != "" && l.trace != nil {
-		l.pendingTrace = append(l.pendingTrace, trace)
 	}
 	return rec.Seq, nil
 }
@@ -327,16 +300,23 @@ func (l *SessionLog) BufferTrace(op Op, data string, versions map[string]uint64,
 // path: a follower logs exactly the records the primary shipped, keeping
 // the primary's sequence numbers, so its own recovery resumes tailing from
 // the right position. The record must directly follow the log.
-func (l *SessionLog) BufferRecord(rec *Record) error {
+func (l *SessionLog) BufferRecord(rec *Record) error { return l.buffer(rec, true) }
+
+// buffer is the one path a record takes into the pending batch. A
+// fail-stopped log refuses first. A new record is stamped with the next
+// sequence number and the log's epoch; a mirrored one carries both, and
+// must follow the log at an epoch the log has not moved past.
+func (l *SessionLog) buffer(rec *Record, mirrored bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed.Load() {
 		return fmt.Errorf("store: session %q wal failed earlier; refusing further appends (restart to recover)", l.name)
 	}
-	if rec.Seq != l.seqLocked+1 {
+	if !mirrored {
+		rec.Seq, rec.Epoch = l.seqLocked+1, l.epoch.Load()
+	} else if rec.Seq != l.seqLocked+1 {
 		return fmt.Errorf("store: session %q: mirrored record seq %d does not follow %d", l.name, rec.Seq, l.seqLocked)
-	}
-	if e := l.epoch.Load(); rec.Epoch < e {
+	} else if e := l.epoch.Load(); rec.Epoch < e {
 		// The primary this record came from writes at an epoch this log has
 		// already moved past: a fenced-off stale primary. Mirroring it would
 		// interleave two histories.
@@ -352,7 +332,7 @@ func (l *SessionLog) BufferRecord(rec *Record) error {
 	l.seqLocked = rec.Seq
 	l.seq.Store(rec.Seq)
 	l.SetEpoch(rec.Epoch)
-	if rec.Trace != "" && l.trace != nil {
+	if rec.Trace != "" && l.observer != nil && l.observer.Flush != nil {
 		l.pendingTrace = append(l.pendingTrace, rec.Trace)
 	}
 	return nil
@@ -432,17 +412,14 @@ func (l *SessionLog) flush() error {
 		l.failed.Store(true)
 		return fmt.Errorf("store: wal sync: %w", err)
 	}
-	if m := l.metrics; m != nil {
-		done := time.Now()
-		observe(m.AppendSeconds, done.Sub(start).Seconds())
-		observe(m.FsyncSeconds, done.Sub(preSync).Seconds())
-		observe(m.RecordsPerFsync, float64(n))
-		observe(m.FlushBytes, float64(len(buf)))
-	}
-	if t := l.trace; t != nil && t.Flush != nil {
+	if o := l.observer; o != nil {
 		d := time.Since(preSync)
+		observe(o.AppendSeconds, time.Since(start).Seconds())
+		observe(o.FsyncSeconds, d.Seconds())
+		observe(o.RecordsPerFsync, float64(n))
+		observe(o.FlushBytes, float64(len(buf)))
 		for _, tp := range traced {
-			t.Flush(tp, int(n), len(buf), preSync, d)
+			o.Flush(tp, int(n), len(buf), preSync, d)
 		}
 	}
 	l.walBytes.Add(int64(len(buf)))
@@ -453,14 +430,14 @@ func (l *SessionLog) flush() error {
 	return nil
 }
 
-// Append frames, writes and fsyncs one load record, assigning it the next
-// sequence number: Buffer followed by Sync. It returns only after the
-// record is durable — the server acknowledges the mutation to the client
-// after this returns. Concurrent Appends are safe and group-commit, but
-// their relative log order is then arbitrary; callers who apply state
-// in-memory first must serialize Buffer themselves.
+// Append frames, writes and fsyncs one untraced load record, assigning it
+// the next sequence number: BufferTrace followed by Sync. It returns only
+// after the record is durable — the server acknowledges the mutation to the
+// client after this returns. Concurrent Appends are safe and group-commit,
+// but their relative log order is then arbitrary; callers who apply state
+// in-memory first must serialize BufferTrace themselves.
 func (l *SessionLog) Append(op Op, data string, versions map[string]uint64) (uint64, error) {
-	seq, err := l.Buffer(op, data, versions)
+	seq, err := l.BufferTrace(op, data, versions, "")
 	if err != nil {
 		return 0, err
 	}
@@ -492,7 +469,7 @@ func (l *SessionLog) changed() <-chan struct{} {
 // sequence number. On a replica installing a bootstrap snapshot from its
 // primary, snap.Seq may be ahead of the local log — the sequence state
 // jumps forward so mirroring resumes from the snapshot. The caller
-// serializes InstallSnapshot with Buffer/BufferRecord.
+// serializes InstallSnapshot with BufferTrace/BufferRecord.
 func (l *SessionLog) InstallSnapshot(snap *Snapshot) error {
 	if l.failed.Load() {
 		// A fail-stopped log means memory and disk have diverged; a
@@ -501,9 +478,9 @@ func (l *SessionLog) InstallSnapshot(snap *Snapshot) error {
 	}
 	l.syncMu.Lock()
 	defer l.release()
-	if m := l.metrics; m != nil {
+	if o := l.observer; o != nil {
 		start := time.Now()
-		defer func() { observe(m.SnapshotSeconds, time.Since(start).Seconds()) }()
+		defer func() { observe(o.SnapshotSeconds, time.Since(start).Seconds()) }()
 	}
 	if err := l.flush(); err != nil {
 		return err
@@ -639,39 +616,19 @@ func replayWAL(path string) ([]Record, error) {
 	var out []Record
 	good := int64(len(walMagic))
 	var lastSeq, lastEpoch uint64
-	frame := make([]byte, 8)
 	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			if err == io.EOF {
-				return out, nil // clean end
-			}
-			break // torn frame
+		frame, rec, err := readFrame(f)
+		if err == io.EOF {
+			return out, nil // clean end
 		}
-		n := binary.BigEndian.Uint32(frame[0:4])
-		sum := binary.BigEndian.Uint32(frame[4:8])
-		if n == 0 || n > maxRecordBytes {
-			break // corrupt length
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.Checksum(payload, walCRC) != sum {
-			break // corrupt payload
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break // corrupt payload that happened to checksum
-		}
-		if rec.Seq <= lastSeq {
-			break // sequence must be strictly monotonic
-		}
-		if rec.Epoch < lastEpoch {
-			break // the epoch never decreases within a log
+		if err != nil || rec.Seq <= lastSeq || rec.Epoch < lastEpoch {
+			// A torn or corrupt frame, or a sequence number that does not
+			// rise or an epoch that falls: the intact prefix ends here.
+			break
 		}
 		lastSeq, lastEpoch = rec.Seq, rec.Epoch
-		out = append(out, rec)
-		good += int64(8 + len(payload))
+		out = append(out, *rec)
+		good += int64(len(frame))
 	}
 	return out, truncateWAL(path, good)
 }
