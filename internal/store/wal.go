@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +28,6 @@ const (
 	// prefix is treated as corruption (the server caps request bodies well
 	// below this).
 	maxRecordBytes = 256 << 20
-
-	// frameChunk bounds how far readFrame's buffer runs ahead of the bytes
-	// that have actually arrived: a length prefix is only a claim until the
-	// payload backs it.
-	frameChunk = 64 << 10
 )
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -234,8 +229,8 @@ func encodeFrame(rec *Record) ([]byte, error) {
 // verbatim) and its record. io.EOF means r ended cleanly before a frame
 // began; a frame cut short after its first byte wraps io.ErrUnexpectedEOF,
 // so no caller can take a torn frame for a clean end. The buffer grows as
-// payload bytes arrive (frameChunk at a time), so a corrupt length prefix
-// costs the bytes actually present, not the length it claims.
+// payload bytes arrive, so a corrupt length prefix costs the bytes actually
+// present, not the length it claims.
 func readFrame(r io.Reader) ([]byte, *Record, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -248,19 +243,15 @@ func readFrame(r io.Reader) ([]byte, *Record, error) {
 	if n == 0 || n > maxRecordBytes {
 		return nil, nil, fmt.Errorf("store: bad frame length %d", n)
 	}
-	end := 8 + int(n)
-	frame := append(make([]byte, 0, min(end, 8+frameChunk)), hdr[:]...)
-	for len(frame) < end {
-		k := min(end-len(frame), frameChunk)
-		frame = slices.Grow(frame, k)
-		if _, err := io.ReadFull(r, frame[len(frame):len(frame)+k]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, nil, fmt.Errorf("store: torn frame payload: %w", err)
+	var b bytes.Buffer
+	b.Write(hdr[:])
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		frame = frame[:len(frame)+k]
+		return nil, nil, fmt.Errorf("store: torn frame payload: %w", err)
 	}
+	frame := b.Bytes()
 	if crc32.Checksum(frame[8:], walCRC) != binary.BigEndian.Uint32(hdr[4:8]) {
 		return nil, nil, fmt.Errorf("store: frame checksum mismatch")
 	}
