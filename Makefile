@@ -28,7 +28,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup|ConcurrentSpans|Tail' ./internal/plan ./internal/store ./internal/obs
+	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup|ConcurrentSpans|Tail|SharedSortedSnapshot' ./internal/plan ./internal/store ./internal/obs ./internal/core
 
 # Planner ≡ interpreter: fuzz raparse query text × generated databases
 # against the reference interpreter, both modes and both semantics. Then

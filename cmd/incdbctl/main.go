@@ -198,7 +198,7 @@ func run(dbPath, mode, querySrc string, maxWorlds, workers int) error {
 		return err
 	}
 	for i, r := range rels {
-		show(p.Labels[i], r, nil)
+		show(p.Labels[i], r.Relation(), nil)
 	}
 	return nil
 }

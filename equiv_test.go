@@ -374,7 +374,7 @@ func TestPreparedMatchesPerWorldEval(t *testing.T) {
 					} else {
 						want = algebra.EvalInterp(world, q, mode)
 					}
-					got := run.Eval(v).Relation()
+					got := run.Eval(v).Result().Relation()
 					if !want.Equal(got) {
 						t.Fatalf("trial %d %v bag=%t: prepared exec diverges on world %v\nQ = %s\ninterp = %v\nprepared = %v",
 							trial, mode, bag, v, q, want, got)
@@ -506,7 +506,7 @@ func TestPreparedChainJoinsPerWorld(t *testing.T) {
 					} else {
 						want = algebra.EvalInterp(world, q, mode)
 					}
-					if got := run.Eval(v).Relation(); !want.Equal(got) {
+					if got := run.Eval(v).Result().Relation(); !want.Equal(got) {
 						t.Fatalf("trial %d %v bag=%t: prepared chain join diverges on world %v\nQ = %s\ninterp = %v\nprepared = %v",
 							trial, mode, bag, v, q, want, got)
 					}

@@ -9,22 +9,35 @@ import (
 	"strings"
 	"unicode/utf8"
 
-	"incdb/internal/relation"
 	"incdb/internal/value"
 )
 
 // QueryResponse is the one wire type whose size grows with the data, so it
-// has a hand-written codec: the server renders an answer from its relations
-// straight into JSON bytes once (and its result cache keeps those bytes), and
-// the client decodes the bytes without reflection. Both ends produce and
-// accept exactly what encoding/json does; every other type uses it directly.
+// has a hand-written codec: the server renders an answer straight into JSON
+// bytes once (and its result cache keeps those bytes), and the client
+// decodes the bytes without reflection. Both ends produce and accept exactly
+// what encoding/json does; every other type uses it directly.
+//
+// The server renders from plan.Result, a plan-backed answer in (frozen, Δ)
+// form: the frozen part's sorted order is built once per prepared plan and
+// Δ is merged into it, so a request neither copies nor re-sorts the answer.
+// Anything with a relation's Attrs and Each encodes the same way, so a
+// materialized relation and the Result it came from give identical bytes.
+
+// Rows is what a resultset is rendered from: attribute names, and every
+// distinct tuple with its multiplicity in deterministic order.
+// *relation.Relation and plan.Result both have it.
+type Rows interface {
+	Attrs() []string
+	Each(f func(t value.Tuple, mult int))
+}
 
 // AppendResults appends the JSON "results" array of a query response: one
-// resultset per relation, named by the matching label, in the database text
-// format — rows in the relation's deterministic order, constants verbatim,
+// resultset per answer, named by the matching label, in the database text
+// format — rows in the answer's deterministic order, constants verbatim,
 // the null ⊥k as "_k", "mults" only when some multiplicity differs from one.
 // The bytes are what encoding/json writes for the equivalent []Resultset.
-func AppendResults(b []byte, labels []string, rels []*relation.Relation) []byte {
+func AppendResults[R Rows](b []byte, labels []string, rels []R) []byte {
 	b = append(b, '[')
 	for i, r := range rels {
 		if i > 0 {
@@ -35,7 +48,7 @@ func AppendResults(b []byte, labels []string, rels []*relation.Relation) []byte 
 	return append(b, ']')
 }
 
-func appendResultset(b []byte, name string, r *relation.Relation) []byte {
+func appendResultset[R Rows](b []byte, name string, r R) []byte {
 	b = appendString(append(b, `{"name":`...), name)
 	if cols := r.Attrs(); len(cols) > 0 {
 		b = append(b, `,"columns":[`...)

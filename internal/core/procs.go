@@ -114,40 +114,44 @@ func Lookup(name string) *Proc {
 	return nil
 }
 
-// Run evaluates q on db under procedure p and returns one relation per
+// Run evaluates q on db under procedure p and returns one result per
 // p.Labels entry. bag asks for bag semantics and is ignored by rows that do
 // not honour it. opts carries the oracle bounds plus the shared execution
 // context of every row: with opts.Prep the plan-backed rows draw their
 // prepared plan from the cache — the base database is its own world under
-// the identity valuation, so Prepared.Exec(db) matches a fresh evaluation
+// the identity valuation, so Prepared.Result(db) matches a fresh evaluation
 // while reusing every frozen part across calls — and without it they
 // execute one-shot; opts.Trace accumulates their execution counters;
-// opts.Workers sizes the c-table strategies' pool too.
-func Run(p *Proc, db *relation.Database, q algebra.Expr, bag bool, opts certain.Options) ([]*relation.Relation, error) {
+// opts.Workers sizes the c-table strategies' pool too. A result drawn from
+// the cache shares the prepared frozen part: it is valid until db changes
+// (plan.Result), and Relation gives a copy that outlives that.
+func Run(p *Proc, db *relation.Database, q algebra.Expr, bag bool, opts certain.Options) ([]plan.Result, error) {
 	if p.Plan == nil {
 		c, poss, err := CTableAnswers(db, q, p.strategy, opts)
 		if err != nil {
 			return nil, err
 		}
-		return []*relation.Relation{c, poss}, nil
+		return []plan.Result{plan.ResultOf(c), plan.ResultOf(poss)}, nil
 	}
 	e, mode, err := p.Plan(q, db)
 	if err != nil {
 		return nil, err
 	}
-	var r *relation.Relation
+	var r plan.Result
 	switch {
 	case p.oracle != nil:
-		r, err = p.oracle(db, e, opts)
+		var rel *relation.Relation
+		rel, err = p.oracle(db, e, opts)
+		r = plan.ResultOf(rel)
 	case opts.Prep != nil:
-		r = opts.Prep.Get(db, e, mode, bag && p.Bag).ExecTraced(db, opts.Trace)
+		r = opts.Prep.Get(db, e, mode, bag && p.Bag).Result(db, opts.Trace)
 	default:
-		r = plan.PlanFor(e, db, mode, bag && p.Bag).ExecTraced(db, opts.Trace)
+		r = plan.ResultOf(plan.PlanFor(e, db, mode, bag && p.Bag).ExecTraced(db, opts.Trace))
 	}
 	if err != nil {
 		return nil, err
 	}
-	return []*relation.Relation{r}, nil
+	return []plan.Result{r}, nil
 }
 
 // Warm prepares into cache exactly the plan Run(p, db, q, bag, {Prep:
@@ -171,5 +175,5 @@ func oneShot(name string, db *relation.Database, q algebra.Expr) (*relation.Rela
 	if err != nil {
 		return nil, err
 	}
-	return rs[0], nil
+	return rs[0].Relation(), nil
 }

@@ -64,7 +64,7 @@ func (a *advancing) check(rng []value.Value, stride int, step string) {
 	one := func(v value.Valuation) bool {
 		want := interp(a.db.Apply(v), a.q, a.mode)
 		for name, got := range map[string]*relation.Relation{
-			"advanced": run.Eval(v).Relation(), "fresh": ref.Eval(v).Relation(),
+			"advanced": run.Eval(v).Result().Relation(), "fresh": ref.Eval(v).Result().Relation(),
 		} {
 			if !want.Equal(got) {
 				a.t.Errorf("%s: %s %v bag=%t v=%v: %s = %v, interpreter = %v", step, a.q, a.mode, a.bag, v, name, got, want)

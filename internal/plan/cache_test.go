@@ -173,7 +173,7 @@ func TestPrepCacheWorldEvalMatchesFresh(t *testing.T) {
 		for i, cst := range []string{"k1", "k2", "other"} {
 			v := value.NewValuation()
 			v.Set(1, value.Const(cst))
-			got, want := cached.Eval(v).Relation(), fresh.Eval(v).Relation()
+			got, want := cached.Eval(v).Result().Relation(), fresh.Eval(v).Result().Relation()
 			if !got.Equal(want) || !got.Equal(algebra.EvalInterp(db.Apply(v), q, algebra.ModeNaive)) {
 				t.Fatalf("round %d world %d: cached %s want %s", round, i, got, want)
 			}

@@ -128,7 +128,7 @@ func checkDelta(t *testing.T, db *relation.Database, q algebra.Expr, rng []value
 			check := func(v value.Valuation) bool {
 				world := db.Apply(v)
 				want := interp(world, q, mode)
-				if got := run.Eval(v).Relation(); !want.Equal(got) {
+				if got := run.Eval(v).Result().Relation(); !want.Equal(got) {
 					t.Errorf("%s %v bag=%t v=%v: delta exec = %v, interpreter = %v", q, mode, bag, v, got, want)
 					return false
 				}
@@ -249,7 +249,7 @@ func TestPreparedSharedAcrossLazyBuilds(t *testing.T) {
 				lo := g * size / 8
 				i := lo
 				value.EnumValuations(ids, rngs, lo, size, func(v value.Valuation) bool {
-					if got := run.Eval(v).Relation(); !want[i].Equal(got) {
+					if got := run.Eval(v).Result().Relation(); !want[i].Equal(got) {
 						t.Errorf("goroutine %d world %d: got %v want %v", g, i, got, want[i])
 						return false
 					}

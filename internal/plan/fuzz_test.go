@@ -1,20 +1,25 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"incdb/internal/algebra"
 	"incdb/internal/gen"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
+	"incdb/internal/value"
 )
 
 // FuzzPlannerMatchesInterp: for any query the raparse grammar accepts and
 // any generated database, the planner's answer equals the reference
-// interpreter's, under both evaluation modes and both semantics. The seeds
-// cover every raparse operator and condition. Run it with
+// interpreter's, under both evaluation modes and both semantics, one-shot and
+// prepared; and a prepared Result's merge of its frozen part with its sorted
+// Δ visits the tuples, multiplicities and order of its materialized relation.
+// The seeds cover every raparse operator and condition. Run it with
 //
 //	go test -run='^$' -fuzz='^FuzzPlannerMatchesInterp$' -fuzztime=30s ./internal/plan
 func FuzzPlannerMatchesInterp(f *testing.F) {
@@ -58,8 +63,29 @@ func FuzzPlannerMatchesInterp(f *testing.F) {
 			if want, got := algebra.EvalBagInterp(db, q, mode), EvalBag(db, q, mode); !want.Equal(got) {
 				t.Fatalf("%s, %s, bag: planner %v, interpreter %v", q, mode, got, want)
 			}
+			for _, bag := range []bool{false, true} {
+				res := PlanFor(q, db, mode, bag).Prepare(db).Result(db, nil)
+				rel := res.Relation()
+				want := algebra.EvalInterp(db, q, mode)
+				if bag {
+					want = algebra.EvalBagInterp(db, q, mode)
+				}
+				if !want.Equal(rel) {
+					t.Fatalf("%s, %s, bag=%t: prepared %v, interpreter %v", q, mode, bag, rel, want)
+				}
+				if merged, each := rowsOf(res.Each), rowsOf(rel.Each); merged != each {
+					t.Fatalf("%s, %s, bag=%t: Result.Each %s, Relation().Each %s", q, mode, bag, merged, each)
+				}
+			}
 		}
 	})
+}
+
+// rowsOf renders what an Each visits, in order, with multiplicities.
+func rowsOf(each func(func(value.Tuple, int))) string {
+	var b strings.Builder
+	each(func(t value.Tuple, m int) { fmt.Fprintf(&b, "%v×%d ", t, m) })
+	return b.String()
 }
 
 // productBound is the product of the sizes of q's leaves, counted with

@@ -153,7 +153,7 @@ func TestPrepareSplitsFrozenAndDelta(t *testing.T) {
 	want := algebra.EvalInterp(db.Apply(v), q, algebra.ModeNaive)
 	r := prep.Runner(nil)
 	defer r.Close()
-	if got := r.Eval(v).Relation(); !want.Equal(got) {
+	if got := r.Eval(v).Result().Relation(); !want.Equal(got) {
 		t.Fatalf("prepared exec = %v, want %v", got, want)
 	}
 	if nodes[j.base().id].tableR.empty() {

@@ -547,14 +547,6 @@ func (a Answer) Empty() bool { return a.Frozen.Len() == 0 && a.delta.len() == 0 
 // are only valid until the Runner's next Eval: clone what must be kept.
 func (a Answer) Delta() []value.Tuple { return a.delta.rows }
 
-// Relation materializes the answer as a relation the caller owns, named and
-// attributed like the reference interpreter's output.
-func (a Answer) Relation() *relation.Relation {
-	out := a.Frozen.Clone()
-	addRows(out, a.delta.rows, a.delta.mults, a.bag)
-	return out
-}
-
 // Exec evaluates the plan on db, which must be the database it was prepared
 // against (or present the same relations: ValidFor), and returns a result
 // relation the caller owns (normalized under set semantics, exact
@@ -566,10 +558,16 @@ func (prep *Prepared) Exec(db *relation.Database) *relation.Relation {
 
 // ExecTraced is Exec accumulating execution statistics into tr.
 func (prep *Prepared) ExecTraced(db *relation.Database, tr *Trace) *relation.Relation {
+	return prep.Result(db, tr).Relation()
+}
+
+// Result is ExecTraced without materializing the answer: the frozen part
+// stays shared and only Δ is copied. The Result is valid until db changes.
+func (prep *Prepared) Result(db *relation.Database, tr *Trace) Result {
 	if db != prep.base && !prep.ValidFor(db) {
 		panic("plan: Prepared executed on a database it was not prepared against")
 	}
 	r := prep.Runner(tr)
 	defer r.Close()
-	return r.Eval(nil).Relation()
+	return r.Eval(nil).Result()
 }

@@ -15,7 +15,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -298,7 +298,7 @@ func (r *Relation) sortedRows() []*row {
 	for _, bucket := range r.rows {
 		rows = append(rows, bucket...)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].t.Compare(rows[j].t) < 0 })
+	slices.SortFunc(rows, func(a, b *row) int { return a.t.Compare(b.t) })
 	r.sorted.Store(&rows)
 	return rows
 }

@@ -16,7 +16,6 @@ import (
 	"incdb/internal/obs"
 	"incdb/internal/plan"
 	"incdb/internal/raparse"
-	"incdb/internal/relation"
 	"incdb/internal/store"
 )
 
@@ -174,7 +173,7 @@ func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, r
 	err := sess.parsed(req.Query, func(q algebra.Expr) error {
 		opts.Prep = sess.prep
 		resp.Versions = sess.db.Versions()
-		var rels []*relation.Relation
+		var rels []plan.Result
 		var err error
 		// pprof labels segment -pprof-addr CPU profiles by workload; the
 		// trace ID lets a profile sample be joined back to its trace.
@@ -186,6 +185,8 @@ func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, r
 		if err != nil {
 			return err
 		}
+		// A Result shares the prepared frozen part, which the next append
+		// advances in place: encode it before the read lock is released.
 		results = api.AppendResults(nil, proc.Labels, rels)
 		sess.results.put(resultKey(req, proc.Name, resp.Versions), results)
 		if s.opts.SlowQuery > 0 && time.Since(start) >= s.opts.SlowQuery {

@@ -377,7 +377,7 @@ func TestAllProcs(t *testing.T) {
 				}
 				var want []api.Resultset
 				for i, r := range rels {
-					want = append(want, resultset(p.Labels[i], r))
+					want = append(want, resultset(p.Labels[i], r.Relation()))
 				}
 				if got := render(qr.Results); got != render(want) {
 					t.Fatalf("proc %s bag=%v on %s: wire answer %s, core.Run %s", p.Name, bag, text, got, render(want))

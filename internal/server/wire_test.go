@@ -115,7 +115,7 @@ func TestWireBytesMatchEncodingJSON(t *testing.T) {
 					}
 					want.Results = make([]api.Resultset, len(rels))
 					for i, r := range rels {
-						want.Results[i] = resultset(p.Labels[i], r)
+						want.Results[i] = resultset(p.Labels[i], r.Relation())
 					}
 					var buf bytes.Buffer
 					enc := json.NewEncoder(&buf)

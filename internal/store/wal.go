@@ -228,9 +228,11 @@ func encodeFrame(rec *Record) ([]byte, error) {
 // framing. It returns the frame as read (header included, ready to relay
 // verbatim) and its record. io.EOF means r ended cleanly before a frame
 // began; a frame cut short after its first byte wraps io.ErrUnexpectedEOF,
-// so no caller can take a torn frame for a clean end. The buffer grows as
+// so no caller can take a torn frame for a clean end. The buffer is sized
+// from the length prefix up to 64 KiB, with the headroom ReadFrom reads
+// into, so a frame of that size allocates it once; beyond that it grows as
 // payload bytes arrive, so a corrupt length prefix costs the bytes actually
-// present, not the length it claims.
+// present plus at most 64 KiB, not the length it claims.
 func readFrame(r io.Reader) ([]byte, *Record, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -244,6 +246,7 @@ func readFrame(r io.Reader) ([]byte, *Record, error) {
 		return nil, nil, fmt.Errorf("store: bad frame length %d", n)
 	}
 	var b bytes.Buffer
+	b.Grow(8 + min(int(n), 64<<10) + bytes.MinRead)
 	b.Write(hdr[:])
 	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
 		if err == io.EOF {
