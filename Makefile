@@ -1,4 +1,5 @@
-# Development targets mirroring .github/workflows/ci.yml.
+# Development targets. .github/workflows/ci.yml calls them, so each command
+# is written down here only.
 
 GO ?= go
 
@@ -26,13 +27,20 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector. Then the tests whose subject is
+# an interleaving — readers advancing a shared Prepared right after an
+# append, readers encoding one cached answer while its frozen part's sorted
+# snapshot is published, a Sync waiter parked while the flush leader hands
+# the log on, WAL tailers reading while the log flushes and compacts, spans
+# ending concurrently into the trace ring — run repeatedly.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Advance|SyncLostWakeup|ConcurrentSpans|Tail|SharedSortedSnapshot' ./internal/plan ./internal/store ./internal/obs ./internal/core
 
 # Planner ≡ interpreter: fuzz raparse query text × generated databases
 # against the reference interpreter, both modes and both semantics. Then
-# the WAL frame decoder on arbitrary bytes.
+# the one WAL frame decoder on arbitrary bytes: no panic, an accepted frame
+# is exactly the prefix consumed, encode/decode round-trips.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPlannerMatchesInterp$$' -fuzztime=30s ./internal/plan
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/store

@@ -324,6 +324,13 @@ func evalCond(c Cond, t value.Tuple, mode Mode, env *evalEnv) logic.TV {
 	panic(fmt.Sprintf("algebra: evalCond: unknown condition %T", c))
 }
 
+// EvalCond evaluates an IN-free condition on a tuple: the one definition of
+// the atoms' two- and three-valued semantics, shared by the interpreter and
+// the planner. An IN atom panics here; the planner compiles those itself.
+func EvalCond(c Cond, t value.Tuple, mode Mode) logic.TV {
+	return evalCond(c, t, mode, nil)
+}
+
 // evalEq compares two values. ModeNaive: syntactic equality (marked nulls
 // equal themselves). ModeSQL: SQL comparison semantics — any null makes the
 // comparison unknown, even ⊥ᵢ = ⊥ᵢ, because SQL's NULL carries no identity
@@ -361,14 +368,14 @@ func evalIn(c boundIn, t value.Tuple, mode Mode) logic.TV {
 		}
 		res := logic.F
 		for _, row := range c.split.withNulls {
-			res = logic.Or(res, tupleEq(probe, row, mode))
+			res = logic.Or(res, TupleEq(probe, row, mode))
 		}
 		return res
 	}
 	// A probe with nulls can match no row with t; scan for u vs f.
 	res := logic.F
 	for _, row := range c.sub.Tuples() {
-		res = logic.Or(res, tupleEq(probe, row, mode))
+		res = logic.Or(res, TupleEq(probe, row, mode))
 		if res == logic.T {
 			return logic.T
 		}
@@ -376,8 +383,9 @@ func evalIn(c boundIn, t value.Tuple, mode Mode) logic.TV {
 	return res
 }
 
-// tupleEq folds evalEq over the components in the evaluation logic.
-func tupleEq(a, b value.Tuple, mode Mode) logic.TV {
+// TupleEq folds evalEq over the components in the evaluation logic: the
+// comparison behind three-valued IN.
+func TupleEq(a, b value.Tuple, mode Mode) logic.TV {
 	eq := logic.T
 	for i := range a {
 		eq = logic.And(eq, evalEq(a[i], b[i], mode))

@@ -58,7 +58,7 @@ func (c *compiler) compileCond(cond algebra.Cond) pcond {
 }
 
 func (c catomic) eval(x *exec, t value.Tuple) logic.TV {
-	return evalAtomic(c.c, t, x.mode)
+	return algebra.EvalCond(c.c, t, x.mode)
 }
 func (c cand) eval(x *exec, t value.Tuple) logic.TV {
 	return logic.And(c.l.eval(x, t), c.r.eval(x, t))
@@ -99,7 +99,7 @@ func (c cin) eval(x *exec, t value.Tuple) logic.TV {
 	}
 	res := logic.F
 	fold := func(row value.Tuple) bool {
-		res = logic.Or(res, tupleEq(probe, row, x.mode))
+		res = logic.Or(res, algebra.TupleEq(probe, row, x.mode))
 		return res != logic.T
 	}
 	if !probe.HasNull() {
@@ -116,64 +116,4 @@ func (c cin) eval(x *exec, t value.Tuple) logic.TV {
 		s.eachNullFree(fold)
 	}
 	return res
-}
-
-// evalAtomic evaluates an IN-free condition on a tuple, mirroring the
-// reference interpreter exactly: two-valued with nulls as fresh constants
-// under ModeNaive, Kleene three-valued with null comparisons unknown under
-// ModeSQL.
-func evalAtomic(c algebra.Cond, t value.Tuple, mode algebra.Mode) logic.TV {
-	switch c := c.(type) {
-	case algebra.True:
-		return logic.T
-	case algebra.False:
-		return logic.F
-	case algebra.Eq:
-		return evalEq(t[c.I], t[c.J], mode)
-	case algebra.EqConst:
-		return evalEq(t[c.I], c.C, mode)
-	case algebra.Neq:
-		return logic.Not(evalEq(t[c.I], t[c.J], mode))
-	case algebra.NeqConst:
-		return logic.Not(evalEq(t[c.I], c.C, mode))
-	case algebra.Less:
-		return evalLess(t[c.I], t[c.J], mode)
-	case algebra.LessConst:
-		return evalLess(t[c.I], c.C, mode)
-	case algebra.GreaterConst:
-		return evalLess(c.C, t[c.I], mode)
-	case algebra.IsNull:
-		return logic.FromBool(t[c.I].IsNull())
-	case algebra.IsConst:
-		return logic.FromBool(t[c.I].IsConst())
-	case algebra.And:
-		return logic.And(evalAtomic(c.L, t, mode), evalAtomic(c.R, t, mode))
-	case algebra.Or:
-		return logic.Or(evalAtomic(c.L, t, mode), evalAtomic(c.R, t, mode))
-	case algebra.Not:
-		return logic.Not(evalAtomic(c.C, t, mode))
-	}
-	panic(fmt.Sprintf("plan: evalAtomic: unknown condition %T", c))
-}
-
-func evalEq(a, b value.Value, mode algebra.Mode) logic.TV {
-	if mode == algebra.ModeSQL && (a.IsNull() || b.IsNull()) {
-		return logic.U
-	}
-	return logic.FromBool(a == b)
-}
-
-func evalLess(a, b value.Value, mode algebra.Mode) logic.TV {
-	if mode == algebra.ModeSQL && (a.IsNull() || b.IsNull()) {
-		return logic.U
-	}
-	return logic.FromBool(value.Less(a, b))
-}
-
-func tupleEq(a, b value.Tuple, mode algebra.Mode) logic.TV {
-	eq := logic.T
-	for i := range a {
-		eq = logic.And(eq, evalEq(a[i], b[i], mode))
-	}
-	return eq
 }

@@ -90,13 +90,6 @@ func lex(src string) []string {
 	return toks
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (p *parser) eof() bool { return p.pos >= len(p.toks) }
 
 func (p *parser) peek() string {

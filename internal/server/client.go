@@ -134,8 +134,11 @@ func (c *Client) Vector() map[string]uint64 {
 	return out
 }
 
-// SetVector installs a consistency token obtained elsewhere (another
-// client, incdbctl vector) so the next query reads at least that state.
+// SetVector replaces the consistency token outright: with one obtained
+// elsewhere (another client, incdbctl vector) so the next query reads at
+// least that state, and after a wholesale replace or snapshot restore,
+// whose relations restart their counters — merging would pin the client to
+// versions that no longer exist.
 func (c *Client) SetVector(vec map[string]uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -160,18 +163,6 @@ func (c *Client) mergeVector(vec map[string]uint64) {
 		if c.vec[k] < v {
 			c.vec[k] = v
 		}
-	}
-}
-
-// assignVector replaces the token outright — after a wholesale replace or
-// snapshot restore the relations restart their counters, so merging would
-// pin the client to versions that no longer exist.
-func (c *Client) assignVector(vec map[string]uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.vec = make(map[string]uint64, len(vec))
-	for k, v := range vec {
-		c.vec[k] = v
 	}
 }
 
@@ -357,7 +348,7 @@ func (c *Client) Load(data string, append_ bool) (*api.LoadResponse, error) {
 	if append_ {
 		c.mergeVector(out.Versions)
 	} else {
-		c.assignVector(out.Versions)
+		c.SetVector(out.Versions)
 	}
 	return &out, nil
 }
@@ -431,8 +422,10 @@ func (c *Client) Snapshot() (string, error) {
 }
 
 // Restore replaces the session database from a snapshot export, preserving
-// null identities, version vector and warm prepared-plan keys — the
-// replica bootstrap call.
+// null identities, version vector and warm prepared-plan keys — an
+// operator's load of another server's export (incdbctl restore). A replica
+// does not call it: its bootstrap fetches Snapshot and installs the
+// snapshot itself.
 func (c *Client) Restore(data string) (*api.LoadResponse, error) {
 	var out api.LoadResponse
 	err := c.retry(true, func(base string) error {
@@ -442,7 +435,7 @@ func (c *Client) Restore(data string) (*api.LoadResponse, error) {
 		return nil, err
 	}
 	c.observeEpoch(out.Epoch)
-	c.assignVector(out.Versions)
+	c.SetVector(out.Versions)
 	return &out, nil
 }
 

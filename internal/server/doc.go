@@ -29,11 +29,15 @@
 // core.Run under the session read lock → finish, each stage wrapped once
 // for its span (result_cache.lookup, admission.wait, evaluate). The
 // procedure a request names is a row of core.Procs; the server never
-// switches on procedure names. A mutation is one path too (commit): apply
-// under the session's commit and write locks, buffer the WAL record, unlock,
-// group-commit the fsync, check for compaction — append, replace, restore,
-// Preload and the promotion epoch record differ only in the apply step, and
-// a replica installs databases through the same session.install.
+// switches on procedure names. A mutation is one path too (commit): build
+// the store.Record it logs, apply it under the session's commit and write
+// locks, buffer the WAL record, unlock, group-commit the fsync, check for
+// compaction. What a record does to a database is store.ApplyRecord's
+// alone: an append to a live session and the promotion epoch record apply
+// through session.apply, the same call a replica makes for every record it
+// tails (and recovery makes ApplyRecord's on its own), so replica ≡ primary
+// holds by construction. A first load, replace or restore is staged on a
+// fresh database outside the write lock and installed by the commit.
 //
 // With a data directory attached (incdbd -data-dir, see internal/store)
 // every load is written ahead to a per-session log and fsync'd before it

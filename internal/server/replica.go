@@ -21,13 +21,14 @@ import (
 // replicator makes this server a read replica of a primary incdbd: it
 // discovers the primary's sessions by polling its status endpoint, and for
 // each one runs a follow loop that bootstraps the session from the
-// primary's snapshot endpoint and then tails its WAL endpoint, replaying
-// every record through the same machinery crash recovery uses
-// (store.ApplyRecord) — so the replica converges to a byte-identical
-// database, null identities and version vectors included. Each applied
-// record's logged version vector is cross-checked; any divergence, gap or
-// compacted-away WAL position makes the follower re-bootstrap from a fresh
-// snapshot rather than serve diverged data.
+// primary's snapshot endpoint and then tails its WAL endpoint, applying
+// every record through session.apply — the call the primary's own commit
+// makes, over store.ApplyRecord, which crash recovery uses too — so the
+// replica converges to a byte-identical database, null identities and
+// version vectors included. ApplyRecord checks each record's logged
+// version vector; any divergence, gap or compacted-away WAL position makes
+// the follower re-bootstrap from a fresh snapshot rather than serve
+// diverged data.
 //
 // On a durable replica every applied record is also mirrored, verbatim and
 // with the primary's sequence numbers, into the replica's own WAL (fsync'd
@@ -322,11 +323,13 @@ func (r *replicator) bootstrap(ctx context.Context, c *Client, fs *followState, 
 	return nil
 }
 
-// apply replays one primary WAL record into the session, mirroring the
-// commit path: in-memory apply and local WAL buffering under the commit
-// mutex (log order = apply order), fsync batched by the session syncer.
-// Gaps, duplicates behind a hole, vector mismatches and local-log sequence
-// clashes all surface as errDiverged, forcing a re-bootstrap.
+// apply replays one primary WAL record into the session the way the
+// primary's commit applied it — session.apply under mutate — then mirrors
+// it: local WAL buffering under the commit mutex (log order = apply order),
+// fsync batched by the session syncer. Gaps, duplicates behind a hole,
+// records ApplyRecord refuses (a payload error or a vector mismatch) and
+// local-log sequence clashes all surface as errDiverged, forcing a
+// re-bootstrap.
 func (r *replicator) apply(fs *followState, sess *session, rec *store.Record) error {
 	sess.logMu.Lock()
 	defer sess.logMu.Unlock()
@@ -353,17 +356,8 @@ func (r *replicator) apply(fs *followState, sess *session, rec *store.Record) er
 	}
 	defer sp.End()
 	err := sess.mutate(func() error {
-		if err := store.ApplyRecord(sess.db, rec); err != nil {
+		if err := sess.apply(rec); err != nil {
 			return fmt.Errorf("%w: apply seq %d: %v", errDiverged, rec.Seq, err)
-		}
-		if vec := sess.db.Versions(); !store.VersionsEqual(vec, rec.Versions) {
-			return fmt.Errorf("%w: seq %d replayed vector %v, primary logged %v",
-				errDiverged, rec.Seq, vec, rec.Versions)
-		}
-		if rec.Op != store.OpAppend {
-			// ApplyRecord rebuilt the database in place: install it as the
-			// primary's commit installs a replacement.
-			sess.install(sess.db)
 		}
 		return nil
 	})

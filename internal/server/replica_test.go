@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"incdb/internal/api"
+	"incdb/internal/relation"
+	"incdb/internal/store"
 )
 
 // newFollower builds a replica of the primary at primaryURL, durable in
@@ -300,5 +304,75 @@ func TestMemoryReplicaFollowsDurablePrimary(t *testing.T) {
 	want := answers(t, pc, "test", bootQueries)
 	if got := answers(t, rc, "test", bootQueries); !reflect.DeepEqual(got, want) {
 		t.Fatalf("memory replica answers differ:\nprimary %v\nreplica %v", want, got)
+	}
+}
+
+// TestReplicaApplyRefusesDivergedVector: a tailed record whose logged
+// version vector disagrees with what it replays to is errDiverged — the
+// error followOnce answers with a re-bootstrap — and does not advance the
+// applied sequence number, while a record carrying the vector its replay
+// produces applies.
+func TestReplicaApplyRefusesDivergedVector(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	if _, err := srv.Preload("main", ordersData); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.sessionFor("main")
+	r := &replicator{s: srv, sessions: map[string]*followState{}}
+	fs := &followState{name: "main", syncCh: make(chan struct{}, 1)}
+	data := "row Payments o2\n"
+	want := sess.db.Clone()
+	if err := store.ApplyRecord(want, &store.Record{Op: store.OpAppend, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.apply(fs, sess, &store.Record{Seq: 1, Op: store.OpAppend, Data: data, Versions: want.Versions()}); err != nil {
+		t.Fatalf("record with its own vector: %v", err)
+	}
+	if !maps.Equal(sess.db.Versions(), want.Versions()) {
+		t.Fatalf("applied vector %v, want %v", sess.db.Versions(), want.Versions())
+	}
+	// The same append again replays to a newer vector than the one logged.
+	err := r.apply(fs, sess, &store.Record{Seq: 2, Op: store.OpAppend, Data: data, Versions: want.Versions()})
+	if !errors.Is(err, errDiverged) {
+		t.Fatalf("record with a wrong vector: got %v, want errDiverged", err)
+	}
+	if got := sess.replSeq.Load(); got != 1 {
+		t.Fatalf("diverged record moved the applied seq to %d, want 1", got)
+	}
+}
+
+// TestReplicaApplyInstallsReplace: a tailed replace starts the session's
+// caches afresh, as the primary's commit does. The new relations restart
+// their version counters, so without it a result cached before the replace
+// would be served for the new database under the same vector.
+func TestReplicaApplyInstallsReplace(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	if _, err := srv.Preload("test", ordersData); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	c := NewClient(hs.URL, "test")
+	if _, err := c.Query(unpaid, "cert", false, 0); err != nil {
+		t.Fatal(err)
+	}
+	paid := strings.Replace(ordersData, "row Payments o1", "row Payments o2", 1)
+	rec := &store.Record{Seq: 1, Op: store.OpReplace, Data: paid}
+	want := relation.NewDatabase()
+	if err := store.ApplyRecord(want, rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Versions = want.Versions()
+	r := &replicator{s: srv, sessions: map[string]*followState{}}
+	fs := &followState{name: "test", syncCh: make(chan struct{}, 1)}
+	if err := r.apply(fs, srv.sessionFor("test"), rec); err != nil {
+		t.Fatal(err)
+	}
+	qr, err := c.Query(unpaid, "cert", false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := qr.Results[0].Rows; !reflect.DeepEqual(got, [][]string{{"o1"}}) {
+		t.Fatalf("cert after a replicated replace = %v (cached %v), want [[o1]]", got, qr.Cached)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"incdb/internal/engine"
 	"incdb/internal/obs"
 	"incdb/internal/plan"
-	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/store"
 )
@@ -221,6 +220,21 @@ func (sess *session) install(db *relation.Database) {
 	sess.results = newResultCache()
 }
 
+// apply runs one logged record on the live database through
+// store.ApplyRecord — the path a primary's append and promotion marker and
+// every record a replica tails take alike — then installs the database
+// afresh after a replace or restore, which rebuilt it in place. Caller
+// holds the write lock (mutate).
+func (sess *session) apply(rec *store.Record) error {
+	if err := store.ApplyRecord(sess.db, rec); err != nil {
+		return err
+	}
+	if rec.Op == store.OpReplace || rec.Op == store.OpRestore {
+		sess.install(sess.db)
+	}
+	return nil
+}
+
 // New returns a ready-to-serve Server.
 func New(opts Options) *Server {
 	s := &Server{
@@ -399,16 +413,15 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	resp := api.PromoteResponse{Epoch: newEpoch, Sessions: map[string]uint64{}}
 	sessions := s.sessionList()
 	for _, sess := range sessions {
-		// The promotion marker is an ordinary commit whose apply step raises
-		// the log's epoch: an OpEpoch record carrying the session's current
-		// vector (so replay's vector cross-check still holds at that
-		// position) goes through the WAL like any load.
-		_, seq, aerr := s.commit(sess, obs.SpanFromContext(r.Context()), store.OpEpoch, "", func() error {
-			if sess.log != nil {
-				sess.log.SetEpoch(newEpoch)
-			}
-			return nil
-		})
+		// The promotion marker is an ordinary commit of an OpEpoch record
+		// under the raised log epoch; it carries the session's current vector
+		// (so replay's vector check still holds at that position). Raising
+		// the epoch outside the commit lock is safe: replication is stopped
+		// and loads are still refused, so nothing else writes this log.
+		if sess.log != nil {
+			sess.log.SetEpoch(newEpoch)
+		}
+		_, seq, aerr := s.commit(sess, obs.SpanFromContext(r.Context()), &store.Record{Op: store.OpEpoch}, nil)
 		if aerr != nil {
 			// The session's log refused (e.g. fail-stopped): promotion is
 			// aborted half-way — some sessions may already carry the new
@@ -652,40 +665,32 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 // load turns one load mutation — append, replace, or restore from a
-// snapshot export (the payload a snapshot endpoint, possibly of another
-// server, produced: null identifiers and the version vector are preserved,
-// and its warm keys re-prepare the working set) — into the apply step the
-// session commits.
+// snapshot export (null identifiers and the version vector are preserved,
+// and its warm keys re-prepare the working set) — into the record the
+// session commits. All but an append to a live session are staged on a
+// fresh database outside the write lock: a failed first load leaves no
+// session behind, and a replace leaves readers on the old database while it
+// parses, and untouched when it fails.
 func (s *Server) load(sp *obs.Span, name string, op store.Op, data string) (api.LoadResponse, *api.Error) {
+	rec := &store.Record{Op: op, Data: data}
 	if op == store.OpAppend {
 		if sess := s.sessionFor(name); sess != nil {
-			// Parse into the live database (atomic: a payload error leaves it
-			// untouched); the version bumps on the touched relations make the
-			// next lookup of exactly the prepared plans reading them advance
-			// across the new rows, and result-cache keys embedding the old
-			// vector stop matching.
-			resp, _, aerr := s.commit(sess, sp, op, data, func() error {
-				return raparse.ParseDatabaseInto(strings.NewReader(data), sess.db)
-			})
+			resp, _, aerr := s.commit(sess, sp, rec, nil)
 			return resp, aerr
 		}
 		// Appending to a session that does not exist yet is its first load.
-		op = store.OpReplace
+		rec.Op = store.OpReplace
 	}
-	// Parse and validate the payload before the session is even created, so
-	// a failed first load leaves no phantom empty session behind and a
-	// failed replace leaves the old database untouched.
-	var (
-		db   *relation.Database
-		snap *store.Snapshot
-		err  error
-	)
-	if op == store.OpRestore {
+	// A restore keeps its snapshot: the epoch and warm keys come from it.
+	var snap *store.Snapshot
+	db := relation.NewDatabase()
+	var err error
+	if rec.Op == store.OpRestore {
 		if snap, err = store.DecodeSnapshot(strings.NewReader(data)); err == nil {
 			db, err = snap.Database()
 		}
 	} else {
-		db, err = raparse.ParseDatabase(strings.NewReader(data))
+		err = store.ApplyRecord(db, rec)
 	}
 	if err != nil {
 		return api.LoadResponse{}, api.Errorf(http.StatusBadRequest, api.CodeBadQuery, "%v", err)
@@ -703,32 +708,31 @@ func (s *Server) load(sp *obs.Span, name string, op store.Op, data string) (api.
 		}
 		s.raiseEpoch(snap.Epoch)
 	}
-	resp, _, aerr := s.commit(sess, sp, op, data, func() error {
-		sess.install(db)
-		return nil
-	})
+	resp, _, aerr := s.commit(sess, sp, rec, db)
 	if aerr == nil && snap != nil {
 		s.warmSession(sess, snap.Warm)
 	}
 	return resp, aerr
 }
 
-// commit is the one mutation path: apply the change in memory under the
-// write lock and buffer its WAL record under logMu (so log order is apply
-// order), then group-commit the fsync outside both locks — commits that
-// arrive while the fsync is in flight buffer behind it and ride the next
-// one together, and concurrent queries are never blocked on the disk — and
-// finally check whether the log wants compacting. Append, replace, restore,
-// Preload and the promotion epoch record differ only in apply, which runs
-// under both locks and whose error (a rejected payload) leaves the session
-// untouched. It returns the acknowledgement and the record's sequence
-// number (0 on a memory-only server).
-func (s *Server) commit(sess *session, sp *obs.Span, op store.Op, data string, apply func() error) (api.LoadResponse, uint64, *api.Error) {
+// commit is the one mutation path of a primary: apply rec in memory under
+// the write lock and buffer it, with the vector the database then reports,
+// under logMu (so log order is apply order), then group-commit the fsync
+// outside both locks — commits that arrive while the fsync is in flight
+// ride the next one together, and queries never block on the disk — and
+// check whether the log wants compacting. A staged database (a first load,
+// replace or restore, parsed by load) is installed; any other record goes
+// through session.apply, as a replica's tail does, and its error (a
+// rejected payload) leaves the session untouched. It returns the
+// acknowledgement and the record's sequence number (0 when memory-only).
+func (s *Server) commit(sess *session, sp *obs.Span, rec *store.Record, staged *relation.Database) (api.LoadResponse, uint64, *api.Error) {
 	asp := sp.StartChild("load.apply")
 	sess.logMu.Lock()
 	var resp api.LoadResponse
 	err := sess.mutate(func() error {
-		if err := apply(); err != nil {
+		if staged != nil {
+			sess.install(staged)
+		} else if err := sess.apply(rec); err != nil {
 			return err
 		}
 		resp = s.loadResponse(sess)
@@ -753,7 +757,7 @@ func (s *Server) commit(sess *session, sp *obs.Span, op store.Op, data string, a
 		if wsp.Sampled() {
 			trace = wsp.Context().TraceParent()
 		}
-		seq, err = sess.log.BufferTrace(op, data, resp.Versions, trace)
+		seq, err = sess.log.BufferTrace(rec.Op, rec.Data, resp.Versions, trace)
 	}
 	sess.logMu.Unlock()
 	if err == nil && sess.log != nil {

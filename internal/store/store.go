@@ -39,6 +39,7 @@ package store
 import (
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -228,13 +229,6 @@ func (s *Store) recoverSession(name string) (*Recovered, error) {
 		if err := ApplyRecord(db, &rec); err != nil {
 			return nil, fmt.Errorf("wal record %d: %w", rec.Seq, err)
 		}
-		if !VersionsEqual(db.Versions(), rec.Versions) {
-			// The record was acknowledged with this vector; replay is
-			// deterministic, so a mismatch means corruption or a logic bug.
-			// Surface it loudly rather than serving silently diverged data.
-			return nil, fmt.Errorf("wal record %d: replayed version vector %v differs from logged %v",
-				rec.Seq, db.Versions(), rec.Versions)
-		}
 		seq = rec.Seq
 		if rec.Epoch > epoch {
 			epoch = rec.Epoch
@@ -248,54 +242,47 @@ func (s *Store) recoverSession(name string) (*Recovered, error) {
 	return &Recovered{Name: name, DB: db, Warm: warm, Log: l, Epoch: epoch}, nil
 }
 
-// ApplyRecord replays one load mutation into db — the shared machinery of
-// crash recovery and replica WAL application: re-applying the same
-// acknowledged records in the same order onto the same base state
-// reproduces the original database byte for byte, null identities and
-// version vectors included.
+// ApplyRecord applies one load mutation to db: the only code that knows
+// what an op does. Crash recovery, a replica's WAL tail, the primary's own
+// commit (through the server's session.apply) and its staging of a replace
+// all go through it, so re-applying the same acknowledged records in the
+// same order onto the same base state reproduces the original database
+// byte for byte, null identities and version vectors included.
+//
+// A record that carries a version vector — every logged one does — is
+// checked against the vector the database reports after the apply: the
+// record was acknowledged with that vector and replay is deterministic, so
+// a mismatch means corruption or a logic bug, and it is an error rather
+// than silently diverged data. A record the primary is about to commit
+// carries none yet; its vector is read off the result.
 func ApplyRecord(db *relation.Database, rec *Record) error {
+	var fresh *relation.Database
+	var err error
 	switch rec.Op {
 	case OpAppend:
-		return raparse.ParseDatabaseInto(strings.NewReader(rec.Data), db)
+		err = raparse.ParseDatabaseInto(strings.NewReader(rec.Data), db)
 	case OpReplace:
-		fresh, err := raparse.ParseDatabase(strings.NewReader(rec.Data))
-		if err != nil {
-			return err
-		}
-		*db = *fresh
-		return nil
+		fresh, err = raparse.ParseDatabase(strings.NewReader(rec.Data))
 	case OpRestore:
-		snap, err := DecodeSnapshot(strings.NewReader(rec.Data))
-		if err != nil {
-			return err
+		var snap *Snapshot
+		if snap, err = DecodeSnapshot(strings.NewReader(rec.Data)); err == nil {
+			fresh, err = snap.Database()
 		}
-		fresh, err := snap.Database()
-		if err != nil {
-			return err
-		}
-		*db = *fresh
-		return nil
 	case OpEpoch:
 		// A promotion marker: raises the epoch, mutates nothing.
-		return nil
 	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
+		err = fmt.Errorf("unknown op %q", rec.Op)
 	}
-}
-
-// VersionsEqual reports whether two version vectors are identical. A
-// replica cross-checks every applied record's logged vector with it; a
-// mismatch means divergence.
-func VersionsEqual(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
+	if err != nil {
+		return err
 	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
+	if fresh != nil {
+		*db = *fresh
 	}
-	return true
+	if rec.Versions != nil && !maps.Equal(db.Versions(), rec.Versions) {
+		return fmt.Errorf("replayed version vector %v differs from logged %v", db.Versions(), rec.Versions)
+	}
+	return nil
 }
 
 // encodeSessionName maps an arbitrary session name to a filesystem-safe,

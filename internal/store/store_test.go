@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -31,6 +32,44 @@ func appendLoad(t *testing.T, l *SessionLog, db *relation.Database, op Op, data 
 	}
 	if _, err := l.Append(op, data, db.Versions()); err != nil {
 		t.Fatalf("append: %v", err)
+	}
+}
+
+// TestLoggedVectorChecked: a record whose logged version vector disagrees
+// with what its replay produces is refused — by ApplyRecord itself, leaving
+// the error to its caller, and so by crash recovery — while a record that
+// carries no vector (one the primary has not committed yet) is not checked.
+func TestLoggedVectorChecked(t *testing.T) {
+	db := relation.NewDatabase()
+	if err := ApplyRecord(db, &Record{Op: OpReplace, Data: loads[0].data}); err != nil {
+		t.Fatalf("unlogged record: %v", err)
+	}
+	want := db.Clone()
+	if err := ApplyRecord(want, &Record{Op: OpAppend, Data: loads[1].data}); err != nil {
+		t.Fatal(err)
+	}
+	good := &Record{Op: OpAppend, Data: loads[1].data, Versions: want.Versions()}
+	if err := ApplyRecord(db.Clone(), good); err != nil {
+		t.Fatalf("record with its own vector: %v", err)
+	}
+	bad := &Record{Op: OpAppend, Data: loads[1].data, Versions: map[string]uint64{"R": want.Versions()["R"] + 1}}
+	if err := ApplyRecord(db, bad); err == nil || !strings.Contains(err.Error(), "differs from logged") {
+		t.Fatalf("record with a wrong vector: got %v, want a vector mismatch", err)
+	}
+
+	dir := t.TempDir()
+	l, err := openStore(t, dir).Session("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := relation.NewDatabase()
+	appendLoad(t, l, ref, loads[0].op, loads[0].data)
+	if _, err := l.Append(OpAppend, loads[1].data, map[string]uint64{"R": 7}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := openStore(t, dir).Recover(); err == nil || !strings.Contains(err.Error(), "differs from logged") {
+		t.Fatalf("recover over a record with a wrong vector: got %v, want a vector mismatch", err)
 	}
 }
 
@@ -92,7 +131,7 @@ func assertRecovered(t *testing.T, dir string, want *relation.Database) *Recover
 	if !got.Equal(want) {
 		t.Fatalf("recovered database differs:\ngot  %s\nwant %s", got, want)
 	}
-	if !VersionsEqual(got.Versions(), want.Versions()) {
+	if !maps.Equal(got.Versions(), want.Versions()) {
 		t.Fatalf("recovered versions %v, want %v", got.Versions(), want.Versions())
 	}
 	if got.NextNull() != want.NextNull() {

@@ -324,10 +324,3 @@ func TotalTuples(db *relation.Database) int {
 	}
 	return total
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
