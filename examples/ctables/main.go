@@ -30,7 +30,7 @@ func main() {
 	fmt.Println()
 
 	for _, s := range []incdb.Strategy{incdb.Eager, incdb.SemiEager, incdb.Lazy, incdb.Aware} {
-		certain, possible, err := incdb.CTableAnswers(db, q, s, incdb.CertainOptions{})
+		certain, possible, err := incdb.CTableAnswers(db, q, s)
 		if err != nil {
 			panic(err)
 		}

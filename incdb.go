@@ -60,10 +60,11 @@ type (
 	Expr = algebra.Expr
 	// Cond is a selection condition.
 	Cond = algebra.Cond
-	// CertainOptions is the one options type of every procedure that takes
-	// options: the certainty oracles, Mu, MuK and CTableAnswers. Workers
-	// selects the worker count (0 = one per CPU, 1 = serial) and never
-	// changes a result; MaxWorlds bounds the oracles' enumeration.
+	// CertainOptions is the one options type of every procedure that
+	// quantifies over valuations: the certainty oracles, Mu and MuK.
+	// Workers sizes the pool of the oracles' and MuK's world loop (0 = one
+	// per CPU, 1 = serial) and never changes a result; MaxWorlds bounds the
+	// oracles' enumeration.
 	CertainOptions = certain.Options
 	// Strategy selects a c-table evaluation strategy.
 	Strategy = ctable.Strategy

@@ -62,7 +62,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatalf("AlmostCertainlyTrue = %v, %v", ok, err)
 	}
 	for _, s := range []incdb.Strategy{incdb.Eager, incdb.SemiEager, incdb.Lazy, incdb.Aware} {
-		cpart, ppart, err := incdb.CTableAnswers(db, q, s, incdb.CertainOptions{})
+		cpart, ppart, err := incdb.CTableAnswers(db, q, s)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}

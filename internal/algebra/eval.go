@@ -378,12 +378,12 @@ func crossEqConjunct(cond Cond, prod Product, env *evalEnv) (li, ri int, ok bool
 	return search(cond)
 }
 
-// hashJoin evaluates σ_cond(L × R) by probing the right input's lazy
-// per-column index (relation.EachMatch) on the join column, then applying
-// the full condition to each candidate pair. The condition evaluation keeps
-// the exact mode semantics; hashing only prunes pairs whose join equality
-// cannot be t, so each world evaluates in near-linear time instead of the
-// |L|·|R| nested loop.
+// hashJoin evaluates σ_cond(L × R) by hashing the right input on its join
+// column (marked nulls match themselves — Value equality), probing it with
+// each left row, then applying the full condition to each candidate pair.
+// The condition evaluation keeps the exact mode semantics; hashing only
+// prunes pairs whose join equality cannot be t, so each world evaluates in
+// near-linear time instead of the |L|·|R| nested loop.
 func hashJoin(sel Select, prod Product, li, ri int, env *evalEnv) *relation.Relation {
 	l, r := eval(prod.L, env), eval(prod.R, env)
 	out := relation.NewArity("σ⋈", l.Arity()+r.Arity())
@@ -391,17 +391,23 @@ func hashJoin(sel Select, prod Product, li, ri int, env *evalEnv) *relation.Rela
 	if l.Len() > 0 {
 		cond = env.bindCond(cond)
 	}
+	type match struct {
+		t    value.Tuple
+		mult int
+	}
+	byKey := make(map[value.Value][]match, r.Len())
+	r.Each(func(rt value.Tuple, rm int) { byKey[rt[ri]] = append(byKey[rt[ri]], match{rt, rm}) })
 	l.Each(func(lt value.Tuple, lm int) {
 		key := lt[li]
 		if env.mode == ModeSQL && key.IsNull() {
 			return // the equality conjunct can never be t
 		}
-		r.EachMatch(ri, key, func(rt value.Tuple, rm int) {
-			joined := lt.Concat(rt)
+		for _, m := range byKey[key] {
+			joined := lt.Concat(m.t)
 			if evalCond(cond, joined, env.mode, env) == logic.T {
-				out.AddMult(joined, multOf(lm*rm, env))
+				out.AddMult(joined, multOf(lm*m.mult, env))
 			}
-		})
+		}
 	})
 	return out
 }

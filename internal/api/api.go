@@ -115,7 +115,7 @@ type Resultset struct {
 
 // QueryResponse carries the evaluation results: one resultset for most
 // procedures, certain+possible for the ctable strategies. Cached reports
-// that the oracle result cache answered without evaluating anything.
+// that the session's result cache answered without evaluating anything.
 // Versions is the version vector of the state that answered — the
 // consistency token for subsequent monotonic reads. Worlds counts the plan
 // executions the evaluation spent (one per enumerated valuation for the
@@ -232,8 +232,8 @@ type SessionStatus struct {
 	Durability  *store.Durability `json:"durability,omitempty"`
 }
 
-// ResultCacheStats is the status snapshot of a session's oracle result
-// cache.
+// ResultCacheStats is the status snapshot of a session's result cache,
+// which holds the encoded answers of every procedure.
 type ResultCacheStats struct {
 	Entries int    `json:"entries"`
 	Hits    uint64 `json:"hits"`

@@ -69,12 +69,14 @@ import (
 
 // Options is the one options type of every procedure that quantifies over
 // valuations: the oracles here, µ and µᵏ (internal/prob), and the rows of
-// core.Procs. Workers, Trace, Prep and Ctx configure how the worlds are run
-// and are read by all of them (the c-table rows read only Workers);
-// MaxWorlds bounds the oracles' valuation space and is read only by the
-// oracles — µᵏ ranges over k constants by definition and µ over patterns.
-// Only MaxWorlds and a cancelled Ctx change what a call returns, and only
-// Workers changes how many worlds it evaluates.
+// core.Procs. Trace, Prep and Ctx configure how the worlds are run and are
+// read by all of them (the c-table rows read none); Workers sizes the pool
+// of the one world loop, EachShard, which the oracles and µᵏ run on — µ
+// walks its pattern tree on the calling goroutine. MaxWorlds bounds the
+// oracles' valuation space and is read only by the oracles — µᵏ ranges over
+// k constants by definition and µ over patterns. Only MaxWorlds and a
+// cancelled Ctx change what a call returns, and only Workers changes how
+// many worlds it evaluates.
 type Options struct {
 	// MaxWorlds caps the number of valuations enumerated; the oracles
 	// return an error beyond it. Zero means DefaultMaxWorlds.
@@ -366,13 +368,10 @@ func EachShard[T any](space *Space, prep *plan.Prepared, opts Options, scan func
 // valuation onto fresh constants shows cert⊥(Q, D) ⊆ Qnaïve(D), so nothing
 // outside the naive answer can be certain. The naive answer's frozen part
 // is certain as it stands; only the candidates its Δ adds are undecided,
-// and when there are none no world is enumerated.
+// and when there are none no world is enumerated and no space is sized, so
+// MaxWorlds refuses only a query that leaves something to decide.
 func WithNulls(db *relation.Database, q algebra.Expr, opts Options) (*relation.Relation, error) {
 	prep := opts.prepared(db, q, false)
-	space, err := querySpace(db, q, prep, opts)
-	if err != nil {
-		return nil, err
-	}
 	out := relation.NewArity("cert⊥", prep.Plan().Arity())
 	var undecided []value.Tuple
 	r := prep.Runner(opts.Trace)
@@ -386,6 +385,10 @@ func WithNulls(db *relation.Database, q algebra.Expr, opts Options) (*relation.R
 	r.Close()
 	if len(undecided) == 0 {
 		return out, nil
+	}
+	space, err := querySpace(db, q, prep, opts)
+	if err != nil {
+		return nil, err
 	}
 	alive, err := survivors(space, prep, undecided, opts)
 	if err != nil {
@@ -545,15 +548,15 @@ func existsWorld(space *Space, prep *plan.Prepared, opts Options, pred func(a pl
 
 // Bool computes certainty of a Boolean (zero-ary) query: true iff the
 // query holds in every possible world of the space. A non-empty frozen
-// answer settles it without enumeration.
+// answer settles it without enumeration and before the space is sized.
 func Bool(db *relation.Database, q algebra.Expr, opts Options) (bool, error) {
 	prep := opts.prepared(db, q, false)
+	if prep.Frozen().Len() > 0 {
+		return true, nil
+	}
 	space, err := querySpace(db, q, prep, opts)
 	if err != nil {
 		return false, err
-	}
-	if prep.Frozen().Len() > 0 {
-		return true, nil
 	}
 	return forallWorlds(space, prep, opts, func(a plan.Answer, _ value.Valuation) bool { return !a.Empty() })
 }
@@ -572,19 +575,20 @@ func CertainTuple(db *relation.Database, q algebra.Expr, t value.Tuple, opts Opt
 
 // tupleOracle decides the per-world membership test v(t̄) ∈ Q(v(D)) under
 // the given quantifier. A null-free t̄ is invariant under every valuation:
-// in the frozen answer it is an answer in every world, and otherwise the
-// common case probes with t̄ itself and allocates nothing per world.
+// in the frozen answer it is an answer in every world, decided before the
+// space is sized, and otherwise the common case probes with t̄ itself and
+// allocates nothing per world.
 func tupleOracle(db *relation.Database, q algebra.Expr, t value.Tuple, opts Options,
 	quantify func(*Space, *plan.Prepared, Options, func(plan.Answer, value.Valuation) bool) (bool, error)) (bool, error) {
 	prep := opts.prepared(db, q, false)
+	if !t.HasNull() && prep.Frozen().Contains(t) {
+		return true, nil
+	}
 	space, err := spaceForTuple(db, q, t, prep.NullIDs(), prep, opts)
 	if err != nil {
 		return false, err
 	}
 	if !t.HasNull() {
-		if prep.Frozen().Contains(t) {
-			return true, nil
-		}
 		return quantify(space, prep, opts, func(a plan.Answer, _ value.Valuation) bool { return a.DeltaContains(t) })
 	}
 	return quantify(space, prep, opts, func(a plan.Answer, v value.Valuation) bool { return a.Contains(v.Apply(t)) })

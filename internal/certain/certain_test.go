@@ -7,6 +7,7 @@ import (
 
 	"incdb/internal/algebra"
 	"incdb/internal/relation"
+	"incdb/internal/tpch"
 	"incdb/internal/value"
 )
 
@@ -341,5 +342,58 @@ func TestFreshConstantAvoidance(t *testing.T) {
 	}
 	if space.Size() != len(space.rngs[0]) {
 		t.Fatalf("one null: size must equal range size")
+	}
+}
+
+// An oracle sizes its valuation space only when something is left to
+// decide. On TPC-H at 2 % nulls the spaces of Q4, Q8 and Q11 exceed
+// MaxWorlds, yet no candidate of their naive answers lies outside the
+// frozen part: cert⊥ is the naive answer (empty for Q8), Bool and
+// CertainTuple settle on a frozen tuple, and none of them is refused. Q1
+// leaves candidates undecided and is refused with the size error.
+func TestDecidedQueriesAreNotSized(t *testing.T) {
+	db := tpch.Dirty(tpch.Generate(tpch.BenchConfig()), 0.02, 0, 1)
+	queries := map[string]algebra.Expr{}
+	for _, nq := range append(tpch.Queries(), tpch.MultiJoinQueries()...) {
+		queries[strings.SplitN(nq.Name, "-", 2)[0]] = nq.Q
+	}
+	for _, name := range []string{"Q1", "Q4", "Q8", "Q11"} {
+		q := queries[name]
+		_, sizeErr := NewSpaceForQuery(db, q, Options{})
+		if sizeErr == nil {
+			t.Fatalf("%s: space fits MaxWorlds; the test needs one that does not", name)
+		}
+		got, err := WithNulls(db, q, Options{})
+		if name == "Q1" {
+			if err == nil || err.Error() != sizeErr.Error() {
+				t.Errorf("Q1: WithNulls error = %v, want %v", err, sizeErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: WithNulls: %v", name, err)
+		}
+		naive := algebra.Naive(db, q)
+		if !got.EqualSet(naive) {
+			t.Fatalf("%s: cert⊥ has %d tuples, naive answer %d", name, got.Len(), naive.Len())
+		}
+		if name == "Q8" {
+			continue // nothing frozen to settle Bool or CertainTuple on
+		}
+		if ok, err := Bool(db, algebra.Proj(q), Options{}); err != nil || !ok {
+			t.Errorf("%s: Bool = %v, %v; want true", name, ok, err)
+		}
+		var frozen value.Tuple
+		naive.Each(func(tu value.Tuple, _ int) {
+			if frozen == nil && !tu.HasNull() {
+				frozen = tu
+			}
+		})
+		if frozen == nil {
+			t.Fatalf("%s: naive answer has no null-free tuple", name)
+		}
+		if ok, err := CertainTuple(db, q, frozen, Options{}); err != nil || !ok {
+			t.Errorf("%s: CertainTuple(%v) = %v, %v; want true", name, frozen, ok, err)
+		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/ctable"
-	"incdb/internal/engine"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -48,10 +47,10 @@ func ApproxTrueFalse(db *relation.Database, q algebra.Expr) (qt, qf *relation.Re
 
 // CTableAnswers evaluates the query over conditional tables with one of
 // the four strategies of [36] (Theorem 4.9), returning the certain and
-// possible parts. opts.Workers sizes the pool for the per-row condition
-// construction and grounding; no other field is read.
-func CTableAnswers(db *relation.Database, q algebra.Expr, s ctable.Strategy, opts certain.Options) (certainPart, possiblePart *relation.Relation, err error) {
-	ct, err := ctable.EvalWith(db, q, s, engine.Options{Workers: opts.Workers})
+// possible parts. The evaluation is polynomial and runs on the calling
+// goroutine.
+func CTableAnswers(db *relation.Database, q algebra.Expr, s ctable.Strategy) (certainPart, possiblePart *relation.Relation, err error) {
+	ct, err := ctable.Eval(db, q, s)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -86,7 +86,7 @@ func TestApproximationFrontends(t *testing.T) {
 func TestCTableFrontend(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	cpart, ppart, err := CTableAnswers(db, q, ctable.Aware, certain.Options{})
+	cpart, ppart, err := CTableAnswers(db, q, ctable.Aware)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,13 +121,13 @@ func Lookup(name string) *Proc {
 // prepared plan from the cache — the base database is its own world under
 // the identity valuation, so Prepared.Result(db) matches a fresh evaluation
 // while reusing every frozen part across calls — and without it they
-// execute one-shot; opts.Trace accumulates their execution counters;
-// opts.Workers sizes the c-table strategies' pool too. A result drawn from
-// the cache shares the prepared frozen part: it is valid until db changes
-// (plan.Result), and Relation gives a copy that outlives that.
+// execute one-shot; opts.Trace accumulates their execution counters. The
+// c-table rows read no field of opts. A result drawn from the cache shares
+// the prepared frozen part: it is valid until db changes (plan.Result), and
+// Relation gives a copy that outlives that.
 func Run(p *Proc, db *relation.Database, q algebra.Expr, bag bool, opts certain.Options) ([]plan.Result, error) {
 	if p.Plan == nil {
-		c, poss, err := CTableAnswers(db, q, p.strategy, opts)
+		c, poss, err := CTableAnswers(db, q, p.strategy)
 		if err != nil {
 			return nil, err
 		}

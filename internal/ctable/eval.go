@@ -4,24 +4,11 @@ import (
 	"fmt"
 
 	"incdb/internal/algebra"
-	"incdb/internal/engine"
 	"incdb/internal/logic"
 	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
-
-// parallelRows is the row count below which per-row work (formula
-// construction, grounding, minimization) stays serial: c-table rows are
-// cheaper than oracle worlds, so the bar sits above engine.MinParallel.
-const parallelRows = 4 * engine.MinParallel
-
-// chunked is engine.Chunked at this package's row threshold; worker panics
-// re-throw on the caller, so EvalWith's recover sees them exactly as it
-// would from the serial loop.
-func chunked[T any](eng engine.Options, n int, f func(i int) T) []T {
-	return engine.Chunked(eng, n, parallelRows, f)
-}
 
 // CTuple is a conditional tuple ⟨t̄, φ⟩: t̄ belongs to the relation exactly
 // in the possible worlds whose valuation satisfies φ.
@@ -72,15 +59,8 @@ func (s Strategy) String() string {
 // Eval evaluates q over db as a conditional table under the given
 // strategy. The supported fragment is the core relational algebra of the
 // Figure 2 translations (σ, π, ×, ∪, −, ∩); conditions may use
-// comparisons but not IN subqueries.
-func Eval(db *relation.Database, q algebra.Expr, s Strategy) (*CTable, error) {
-	return EvalWith(db, q, s, engine.Options{})
-}
-
-// EvalWith is Eval with an explicit worker pool: the per-row formula
-// construction, grounding and minimization loops are sharded over eng's
-// workers with order-preserving merges, so the resulting c-table is
-// row-for-row identical to the serial evaluation.
+// comparisons but not IN subqueries. Every step is linear in the rows it
+// reads (quadratic for ×, − and ∩), so it runs on the calling goroutine.
 //
 // Before evaluation the query runs through the planner's logical optimizer
 // (plan.Optimize): selection conjuncts are split and pushed below products
@@ -89,27 +69,18 @@ func Eval(db *relation.Database, q algebra.Expr, s Strategy) (*CTable, error) {
 // rewrites stay inside the c-table fragment, and all four strategies see
 // the same optimized shape, preserving the Theorem 4.9 inclusion ordering
 // (which is a per-query statement).
-func EvalWith(db *relation.Database, q algebra.Expr, s Strategy, eng engine.Options) (*CTable, error) {
-	var out *CTable
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("ctable: %v", r)
-			}
-		}()
-		checkFragment(q)
-		// The cached optimizer shares one logical rewrite per (query,
-		// schema) with the planner, so repeated c-table evaluations of the
-		// same query (server workloads) skip re-optimizing.
-		q = plan.OptimizedFor(q, db)
-		out = eval(db, q, s, eng)
-		out = finalize(out, s, eng)
-		return nil
+func Eval(db *relation.Database, q algebra.Expr, s Strategy) (out *CTable, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("ctable: %v", r)
+		}
 	}()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	checkFragment(q)
+	// The cached optimizer shares one logical rewrite per (query, schema)
+	// with the planner, so repeated c-table evaluations of the same query
+	// (server workloads) skip re-optimizing.
+	q = plan.OptimizedFor(q, db)
+	return finalize(eval(db, q, s), s), nil
 }
 
 // EvalTrue returns Eval⋆_t(Q, D) of (9a): the tuples whose final condition
@@ -149,7 +120,7 @@ func (c *CTable) Extract(onlyTrue bool) *relation.Relation {
 	return out
 }
 
-func eval(db *relation.Database, q algebra.Expr, s Strategy, eng engine.Options) *CTable {
+func eval(db *relation.Database, q algebra.Expr, s Strategy) *CTable {
 	switch q := q.(type) {
 	case algebra.Rel:
 		src := db.Relation(q.Name)
@@ -166,46 +137,42 @@ func eval(db *relation.Database, q algebra.Expr, s Strategy, eng engine.Options)
 		return ct
 
 	case algebra.Select:
-		in := eval(db, q.In, s, eng)
-		out := &CTable{Arity: in.Arity}
-		out.Rows = chunked(eng, len(in.Rows), func(i int) CTuple {
-			row := in.Rows[i]
-			return CTuple{T: row.T, Phi: FAnd{row.Phi, condFormula(q.Cond, row.T)}}
-		})
-		return process(out, s, false, eng)
+		in := eval(db, q.In, s)
+		out := &CTable{Arity: in.Arity, Rows: make([]CTuple, len(in.Rows))}
+		for i, row := range in.Rows {
+			out.Rows[i] = CTuple{T: row.T, Phi: FAnd{row.Phi, condFormula(q.Cond, row.T)}}
+		}
+		return process(out, s, false)
 
 	case algebra.Project:
-		in := eval(db, q.In, s, eng)
-		out := &CTable{Arity: len(q.Cols)}
-		out.Rows = chunked(eng, len(in.Rows), func(i int) CTuple {
-			row := in.Rows[i]
-			return CTuple{T: row.T.Project(q.Cols), Phi: row.Phi}
-		})
-		return process(out, s, false, eng)
+		in := eval(db, q.In, s)
+		out := &CTable{Arity: len(q.Cols), Rows: make([]CTuple, len(in.Rows))}
+		for i, row := range in.Rows {
+			out.Rows[i] = CTuple{T: row.T.Project(q.Cols), Phi: row.Phi}
+		}
+		return process(out, s, false)
 
 	case algebra.Product:
-		l, r := eval(db, q.L, s, eng), eval(db, q.R, s, eng)
-		out := &CTable{Arity: l.Arity + r.Arity}
-		if len(r.Rows) > 0 {
-			out.Rows = chunked(eng, len(l.Rows)*len(r.Rows), func(i int) CTuple {
-				lr, rr := l.Rows[i/len(r.Rows)], r.Rows[i%len(r.Rows)]
-				return CTuple{T: lr.T.Concat(rr.T), Phi: FAnd{lr.Phi, rr.Phi}}
-			})
+		l, r := eval(db, q.L, s), eval(db, q.R, s)
+		out := &CTable{Arity: l.Arity + r.Arity, Rows: make([]CTuple, 0, len(l.Rows)*len(r.Rows))}
+		for _, lr := range l.Rows {
+			for _, rr := range r.Rows {
+				out.Rows = append(out.Rows, CTuple{T: lr.T.Concat(rr.T), Phi: FAnd{lr.Phi, rr.Phi}})
+			}
 		}
-		return process(out, s, false, eng)
+		return process(out, s, false)
 
 	case algebra.Union:
-		l, r := eval(db, q.L, s, eng), eval(db, q.R, s, eng)
+		l, r := eval(db, q.L, s), eval(db, q.R, s)
 		out := &CTable{Arity: l.Arity}
 		out.Rows = append(out.Rows, l.Rows...)
 		out.Rows = append(out.Rows, r.Rows...)
-		return process(out, s, false, eng)
+		return process(out, s, false)
 
 	case algebra.Diff:
-		l, r := eval(db, q.L, s, eng), eval(db, q.R, s, eng)
-		out := &CTable{Arity: l.Arity}
-		out.Rows = chunked(eng, len(l.Rows), func(i int) CTuple {
-			lr := l.Rows[i]
+		l, r := eval(db, q.L, s), eval(db, q.R, s)
+		out := &CTable{Arity: l.Arity, Rows: make([]CTuple, len(l.Rows))}
+		for i, lr := range l.Rows {
 			phi := lr.Phi
 			for _, rr := range r.Rows {
 				// A subtrahend row that cannot unify with lr.T is certainly
@@ -218,15 +185,14 @@ func eval(db *relation.Database, q algebra.Expr, s Strategy, eng engine.Options)
 				}
 				phi = FAnd{phi, FNot{FAnd{rr.Phi, EqTuples(lr.T, rr.T)}}}
 			}
-			return CTuple{T: lr.T, Phi: phi}
-		})
-		return process(out, s, true, eng)
+			out.Rows[i] = CTuple{T: lr.T, Phi: phi}
+		}
+		return process(out, s, true)
 
 	case algebra.Intersect:
-		l, r := eval(db, q.L, s, eng), eval(db, q.R, s, eng)
-		out := &CTable{Arity: l.Arity}
-		out.Rows = chunked(eng, len(l.Rows), func(i int) CTuple {
-			lr := l.Rows[i]
+		l, r := eval(db, q.L, s), eval(db, q.R, s)
+		out := &CTable{Arity: l.Arity, Rows: make([]CTuple, len(l.Rows))}
+		for i, lr := range l.Rows {
 			var match Formula = FFalse{}
 			first := true
 			for _, rr := range r.Rows {
@@ -244,9 +210,9 @@ func eval(db *relation.Database, q algebra.Expr, s Strategy, eng engine.Options)
 					match = FOr{match, m}
 				}
 			}
-			return CTuple{T: lr.T, Phi: FAnd{lr.Phi, match}}
-		})
-		return process(out, s, true, eng)
+			out.Rows[i] = CTuple{T: lr.T, Phi: FAnd{lr.Phi, match}}
+		}
+		return process(out, s, true)
 	}
 	panic(fmt.Sprintf("operator %T is outside the c-table fragment", q))
 }
@@ -308,15 +274,15 @@ func condFormula(c algebra.Cond, t value.Tuple) Formula {
 
 // process applies the strategy's per-operator treatment. afterDiff marks
 // operators at which the lazy strategy grounds.
-func process(ct *CTable, s Strategy, afterDiff bool, eng engine.Options) *CTable {
+func process(ct *CTable, s Strategy, afterDiff bool) *CTable {
 	switch s {
 	case Eager:
-		return groundAll(ct, false, eng)
+		return groundAll(ct, false)
 	case SemiEager:
-		return groundAll(ct, true, eng)
+		return groundAll(ct, true)
 	case Lazy:
 		if afterDiff {
-			return groundAll(ct, true, eng)
+			return groundAll(ct, true)
 		}
 		return ct
 	case Aware:
@@ -326,35 +292,33 @@ func process(ct *CTable, s Strategy, afterDiff bool, eng engine.Options) *CTable
 }
 
 // finalize applies the end-of-query treatment.
-func finalize(ct *CTable, s Strategy, eng engine.Options) *CTable {
+func finalize(ct *CTable, s Strategy) *CTable {
 	switch s {
 	case Eager:
 		return ct // already grounded stepwise
 	case SemiEager:
 		return ct
 	case Lazy:
-		return groundAll(ct, true, eng)
+		return groundAll(ct, true)
 	case Aware:
-		min := &CTable{Arity: ct.Arity}
-		min.Rows = chunked(eng, len(ct.Rows), func(i int) CTuple {
-			return CTuple{T: ct.Rows[i].T, Phi: Minimize(ct.Rows[i].Phi)}
-		})
-		return groundAll(min, true, eng)
+		min := &CTable{Arity: ct.Arity, Rows: make([]CTuple, len(ct.Rows))}
+		for i, row := range ct.Rows {
+			min.Rows[i] = CTuple{T: row.T, Phi: Minimize(row.Phi)}
+		}
+		return groundAll(min, true)
 	}
 	panic(fmt.Sprintf("unknown strategy %v", s))
 }
 
 // groundAll grounds every row's condition to a literal, dropping f rows.
 // With propagate set, forced equalities are first substituted into the
-// tuple (the semi-eager refinement). Rows ground independently; the f rows
-// are filtered out after the order-preserving fan-out, so the surviving
-// rows keep their serial order.
-func groundAll(ct *CTable, propagate bool, eng engine.Options) *CTable {
-	grounded := chunked(eng, len(ct.Rows), func(i int) CTuple {
-		row := ct.Rows[i]
+// tuple (the semi-eager refinement).
+func groundAll(ct *CTable, propagate bool) *CTable {
+	out := &CTable{Arity: ct.Arity}
+	for _, row := range ct.Rows {
 		tv := Ground(row.Phi)
 		if tv == logic.F {
-			return CTuple{} // dropped below
+			continue
 		}
 		t := row.T
 		if propagate && tv == logic.U {
@@ -362,14 +326,7 @@ func groundAll(ct *CTable, propagate bool, eng engine.Options) *CTable {
 				t = SubstituteTuple(t, m)
 			}
 		}
-		return CTuple{T: t, Phi: FromTV(tv)}
-	})
-	out := &CTable{Arity: ct.Arity}
-	for _, row := range grounded {
-		if row.Phi == nil {
-			continue
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, CTuple{T: t, Phi: FromTV(tv)})
 	}
 	return out
 }

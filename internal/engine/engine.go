@@ -1,16 +1,12 @@
-// Package engine is the shared parallel-execution substrate of the
-// library: a bounded worker pool with context cancellation and
-// deterministic, shard-ordered result collection.
-//
-// The exponential oracles of internal/certain, the valuation counting of
-// internal/prob and the per-row grounding of internal/ctable all reduce to
-// the same shape — a large, embarrassingly parallel index space whose
-// per-index work is pure and whose results merge associatively. Map covers
-// that shape: it fans n shards out over a fixed number of goroutines and
-// returns the per-shard results in shard order, so that any order-sensitive
-// reduction performed by the caller is byte-identical to the serial
-// computation. An existential search is Map with a sentinel error: the
-// first shard to return it cancels all remaining work.
+// Package engine is the worker pool behind the one loop the library runs
+// in parallel: certain.EachShard, the world loop of the exact oracles and
+// of µᵏ (internal/prob). Each valuation is evaluated independently of every
+// other, so the loop splits the valuation index space into shards (Split),
+// and Map fans them out over a fixed number of goroutines, with context
+// cancellation, and returns the per-shard results in shard order: any
+// order-sensitive reduction the caller performs is byte-identical to the
+// serial computation. An existential search is Map with a sentinel error:
+// the first shard to return it cancels all remaining work.
 //
 // Workers=1 always degenerates to a plain loop on the calling goroutine,
 // which is the reference semantics every parallel caller is tested against.
@@ -18,7 +14,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,9 +34,6 @@ func (o Options) WorkerCount() int {
 	}
 	return o.Workers
 }
-
-// Serial reports whether the options request serial execution.
-func (o Options) Serial() bool { return o.WorkerCount() == 1 }
 
 // Split partitions the index space [0, n) into at most parts contiguous
 // half-open ranges of near-equal size, in ascending order. Empty ranges are
@@ -71,56 +63,10 @@ func Split(n, parts int) [][2]int {
 	return out
 }
 
-// MinParallel is the work-item count below which fan-out cannot pay for
-// goroutine startup: callers guarding a serial fallback should compare
-// their item count (worlds, rows, patterns) against this single constant
-// so the threshold cannot drift between subsystems.
+// MinParallel is the world count below which fan-out cannot pay for
+// goroutine startup: a space smaller than this runs on the calling
+// goroutine.
 const MinParallel = 64
-
-// Chunked computes out[i] = f(i) for i in [0, n), fanning contiguous index
-// chunks out over eng's workers when n reaches threshold (use MinParallel
-// unless the per-item cost warrants otherwise; threshold <= 0 means
-// MinParallel). Workers write disjoint ranges and the output order is the
-// input order, so the result is identical to the serial loop. f must be
-// pure. A panic in f is re-thrown on the calling goroutine with its
-// original value, exactly as the serial loop would.
-func Chunked[T any](eng Options, n, threshold int, f func(i int) T) []T {
-	out := make([]T, n)
-	if threshold <= 0 {
-		threshold = MinParallel
-	}
-	if eng.WorkerCount() <= 1 || n < threshold {
-		for i := 0; i < n; i++ {
-			out[i] = f(i)
-		}
-		return out
-	}
-	shards := Split(n, eng.WorkerCount()*4)
-	_, err := Map(context.Background(), eng, len(shards),
-		func(_ context.Context, si int) (_ struct{}, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = panicErr{r}
-				}
-			}()
-			for i := shards[si][0]; i < shards[si][1]; i++ {
-				out[i] = f(i)
-			}
-			return struct{}{}, nil
-		})
-	if err != nil {
-		if pe, ok := err.(panicErr); ok {
-			panic(pe.v)
-		}
-		panic(err)
-	}
-	return out
-}
-
-// panicErr smuggles a worker panic value through the pool's error channel.
-type panicErr struct{ v any }
-
-func (p panicErr) Error() string { return fmt.Sprint(p.v) }
 
 // Canceled reports whether ctx has been canceled. Workers iterating large
 // shards should poll it periodically (every few hundred items) so that

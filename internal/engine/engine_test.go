@@ -187,8 +187,8 @@ func TestWorkerCountDefaults(t *testing.T) {
 	if got := (Options{Workers: -3}).WorkerCount(); got < 1 {
 		t.Errorf("negative WorkerCount = %d, want >= 1", got)
 	}
-	if !(Options{Workers: 1}).Serial() {
-		t.Error("Workers=1 should be serial")
+	if got := (Options{Workers: 1}).WorkerCount(); got != 1 {
+		t.Errorf("Workers=1: WorkerCount = %d, want 1", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package lru provides the small string-keyed recency list backing the
-// server-side LRU caches (the prepared-plan cache and the oracle result
-// cache), so eviction bookkeeping lives in one place.
+// server-side LRU caches (the prepared-plan cache and the result cache),
+// so eviction bookkeeping lives in one place.
 package lru
 
 // Order tracks key recency: least recently used first. The linear scans

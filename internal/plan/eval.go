@@ -30,7 +30,7 @@ func PlanFor(e algebra.Expr, cat algebra.Catalog, mode algebra.Mode, bag bool) *
 // The process-wide logical-optimization cache: Optimize is pure in the
 // expression and the arities of the relations it mentions, so repeated
 // evaluation of the same query — the planner compiling main plans and IN
-// subplans, and ctable.EvalWith optimizing before its own row machinery —
+// subplans, and ctable.Eval optimizing before its own row machinery —
 // shares one rewrite.
 var optCache boundedCache[algebra.Expr]
 

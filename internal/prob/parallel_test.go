@@ -47,38 +47,3 @@ func TestMuKParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestMuParallelMatchesSerial shards the pattern enumeration on the first
-// null's branch and checks the asymptotic µ is unchanged.
-func TestMuParallelMatchesSerial(t *testing.T) {
-	db := probDB(3)
-	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "R", Cols2: []int{0}}}
-	tuple := value.Consts("1")
-	for _, sg := range []constraint.Set{nil, sigma} {
-		serial, err := Mu(db, q, sg, tuple, certain.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := Mu(db, q, sg, tuple, certain.Options{Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Cmp(parallel) != 0 {
-			t.Errorf("sigma=%v: serial %s vs parallel %s", sg != nil, serial, parallel)
-		}
-	}
-	// Null-free database: the single empty valuation, any worker count.
-	empty := probDB(0)
-	serial, err := Mu(empty, q, nil, tuple, certain.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Mu(empty, q, nil, tuple, certain.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Cmp(parallel) != 0 {
-		t.Errorf("no-null db: serial %s vs parallel %s", serial, parallel)
-	}
-}

@@ -25,7 +25,6 @@ import (
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/constraint"
-	"incdb/internal/engine"
 	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/value"
@@ -142,40 +141,21 @@ func suppCounts(db *relation.Database, q algebra.Expr, sigma constraint.Set, tup
 	return num, den, nil
 }
 
-// patternEnum carries the fixed inputs of the Mu pattern enumeration so
-// that independent subtrees can be counted by separate workers.
-type patternEnum struct {
-	db    *relation.Database
-	sigma constraint.Set
-	tuple value.Tuple
-	ids   []uint64
-	rel   []value.Value
-	fresh []value.Value
-	// prep is the prepared plan shared by every branch worker, each of
-	// which evaluates its worlds through a Runner of its own.
-	prep  *plan.Prepared
-	trace *plan.Trace
-	ctx   context.Context
-}
-
-// patternWalk is one worker's state over the pattern tree: its Runner, the
+// patternWalk is Mu's walk over the pattern tree: the nulls and their
+// relevant and fresh choices, the Runner the leaves are evaluated on, the
 // valuation it extends in place, an instantiation buffer for the tuple (the
 // enumeration is exponential in the nulls, so leaf checks must not
 // allocate), its Σ worlds, and the coefficients it accumulates — num[m] /
 // den[m] count the patterns with m fresh classes satisfying Σ∧Q, resp. Σ.
 type patternWalk struct {
-	*patternEnum
-	r        plan.Runner
-	v        value.Valuation
-	buf      value.Tuple
-	sw       *sigmaWorld
-	num, den []int64
-}
-
-func (e *patternEnum) walk() *patternWalk {
-	return &patternWalk{patternEnum: e, r: e.prep.Runner(e.trace), v: value.NewValuation(),
-		buf: make(value.Tuple, len(e.tuple)), sw: newSigmaWorld(e.db, e.sigma),
-		num: make([]int64, len(e.ids)+1), den: make([]int64, len(e.ids)+1)}
+	ids        []uint64
+	rel, fresh []value.Value
+	tuple, buf value.Tuple
+	ctx        context.Context
+	r          plan.Runner
+	v          value.Valuation
+	sw         *sigmaWorld
+	num, den   []int64
 }
 
 // count enumerates the patterns extending w.v from position i with the
@@ -194,7 +174,7 @@ func (w *patternWalk) count(i, classes int) {
 		}
 		return
 	}
-	if engine.Canceled(w.ctx) {
+	if w.ctx.Err() != nil {
 		return
 	}
 	for j := range w.rel {
@@ -214,65 +194,31 @@ func (w *patternWalk) count(i, classes int) {
 // Mu computes the asymptotic µ(Q|Σ, D, ā) = lim_k µᵏ exactly, by pattern
 // enumeration. With nil Σ the result is 0 or 1 (Theorem 4.10); with
 // constraints it is an arbitrary rational in [0,1] (Theorem 4.11). The
-// convention µ = 0 applies when no valuation satisfies Σ. The pattern tree
-// is sharded over opts.Workers on the first null's choice (each relevant
-// constant, or the first fresh class) and the per-branch polynomial
-// coefficients are summed, so the result is independent of the worker
-// count; opts.Prep, Trace and Ctx act as for the oracles, and MaxWorlds is
-// not read.
+// convention µ = 0 applies when no valuation satisfies Σ. The pattern tree,
+// bounded by MaxNulls, is walked once on the calling goroutine; opts.Prep,
+// Trace and Ctx act as for the oracles, and Workers and MaxWorlds are not
+// read.
 func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value.Tuple, opts certain.Options) (*big.Rat, error) {
-	eng := engine.Options{Workers: opts.Workers}
 	ids := db.NullIDs()
 	if len(ids) > MaxNulls {
 		return nil, fmt.Errorf("prob: %d nulls exceed MaxNulls=%d", len(ids), MaxNulls)
 	}
 	rng := certain.Range(db, append(algebra.ConstsOf(q), tuple...), len(ids))
-	rel, fresh := rng[:len(rng)-len(ids)], rng[len(rng)-len(ids):]
-	e := &patternEnum{db: db, sigma: sigma, tuple: tuple, ids: ids, rel: rel, fresh: fresh,
-		prep: opts.Prep.Get(db, q, algebra.ModeNaive, false), trace: opts.Trace, ctx: opts.Context()}
-
-	// Shard on the first null's choice — each c ∈ R, or fresh class 0 —
-	// unless the pattern count, bounded by the valuations into R ∪ fresh,
-	// is below the engine threshold: then the serial walk wins, like every
-	// other oracle here.
-	branches := len(rel) + 1
-	if bound := value.EnumSize(value.Uniform(len(ids), rng)); len(ids) == 0 || eng.WorkerCount() == 1 || (bound >= 0 && bound < engine.MinParallel) {
-		branches = 0 // the whole tree in one walk
-	}
-	parts, err := engine.Map(e.ctx, eng, max(branches, 1),
-		func(_ context.Context, bi int) (*patternWalk, error) {
-			w := e.walk()
-			defer w.r.Close()
-			switch {
-			case branches == 0:
-				w.count(0, 0)
-			case bi < len(rel):
-				w.v.Set(ids[0], rel[bi])
-				w.count(1, 0)
-			default:
-				w.v.Set(ids[0], fresh[0])
-				w.count(1, 1)
-			}
-			return w, nil
-		})
-	if err != nil {
+	w := &patternWalk{ids: ids, rel: rng[:len(rng)-len(ids)], fresh: rng[len(rng)-len(ids):],
+		tuple: tuple, buf: make(value.Tuple, len(tuple)), ctx: opts.Context(),
+		r: opts.Prep.Get(db, q, algebra.ModeNaive, false).Runner(opts.Trace), v: value.NewValuation(),
+		sw: newSigmaWorld(db, sigma), num: make([]int64, len(ids)+1), den: make([]int64, len(ids)+1)}
+	defer w.r.Close()
+	w.count(0, 0)
+	// A cancelled walk stopped early: its coefficients are partial.
+	if err := w.ctx.Err(); err != nil {
 		return nil, err
-	}
-	// Summing the per-branch polynomial coefficients makes the result
-	// independent of the worker count.
-	numTop := make([]int64, len(ids)+1)
-	denTop := make([]int64, len(ids)+1)
-	for _, p := range parts {
-		for m := range numTop {
-			numTop[m] += p.num[m]
-			denTop[m] += p.den[m]
-		}
 	}
 
 	// Leading degree of the denominator polynomial.
 	top := -1
 	for m := len(ids); m >= 0; m-- {
-		if denTop[m] > 0 {
+		if w.den[m] > 0 {
 			top = m
 			break
 		}
@@ -280,7 +226,7 @@ func Mu(db *relation.Database, q algebra.Expr, sigma constraint.Set, tuple value
 	if top < 0 {
 		return big.NewRat(0, 1), nil // Σ unsatisfiable over every k
 	}
-	return big.NewRat(numTop[top], denTop[top]), nil
+	return big.NewRat(w.num[top], w.den[top]), nil
 }
 
 // AlmostCertainlyTrue reports whether µ(Q, D, ā) = 1. By Theorem 4.10 this

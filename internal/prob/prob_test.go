@@ -1,6 +1,8 @@
 package prob
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -315,5 +317,30 @@ func TestUnsatisfiableSigma(t *testing.T) {
 	}
 	if mu.Sign() != 0 {
 		t.Fatalf("µ = %v, want 0 by convention", mu)
+	}
+}
+
+// A cancelled Ctx stops µ's pattern walk and µᵏ's world loop: both return
+// the context's error, never the partial count — also on a null-free
+// database, whose walk is a single leaf that never polls.
+func TestMuCancelled(t *testing.T) {
+	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
+	tuple := value.Consts("1")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, nulls := range []int{0, 3} {
+		db := probDB(nulls)
+		if mu, err := Mu(db, q, nil, tuple, certain.Options{}); err != nil || mu == nil {
+			t.Fatalf("%d nulls: uncancelled Mu = %v, %v", nulls, mu, err)
+		}
+		if mu, err := Mu(db, q, nil, tuple, certain.Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%d nulls: Mu = %v, %v; want context.Canceled", nulls, mu, err)
+		}
+		for _, workers := range []int{1, 2} {
+			opts := certain.Options{Ctx: ctx, Workers: workers}
+			if mu, err := MuK(db, q, nil, tuple, 4, opts); !errors.Is(err, context.Canceled) {
+				t.Errorf("%d nulls, workers=%d: MuK = %v, %v; want context.Canceled", nulls, workers, mu, err)
+			}
+		}
 	}
 }

@@ -6,82 +6,62 @@ import (
 	"incdb/internal/value"
 )
 
-// Mutating a relation from inside an EachMatch iteration must invalidate
-// both derived structures — the per-column hash index and the sorted row
-// snapshot — so that the next lookup and the next deterministic iteration
-// both see the new row. (The in-flight iteration itself walks the bucket it
-// captured; only subsequent calls observe the mutation.)
-func TestMutationDuringEachMatchInvalidatesIndexAndSnapshot(t *testing.T) {
+// Mutating a relation from inside an Each iteration must invalidate the
+// sorted row snapshot, so that the next deterministic iteration sees the new
+// row. (The in-flight iteration itself walks the snapshot it captured; only
+// subsequent calls observe the mutation.)
+func TestMutationDuringEachInvalidatesSnapshot(t *testing.T) {
 	r := New("R", "a", "b")
 	r.Add(value.Consts("x", "1"))
 	r.Add(value.Consts("x", "2"))
 	r.Add(value.Consts("y", "3"))
 
-	// Force both lazy structures into existence.
+	// Force the lazy snapshot into existence.
 	_ = r.Tuples()
-	r.EachMatch(0, value.Const("x"), func(value.Tuple, int) {})
-	if r.idx == nil || r.idx[0] == nil {
-		t.Fatalf("column index not built")
-	}
 	if r.sorted.Load() == nil {
 		t.Fatalf("sorted snapshot not built")
 	}
 
 	added := false
-	r.EachMatch(0, value.Const("x"), func(tu value.Tuple, _ int) {
+	r.Each(func(tu value.Tuple, _ int) {
 		if !added {
 			added = true
 			r.Add(value.Consts("x", "0"))
 		}
 	})
 	if !added {
-		t.Fatalf("EachMatch visited nothing")
-	}
-	if r.idx != nil {
-		t.Fatalf("mutation during EachMatch left the column index alive")
+		t.Fatalf("Each visited nothing")
 	}
 	if r.sorted.Load() != nil {
-		t.Fatalf("mutation during EachMatch left the sorted snapshot alive")
+		t.Fatalf("mutation during Each left the sorted snapshot alive")
 	}
 
-	// The rebuilt index sees the new row…
-	var matches []value.Tuple
-	r.EachMatch(0, value.Const("x"), func(tu value.Tuple, _ int) {
-		matches = append(matches, tu)
-	})
-	if len(matches) != 3 {
-		t.Fatalf("rebuilt index returned %d matches, want 3", len(matches))
-	}
-	if !matches[0].Equal(value.Consts("x", "0")) {
-		t.Fatalf("rebuilt index not in sorted order: first match %v", matches[0])
-	}
-	// …and so does the rebuilt snapshot, in sorted position.
+	// The rebuilt snapshot sees the new row, in sorted position.
 	ts := r.Tuples()
 	if len(ts) != 4 || !ts[0].Equal(value.Consts("x", "0")) {
 		t.Fatalf("rebuilt snapshot wrong: %v", ts)
 	}
 }
 
-// A mutation that only touches multiplicities through Normalize keeps both
-// structures (row pointers make the update visible through them), while any
-// Add/AddMult/SetMult — including no-op ones — conservatively drops them.
+// A mutation that only touches multiplicities through Normalize keeps the
+// snapshot (its row pointers make the update visible through it), while
+// any Add/AddMult/SetMult — including no-op ones — conservatively drops it.
 func TestInvalidationGranularity(t *testing.T) {
 	r := New("R", "a")
 	r.AddMult(value.Consts("p"), 3)
 	r.AddMult(value.Consts("q"), 1)
 	_ = r.Tuples()
-	r.EachMatch(0, value.Const("p"), func(value.Tuple, int) {})
 
 	r.Normalize()
-	if r.idx == nil || r.sorted.Load() == nil {
-		t.Fatalf("Normalize must not drop derived structures")
+	if r.sorted.Load() == nil {
+		t.Fatalf("Normalize must not drop the sorted snapshot")
 	}
 	if got := r.Mult(value.Consts("p")); got != 1 {
 		t.Fatalf("Normalize: mult = %d", got)
 	}
 
 	r.SetMult(value.Consts("p"), 5)
-	if r.idx != nil || r.sorted.Load() != nil {
-		t.Fatalf("SetMult must invalidate derived structures")
+	if r.sorted.Load() != nil {
+		t.Fatalf("SetMult must invalidate the sorted snapshot")
 	}
 }

@@ -10,7 +10,7 @@
 // 64-bit hash (value.Tuple.Hash), with collisions resolved by
 // value.Tuple.Equal — no per-probe string Key() is ever materialized.
 // Deterministic iteration comes from a lazily built sorted row snapshot
-// that structural mutation invalidates alongside the per-column indexes.
+// that structural mutation invalidates.
 package relation
 
 import (
@@ -41,10 +41,6 @@ type Relation struct {
 	// relation may race on the first lazy build: both build the same
 	// deterministic snapshot and publication is idempotent.
 	sorted atomic.Pointer[[]*row]
-	// idx holds lazily built per-column hash indexes (column → value →
-	// matching rows, buckets in deterministic tuple order). Any structural
-	// mutation invalidates the whole map; see EachMatch.
-	idx map[int]map[value.Value][]*row
 	// nullState caches HasNulls: 0 unknown, 1 null-free, 2 has nulls.
 	// Atomic for the same reason as sorted: concurrent readers of a stable
 	// relation may race on the first computation, which is idempotent. An
@@ -126,10 +122,9 @@ func (r *Relation) lookup(t value.Tuple, h uint64) *row {
 	return nil
 }
 
-// invalidate drops the derived structures and bumps the mutation version;
+// invalidate drops the sorted snapshot and bumps the mutation version;
 // every structural mutation calls it because rows may appear or vanish.
 func (r *Relation) invalidate() {
-	r.idx = nil
 	r.sorted.Store(nil)
 	r.version++
 }
@@ -350,9 +345,9 @@ func (r *Relation) eachStored(f func(e *row) bool) {
 	}
 }
 
-// Normalize sets every multiplicity to one (bag → set). Indexes and the
-// sorted snapshot survive: they hold row pointers, so multiplicity updates
-// are visible through them, and the sort order ignores multiplicities. The
+// Normalize sets every multiplicity to one (bag → set). The sorted
+// snapshot survives: it holds row pointers, so multiplicity updates are
+// visible through it, and the sort order ignores multiplicities. The
 // mutation version still moves — bag-semantics consumers of cached state
 // would otherwise miss the multiplicity change.
 func (r *Relation) Normalize() {
@@ -363,47 +358,6 @@ func (r *Relation) Normalize() {
 			e.mult = 1
 		}
 	}
-}
-
-// indexOn returns the hash index for col, building it lazily. Buckets are
-// filled in sorted tuple order so that every index-driven iteration is
-// deterministic. The build mutates r, so a relation must not see its first
-// EachMatch for a given column from two goroutines at once; evaluation-local
-// relations (the only index users) satisfy this trivially.
-func (r *Relation) indexOn(col int) map[value.Value][]*row {
-	if col < 0 || col >= r.arity {
-		panic(fmt.Sprintf("relation %s: index column %d out of range for arity %d", r.name, col, r.arity))
-	}
-	if ix, ok := r.idx[col]; ok {
-		return ix
-	}
-	ix := make(map[value.Value][]*row, r.distinct)
-	for _, e := range r.sortedRows() {
-		ix[e.t[col]] = append(ix[e.t[col]], e)
-	}
-	if r.idx == nil {
-		r.idx = map[int]map[value.Value][]*row{}
-	}
-	r.idx[col] = ix
-	return ix
-}
-
-// EachMatch calls f on every tuple whose col-th component equals v (marked
-// nulls match themselves — Value equality), with its multiplicity, in
-// deterministic (sorted) order. The underlying per-column hash index is
-// built on first use and invalidated by Add/AddMult/SetMult, so probing a
-// stable relation n times costs O(n) after one O(len) build instead of the
-// O(n·len) of repeated scans.
-func (r *Relation) EachMatch(col int, v value.Value, f func(t value.Tuple, mult int)) {
-	for _, e := range r.indexOn(col)[v] {
-		f(e.t, e.mult)
-	}
-}
-
-// MatchCount returns the number of distinct tuples whose col-th component
-// equals v.
-func (r *Relation) MatchCount(col int, v value.Value) int {
-	return len(r.indexOn(col)[v])
 }
 
 // Clone returns a deep copy, optionally renamed. Stored tuples are

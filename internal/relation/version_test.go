@@ -42,7 +42,6 @@ func TestVersionStableAcrossReads(t *testing.T) {
 	_ = r.Tuples()
 	_ = r.String()
 	r.Each(func(value.Tuple, int) {})
-	r.EachMatch(0, value.Const("c"), func(value.Tuple, int) {})
 	_ = r.Contains(value.Consts("c"))
 	_ = r.Size()
 	if r.Version() != v {

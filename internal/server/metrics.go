@@ -134,11 +134,11 @@ func newMetrics(s *Server) *metrics {
 		func(sess *session) float64 { return float64(sess.prep.Stats().Invalidations) })
 	sessSeries(reg.CollectGauge, "incdb_prep_cache_entries", "Prepared plans currently cached.",
 		func(sess *session) float64 { return float64(sess.prep.Stats().Entries) })
-	sessSeries(reg.CollectCounter, "incdb_result_cache_hits_total", "Oracle result cache hits.",
+	sessSeries(reg.CollectCounter, "incdb_result_cache_hits_total", "Result cache hits: requests answered with a cached encoded answer, any procedure.",
 		func(sess *session) float64 { return float64(sess.results.stats().Hits) })
-	sessSeries(reg.CollectCounter, "incdb_result_cache_misses_total", "Oracle result cache misses.",
+	sessSeries(reg.CollectCounter, "incdb_result_cache_misses_total", "Result cache misses: requests that evaluated, any procedure.",
 		func(sess *session) float64 { return float64(sess.results.stats().Misses) })
-	sessSeries(reg.CollectGauge, "incdb_result_cache_entries", "Oracle results currently cached.",
+	sessSeries(reg.CollectGauge, "incdb_result_cache_entries", "Encoded answers currently in the result cache, any procedure.",
 		func(sess *session) float64 { return float64(sess.results.stats().Entries) })
 
 	// Durable state per session, from the same SessionLog.Stats() atomics.
