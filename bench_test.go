@@ -72,7 +72,7 @@ func BenchmarkE1Figure1(b *testing.B) {
 		algebra.CNot(algebra.CIn(algebra.Proj(algebra.R("Payments"), 1), 0))), 0)
 	b.Run("sql", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			algebra.SQL(db, unpaid)
+			plan.SQL(db, unpaid)
 		}
 	})
 	b.Run("cert-oracle", func(b *testing.B) {
@@ -118,12 +118,12 @@ func BenchmarkE2Fig2aBlowup(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("Qf/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				algebra.Naive(db, qf)
+				plan.Naive(db, qf)
 			}
 		})
 		b.Run(fmt.Sprintf("Qplus/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				algebra.Naive(db, plus)
+				plan.Naive(db, plus)
 			}
 		})
 	}
@@ -140,12 +140,12 @@ func BenchmarkE3TPCHOverhead(b *testing.B) {
 		}
 		b.Run(nq.Name+"/orig", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				algebra.SQL(db, nq.Q)
+				plan.SQL(db, nq.Q)
 			}
 		})
 		b.Run(nq.Name+"/plus", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				algebra.Naive(db, plus)
+				plan.Naive(db, plus)
 			}
 		})
 	}
@@ -169,7 +169,7 @@ func BenchmarkE4BagBounds(b *testing.B) {
 	}
 	b.Run("bag-plus", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			algebra.EvalBag(db, plus, algebra.ModeNaive)
+			plan.EvalBag(db, plus, algebra.ModeNaive)
 		}
 	})
 	b.Run("box-oracle", func(b *testing.B) {
@@ -308,7 +308,7 @@ func BenchmarkE11NaiveEval(b *testing.B) {
 	q := gen.Query(r, qcfg, 1)
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			algebra.Naive(db, q)
+			plan.Naive(db, q)
 		}
 	})
 	b.Run("oracle", func(b *testing.B) {
@@ -336,7 +336,7 @@ func BenchmarkE12PrecisionRecall(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := algebra.Naive(db, plus)
+		res := plan.Naive(db, plus)
 		if !res.SubsetOfSet(cert) {
 			b.Fatal("correctness violation")
 		}
@@ -386,7 +386,7 @@ func BenchmarkWireQueryResponse(b *testing.B) {
 			b.Fatal(err)
 		}
 		for proc, r := range map[string]*relation.Relation{
-			"sql": algebra.SQL(db, nq.Q), "naive": algebra.Naive(db, nq.Q), "plus": algebra.Naive(db, plus),
+			"sql": plan.SQL(db, nq.Q), "naive": plan.Naive(db, nq.Q), "plus": plan.Naive(db, plus),
 		} {
 			if n := len(api.AppendResults(nil, []string{proc}, []*relation.Relation{r})); n > size {
 				labels, rels, size = []string{proc}, []*relation.Relation{r}, n
@@ -438,7 +438,7 @@ func BenchmarkOperatorJoin(b *testing.B) {
 		q := algebra.Join(algebra.R("R"), algebra.R("S"), algebra.CEq(0, 2))
 		b.Run(fmt.Sprintf("hash/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				algebra.Naive(db, q)
+				plan.Naive(db, q)
 			}
 		})
 	}
@@ -455,7 +455,7 @@ func BenchmarkOperatorAntiUnify(b *testing.B) {
 		q := algebra.AntiJoin(algebra.R("R"), algebra.R("S"))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				algebra.Naive(db, q)
+				plan.Naive(db, q)
 			}
 		})
 	}
@@ -466,7 +466,7 @@ func BenchmarkOperatorDifference(b *testing.B) {
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		algebra.Naive(db, q)
+		plan.Naive(db, q)
 	}
 }
 

@@ -162,9 +162,9 @@ func TestOperatorsMatchStringKeyedReference(t *testing.T) {
 		for _, bag := range []bool{false, true} {
 			eval := func(q algebra.Expr) *relation.Relation {
 				if bag {
-					return algebra.EvalBag(db, q, algebra.ModeNaive)
+					return plan.EvalBag(db, q, algebra.ModeNaive)
 				}
-				return algebra.Eval(db, q, algebra.ModeNaive)
+				return plan.Eval(db, q, algebra.ModeNaive)
 			}
 			multOf := func(rel *relation.Relation, tu value.Tuple) int {
 				if !bag {
@@ -579,9 +579,9 @@ func TestRandomQueriesInternallyConsistent(t *testing.T) {
 		db := gen.DB(r, cfg)
 		q := gen.Query(r, qcfg, 1+r.Intn(2))
 		for _, mode := range []algebra.Mode{algebra.ModeNaive, algebra.ModeSQL} {
-			res := algebra.Eval(db, q, mode)
+			res := plan.Eval(db, q, mode)
 			mustMatch(t, "set "+mode.String(), res, refOf(res))
-			res = algebra.EvalBag(db, q, mode)
+			res = plan.EvalBag(db, q, mode)
 			mustMatch(t, "bag "+mode.String(), res, refOf(res))
 		}
 	}

@@ -145,8 +145,8 @@ var (
 var (
 	// SQL is three-valued SQL evaluation; Naive treats nulls as fresh
 	// constants.
-	SQL   = algebra.SQL
-	Naive = algebra.Naive
+	SQL   = plan.SQL
+	Naive = plan.Naive
 
 	// CertainWithNulls and CertainIntersection are the exact (guarded
 	// exponential) certainty oracles.
@@ -174,11 +174,11 @@ var (
 
 // SQLBag and NaiveBag are the bag-semantics variants of SQL and Naive
 // (Section 4.2).
-func SQLBag(db *Database, q Expr) *Relation { return algebra.EvalBag(db, q, algebra.ModeSQL) }
+func SQLBag(db *Database, q Expr) *Relation { return plan.EvalBag(db, q, algebra.ModeSQL) }
 
-func NaiveBag(db *Database, q Expr) *Relation { return algebra.EvalBag(db, q, algebra.ModeNaive) }
+func NaiveBag(db *Database, q Expr) *Relation { return plan.EvalBag(db, q, algebra.ModeNaive) }
 
-// Query planning. Evaluation is planned by default: SQL/Naive and every
+// Query planning. Evaluation is planned: SQL/Naive and every
 // oracle run through internal/plan's compile-once physical plans (selection
 // pushdown, n-ary multi-key hash joins, and per-world execution as
 // frozen part ∪ Δ(valuation)). These re-exports expose the planner directly.
@@ -193,7 +193,7 @@ var (
 
 	// EvalMode evaluates a query in an explicit mode (ModeNaive/ModeSQL)
 	// through the planner; Naive and SQL are the common shorthands.
-	EvalMode = algebra.Eval
+	EvalMode = plan.Eval
 
 	// NewPrepCache creates a version-guarded prepared-plan cache for
 	// long-lived workloads (REPL/server): pass it via

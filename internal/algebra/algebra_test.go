@@ -72,10 +72,10 @@ func TestEvalRelSetAndBag(t *testing.T) {
 	r := relation.New("R", "a")
 	r.AddMult(value.Consts("x"), 3)
 	d.Add(r)
-	if got := Eval(d, Rel{"R"}, ModeNaive); got.Mult(value.Consts("x")) != 1 {
+	if got := EvalInterp(d, Rel{"R"}, ModeNaive); got.Mult(value.Consts("x")) != 1 {
 		t.Fatalf("set eval should normalize, got %v", got)
 	}
-	if got := EvalBag(d, Rel{"R"}, ModeNaive); got.Mult(value.Consts("x")) != 3 {
+	if got := EvalBagInterp(d, Rel{"R"}, ModeNaive); got.Mult(value.Consts("x")) != 3 {
 		t.Fatalf("bag eval should keep multiplicities, got %v", got)
 	}
 	// Source must not be mutated by evaluation.
@@ -88,14 +88,14 @@ func TestSelectNaiveVsSQLOnNulls(t *testing.T) {
 	d := db1()
 	// σ_{a=b}(R): naive keeps (⊥2,⊥2) (same marked null), SQL drops it.
 	q := Sel(Rel{"R"}, Eq{0, 1})
-	naive := Eval(d, q, ModeNaive)
+	naive := EvalInterp(d, q, ModeNaive)
 	if !naive.Contains(value.T(n(2), n(2))) {
 		t.Errorf("naive should keep (⊥2,⊥2): %v", naive)
 	}
 	if naive.Contains(value.T(c("1"), n(1))) {
 		t.Errorf("naive must not equate ⊥1 with 1")
 	}
-	sql := Eval(d, q, ModeSQL)
+	sql := EvalInterp(d, q, ModeSQL)
 	if sql.Len() != 0 {
 		t.Errorf("SQL mode: comparisons with nulls are unknown, got %v", sql)
 	}
@@ -103,11 +103,11 @@ func TestSelectNaiveVsSQLOnNulls(t *testing.T) {
 
 func TestSelectConstNullTests(t *testing.T) {
 	d := db1()
-	nullB := Eval(d, Sel(Rel{"R"}, IsNull{1}), ModeSQL)
+	nullB := EvalInterp(d, Sel(Rel{"R"}, IsNull{1}), ModeSQL)
 	if nullB.Len() != 2 {
 		t.Errorf("two rows have null b: %v", nullB)
 	}
-	constB := Eval(d, Sel(Rel{"R"}, IsConst{1}), ModeSQL)
+	constB := EvalInterp(d, Sel(Rel{"R"}, IsConst{1}), ModeSQL)
 	if constB.Len() != 1 || !constB.Contains(value.T(c("1"), c("2"))) {
 		t.Errorf("const(b) wrong: %v", constB)
 	}
@@ -122,12 +122,12 @@ func TestTautologyFailsInSQLMode(t *testing.T) {
 	p.Add(value.T(c("c2"), n(1)))
 	d.Add(p)
 	q := Proj(Sel(Rel{"P"}, Or{EqConst{1, c("o2")}, NeqConst{1, c("o2")}}), 0)
-	got := Eval(d, q, ModeSQL)
+	got := EvalInterp(d, q, ModeSQL)
 	if got.Len() != 1 || !got.Contains(value.Consts("c1")) {
 		t.Fatalf("SQL evaluation of tautology = %v, want {c1}", got)
 	}
 	// Naive evaluation returns both: ⊥1 ≠ o2 as a fresh constant.
-	naive := Eval(d, q, ModeNaive)
+	naive := EvalInterp(d, q, ModeNaive)
 	if naive.Len() != 2 {
 		t.Fatalf("naive = %v, want both customers", naive)
 	}
@@ -144,19 +144,19 @@ func TestProductUnionDiffIntersect(t *testing.T) {
 	b.Add(value.Consts("3"))
 	d.Add(b)
 
-	prod := Eval(d, Product{Rel{"A"}, Rel{"B"}}, ModeNaive)
+	prod := EvalInterp(d, Product{Rel{"A"}, Rel{"B"}}, ModeNaive)
 	if prod.Len() != 4 || prod.Arity() != 2 {
 		t.Errorf("product wrong: %v", prod)
 	}
-	un := Eval(d, Union{Rel{"A"}, Rel{"B"}}, ModeNaive)
+	un := EvalInterp(d, Union{Rel{"A"}, Rel{"B"}}, ModeNaive)
 	if un.Len() != 3 {
 		t.Errorf("union wrong: %v", un)
 	}
-	df := Eval(d, Diff{Rel{"A"}, Rel{"B"}}, ModeNaive)
+	df := EvalInterp(d, Diff{Rel{"A"}, Rel{"B"}}, ModeNaive)
 	if df.Len() != 1 || !df.Contains(value.Consts("1")) {
 		t.Errorf("difference wrong: %v", df)
 	}
-	in := Eval(d, Intersect{Rel{"A"}, Rel{"B"}}, ModeNaive)
+	in := EvalInterp(d, Intersect{Rel{"A"}, Rel{"B"}}, ModeNaive)
 	if in.Len() != 1 || !in.Contains(value.Consts("2")) {
 		t.Errorf("intersection wrong: %v", in)
 	}
@@ -171,22 +171,22 @@ func TestBagSemanticsArithmetic(t *testing.T) {
 	b.AddMult(value.Consts("t"), 1)
 	d.Add(b)
 
-	if got := EvalBag(d, Union{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t")) != 4 {
+	if got := EvalBagInterp(d, Union{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t")) != 4 {
 		t.Errorf("bag union adds: got %d", got.Mult(value.Consts("t")))
 	}
-	if got := EvalBag(d, Diff{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t")) != 2 {
+	if got := EvalBagInterp(d, Diff{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t")) != 2 {
 		t.Errorf("bag difference subtracts: got %d", got.Mult(value.Consts("t")))
 	}
-	if got := EvalBag(d, Diff{Rel{"B"}, Rel{"A"}}, ModeNaive); got.Len() != 0 {
+	if got := EvalBagInterp(d, Diff{Rel{"B"}, Rel{"A"}}, ModeNaive); got.Len() != 0 {
 		t.Errorf("bag difference clamps at zero: got %v", got)
 	}
-	if got := EvalBag(d, Intersect{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t")) != 1 {
+	if got := EvalBagInterp(d, Intersect{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t")) != 1 {
 		t.Errorf("bag intersection takes min: got %v", got)
 	}
-	if got := EvalBag(d, Product{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t", "t")) != 3 {
+	if got := EvalBagInterp(d, Product{Rel{"A"}, Rel{"B"}}, ModeNaive); got.Mult(value.Consts("t", "t")) != 3 {
 		t.Errorf("bag product multiplies: got %v", got)
 	}
-	if got := EvalBag(d, Proj(Union{Rel{"A"}, Rel{"B"}}, 0), ModeNaive); got.Mult(value.Consts("t")) != 4 {
+	if got := EvalBagInterp(d, Proj(Union{Rel{"A"}, Rel{"B"}}, 0), ModeNaive); got.Mult(value.Consts("t")) != 4 {
 		t.Errorf("bag projection sums: got %v", got)
 	}
 }
@@ -203,13 +203,13 @@ func TestDivision(t *testing.T) {
 	p.Add(value.Consts("p1"))
 	p.Add(value.Consts("p2"))
 	d.Add(p)
-	got := Eval(d, Divide{Rel{"Works"}, Rel{"Proj"}}, ModeNaive)
+	got := EvalInterp(d, Divide{Rel{"Works"}, Rel{"Proj"}}, ModeNaive)
 	if got.Len() != 1 || !got.Contains(value.Consts("ann")) {
 		t.Fatalf("division = %v, want {ann}", got)
 	}
 	// Empty divisor: every left projection qualifies.
 	d.Add(relation.New("None", "proj"))
-	all := Eval(d, Divide{Rel{"Works"}, Rel{"None"}}, ModeNaive)
+	all := EvalInterp(d, Divide{Rel{"Works"}, Rel{"None"}}, ModeNaive)
 	if all.Len() != 2 {
 		t.Fatalf("division by empty = %v", all)
 	}
@@ -226,7 +226,7 @@ func TestAntiUnify(t *testing.T) {
 	r.Add(value.T(c("1"), n(2))) // unifies with (1,2)
 	r.Add(value.T(c("7"), c("8")))
 	d.Add(r)
-	got := Eval(d, AntiUnify{Rel{"L"}, Rel{"Rr"}}, ModeNaive)
+	got := EvalInterp(d, AntiUnify{Rel{"L"}, Rel{"Rr"}}, ModeNaive)
 	// (1,2) unifies with (1,⊥2); (⊥1,⊥1) unifies with (7,8)? ⊥1=7 and ⊥1=8
 	// conflict — no; but (⊥1,⊥1) unifies with (1,⊥2). So only (3,4) survives.
 	if got.Len() != 1 || !got.Contains(value.Consts("3", "4")) {
@@ -237,11 +237,11 @@ func TestAntiUnify(t *testing.T) {
 func TestDomPower(t *testing.T) {
 	d := db1()
 	adom := len(d.ActiveDomain())
-	got := Eval(d, Dom{2}, ModeNaive)
+	got := EvalInterp(d, Dom{2}, ModeNaive)
 	if got.Len() != adom*adom {
 		t.Fatalf("Dom^2 size = %d, want %d", got.Len(), adom*adom)
 	}
-	empty := Eval(d, Dom{0}, ModeNaive)
+	empty := EvalInterp(d, Dom{0}, ModeNaive)
 	if !BooleanResult(empty) {
 		t.Fatalf("Dom^0 must be the singleton empty tuple")
 	}
@@ -260,17 +260,17 @@ func TestInSubThreeValued(t *testing.T) {
 	p.Add(value.T(n(1)))
 	d.Add(p)
 	q := Sel(Rel{"O"}, Not{InSub{Cols: []int{0}, Sub: Rel{"P"}}})
-	got := Eval(d, q, ModeSQL)
+	got := EvalInterp(d, q, ModeSQL)
 	if got.Len() != 0 {
 		t.Fatalf("SQL NOT IN with null should return nothing, got %v", got)
 	}
 	// Positive IN: o1 IN P is t even with the null present.
-	pos := Eval(d, Sel(Rel{"O"}, InSub{Cols: []int{0}, Sub: Rel{"P"}}), ModeSQL)
+	pos := EvalInterp(d, Sel(Rel{"O"}, InSub{Cols: []int{0}, Sub: Rel{"P"}}), ModeSQL)
 	if pos.Len() != 1 || !pos.Contains(value.Consts("o1")) {
 		t.Fatalf("SQL IN = %v, want {o1}", pos)
 	}
 	// Naive mode treats the null as a fresh constant: o2, o3 pass NOT IN.
-	naive := Eval(d, q, ModeNaive)
+	naive := EvalInterp(d, q, ModeNaive)
 	if naive.Len() != 2 {
 		t.Fatalf("naive NOT IN = %v", naive)
 	}
@@ -283,20 +283,20 @@ func TestLessComparisons(t *testing.T) {
 	r.Add(value.Consts("10", "3"))
 	r.Add(value.T(n(1), c("10")))
 	d.Add(r)
-	lt := Eval(d, Sel(Rel{"R"}, Less{0, 1}), ModeSQL)
+	lt := EvalInterp(d, Sel(Rel{"R"}, Less{0, 1}), ModeSQL)
 	if lt.Len() != 1 || !lt.Contains(value.Consts("3", "10")) {
 		t.Fatalf("numeric < wrong: %v", lt)
 	}
-	ltc := Eval(d, Sel(Rel{"R"}, LessConst{0, c("5")}), ModeSQL)
+	ltc := EvalInterp(d, Sel(Rel{"R"}, LessConst{0, c("5")}), ModeSQL)
 	if ltc.Len() != 1 || !ltc.Contains(value.Consts("3", "10")) {
 		t.Fatalf("< const wrong: %v", ltc)
 	}
-	gtc := Eval(d, Sel(Rel{"R"}, GreaterConst{0, c("5")}), ModeSQL)
+	gtc := EvalInterp(d, Sel(Rel{"R"}, GreaterConst{0, c("5")}), ModeSQL)
 	if gtc.Len() != 1 || !gtc.Contains(value.Consts("10", "3")) {
 		t.Fatalf("> const wrong: %v", gtc)
 	}
 	// Null comparisons: F under naive, dropped under SQL too (never t).
-	if got := Eval(d, Sel(Rel{"R"}, Less{0, 1}), ModeNaive); got.Contains(value.T(n(1), c("10"))) {
+	if got := EvalInterp(d, Sel(Rel{"R"}, Less{0, 1}), ModeNaive); got.Contains(value.T(n(1), c("10"))) {
 		t.Fatalf("naive must not order nulls")
 	}
 }
@@ -408,11 +408,11 @@ func TestBooleanResult(t *testing.T) {
 	r := relation.New("R", "a")
 	r.Add(value.Consts("x"))
 	d.Add(r)
-	yes := Eval(d, Proj(Sel(Rel{"R"}, EqConst{0, c("x")})), ModeNaive)
+	yes := EvalInterp(d, Proj(Sel(Rel{"R"}, EqConst{0, c("x")})), ModeNaive)
 	if !BooleanResult(yes) {
 		t.Fatalf("Boolean query should be true")
 	}
-	no := Eval(d, Proj(Sel(Rel{"R"}, EqConst{0, c("zz")})), ModeNaive)
+	no := EvalInterp(d, Proj(Sel(Rel{"R"}, EqConst{0, c("zz")})), ModeNaive)
 	if BooleanResult(no) {
 		t.Fatalf("Boolean query should be false")
 	}
@@ -427,7 +427,7 @@ func TestJoinHelper(t *testing.T) {
 	b.Add(value.Consts("1", "b"))
 	b.Add(value.Consts("2", "c"))
 	d.Add(b)
-	got := Eval(d, Join(Rel{"A"}, Rel{"B"}, Eq{0, 2}), ModeNaive)
+	got := EvalInterp(d, Join(Rel{"A"}, Rel{"B"}, Eq{0, 2}), ModeNaive)
 	if got.Len() != 1 || !got.Contains(value.Consts("1", "a", "1", "b")) {
 		t.Fatalf("join = %v", got)
 	}

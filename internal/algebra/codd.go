@@ -12,8 +12,8 @@ import (
 // [39]; this checker provides the semantic test. Evaluation is naive and
 // set-based.
 func CoddCommutes(db *relation.Database, q Expr) bool {
-	left := Eval(relation.Codd(db), q, ModeNaive)
-	right := coddRelation(Eval(db, q, ModeNaive))
+	left := EvalInterp(relation.Codd(db), q, ModeNaive)
+	right := coddRelation(EvalInterp(db, q, ModeNaive))
 	return relation.EqualUpToNullRenaming(left, right)
 }
 

@@ -36,11 +36,11 @@ func TestCoddFailsOnRepetitionSensitiveQuery(t *testing.T) {
 		t.Fatalf("σ_{a=b} must distinguish marked from Codd nulls")
 	}
 	// Sanity: on the original D the selection keeps the row.
-	if Eval(db, q, ModeNaive).Len() != 1 {
+	if EvalInterp(db, q, ModeNaive).Len() != 1 {
 		t.Fatalf("marked-null self-join lost")
 	}
 	// And on codd(D) it does not.
-	if Eval(relation.Codd(db), q, ModeNaive).Len() != 0 {
+	if EvalInterp(relation.Codd(db), q, ModeNaive).Len() != 0 {
 		t.Fatalf("codd nulls must not self-join")
 	}
 }

@@ -91,60 +91,19 @@ func (env *evalEnv) inSplitOf(e Expr) *inSplit {
 	return s
 }
 
-// planner, when installed by internal/plan, replaces the tree-walking
-// interpreter as the default evaluation path: queries are compiled once
-// into physical plans (with selection pushdown and n-ary hash joins) and
-// re-executed per database. The hook breaks the import cycle that a direct
-// dependency would create; internal/plan registers itself from its init, so
-// any binary linking the planner gets the planned path everywhere.
-var planner func(db *relation.Database, e Expr, mode Mode, bag bool) *relation.Relation
-
-// RegisterPlanner installs the planned evaluation path. It must be called
-// from an init function (it is not synchronized); results must be
-// indistinguishable from the reference interpreter's.
-func RegisterPlanner(f func(db *relation.Database, e Expr, mode Mode, bag bool) *relation.Relation) {
-	planner = f
-}
-
-// Eval evaluates e on db under set semantics in the given mode, through the
-// compiled-plan path when a planner is registered.
-func Eval(db *relation.Database, e Expr, mode Mode) *relation.Relation {
-	if planner != nil {
-		return planner(db, e, mode, false)
-	}
-	return EvalInterp(db, e, mode)
-}
-
-// EvalBag evaluates e on db under bag semantics (Section 4.2) in the given
-// mode: union adds multiplicities, difference subtracts them to zero,
-// product multiplies, projection sums, selection preserves.
-func EvalBag(db *relation.Database, e Expr, mode Mode) *relation.Relation {
-	if planner != nil {
-		return planner(db, e, mode, true)
-	}
-	return EvalBagInterp(db, e, mode)
-}
-
-// EvalInterp evaluates e with the tree-walking reference interpreter,
-// bypassing any registered planner. The interpreter is the semantic ground
-// truth the planner is equivalence-tested against.
+// EvalInterp evaluates e on db under set semantics in the given mode with
+// the tree-walking reference interpreter. It is the semantic ground truth
+// the planner (internal/plan: plan.Eval, plan.Naive, plan.SQL) is
+// equivalence-tested against; every served path runs the planner.
 func EvalInterp(db *relation.Database, e Expr, mode Mode) *relation.Relation {
 	return eval(e, newEvalEnv(db, mode, false))
 }
 
-// EvalBagInterp is the bag-semantics reference interpreter.
+// EvalBagInterp is the bag-semantics (Section 4.2) reference interpreter:
+// union adds multiplicities, difference subtracts them to zero, product
+// multiplies, projection sums, selection preserves.
 func EvalBagInterp(db *relation.Database, e Expr, mode Mode) *relation.Relation {
 	return eval(e, newEvalEnv(db, mode, true))
-}
-
-// Naive is shorthand for Eval in ModeNaive — the Qnaïve(D) of Section 4.1.
-func Naive(db *relation.Database, e Expr) *relation.Relation {
-	return Eval(db, e, ModeNaive)
-}
-
-// SQL is shorthand for Eval in ModeSQL — what a SQL engine returns.
-func SQL(db *relation.Database, e Expr) *relation.Relation {
-	return Eval(db, e, ModeSQL)
 }
 
 func eval(e Expr, env *evalEnv) *relation.Relation {

@@ -65,9 +65,9 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 			for _, bag := range []bool{false, true} {
 				var got *relation.Relation
 				if bag {
-					got = EvalBag(db, sel, mode)
+					got = EvalBagInterp(db, sel, mode)
 				} else {
-					got = Eval(db, sel, mode)
+					got = EvalInterp(db, sel, mode)
 				}
 				want := referenceSelProduct(db, sel, prod, mode, bag)
 				if !got.Equal(want) {
@@ -94,7 +94,7 @@ func TestThreeValuedInHashPath(t *testing.T) {
 	db.Add(s)
 
 	q := Sel(Rel{Name: "R"}, InSub{Cols: []int{0}, Sub: Rel{Name: "S"}})
-	got := Eval(db, q, ModeSQL)
+	got := EvalInterp(db, q, ModeSQL)
 	// SQL keeps only t rows: "hit" matches the null-free part; "miss" is
 	// unknown (the subquery null); the null probe is unknown.
 	if got.Len() != 1 || !got.Contains(value.Consts("hit")) {
@@ -103,7 +103,7 @@ func TestThreeValuedInHashPath(t *testing.T) {
 
 	// NOT IN flips t and f: with a null in S nothing is certainly absent.
 	qn := Sel(Rel{Name: "R"}, Not{C: InSub{Cols: []int{0}, Sub: Rel{Name: "S"}}})
-	if got := Eval(db, qn, ModeSQL); got.Len() != 0 {
+	if got := EvalInterp(db, qn, ModeSQL); got.Len() != 0 {
 		t.Errorf("NOT IN under SQL = %s, want ∅", got)
 	}
 
@@ -116,12 +116,12 @@ func TestThreeValuedInHashPath(t *testing.T) {
 	s2 := relation.New("S", "x")
 	s2.Add(value.Consts("hit"))
 	db2.Add(s2)
-	if got := Eval(db2, qn, ModeSQL); got.Len() != 1 || !got.Contains(value.Consts("miss")) {
+	if got := EvalInterp(db2, qn, ModeSQL); got.Len() != 1 || !got.Contains(value.Consts("miss")) {
 		t.Errorf("NOT IN without nulls = %s, want {miss}", got)
 	}
 
 	// Naive mode: marked nulls are fresh constants, ⊥9 ∉ S.
-	if got := Eval(db, q, ModeNaive); got.Len() != 1 || !got.Contains(value.Consts("hit")) {
+	if got := EvalInterp(db, q, ModeNaive); got.Len() != 1 || !got.Contains(value.Consts("hit")) {
 		t.Errorf("IN under naive = %s, want {hit}", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"incdb/internal/algebra"
+	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/tpch"
 	"incdb/internal/value"
@@ -35,7 +36,7 @@ func TestDifferenceWithNullIsUncertain(t *testing.T) {
 	db.Add(s)
 
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	naive := algebra.Naive(db, q)
+	naive := plan.Naive(db, q)
 	if naive.Len() != 1 || !naive.Contains(value.Consts("1")) {
 		t.Fatalf("naive = %v, want {1}", naive)
 	}
@@ -112,7 +113,7 @@ func TestNaiveEqualsCertForPositiveQueries(t *testing.T) {
 	// π0,3(σ #1=#2 (R×R)) ∪ R — a UCQ.
 	join := algebra.Proj(algebra.Join(algebra.R("R"), algebra.R("R"), algebra.CEq(1, 2)), 0, 3)
 	q := algebra.Un(join, algebra.R("R"))
-	naive := algebra.Naive(db, q)
+	naive := plan.Naive(db, q)
 	cert := mustWithNulls(t, db, q)
 	if !naive.EqualSet(cert) {
 		t.Fatalf("naive = %v, cert⊥ = %v; they must coincide for UCQs under cwa", naive, cert)
@@ -134,7 +135,7 @@ func TestNaiveEqualsCertForDivision(t *testing.T) {
 	db.Add(p)
 
 	q := algebra.Div(algebra.R("W"), algebra.R("P"))
-	naive := algebra.Naive(db, q)
+	naive := plan.Naive(db, q)
 	cert := mustWithNulls(t, db, q)
 	if !naive.EqualSet(cert) {
 		t.Fatalf("naive = %v, cert⊥ = %v; division is Pos∀G so they must agree", naive, cert)
@@ -373,7 +374,7 @@ func TestDecidedQueriesAreNotSized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: WithNulls: %v", name, err)
 		}
-		naive := algebra.Naive(db, q)
+		naive := plan.Naive(db, q)
 		if !got.EqualSet(naive) {
 			t.Fatalf("%s: cert⊥ has %d tuples, naive answer %d", name, got.Len(), naive.Len())
 		}

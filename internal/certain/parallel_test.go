@@ -7,6 +7,7 @@ import (
 
 	"incdb/internal/algebra"
 	"incdb/internal/gen"
+	"incdb/internal/plan"
 	"incdb/internal/raparse"
 	"incdb/internal/relation"
 	"incdb/internal/tpch"
@@ -165,7 +166,7 @@ func testParallelMatchesSerial(t *testing.T, db *relation.Database, q algebra.Ex
 	}
 
 	// Tuple-level checks over every naive candidate plus a miss.
-	cands := algebra.Naive(db, q).Tuples()
+	cands := plan.Naive(db, q).Tuples()
 	if arity := algebra.Arity(q, db); arity > 0 {
 		miss := make(value.Tuple, arity)
 		for i := range miss {

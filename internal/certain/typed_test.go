@@ -24,7 +24,7 @@ var exactOracles = []string{"WithNulls", "Intersection", "Bool", "CertainTuple",
 // outside the database.
 func probes(db *relation.Database, q algebra.Expr) []value.Tuple {
 	var out []value.Tuple
-	for _, t := range algebra.Naive(db, q).Tuples() {
+	for _, t := range plan.Naive(db, q).Tuples() {
 		if len(out) == 3 {
 			break
 		}

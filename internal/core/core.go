@@ -18,6 +18,7 @@ import (
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/ctable"
+	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -81,8 +82,8 @@ type Report struct {
 func Analyze(db *relation.Database, q algebra.Expr, opts certain.Options) *Report {
 	r := &Report{
 		Query:        fmt.Sprint(q),
-		SQLAnswers:   algebra.SQL(db, q),
-		NaiveAnswers: algebra.Naive(db, q),
+		SQLAnswers:   plan.SQL(db, q),
+		NaiveAnswers: plan.Naive(db, q),
 	}
 	if plus, err := ApproxPlus(db, q); err == nil {
 		r.Plus = plus

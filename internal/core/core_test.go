@@ -11,6 +11,7 @@ import (
 	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/ctable"
+	"incdb/internal/plan"
 	"incdb/internal/prob"
 	"incdb/internal/relation"
 	"incdb/internal/value"
@@ -32,16 +33,16 @@ func exampleDB() *relation.Database {
 func TestEvaluationFrontends(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	if got := algebra.Naive(db, q); got.Len() != 1 {
+	if got := plan.Naive(db, q); got.Len() != 1 {
 		t.Fatalf("Naive = %v", got)
 	}
-	if got := algebra.SQL(db, q); got.Len() != 1 {
+	if got := plan.SQL(db, q); got.Len() != 1 {
 		t.Fatalf("SQL = %v (set difference is syntactic)", got)
 	}
-	if got := algebra.EvalBag(db, q, algebra.ModeNaive); got.Mult(value.Consts("1")) != 1 {
+	if got := plan.EvalBag(db, q, algebra.ModeNaive); got.Mult(value.Consts("1")) != 1 {
 		t.Fatalf("NaiveBag = %v", got)
 	}
-	if got := algebra.EvalBag(db, q, algebra.ModeSQL); got.Mult(value.Consts("1")) != 1 {
+	if got := plan.EvalBag(db, q, algebra.ModeSQL); got.Mult(value.Consts("1")) != 1 {
 		t.Fatalf("SQLBag = %v", got)
 	}
 }

@@ -1,13 +1,16 @@
 package ctable
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/gen"
 	"incdb/internal/logic"
+	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/translate"
 	"incdb/internal/value"
@@ -309,8 +312,8 @@ func TestEagerMatchesFig2b(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPlus := algebra.Naive(db, plus)
-		wantPoss := algebra.Naive(db, poss)
+		wantPlus := plan.Naive(db, plus)
+		wantPoss := plan.Naive(db, poss)
 		gotTrue, err := EvalTrue(db, q, Eager)
 		if err != nil {
 			t.Fatal(err)
@@ -383,7 +386,7 @@ func TestPossibleSidesOverApproximate(t *testing.T) {
 				t.Fatal(err)
 			}
 			space.Each(func(v value.Valuation) bool {
-				res := algebra.Eval(db.Apply(v), q, algebra.ModeNaive)
+				res := plan.Eval(db.Apply(v), q, algebra.ModeNaive)
 				img := relation.NewArity("img", ps.Arity())
 				ps.Each(func(tp value.Tuple, _ int) { img.Add(v.Apply(tp)) })
 				ok := true
@@ -424,5 +427,22 @@ func TestCTableString(t *testing.T) {
 	}
 	if got := ct.String(); got == "" {
 		t.Fatalf("empty rendering")
+	}
+}
+
+// TestProductBeyondBoundRefused: a product of more than maxProductRows
+// c-rows is refused with an error naming both sides, before any is built.
+func TestProductBeyondBoundRefused(t *testing.T) {
+	db := relation.NewDatabase()
+	for name, n := range map[string]int{"A": 1025, "B": 1024} {
+		r := relation.New(name, "x")
+		for i := 0; i < n; i++ {
+			r.Add(value.Consts(fmt.Sprintf("%s%d", name, i)))
+		}
+		db.Add(r)
+	}
+	_, err := Eval(db, algebra.Times(algebra.R("A"), algebra.R("B")), Eager)
+	if err == nil || !strings.Contains(err.Error(), "1025 × 1024") {
+		t.Fatalf("Eval of a 1025 × 1024 product: err %v, want it refused", err)
 	}
 }

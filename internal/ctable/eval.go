@@ -120,6 +120,11 @@ func (c *CTable) Extract(onlyTrue bool) *relation.Relation {
 	return out
 }
 
+// maxProductRows bounds the c-rows one product may build. Past it Eval
+// refuses the query rather than let the allocation take the process down;
+// the largest product the TPC-H queries build within it is Q4's 300 × 743.
+const maxProductRows = 1 << 20
+
 func eval(db *relation.Database, q algebra.Expr, s Strategy) *CTable {
 	switch q := q.(type) {
 	case algebra.Rel:
@@ -154,6 +159,9 @@ func eval(db *relation.Database, q algebra.Expr, s Strategy) *CTable {
 
 	case algebra.Product:
 		l, r := eval(db, q.L, s), eval(db, q.R, s)
+		if len(l.Rows) > 0 && len(r.Rows) > maxProductRows/len(l.Rows) {
+			panic(fmt.Sprintf("product of %d × %d c-rows exceeds %d", len(l.Rows), len(r.Rows), maxProductRows))
+		}
 		out := &CTable{Arity: l.Arity + r.Arity, Rows: make([]CTuple, 0, len(l.Rows)*len(r.Rows))}
 		for _, lr := range l.Rows {
 			for _, rr := range r.Rows {

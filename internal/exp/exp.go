@@ -16,6 +16,7 @@ import (
 
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
+	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/translate"
 	"incdb/internal/value"
@@ -152,7 +153,7 @@ func E1Figure1() string {
 		}
 		var rows [][]string
 		for _, q := range figure1Queries() {
-			sqlRes := algebra.SQL(db, q.Q)
+			sqlRes := plan.SQL(db, q.Q)
 			cert, err := certain.WithNulls(db, q.Q, certain.Options{})
 			certStr := "error: " + fmt.Sprint(err)
 			verdict := "-"
@@ -223,9 +224,9 @@ func E2Fig2aBlowup() string {
 
 		adom := len(db.ActiveDomain())
 		var qtRes, qfRes, plusRes *relation.Relation
-		qtTime := timeIt(3, func() { qtRes = algebra.Naive(db, qt) })
-		qfTime := timeIt(3, func() { qfRes = algebra.Naive(db, qf) })
-		plusTime := timeIt(3, func() { plusRes = algebra.Naive(db, plus) })
+		qtTime := timeIt(3, func() { qtRes = plan.Naive(db, qt) })
+		qfTime := timeIt(3, func() { qfRes = plan.Naive(db, qf) })
+		plusTime := timeIt(3, func() { plusRes = plan.Naive(db, plus) })
 
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", n+n/4+1),

@@ -9,6 +9,7 @@ import (
 	"incdb/internal/fo"
 	"incdb/internal/gen"
 	"incdb/internal/logic"
+	"incdb/internal/plan"
 	"incdb/internal/prob"
 	"incdb/internal/relation"
 	"incdb/internal/value"
@@ -59,7 +60,7 @@ func E8UnifSemantics() string {
 	// SELECT a FROM R WHERE a NOT IN (SELECT a FROM S WHERE a NOT IN T).
 	inner := algebra.Sel(algebra.R("S"), algebra.CNot(algebra.CIn(algebra.R("T"), 0)))
 	qSQL := algebra.Sel(algebra.R("R"), algebra.CNot(algebra.CIn(inner, 0)))
-	sqlRes := algebra.SQL(db2, qSQL)
+	sqlRes := plan.SQL(db2, qSQL)
 	mu, err := prob.Mu(db2, q, nil, value.Consts("1"), certain.Options{})
 	if err != nil {
 		return err.Error()
@@ -173,41 +174,50 @@ func E10FOTranslation() string {
 		"(at a size cost driven by Bell numbers of the arity).\n"
 }
 
+// naiveTally counts one fragment's E11 trials: those whose naive answer is
+// cert⊥, those the oracle answered, and those it refused.
+type naiveTally struct{ exact, answered, refused int }
+
+// e11Tallies runs E11's 120 random queries per fragment — UCQ (owa/cwa),
+// Pos∀G (cwa) and full RA, in that order — against the oracle.
+func e11Tallies() [3]naiveTally {
+	r := rand.New(rand.NewSource(411))
+	cfg := gen.DefaultConfig()
+	cfg.MaxTuples = 3
+	var out [3]naiveTally
+	for i, frag := range []gen.Fragment{gen.FragmentUCQ, gen.FragmentPosForallG, gen.FragmentFull} {
+		qcfg := gen.DefaultQueryConfig()
+		qcfg.Fragment = frag
+		qcfg.MaxDepth = 2
+		for trial := 0; trial < 120; trial++ {
+			db := gen.DB(r, cfg)
+			q := gen.Query(r, qcfg, 1)
+			naive := plan.Naive(db, q)
+			cert, err := certain.WithNulls(db, q, certain.Options{})
+			if err != nil {
+				out[i].refused++
+				continue
+			}
+			out[i].answered++
+			if naive.EqualSet(cert) {
+				out[i].exact++
+			}
+		}
+	}
+	return out
+}
+
 // E11NaiveEvaluation measures where naive evaluation is exact: random UCQs
 // (owa/cwa) and Pos∀G queries (cwa) against the oracle, plus the full-RA
 // counterexample.
 func E11NaiveEvaluation() string {
-	r := rand.New(rand.NewSource(411))
-	cfg := gen.DefaultConfig()
-	cfg.MaxTuples = 3
-	run := func(frag gen.Fragment, trials int) (exact, total int) {
-		qcfg := gen.DefaultQueryConfig()
-		qcfg.Fragment = frag
-		qcfg.MaxDepth = 2
-		for i := 0; i < trials; i++ {
-			db := gen.DB(r, cfg)
-			q := gen.Query(r, qcfg, 1)
-			naive := algebra.Naive(db, q)
-			cert, err := certain.WithNulls(db, q, certain.Options{})
-			if err != nil {
-				continue
-			}
-			total++
-			if naive.EqualSet(cert) {
-				exact++
-			}
-		}
-		return exact, total
-	}
-	ucqE, ucqT := run(gen.FragmentUCQ, 120)
-	posE, posT := run(gen.FragmentPosForallG, 120)
-	fullE, fullT := run(gen.FragmentFull, 120)
+	t := e11Tallies()
 	rows := [][]string{
-		{"UCQ (σπ×∪, = only)", fmt.Sprintf("%d/%d", ucqE, ucqT), "exact (Thm 4.4)"},
-		{"Pos∀G (adds ÷ by schema relation)", fmt.Sprintf("%d/%d", posE, posT), "exact under cwa (Thm 4.4)"},
-		{"full RA (adds −, ≠)", fmt.Sprintf("%d/%d", fullE, fullT), "NOT exact in general"},
+		{"UCQ (σπ×∪, = only)", fmt.Sprintf("%d/%d", t[0].exact, t[0].answered), fmt.Sprint(t[0].refused), "exact (Thm 4.4)"},
+		{"Pos∀G (adds ÷ by schema relation)", fmt.Sprintf("%d/%d", t[1].exact, t[1].answered), fmt.Sprint(t[1].refused), "exact under cwa (Thm 4.4)"},
+		{"full RA (adds −, ≠)", fmt.Sprintf("%d/%d", t[2].exact, t[2].answered), fmt.Sprint(t[2].refused), "NOT exact in general"},
 	}
-	out := table([]string{"fragment", "naive = cert⊥", "paper"}, rows)
+	out := table([]string{"fragment", "naive = cert⊥", "refused", "paper"}, rows)
 
 	// The canonical counterexample.
 	db := relation.NewDatabase()
@@ -218,7 +228,7 @@ func E11NaiveEvaluation() string {
 	ss.Add(value.T(db.FreshNull()))
 	db.Add(ss)
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
-	naive := algebra.Naive(db, q)
+	naive := plan.Naive(db, q)
 	cert, _ := certain.WithNulls(db, q, certain.Options{})
 	return out + fmt.Sprintf("\nCounterexample {1} − {⊥}: naive = %s but cert⊥ = %s.\n",
 		renderSet(naive), renderSet(cert)) +
@@ -233,11 +243,14 @@ func E12PrecisionRecall() string {
 	for _, rate := range []float64{0.0, 0.05, 0.1, 0.2, 0.3} {
 		db := tpchSmallDirty(rate)
 		var stats = map[string][3]int{} // name -> correct, returned, certTotal
+		answered, refused := 0, 0
 		for _, nq := range tpchQueriesForOracle() {
 			cert, err := certain.WithNulls(db, nq.Q, certain.Options{MaxWorlds: 1 << 22})
 			if err != nil {
+				refused++
 				continue
 			}
+			answered++
 			add := func(name string, res *relation.Relation) {
 				s := stats[name]
 				res.Each(func(t value.Tuple, _ int) {
@@ -249,10 +262,10 @@ func E12PrecisionRecall() string {
 				s[2] += cert.Len()
 				stats[name] = s
 			}
-			add("sql", algebra.SQL(db, nq.Q))
-			add("naive", algebra.Naive(db, nq.Q))
+			add("sql", plan.SQL(db, nq.Q))
+			add("naive", plan.Naive(db, nq.Q))
 			if plus, _, err := translateFig2b(nq.Q); err == nil {
-				add("q+", algebra.Naive(db, plus))
+				add("q+", plan.Naive(db, plus))
 			}
 		}
 		for _, name := range []string{"sql", "naive", "q+"} {
@@ -265,12 +278,12 @@ func E12PrecisionRecall() string {
 				rec = float64(s[0]) / float64(s[2])
 			}
 			rows = append(rows, []string{
-				fmt.Sprintf("%.0f%%", rate*100), name,
+				fmt.Sprintf("%.0f%%", rate*100), fmt.Sprintf("%d", answered), fmt.Sprintf("%d", refused), name,
 				fmt.Sprintf("%.3f", prec), fmt.Sprintf("%.3f", rec),
 			})
 		}
 	}
-	out := table([]string{"null rate", "method", "precision", "recall"}, rows)
+	out := table([]string{"null rate", "answered", "refused", "method", "precision", "recall"}, rows)
 	return out + "\nPaper [27]: Q+ keeps 100% precision by construction while its recall\n" +
 		"degrades as incompleteness grows; SQL's precision drops below 1 (false\n" +
 		"positives). Naive evaluation over-answers similarly.\n"

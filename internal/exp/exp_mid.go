@@ -10,6 +10,7 @@ import (
 	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/ctable"
+	"incdb/internal/plan"
 	"incdb/internal/prob"
 	"incdb/internal/relation"
 	"incdb/internal/tpch"
@@ -44,9 +45,9 @@ func E3TPCHOverhead() string {
 		}
 		const reps = 5
 		var orig, rewr *relation.Relation
-		origT := timeIt(reps, func() { orig = algebra.SQL(db, nq.Q) })
-		plusT := timeIt(reps, func() { rewr = algebra.Naive(db, plus) })
-		possRes := algebra.Naive(db, poss)
+		origT := timeIt(reps, func() { orig = plan.SQL(db, nq.Q) })
+		plusT := timeIt(reps, func() { rewr = plan.Naive(db, plus) })
+		possRes := plan.Naive(db, poss)
 		overhead := float64(plusT-origT) / float64(origT) * 100
 		rows = append(rows, []string{
 			nq.Name,
@@ -78,8 +79,8 @@ func E4BagBounds() string {
 	db.Add(s)
 	q := algebra.Minus(algebra.R("R"), algebra.R("S"))
 	plus, poss, _ := translate.Fig2b(q)
-	plusBag := algebra.EvalBag(db, plus, algebra.ModeNaive)
-	possBag := algebra.EvalBag(db, poss, algebra.ModeNaive)
+	plusBag := plan.EvalBag(db, plus, algebra.ModeNaive)
+	possBag := plan.EvalBag(db, poss, algebra.ModeNaive)
 	var rows [][]string
 	for _, tup := range []value.Tuple{value.Consts("a"), value.Consts("b")} {
 		box, err := certain.BoxMult(db, q, tup, certain.Options{})
@@ -142,8 +143,8 @@ func E5CTableStrategies() string {
 		if err != nil {
 			return err.Error()
 		}
-		wantPlus := algebra.Naive(tdb, plus)
-		wantPoss := algebra.Naive(tdb, poss)
+		wantPlus := plan.Naive(tdb, plus)
+		wantPoss := plan.Naive(tdb, poss)
 		var times []string
 		identity := "ok"
 		for _, s := range []ctable.Strategy{ctable.Eager, ctable.SemiEager, ctable.Lazy, ctable.Aware} {
@@ -203,7 +204,7 @@ func E6MuConvergence() string {
 			return err.Error()
 		}
 		row = append(row, mu.RatString())
-		naive := algebra.Naive(db, c.q).Contains(c.tuple)
+		naive := plan.Naive(db, c.q).Contains(c.tuple)
 		row = append(row, fmt.Sprintf("%v", naive))
 		rows = append(rows, row)
 	}

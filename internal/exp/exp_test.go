@@ -62,3 +62,18 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("table rendering broken: %q", out)
 	}
 }
+
+// TestE11NaiveExactOnItsFragments: on every trial the oracle answers, naive
+// evaluation is cert⊥ for the UCQ and Pos∀G queries (Theorem 4.4), and for
+// some full-RA query it is not.
+func TestE11NaiveExactOnItsFragments(t *testing.T) {
+	tallies := e11Tallies()
+	for i, name := range []string{"UCQ", "Pos∀G"} {
+		if tl := tallies[i]; tl.answered == 0 || tl.exact != tl.answered {
+			t.Errorf("%s: naive = cert⊥ on %d of %d answered trials (%d refused), want all", name, tl.exact, tl.answered, tl.refused)
+		}
+	}
+	if tl := tallies[2]; tl.exact >= tl.answered {
+		t.Errorf("full RA: naive = cert⊥ on %d of %d answered trials, want fewer", tl.exact, tl.answered)
+	}
+}

@@ -1,6 +1,7 @@
 // Package obs is incdb's zero-dependency observability kernel: a metrics
-// registry of atomic counters, gauges and fixed-bucket histograms that
-// renders itself in the Prometheus text exposition format (version 0.0.4).
+// registry of atomic counters, fixed-bucket histograms and gauges computed
+// at scrape time that renders itself in the Prometheus text exposition
+// format (version 0.0.4).
 //
 // Everything is plain standard library — sync/atomic words behind tiny
 // wrappers — so the instrumented hot paths (query handlers, WAL fsyncs,
@@ -50,18 +51,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a float value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) { addFloat(&g.bits, d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram: observation counts per upper
 // bound (cumulative at render time, per-bucket in memory) plus sum and
@@ -151,7 +140,7 @@ type family struct {
 	gauge   func() float64 // GaugeFunc
 
 	mu       sync.Mutex
-	children map[string]any // joined label values → *Counter | *Gauge | *Histogram
+	children map[string]any // joined label values → *Counter | *Histogram
 	order    []string       // insertion-keyed; sorted at render
 }
 
@@ -214,12 +203,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the child counter for the given label values.
 func (cv *CounterVec) With(vals ...string) *Counter {
 	return cv.f.child(func() any { return &Counter{} }, vals...).(*Counter)
-}
-
-// Gauge returns the registered (or a new) unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil)
-	return f.child(func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
@@ -327,8 +310,6 @@ func (f *family) write(w io.Writer) {
 		switch c := children[i].(type) {
 		case *Counter:
 			fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, vals, "", ""), c.Value())
-		case *Gauge:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, vals, "", ""), fmtValue(c.Value()))
 		case *Histogram:
 			exVal, exID, exOK := c.exemplar()
 			cum := uint64(0)

@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// TestConcurrentUpdates hammers one counter, gauge and histogram from many
+// TestConcurrentUpdates hammers one counter and histogram from many
 // goroutines; run under -race this is the registry's thread-safety test.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
 	h := r.Histogram("h_seconds", "", LatencyBuckets)
 	cv := r.CounterVec("cv_total", "", "k")
 	const workers, per = 8, 1000
@@ -22,7 +21,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(0.001)
 				cv.With("a").Inc()
 				if w == 0 {
@@ -36,9 +34,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
-	}
-	if got := g.Value(); got != workers*per {
-		t.Fatalf("gauge = %v, want %d", got, workers*per)
 	}
 	if got := h.Count(); got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
@@ -59,8 +54,7 @@ func TestExpositionFormat(t *testing.T) {
 	cv := r.CounterVec("aa_requests_total", "first by name", "code", "proc")
 	cv.With("ok", "cert").Add(2)
 	cv.With(`we"ird`, "a\\b").Inc()
-	g := r.Gauge("bb_inflight", "a gauge")
-	g.Set(1.5)
+	r.GaugeFunc("bb_inflight", "a gauge", func() float64 { return 1.5 })
 	h := r.Histogram("cc_seconds", "a histogram", []float64{0.5, 1})
 	h.Observe(0.1)
 	h.Observe(0.6)

@@ -13,7 +13,7 @@ func TestParsePromRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("t_total", "help").Add(7)
 	reg.CounterVec("t_labeled_total", "help", "proc", "session").With("cert", `we"ird\name`).Add(3)
-	reg.Gauge("t_gauge", "help").Set(-2.5)
+	reg.GaugeFunc("t_gauge", "help", func() float64 { return -2.5 })
 	h := reg.Histogram("t_seconds", "help", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,18 +12,20 @@ import (
 // PrepCache caches Prepared plans across calls so that the frozen parts a
 // Prepared accumulates — the root's frozen answer, join tables, consolidated
 // barrier and subquery inputs — survive beyond a single oracle invocation,
-// along with the row partition and the relevant null ids. Entries are keyed
-// by (query rendering, mode, semantics, read-relation arities) and guarded
-// by the pins Prepare recorded. A lookup brings the entry up to the caller's
-// database (Prepared.catchUp): it serves as it stands when no relation its
-// plan reads has changed, it is advanced — the appended rows folded into its
-// frozen artifacts — when those relations have only gained rows, and it is
-// dropped and prepared afresh otherwise (a removal, a replaced relation,
-// more appends than a relation's bounded append log remembers, an append
-// that would reclassify a node). A relation that has moved to another log₂
-// size class since the plan was costed has the plan re-costed first: the
-// entry carries on when the cost model still picks the same physical plan,
-// and is prepared afresh with the new one when it does not.
+// along with the row partition and the relevant null ids. An entry is the
+// prepared state of the plan under one key of the process-wide plan cache
+// (cacheKey: query rendering, mode, semantics, read-relation arities and
+// log₂ size classes), guarded by the pins Prepare recorded. A lookup brings
+// the entry up to the caller's database (Prepared.catchUp): it serves as it
+// stands when no relation its plan reads has changed, it is advanced — the
+// appended rows folded into its frozen artifacts — when those relations have
+// only gained rows, and it is dropped and prepared afresh otherwise (a
+// removal, a replaced relation, more appends than a relation's bounded
+// append log remembers, an append that would reclassify a node). A relation
+// that has moved to another size class changes the key: the lookup misses,
+// and the plan the cost model picks for the new sizes is prepared afresh and
+// replaces the entry for the old classes. Appends only grow relations, so an
+// entry is replaced at most once per class a relation crosses.
 //
 // All methods are safe for concurrent use, and the Prepared values handed
 // out are safe for concurrent execution — a server can share one PrepCache
@@ -41,13 +41,20 @@ type PrepCache struct {
 	capacity int
 
 	mu      sync.Mutex
-	entries map[string]*Prepared
+	entries map[string]prepEntry // by cacheKey without the size classes
 	order   lru.Order
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	advances      atomic.Uint64
 	invalidations atomic.Uint64
+}
+
+// prepEntry is a cached Prepared and the whole cacheKey, size classes
+// included, it was prepared under.
+type prepEntry struct {
+	key  string
+	prep *Prepared
 }
 
 // DefaultPrepCacheCap bounds a cache constructed with capacity <= 0.
@@ -60,15 +67,15 @@ func NewPrepCache(capacity int) *PrepCache {
 	if capacity <= 0 {
 		capacity = DefaultPrepCacheCap
 	}
-	return &PrepCache{capacity: capacity, entries: map[string]*Prepared{}}
+	return &PrepCache{capacity: capacity, entries: map[string]prepEntry{}}
 }
 
 // CacheStats is a snapshot of the cache counters. A hit is a lookup served
 // by a cached entry, as it stood or advanced; an advance is a hit whose entry
 // first had appended rows folded in; an invalidation is a lookup that found
 // an entry it could not advance either (the entry is dropped and prepared
-// afresh); a miss is a lookup that found no entry for its plan — none at
-// all, or one whose re-costed plan has another shape.
+// afresh); a miss is a lookup that found no entry under its key — none at
+// all, or one prepared for other size classes, which it replaces.
 type CacheStats struct {
 	Entries       int    `json:"entries"`
 	Hits          uint64 `json:"hits"`
@@ -102,98 +109,44 @@ func (c *PrepCache) Get(base *relation.Database, q algebra.Expr, mode algebra.Mo
 	if c == nil {
 		return PlanFor(q, base, mode, bag).Prepare(base)
 	}
-	key := cacheKey(q, base, mode, bag, false)
+	key, n := cacheKey(q, base, mode, bag)
 	c.mu.Lock()
-	prep := c.entries[key]
-	if prep != nil {
-		c.order.Touch(key)
+	e, ok := c.entries[key[:n]]
+	if ok {
+		c.order.Touch(key[:n])
 	}
 	c.mu.Unlock()
-	if prep == nil || !prep.recost(base, q, mode, bag) {
+	if !ok {
 		c.misses.Add(1)
 	} else {
 		// Catching up happens under the entry's own lock, not the cache's: an
 		// advance of one entry does not hold up lookups of the others.
-		switch prep.catchUp(base) {
-		case prepAdvanced:
-			c.advances.Add(1)
-			fallthrough
-		case prepCurrent:
+		switch res := e.prep.catchUp(base); {
+		case res == prepStale:
+			c.invalidations.Add(1)
+		case e.key != key:
+			c.misses.Add(1) // up to date, but prepared for other size classes
+		default:
+			if res == prepAdvanced {
+				c.advances.Add(1)
+			}
 			c.hits.Add(1)
-			return prep
+			return e.prep
 		}
-		c.invalidations.Add(1)
 	}
 	// Prepare outside the lock: it walks every relation with nulls the plan
 	// scans. Concurrent misses on the same key prepare identical state and
-	// the last store wins harmlessly.
-	prep = PlanFor(q, base, mode, bag).Prepare(base)
-	prep.epochs = epochs(base, prep.p)
+	// the last store wins harmlessly. The key is PlanFor's, so the plan
+	// cache is consulted without rendering it again.
+	prep := planCache.get(key, func() *Plan { return compile(q, base, mode, bag) }).Prepare(base)
 	c.mu.Lock()
-	c.entries[key] = prep
-	c.order.Touch(key)
+	c.entries[key[:n]] = prepEntry{key, prep}
+	c.order.Touch(key[:n])
 	for len(c.entries) > c.capacity {
 		c.remove(c.order.Oldest())
 	}
 	c.mu.Unlock()
 	return prep
-}
-
-// recost reports whether the plan still fits db: when a relation it reads
-// has moved to another size class since it was costed, the cost model is
-// asked again, and the plan carries on — with its prepared state and its
-// estimates — when the new one has the same shape. The epochs then record
-// the classes it was last checked at.
-func (prep *Prepared) recost(db *relation.Database, q algebra.Expr, mode algebra.Mode, bag bool) bool {
-	prep.mu.Lock()
-	defer prep.mu.Unlock()
-	for i, name := range prep.p.root.base().reads.names {
-		if epochOf(db, name) != prep.epochs[i] {
-			if PlanFor(q, db, mode, bag).shape() != prep.p.shape() {
-				return false
-			}
-			prep.epochs = epochs(db, prep.p)
-			break
-		}
-	}
-	return true
-}
-
-// epochs returns the statistics epoch of every relation p reads, in the
-// order of its read set.
-func epochs(db *relation.Database, p *Plan) []uint64 {
-	names := p.root.base().reads.names
-	out := make([]uint64, len(names))
-	for i, name := range names {
-		out[i] = epochOf(db, name)
-	}
-	return out
-}
-
-// epochOf returns the statistics epoch of a relation of db (its log₂ size
-// class), 0 for an absent one.
-func epochOf(db *relation.Database, name string) uint64 {
-	if rel := db.Relation(name); rel != nil {
-		return rel.StatsEpoch()
-	}
-	return 0
-}
-
-// shape renders what of a plan the cost model can change: every node's
-// operator and inputs, without the estimates.
-func (p *Plan) shape() string {
-	var b strings.Builder
-	for _, q := range append([]*Plan{p}, p.subs...) {
-		fmt.Fprintf(&b, "root #%d\n", q.root.base().id)
-		for _, n := range q.nodes {
-			b.WriteString(n.describe())
-			for _, c := range children(n) {
-				fmt.Fprintf(&b, " #%d", c.base().id)
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
 }
 
 // remove drops key from the map and the LRU order; caller holds c.mu.

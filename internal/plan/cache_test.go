@@ -315,11 +315,12 @@ func decisionDB() *relation.Database {
 }
 
 // TestCatchUpDecisions pins what catching a Prepared up decides after each
-// kind of mutation, and that a PrepCache lookup counts the same outcome —
-// also when a relation moves to another size class:
+// kind of mutation, and that a PrepCache lookup counts the same outcome:
 // current (a hit), advanced (a hit and an advance) or stale (an
-// invalidation: dropped and prepared afresh). A refactor that advances less
-// often still answers right, so only a test of the decisions catches it.
+// invalidation: dropped and prepared afresh). A relation that moves to
+// another size class changes the lookup's key, so the lookup is a miss
+// whatever catchUp would decide. A refactor that advances less often still
+// answers right, so only a test of the decisions catches it.
 func TestCatchUpDecisions(t *testing.T) {
 	const join = "sel(eq(1, 2), times(R, S))"
 	appendRows := func(name string, n int) func(db *relation.Database) *relation.Database {
@@ -342,8 +343,8 @@ func TestCatchUpDecisions(t *testing.T) {
 		{"an unread relation grows", join, appendRows("U", 1), prepCurrent},
 		{"a null-free append to the probe side", join, appendRows("R", 1), prepAdvanced},
 		{"a null-free append to the build side", join, appendRows("S", 2), prepAdvanced},
-		// S grows from 5 rows to 8, into the next log₂ size class; the cost
-		// model still builds S and probes R.
+		// S grows from 5 rows to 8, into the next log₂ size class: catchUp
+		// could advance, but the cache key folds the class in.
 		{"growth across a size class", join, appendRows("S", 3), prepAdvanced},
 		{"a first template for a null-free scan", join, func(db *relation.Database) *relation.Database {
 			db.MustRelation("R").Add(value.T(value.Const("r-null"), db.FreshNull()))
@@ -389,6 +390,7 @@ func TestCatchUpDecisions(t *testing.T) {
 		c := NewPrepCache(0)
 		c.Get(db, q, algebra.ModeNaive, false).Exec(db)
 		before := c.Stats()
+		key, _ := cacheKey(q, db, algebra.ModeNaive, false)
 		db = tc.mutate(db)
 		got := c.Get(db, q, algebra.ModeNaive, false).Exec(db)
 		if want := algebra.EvalInterp(db, q, algebra.ModeNaive); !want.Equal(got) {
@@ -401,6 +403,9 @@ func TestCatchUpDecisions(t *testing.T) {
 			prepAdvanced: {Hits: 1, Advances: 1},
 			prepStale:    {Invalidations: 1},
 		}[tc.want]
+		if now, _ := cacheKey(q, db, algebra.ModeNaive, false); now != key {
+			want = CacheStats{Misses: 1}
+		}
 		if d != want {
 			t.Errorf("%s: counters moved by %+v, want %+v", tc.name, d, want)
 		}
@@ -408,10 +413,11 @@ func TestCatchUpDecisions(t *testing.T) {
 }
 
 // TestPrepCacheAcrossSizeClasses: when an append moves a relation into
-// another log₂ size class, a cached entry is advanced and carries on when
-// the re-costed plan has the same shape, and is prepared afresh
-// when the join order flips (the TestPlanCacheStatsEpochFlip shape; relation
-// names are unique to this test because the plan cache is process-wide).
+// another log₂ size class, the lookup misses and the plan the cost model
+// picks for the new sizes is prepared afresh, whether the join order stays
+// or flips, and replaces the entry for the old classes (the
+// TestPlanCacheStatsEpochFlip shape; relation names are unique to this test
+// because the plan cache is process-wide).
 func TestPrepCacheAcrossSizeClasses(t *testing.T) {
 	db := relation.NewDatabase()
 	a := relation.New("ClassA", "k", "v")
@@ -442,7 +448,7 @@ func TestPrepCacheAcrossSizeClasses(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.Add(value.Consts(fmt.Sprintf("c%d", i), fmt.Sprintf("a%d", 2+i)))
 	}
-	prep := lookup("same order", CacheStats{Hits: 1, Advances: 1})
+	prep := lookup("same order", CacheStats{Misses: 1})
 	if got := scanOrder(prep.p.root); got[0] != "ClassB" {
 		t.Fatalf("scan order %v, want ClassB probed", got)
 	}
@@ -455,4 +461,8 @@ func TestPrepCacheAcrossSizeClasses(t *testing.T) {
 		t.Fatalf("scan order %v after the flip, want ClassA probed", got)
 	}
 	lookup("after the flip", CacheStats{Hits: 1})
+	// Each miss replaced the entry for the old classes.
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("%d entries after two class crossings, want 1", n)
+	}
 }

@@ -101,10 +101,6 @@ type Prepared struct {
 	// catalogue.
 	guards relation.Pins
 	domAll bool
-	// epochs are the statistics epochs (log₂ size classes, in the order of
-	// the plan's read set) the plan of a PrepCache entry was costed at: the
-	// cache re-costs the plan when a relation moves to another class.
-	epochs []uint64
 
 	// mu serializes catching the prepared state up with the base (catchUp):
 	// concurrent lookups of one cache entry after an append advance it once.

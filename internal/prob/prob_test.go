@@ -11,6 +11,7 @@ import (
 	"incdb/internal/certain"
 	"incdb/internal/constraint"
 	"incdb/internal/gen"
+	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -63,7 +64,7 @@ func TestTheorem410ZeroOneLaw(t *testing.T) {
 			continue
 		}
 		q := gen.Query(r, qcfg, 1)
-		naive := algebra.Naive(db, q)
+		naive := plan.Naive(db, q)
 		// Check over candidate tuples from the active domain.
 		for _, v := range db.ActiveDomain() {
 			tuple := value.T(v)

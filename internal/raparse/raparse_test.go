@@ -78,11 +78,11 @@ row Payments c2 _1
 		t.Fatal(err)
 	}
 	// SQL semantics: the NOT IN with a null returns nothing.
-	if got := algebra.SQL(db, q); got.Len() != 0 {
+	if got := algebra.EvalInterp(db, q, algebra.ModeSQL); got.Len() != 0 {
 		t.Fatalf("SQL = %v, want ∅", got)
 	}
 	// Naive semantics: o2 and o3 remain.
-	if got := algebra.Naive(db, q); got.Len() != 2 {
+	if got := algebra.EvalInterp(db, q, algebra.ModeNaive); got.Len() != 2 {
 		t.Fatalf("naive = %v", got)
 	}
 }

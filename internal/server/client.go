@@ -103,9 +103,6 @@ func (c *Client) Base() string {
 	return c.endpoints[c.cur]
 }
 
-// Endpoints returns the full endpoint list.
-func (c *Client) Endpoints() []string { return append([]string(nil), c.endpoints...) }
-
 // Epoch returns the highest replication epoch the client has observed.
 func (c *Client) Epoch() uint64 {
 	c.mu.Lock()

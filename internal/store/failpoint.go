@@ -81,14 +81,6 @@ func SetFailpoint(op string, rule FailRule) {
 	failpoints.armed = true
 }
 
-// ClearFailpoint disarms one site.
-func ClearFailpoint(op string) {
-	failpoints.mu.Lock()
-	defer failpoints.mu.Unlock()
-	delete(failpoints.rules, op)
-	failpoints.armed = len(failpoints.rules) > 0
-}
-
 // ClearFailpoints disarms every site; tests defer this.
 func ClearFailpoints() {
 	failpoints.mu.Lock()

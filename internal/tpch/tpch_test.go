@@ -5,6 +5,7 @@ import (
 
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
+	"incdb/internal/plan"
 	"incdb/internal/translate"
 )
 
@@ -70,15 +71,15 @@ func TestQueriesValidateAndTranslate(t *testing.T) {
 			t.Errorf("%s: Fig2b: %v", nq.Name, err)
 		}
 		// Every query must run in both modes.
-		algebra.SQL(db, nq.Q)
-		algebra.Naive(db, nq.Q)
+		plan.SQL(db, nq.Q)
+		plan.Naive(db, nq.Q)
 	}
 }
 
 func TestQ1FindsCustomersWithoutOrders(t *testing.T) {
 	db := Generate(SmallConfig())
 	q := Queries()[0].Q
-	res := algebra.Naive(db, q)
+	res := plan.Naive(db, q)
 	if res.Len() == 0 {
 		t.Fatalf("the generator must leave some customers without orders")
 	}
@@ -101,7 +102,7 @@ func TestDirtySQLvsCertainDiverge(t *testing.T) {
 	}
 	diverged := false
 	for _, nq := range Queries() {
-		sqlRes := algebra.SQL(db, nq.Q)
+		sqlRes := plan.SQL(db, nq.Q)
 		cert, err := certain.WithNulls(db, nq.Q, certain.Options{MaxWorlds: 1 << 21})
 		if err != nil {
 			t.Fatalf("%s: %v", nq.Name, err)

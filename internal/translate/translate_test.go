@@ -7,6 +7,7 @@ import (
 	"incdb/internal/algebra"
 	"incdb/internal/certain"
 	"incdb/internal/gen"
+	"incdb/internal/plan"
 	"incdb/internal/relation"
 	"incdb/internal/value"
 )
@@ -34,11 +35,11 @@ func TestFig2bDifferenceExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Q⁺ = R ⋉⇑ S: 1 unifies with ⊥, so nothing is certain.
-	if got := algebra.Naive(db, plus); got.Len() != 0 {
+	if got := plan.Naive(db, plus); got.Len() != 0 {
 		t.Fatalf("Q+ = %v, want ∅", got)
 	}
 	// Q? = R − S: 1 remains possible.
-	if got := algebra.Naive(db, poss); !got.Contains(value.Consts("1")) {
+	if got := plan.Naive(db, poss); !got.Contains(value.Consts("1")) {
 		t.Fatalf("Q? = %v, want {1}", got)
 	}
 }
@@ -50,7 +51,7 @@ func TestFig2aDifferenceExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := algebra.Naive(db, qt); got.Len() != 0 {
+	if got := plan.Naive(db, qt); got.Len() != 0 {
 		t.Fatalf("Qt = %v, want ∅", got)
 	}
 	// Qf: tuples certainly NOT in R−S. The constant 1 is not among them
@@ -58,7 +59,7 @@ func TestFig2aDifferenceExample(t *testing.T) {
 	// ⊥ ∈ R−S iff v(⊥) ∈ R − S(v) — v(⊥)=1 gives 1 ∈ {1}−{1} = ∅; so ⊥ is
 	// certainly out only if for NO v, v(⊥) ∈ (R−S)(v). v(⊥)=1: (R−S)={},
 	// other v: (R−S)={1}, v(⊥)≠1. So ⊥ certainly fails; 1 does not.
-	qfRes := algebra.Naive(db, qf)
+	qfRes := plan.Naive(db, qf)
 	if qfRes.Contains(value.Consts("1")) {
 		t.Fatalf("Qf must not contain 1: %v", qfRes)
 	}
@@ -90,7 +91,7 @@ func TestFig2bTautologySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := algebra.Naive(db, plus)
+	got := plan.Naive(db, plus)
 	if !got.Contains(value.Consts("o1")) {
 		t.Fatalf("Q+ misses o1: %v", got)
 	}
@@ -98,7 +99,7 @@ func TestFig2bTautologySelection(t *testing.T) {
 		t.Fatalf("Q+ = %v must be a subset of cert⊥ = %v", got, cert)
 	}
 	// Q? keeps both.
-	if qposs := algebra.Naive(db, poss); qposs.Len() != 2 {
+	if qposs := plan.Naive(db, poss); qposs.Len() != 2 {
 		t.Fatalf("Q? = %v, want 2 tuples", qposs)
 	}
 }
@@ -111,11 +112,11 @@ func TestIntersectionNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing is certainly in R ∩ S (⊥ may differ from 1)…
-	if got := algebra.Naive(db, plus); got.Len() != 0 {
+	if got := plan.Naive(db, plus); got.Len() != 0 {
 		t.Fatalf("(R∩S)+ = %v, want ∅", got)
 	}
 	// …but 1 is possibly in it. (Q? of the normalized difference keeps 1.)
-	if got := algebra.Naive(db, poss); !got.Contains(value.Consts("1")) {
+	if got := plan.Naive(db, poss); !got.Contains(value.Consts("1")) {
 		t.Fatalf("(R∩S)? = %v, want {1}", got)
 	}
 	if _, _, err := Fig2a(q, db); err != nil {
@@ -149,7 +150,7 @@ func TestExplicitNotIsNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ¬(a=1) normalizes to a≠1, whose θ* guard excludes the null.
-	if got := algebra.Naive(db, plus); got.Len() != 0 {
+	if got := plan.Naive(db, plus); got.Len() != 0 {
 		t.Fatalf("Q+ = %v, want ∅ (⊥ might be 1)", got)
 	}
 }
@@ -169,8 +170,8 @@ func TestTheorem47Property(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plusRes := algebra.Naive(db, plus)
-		possRes := algebra.Naive(db, poss)
+		plusRes := plan.Naive(db, plus)
+		possRes := plan.Naive(db, poss)
 		cert, err := certain.WithNulls(db, q, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +186,7 @@ func TestTheorem47Property(t *testing.T) {
 		}
 		space.Each(func(v value.Valuation) bool {
 			world := db.Apply(v)
-			res := algebra.Eval(world, q, algebra.ModeNaive)
+			res := plan.Eval(world, q, algebra.ModeNaive)
 			// v(Q+(D)) ⊆ Q(v(D))
 			ok := true
 			plusRes.Each(func(tp value.Tuple, _ int) {
@@ -228,8 +229,8 @@ func TestTheorem46Property(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qtRes := algebra.Naive(db, qt)
-		qfRes := algebra.Naive(db, qf)
+		qtRes := plan.Naive(db, qt)
+		qfRes := plan.Naive(db, qf)
 		cert, err := certain.WithNulls(db, q, certain.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +245,7 @@ func TestTheorem46Property(t *testing.T) {
 			t.Fatal(err)
 		}
 		space.Each(func(v value.Valuation) bool {
-			res := algebra.Eval(db.Apply(v), q, algebra.ModeNaive)
+			res := plan.Eval(db.Apply(v), q, algebra.ModeNaive)
 			bad := false
 			qfRes.Each(func(tp value.Tuple, _ int) {
 				if res.Contains(v.Apply(tp)) {
@@ -277,14 +278,14 @@ func TestQtEqualsQOnCompleteDatabases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := algebra.Naive(db, q)
-		if got := algebra.Naive(db, qt); !got.EqualSet(want) {
+		want := plan.Naive(db, q)
+		if got := plan.Naive(db, qt); !got.EqualSet(want) {
 			t.Fatalf("trial %d: Qt(D) = %v ≠ Q(D) = %v on complete D\nQ = %s", trial, got, want, q)
 		}
-		if got := algebra.Naive(db, plus); !got.EqualSet(want) {
+		if got := plan.Naive(db, plus); !got.EqualSet(want) {
 			t.Fatalf("trial %d: Q+(D) ≠ Q(D) on complete D", trial)
 		}
-		if got := algebra.Naive(db, poss); !got.EqualSet(want) {
+		if got := plan.Naive(db, poss); !got.EqualSet(want) {
 			t.Fatalf("trial %d: Q?(D) ≠ Q(D) on complete D", trial)
 		}
 	}
@@ -302,8 +303,8 @@ func TestTheorem48BagBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plusBag := algebra.EvalBag(db, plus, algebra.ModeNaive)
-		possBag := algebra.EvalBag(db, poss, algebra.ModeNaive)
+		plusBag := plan.EvalBag(db, plus, algebra.ModeNaive)
+		possBag := plan.EvalBag(db, poss, algebra.ModeNaive)
 		// Check the sandwich on every tuple that appears on either side.
 		var seen value.TupleMap[value.Tuple]
 		plusBag.Each(func(tp value.Tuple, _ int) { seen.Put(tp, tp) })

@@ -8,7 +8,7 @@
 # Environment:
 #   BENCH        benchmark regexp          (default: a representative set)
 #   BENCHTIME    go test -benchtime value  (default: 0.2s)
-#   COUNT        go test -count value      (default: 3)
+#   COUNT        rounds per side           (default: 8)
 #   OUT          output directory          (default: bench-compare-out)
 #
 # Besides the benchstat (or raw) text comparison, the run writes
@@ -16,7 +16,11 @@
 # ratios — via scripts/benchjson; CI uploads $OUT as an artifact.
 #
 # The base ref defaults to HEAD~1 (the previous commit), checked out into a
-# temporary git worktree so the working tree is never disturbed. Exit code
+# temporary git worktree so the working tree is never disturbed. Each side's
+# test binary is built once; then $COUNT rounds each run every benchmark
+# once per side (-test.count=1), swapping which side goes first every round,
+# so that drift in the machine's speed over the run falls on both sides
+# alike instead of on whichever side ran last. Exit code
 # is nonzero when the measurement itself fails OR when a gated oracle
 # microbenchmark (E1/E11) regresses more than GATE_PCT percent — the
 # benchjson gate enforces this from the same medians the JSON reports, so
@@ -28,26 +32,12 @@ set -eu
 BASE_REF="${1:-HEAD~1}"
 BENCH="${BENCH:-BenchmarkOperatorJoin|BenchmarkE5CTableStrategies|BenchmarkE1Figure1|BenchmarkE11NaiveEval|BenchmarkOperatorDifference|BenchmarkOperatorAntiUnify|BenchmarkTPCHMultiJoin|BenchmarkE6MuConvergence|BenchmarkE7ConditionalMu|BenchmarkWireQueryResponse}"
 BENCHTIME="${BENCHTIME:-0.2s}"
-COUNT="${COUNT:-3}"
+COUNT="${COUNT:-8}"
 OUT="${OUT:-bench-compare-out}"
 GATE="${GATE:-BenchmarkE1Figure1|BenchmarkE11NaiveEval}"
 GATE_PCT="${GATE_PCT:-25}"
 
 mkdir -p "$OUT"
-
-run_bench() {
-    dir="$1"
-    out="$2"
-    (cd "$dir" && go test -run='^$' -bench="$BENCH" -benchmem \
-        -benchtime="$BENCHTIME" -count="$COUNT" .) >"$out" 2>&1 || {
-        echo "benchmark run failed in $dir:" >&2
-        cat "$out" >&2
-        return 1
-    }
-}
-
-echo "== measuring working tree (new) =="
-run_bench . "$OUT/new.txt"
 
 if ! git rev-parse --verify --quiet "$BASE_REF" >/dev/null; then
     echo "base ref $BASE_REF does not exist (first commit?); nothing to compare" >&2
@@ -58,8 +48,36 @@ WORKTREE="$(mktemp -d)"
 trap 'git worktree remove --force "$WORKTREE" >/dev/null 2>&1 || true; rm -rf "$WORKTREE"' EXIT
 git worktree add --detach "$WORKTREE" "$BASE_REF" >/dev/null
 
-echo "== measuring $BASE_REF (old) =="
-run_bench "$WORKTREE" "$OUT/old.txt"
+echo "== building test binaries =="
+BIN="$(cd "$OUT" && pwd)"
+go test -c -o "$BIN/new.test" .
+(cd "$WORKTREE" && go test -c -o "$BIN/old.test" .)
+: >"$OUT/new.txt"
+: >"$OUT/old.txt"
+
+# run_bench SIDE DIR appends one pass of every benchmark to $OUT/SIDE.txt,
+# running the binary in the package directory it was built from.
+run_bench() {
+    (cd "$2" && "$BIN/$1.test" -test.run='^$' -test.bench="$BENCH" -test.benchmem \
+        -test.benchtime="$BENCHTIME" -test.count=1) >>"$OUT/$1.txt" 2>&1 || {
+        echo "benchmark run failed ($1 side):" >&2
+        cat "$OUT/$1.txt" >&2
+        return 1
+    }
+}
+
+round=1
+while [ "$round" -le "$COUNT" ]; do
+    echo "== round $round of $COUNT =="
+    if [ $((round % 2)) -eq 1 ]; then
+        run_bench new .
+        run_bench old "$WORKTREE"
+    else
+        run_bench old "$WORKTREE"
+        run_bench new .
+    fi
+    round=$((round + 1))
+done
 
 echo "== comparison =="
 if command -v benchstat >/dev/null 2>&1; then
@@ -80,7 +98,7 @@ echo "== JSON report and regression gate =="
 go run ./scripts/benchjson \
     -old "$OUT/old.txt" -new "$OUT/new.txt" \
     -out "$OUT/compare.json" \
-    -method "go test -run='^\$' -bench='$BENCH' -benchmem -benchtime=$BENCHTIME -count=$COUNT; medians of $COUNT runs" \
+    -method "go test -c per side, then $COUNT alternating rounds of -test.run='^\$' -test.bench='$BENCH' -test.benchmem -test.benchtime=$BENCHTIME -test.count=1; medians of $COUNT runs" \
     -before "$(git log -1 --format='%h (%s)' "$BASE_REF" | cut -c1-120)" \
     -gate "$GATE" -fail-over "$GATE_PCT"
 
