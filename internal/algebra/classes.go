@@ -40,17 +40,6 @@ func ColumnClasses(e Expr, db *relation.Database) *Classes {
 	return c
 }
 
-// File files the rows appended to the relations the query reads.
-func (c *Classes) File(added map[string][]relation.Appended) {
-	for name, as := range added {
-		for _, a := range as {
-			if cols, ok := c.rels[name]; ok {
-				c.add(cols, a.T)
-			}
-		}
-	}
-}
-
 // WithAnswer returns a copy of c with t, a tuple asked about as the query's
 // answer, filed under the output's columns.
 func (c *Classes) WithAnswer(t value.Tuple) *Classes {

@@ -217,10 +217,10 @@ type HealthResponse struct {
 // relation shows up as Cache.Advances moving — with Cache.Hits — on the
 // next affected query, whose prepared plan is advanced across the new rows,
 // and any other mutation (a replace, a restore, more appends than a
-// relation's append log remembers) as Cache.Invalidations, the entries
-// actually dropped (result-cache entries simply stop being reachable, their
-// key embeds the version vector). Versions is the session's current vector —
-// the freshest possible consistency token.
+// relation's append log remembers, any change under a Dom-reading plan) as
+// Cache.Invalidations, the entries actually dropped; every mutation empties
+// the result cache. Versions is the session's current vector — the freshest
+// possible consistency token.
 type SessionStatus struct {
 	Name        string            `json:"name"`
 	CreatedAt   string            `json:"created_at"`

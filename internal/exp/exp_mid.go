@@ -214,11 +214,24 @@ func E6MuConvergence() string {
 		"— a 0–1 law; µᵏ visibly converges to the limit.\n"
 }
 
-// E7ConditionalMu reproduces Theorem 4.11: the S⊆T example with value 1/2,
-// a family realizing arbitrary rationals, and the FD-chase identity.
-func E7ConditionalMu() string {
-	var b strings.Builder
+// e7Values holds what E7 computes: µ of the 1/2 example with and without Σ,
+// µ(Q|Σ) for each target p/r, and the FD example's µ under Σ and on the
+// chased database.
+type e7Values struct {
+	mu, mu0, muFD, muChase *big.Rat
+	targets                [][2]int
+	realized               []*big.Rat
+}
 
+// e7Compute runs E7's three parts; err is the first error of a µ.
+func e7Compute() (v e7Values, err error) {
+	mu := func(db *relation.Database, q algebra.Expr, sigma constraint.Set, a value.Tuple) *big.Rat {
+		m, e := prob.Mu(db, q, sigma, a, certain.Options{})
+		if err == nil {
+			err = e
+		}
+		return m
+	}
 	// Part 1: the 1/2 example.
 	db := relation.NewDatabase()
 	tt := relation.New("T", "a")
@@ -230,18 +243,11 @@ func E7ConditionalMu() string {
 	db.Add(s)
 	sigma := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "T", Cols2: []int{0}}}
 	q := algebra.Minus(algebra.R("T"), algebra.R("S"))
-	mu, err := prob.Mu(db, q, sigma, value.Consts("1"), certain.Options{})
-	if err != nil {
-		return err.Error()
-	}
-	mu0, _ := prob.Mu(db, q, nil, value.Consts("1"), certain.Options{})
-	fmt.Fprintf(&b, "T = {1,2}, S = {⊥}, Σ: S ⊆ T, Q = T−S, ā = (1):\n")
-	fmt.Fprintf(&b, "  µ(Q, D, ā)      = %s   (unconditional: ⊥ almost surely misses 1)\n", mu0.RatString())
-	fmt.Fprintf(&b, "  µ(Q|Σ, D, ā)    = %s   (paper: exactly 1/2)\n\n", mu.RatString())
+	v.mu, v.mu0 = mu(db, q, sigma, value.Consts("1")), mu(db, q, nil, value.Consts("1"))
 
 	// Part 2: realizing p/r with T = {1..r}, P = {1..p}, Q = ∃x S(x)∧P(x).
-	var rows [][]string
-	for _, pr := range [][2]int{{1, 3}, {2, 3}, {3, 5}, {2, 7}, {5, 8}} {
+	v.targets = [][2]int{{1, 3}, {2, 3}, {3, 5}, {2, 7}, {5, 8}}
+	for _, pr := range v.targets {
 		p, r := pr[0], pr[1]
 		db2 := relation.NewDatabase()
 		t2 := relation.New("T", "a")
@@ -259,18 +265,8 @@ func E7ConditionalMu() string {
 		db2.Add(s2)
 		sig := constraint.Set{constraint.IND{R1: "S", Cols1: []int{0}, R2: "T", Cols2: []int{0}}}
 		bq := algebra.Proj(algebra.Inter(algebra.R("S"), algebra.R("P")))
-		got, err := prob.Mu(db2, bq, sig, value.Tuple{}, certain.Options{})
-		if err != nil {
-			return err.Error()
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d/%d", p, r),
-			got.RatString(),
-			fmt.Sprintf("%v", got.Cmp(big.NewRat(int64(p), int64(r))) == 0),
-		})
+		v.realized = append(v.realized, mu(db2, bq, sig, value.Tuple{}))
 	}
-	b.WriteString("Realizing arbitrary rationals (Theorem 4.11, second part):\n")
-	b.WriteString(table([]string{"target p/r", "µ(Q|Σ)", "match"}, rows))
 
 	// Part 3: FDs reduce to the chase.
 	db3 := relation.NewDatabase()
@@ -282,10 +278,34 @@ func E7ConditionalMu() string {
 	fds, _ := fd.FDs()
 	chased, _ := constraint.Chase(db3, fds)
 	q3 := algebra.Proj(algebra.R("R"), 1)
-	muC, _ := prob.Mu(db3, q3, fd, value.Consts("a"), certain.Options{})
-	muChase, _ := prob.Mu(chased, q3, nil, value.Consts("a"), certain.Options{})
+	v.muFD, v.muChase = mu(db3, q3, fd, value.Consts("a")), mu(chased, q3, nil, value.Consts("a"))
+	return v, err
+}
+
+// E7ConditionalMu reproduces Theorem 4.11: the S⊆T example with value 1/2,
+// a family realizing arbitrary rationals, and the FD-chase identity.
+func E7ConditionalMu() string {
+	v, err := e7Compute()
+	if err != nil {
+		return err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "T = {1,2}, S = {⊥}, Σ: S ⊆ T, Q = T−S, ā = (1):\n")
+	fmt.Fprintf(&b, "  µ(Q, D, ā)      = %s   (unconditional: ⊥ almost surely misses 1)\n", v.mu0.RatString())
+	fmt.Fprintf(&b, "  µ(Q|Σ, D, ā)    = %s   (paper: exactly 1/2)\n\n", v.mu.RatString())
+	var rows [][]string
+	for i, pr := range v.targets {
+		got := v.realized[i]
+		rows = append(rows, []string{
+			fmt.Sprintf("%d/%d", pr[0], pr[1]),
+			got.RatString(),
+			fmt.Sprintf("%v", got.Cmp(big.NewRat(int64(pr[0]), int64(pr[1]))) == 0),
+		})
+	}
+	b.WriteString("Realizing arbitrary rationals (Theorem 4.11, second part):\n")
+	b.WriteString(table([]string{"target p/r", "µ(Q|Σ)", "match"}, rows))
 	fmt.Fprintf(&b, "\nFDs via the chase: R = {(1,a),(1,⊥)}, Σ: k→v.\n")
 	fmt.Fprintf(&b, "  µ(a ∈ πv R | Σ, D) = %s;  µ(a ∈ πv R, D_Σ) = %s  (must agree; both 1 since the chase binds ⊥ = a)\n",
-		muC.RatString(), muChase.RatString())
+		v.muFD.RatString(), v.muChase.RatString())
 	return b.String()
 }

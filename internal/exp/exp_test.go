@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -75,5 +76,34 @@ func TestE11NaiveExactOnItsFragments(t *testing.T) {
 	}
 	if tl := tallies[2]; tl.exact >= tl.answered {
 		t.Errorf("full RA: naive = cert⊥ on %d of %d answered trials, want fewer", tl.exact, tl.answered)
+	}
+}
+
+// TestE7PaperValues: µ(Q|Σ) of the S ⊆ T example is 1/2 and its
+// unconditional µ is 1, every target p/r is realized exactly, and the FD
+// example reads 1 both under Σ and on the chased database (Theorem 4.11).
+// The rendered table must report µ(Q|Σ), not the unconditional value.
+func TestE7PaperValues(t *testing.T) {
+	v, err := e7Compute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := big.NewRat(1, 1)
+	if v.mu.Cmp(big.NewRat(1, 2)) != 0 || v.mu0.Cmp(one) != 0 {
+		t.Errorf("µ(Q|Σ) = %s, µ(Q) = %s, want 1/2 and 1", v.mu.RatString(), v.mu0.RatString())
+	}
+	if len(v.realized) != len(v.targets) {
+		t.Fatalf("%d targets, %d values", len(v.targets), len(v.realized))
+	}
+	for i, pr := range v.targets {
+		if want := big.NewRat(int64(pr[0]), int64(pr[1])); v.realized[i].Cmp(want) != 0 {
+			t.Errorf("target %s: µ(Q|Σ) = %s", want.RatString(), v.realized[i].RatString())
+		}
+	}
+	if v.muFD.Cmp(one) != 0 || v.muChase.Cmp(one) != 0 {
+		t.Errorf("FD example: µ under Σ = %s, on the chase = %s, want both 1", v.muFD.RatString(), v.muChase.RatString())
+	}
+	if out := E7ConditionalMu(); !strings.Contains(out, "µ(Q|Σ, D, ā)    = 1/2 ") {
+		t.Errorf("E7 does not report µ(Q|Σ) = 1/2:\n%s", out)
 	}
 }

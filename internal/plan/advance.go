@@ -20,17 +20,17 @@ import (
 // guards still hold, prepAdvanced when only appends happened and were folded
 // in, prepStale when the state has to be prepared afresh (a removal, a replaced
 // relation, an append log that no longer reaches back, a reclassifying
-// append). It mutates the prepared state in place, so the caller must hold
-// off mutation of db for as long as it uses the Prepared and every user must
-// come through catchUp after a mutation — which is what PrepCache.Get under
-// a reader lock amounts to.
+// append, any change under a plan that reads Dom). It mutates the prepared
+// state in place, so the caller must hold off mutation of db for as long as
+// it uses the Prepared and every user must come through catchUp after a
+// mutation — which is what PrepCache.Get under a reader lock amounts to.
 func (prep *Prepared) catchUp(db *relation.Database) catchUpResult {
 	prep.mu.Lock()
 	defer prep.mu.Unlock()
 	if db.Holds(prep.guards) {
 		return prepCurrent
 	}
-	if db != prep.base {
+	if db != prep.base || prep.domAll {
 		return prepStale
 	}
 	added, ok := db.AppendedSince(prep.guards)
@@ -66,17 +66,9 @@ func (prep *Prepared) advance(added map[string][]relation.Appended) bool {
 			}
 		}
 	}
-	nullAdded, rows := false, 0
 	for _, as := range added {
-		rows += len(as)
-		for _, a := range as {
-			nullAdded = nullAdded || a.T.HasNull()
-		}
+		prep.absorbed += len(as)
 	}
-	if prep.domAll && nullAdded && len(prep.domNulls) == 0 {
-		return false // Dom over a complete database would start to vary
-	}
-	prep.absorbed += rows
 	// Decide everywhere before any pass runs: a filter's pass asks whether
 	// the subplans it probes grew.
 	reached := make([]bool, len(plans))
@@ -88,18 +80,9 @@ func (prep *Prepared) advance(added map[string][]relation.Appended) bool {
 			prep.fold(q, source{added: added})
 		}
 	}
-	if nullAdded {
-		prep.nullIDs.clear()
-	}
-	if cl := prep.classes.p.Load(); cl != nil {
-		cl.File(added)
-	}
-	switch {
-	case prep.domAll && nullAdded:
-		prep.loadDom()
-	case prep.domAll:
-		prep.domConsts = prep.base.Consts()
-	}
+	// The null ids and the classes are derived afresh on next use.
+	prep.nullIDs.clear()
+	prep.classes.clear()
 	prep.pin()
 	return true
 }
@@ -107,18 +90,14 @@ func (prep *Prepared) advance(added map[string][]relation.Appended) bool {
 // decide marks what the appended rows do to each node of q: it grows when
 // they reach it and it can fold its Δ⁺, and is rederived — its frozen part
 // dropped — when it cannot: an input they reached is one it does not
-// distribute over (Dom's is the whole database), or was dropped itself, or
-// nothing has been built from the node yet (dropping is free, and the first
-// use builds from the advanced inputs). A node without a frozen part has
-// none to fold into. It reports whether the rows reached q's root at all.
+// distribute over, or was dropped itself, or nothing has been built from the
+// node yet (dropping is free, and the first use builds from the advanced
+// inputs). A node without a frozen part has none to fold into. It reports
+// whether the rows reached q's root at all.
 func (prep *Prepared) decide(q *Plan, added map[string][]relation.Appended) bool {
 	ps := prep.stateOf(q)
 	touched := func(n pnode) bool {
-		reads := n.base().reads
-		if reads.dom {
-			return true
-		}
-		for _, name := range reads.names {
+		for _, name := range n.base().reads.names {
 			if _, ok := added[name]; ok {
 				return true
 			}
@@ -132,8 +111,7 @@ func (prep *Prepared) decide(q *Plan, added map[string][]relation.Appended) bool
 			continue
 		}
 		_, scan := n.(*pscan)
-		_, blocked := n.(*pdom)
-		dropped := !scan && st.frozenRows.Load() < 0
+		blocked, dropped := false, !scan && st.frozenRows.Load() < 0
 		prep.eachInput(ps, n, func(in pnode, is *nodeState) {
 			if touched(in) {
 				blocked = blocked || !distributes(n, in, q.bag)

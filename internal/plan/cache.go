@@ -21,7 +21,8 @@ import (
 // appended rows folded into its frozen artifacts — when those relations have
 // only gained rows, and it is dropped and prepared afresh otherwise (a
 // removal, a replaced relation, more appends than a relation's bounded
-// append log remembers, an append that would reclassify a node). A relation
+// append log remembers, an append that would reclassify a node, any change
+// under a plan that reads the active domain). A relation
 // that has moved to another size class changes the key: the lookup misses,
 // and the plan the cost model picks for the new sizes is prepared afresh and
 // replaces the entry for the old classes. Appends only grow relations, so an

@@ -350,6 +350,11 @@ func TestCatchUpDecisions(t *testing.T) {
 			db.MustRelation("R").Add(value.T(value.Const("r-null"), db.FreshNull()))
 			return db
 		}, prepStale},
+		// U keeps an append log, as it does when another plan reads it.
+		{"an append under a Dom plan", "minus(dom(1), proj(0, S))", func(db *relation.Database) *relation.Database {
+			db.Pin([]string{"U"})
+			return appendRows("U", 1)(db)
+		}, prepStale},
 		{"a null reaching Dom over a complete base", "minus(dom(1), proj(0, S))", func(db *relation.Database) *relation.Database {
 			db.MustRelation("U").Add(value.T(db.FreshNull()))
 			return db

@@ -74,6 +74,8 @@ var deltaQueries = []string{
 	"sel(in(0 1, S), R)",                 // two-column probe
 	"sel(in(0 1, R), times(V, T))",       // an IN conjunct across join inputs guards the top
 	"sel(or(in(0, T), eqc(0, 'k2')), V)", // IN under a connective
+	// An ∧ holding an IN under ∨.
+	"sel(or(and(in(0, T), eqc(1, 'v1')), eqc(1, 'v3')), R)",
 	// Textually identical IN subqueries share one subplan, so a nested IN may
 	// reuse a subplan compiled before the one that encloses it, in either
 	// order, at any depth, varying or frozen.

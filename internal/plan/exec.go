@@ -787,10 +787,11 @@ func (n *pdom) run(x *exec, emit func(*vbatch)) {
 		return
 	}
 	// dom(v(D)) = Const(D) ∪ v(Null(D)): a valuation replaces nulls and
-	// leaves every constant in place.
-	adom := x.prep.domConsts[:len(x.prep.domConsts):len(x.prep.domConsts)]
-	for _, null := range x.prep.domNulls {
-		if c := x.src.val.ApplyValue(null); !slices.Contains(adom, c) {
+	// leaves every constant in place. Both are cached (Database.Consts,
+	// Prepared.NullIDs); Consts is capped, so appending copies it.
+	adom := x.prep.base.Consts()
+	for _, id := range x.prep.NullIDs() {
+		if c := x.src.val.ApplyValue(value.Null(id)); !slices.Contains(adom, c) {
 			adom = append(adom, c)
 		}
 	}

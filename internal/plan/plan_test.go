@@ -2,6 +2,7 @@ package plan
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -317,4 +318,45 @@ func TestZeroColumnProjectionOfJoin(t *testing.T) {
 			t.Errorf("bag=%t: frozen part %v (arity %d), interpreter = %v", bag, got, got.Arity(), want)
 		}
 	}
+}
+
+// TestGreedyOrderFollowsCheapestGrowth: beyond dpMaxInputs the join order
+// starts at the smallest input and then adds the input whose join grows the
+// prefix least (its cardinality plus the build cost), which need not be the
+// smallest input left.
+func TestGreedyOrderFollowsCheapestGrowth(t *testing.T) {
+	rows := []float64{40, 30, 5, 20}
+	conjs := []crossConj{{mask: 1<<0 | 1<<2, sel: 0.01}, {mask: 1<<1 | 1<<3, sel: 0.001}, {mask: 1<<2 | 1<<3, sel: 0.5}}
+	// From {2}: +0 costs 40·5·0.01 + 2·40 = 82, +3 costs 50 + 40 = 90; from
+	// {0, 2}: +3 costs 20 + 40 = 60, +1 costs 60 + 60 = 120.
+	if got, want := greedyOrder(rows, conjs), []int{2, 0, 3, 1}; !slices.Equal(got, want) {
+		t.Fatalf("greedyOrder = %v, want %v", got, want)
+	}
+}
+
+// TestNineWayChainJoin: a chain of nine joined relations is one cluster of
+// more than dpMaxInputs inputs, ordered greedily; the planner must still
+// match the interpreter in every world, in both modes and semantics.
+func TestNineWayChainJoin(t *testing.T) {
+	var data strings.Builder
+	rels, cond := "R8", "eq(15, 16)"
+	for i := 0; i < 9; i++ {
+		fmt.Fprintf(&data, "rel R%d a b\nrow R%[1]d v0 v1\nrow R%[1]d v1 v2\nrow R%[1]d v2 v0\n", i)
+		if i < 8 {
+			rels = fmt.Sprintf("times(R%d, %s)", 7-i, rels)
+		}
+		if i < 7 {
+			cond = fmt.Sprintf("and(eq(%d, %d), %s)", 2*(6-i)+1, 2*(6-i)+2, cond)
+		}
+	}
+	data.WriteString("row R4 _1 v1\n")
+	db, err := raparse.ParseDatabase(strings.NewReader(data.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := raparse.ParseQuery("sel(" + cond + ", " + rels + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDelta(t, db, q, append(value.Consts("v0", "v1"), value.Const("⁑fresh")), map[string]bool{})
 }

@@ -30,7 +30,10 @@ import (
 //     guards were taken, the pass takes the appended rows instead, and every
 //     frozen artifact becomes frozen part ∪ Δ⁺ in place (advance.go; catchUp
 //     is the entry point and PrepCache.Get calls it); an appended row with a
-//     null in a read column is one more template;
+//     null in a read column is one more template. A plan that reads the
+//     active domain is never advanced: its guards pin the whole catalogue
+//     and Dom distributes over nothing, so after any change it is prepared
+//     afresh;
 //   - the identity, for a one-shot (Plan.Exec): a plan executed once on D has
 //     no second world to share a frozen part with, so its Prepared takes the
 //     degenerate partition — every row is a Δ row, every frozen part is empty
@@ -82,23 +85,19 @@ type Prepared struct {
 	subs []*planState
 	// nullIDs are the sorted identifiers of the nulls a valuation must bind
 	// for this plan: those in the partitions' null rows, or all of Null(D)
-	// when the plan reads the active domain. Collected on first request: an
-	// execution of the base itself never asks.
+	// when the plan reads the active domain. Collected on first request (an
+	// execution of the base itself never asks); an advance drops them.
 	nullIDs lazy[[]uint64]
 	// classes are the column classes of the plan's query, filled with the
-	// base's rows (Classes).
+	// base's rows (Classes); an advance drops them.
 	classes lazy[algebra.Classes]
-	// domNulls and domConsts are Dom's inputs, kept only when the plan reads
-	// the active domain.
-	domNulls  []value.Value
-	domConsts []value.Value
 
 	// guards pin the relations the plan reads (object and mutation version as
 	// of Prepare or the last advance); ValidFor re-checks them so a Prepared
 	// can outlive a single oracle invocation (REPL/server workloads), and
-	// catchUp asks them what was appended since. A plan reading the active domain (Dom)
-	// depends on every relation of the base, so domAll pins the whole
-	// catalogue.
+	// catchUp asks them what was appended since. A plan reading the active
+	// domain (Dom) depends on every relation of the base, so domAll pins the
+	// whole catalogue, and any change to it makes the Prepared stale.
 	guards relation.Pins
 	domAll bool
 
@@ -156,8 +155,9 @@ func (prep *Prepared) NullIDs() []uint64 {
 }
 
 // Classes returns the column classes of q, the query the plan was compiled
-// from, filled with the rows of the base: built on first use, each advance
-// files its appended rows in them. They are shared and read-only.
+// from, filled with the rows of the base: built on first use, and built
+// again from the advanced base on the first use after an advance. They are
+// shared and read-only.
 func (prep *Prepared) Classes(q algebra.Expr) *algebra.Classes {
 	return prep.classes.get(func() *algebra.Classes { return algebra.ColumnClasses(q, prep.base) })
 }
@@ -311,19 +311,7 @@ func (p *Plan) prepare(base *relation.Database, src source) *Prepared {
 		prep.subState(sub)
 	}
 	prep.main = prep.classify(p)
-	if prep.domAll {
-		prep.loadDom()
-	}
 	return prep
-}
-
-// loadDom reads Dom's inputs off the base.
-func (prep *Prepared) loadDom() {
-	prep.domConsts = prep.base.Consts()
-	prep.domNulls = nil
-	for _, id := range prep.base.NullIDs() {
-		prep.domNulls = append(prep.domNulls, value.Null(id))
-	}
 }
 
 // stateOf returns the prepared state of q, the main plan or a subplan.

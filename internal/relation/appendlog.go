@@ -20,9 +20,9 @@ type Appended struct {
 const maxAppendLog = 256
 
 // logInsert records an insert made at the current (already bumped)
-// version. Nothing is kept while no holder of derived state has pinned the
-// relation — results, frozen artifacts and worlds are never pinned — so the
-// log then just starts at the present.
+// version. Nothing is kept while no holder has pinned the relation with Pin
+// — results, frozen artifacts, worlds and whole-catalogue state never do —
+// so the log then just starts at the present.
 func (r *Relation) logInsert(t value.Tuple, m int, fresh bool) {
 	if !r.watched.Load() {
 		r.logFrom = r.version

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"incdb/internal/value"
@@ -139,53 +138,22 @@ func TestHasNullsSurvivesInserts(t *testing.T) {
 	}
 }
 
-// TestConstsAdvancedFromAppendLog: after inserts Consts() extends the cached
-// set by the new rows' constants instead of walking the catalogue, stays
-// sorted and equal to a cold walk, and leaves the slice it handed out before
-// untouched; after a removal it walks again.
-func TestConstsAdvancedFromAppendLog(t *testing.T) {
+// TestPinAllStartsNoLog: whole-catalogue pins (Consts, a plan that reads
+// Dom) never catch up, so they leave a relation's inserts unlogged; Pin
+// starts the log.
+func TestPinAllStartsNoLog(t *testing.T) {
 	db := NewDatabase()
-	r, s := New("R", "a", "b"), New("S", "x")
-	db.Add(r).Add(s)
-	r.Add(value.Consts("m", "10"))
-	s.Add(value.Consts("b"))
-	cold := func() []value.Value {
-		c := db.Clone().Consts()
-		if !sort.SliceIsSorted(c, func(i, j int) bool { return value.OrderLess(c[i], c[j]) }) {
-			t.Fatalf("cold walk unsorted: %v", c)
-		}
-		return c
+	r := New("R", "a")
+	db.Add(r)
+	all := db.PinAll()
+	db.Consts()
+	r.Add(value.Consts("x"))
+	if _, ok := r.AppendedSince(all.versions[0]); ok || len(r.log) != 0 {
+		t.Fatalf("%d inserts logged under whole-catalogue pins", len(r.log))
 	}
-	first := db.Consts()
-	kept := append([]value.Value(nil), first...)
-
-	r.Add(value.T(value.Const("a"), value.Null(1)))
-	r.Add(value.Consts("m", "2")) // m is known, 2 sorts before 10
-	s.Add(value.Consts("zz"))
-	s.AddMult(value.Consts("b"), 3) // not a new row
-	walked := db.consts.Load()
-	got := db.Consts()
-	if fmt.Sprint(got) != fmt.Sprint(cold()) {
-		t.Fatalf("advanced consts %v, cold walk %v", got, cold())
-	}
-	if fmt.Sprint(first) != fmt.Sprint(kept) {
-		t.Fatalf("advancing wrote into the slice handed out before: %v, was %v", first, kept)
-	}
-	if db.consts.Load() == walked {
-		t.Fatal("no new snapshot published")
-	}
-	if again := db.Consts(); &again[0] != &got[0] {
-		t.Fatal("a second call did not serve the cached snapshot")
-	}
-
-	// Nothing new: the very same slice.
-	s.Add(value.Consts("m"))
-	if same := db.Consts(); &same[0] != &got[0] {
-		t.Error("an insert without new constants copied the set")
-	}
-
-	r.SetMult(value.Consts("m", "10"), 0)
-	if got := db.Consts(); fmt.Sprint(got) != fmt.Sprint(cold()) {
-		t.Fatalf("after a removal: %v, cold walk %v", got, cold())
+	some := db.Pin([]string{"R"})
+	r.Add(value.Consts("y"))
+	if rows, ok := db.AppendedSince(some); !ok || len(rows["R"]) != 1 {
+		t.Fatalf("after Pin: AppendedSince = %v, %v", rows, ok)
 	}
 }

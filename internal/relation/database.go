@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -36,8 +35,9 @@ type constsSnap struct {
 // database may be cached: per pinned name, the relation object and its
 // mutation version as the database presented them. Mutation requires
 // exclusivity, so a holder re-checks its pins (Holds) at the start of each
-// use and, when a pinned relation changed, asks what was appended since
-// (AppendedSince) to catch up — or re-derives when that is not an answer.
+// use and re-derives when a pinned relation changed. The one holder that
+// catches up instead, a prepared plan, asks what was appended since
+// (AppendedSince) and re-derives when that is not an answer.
 type Pins struct {
 	names    []string
 	rels     []*Relation // nil: the name was absent
@@ -50,23 +50,22 @@ type Pins struct {
 // Pin pins the named relations as d presents them now. A pinned relation
 // starts keeping its append log, so the holder can later ask what was added
 // (AppendedSince) instead of re-deriving.
-func (d *Database) Pin(names []string) Pins {
-	p := Pins{names: names, rels: make([]*Relation, len(names)), versions: make([]uint64, len(names))}
+func (d *Database) Pin(names []string) Pins { return d.pin(names, false) }
+
+// PinAll pins every relation of d and the catalogue itself. It starts no
+// append log: a holder of whole-catalogue state re-derives after any change.
+func (d *Database) PinAll() Pins { return d.pin(d.Names(), true) }
+
+func (d *Database) pin(names []string, all bool) Pins {
+	p := Pins{names: names, rels: make([]*Relation, len(names)), versions: make([]uint64, len(names)), all: all}
 	for i, name := range names {
 		if r := d.rels[name]; r != nil {
 			p.rels[i], p.versions[i] = r, r.version
-			if !r.watched.Load() { // concurrent readers pin: write the flag once
+			if !all && !r.watched.Load() { // concurrent readers pin: write the flag once
 				r.watched.Store(true)
 			}
 		}
 	}
-	return p
-}
-
-// PinAll pins every relation of d and the catalogue itself.
-func (d *Database) PinAll() Pins {
-	p := d.Pin(d.Names())
-	p.all = true
 	return p
 }
 
@@ -85,17 +84,13 @@ func (d *Database) Holds(p Pins) bool {
 	return true
 }
 
-// AppendedSince returns, for every pinned relation that changed, the rows
-// inserted into it since p was taken, keyed by name — or ok=false when the
-// difference between then and now is not a set of inserts: a pinned
-// relation was replaced, dropped or created, the catalogue under a PinAll
-// changed, or a relation's append log cannot answer
+// AppendedSince returns, for every relation p pinned (Pin) that changed, the
+// rows inserted into it since p was taken, keyed by name — or ok=false when
+// the difference between then and now is not a set of inserts: a pinned
+// relation was replaced, dropped or created, or its append log cannot answer
 // (Relation.AppendedSince). The rows alias the logs and are valid until the
 // next mutation.
 func (d *Database) AppendedSince(p Pins) (added map[string][]Appended, ok bool) {
-	if p.all && len(d.order) != len(p.names) {
-		return nil, false
-	}
 	for i, name := range p.names {
 		r := d.rels[name]
 		if r != p.rels[i] {
@@ -167,7 +162,7 @@ func (d *Database) Arity(name string) int {
 // Versions returns the database's version vector: every relation's
 // mutation counter (Relation.Version), keyed by name. Two snapshots of the
 // same database object with equal vectors are guaranteed to hold identical
-// contents; a long-lived service keys cached prepared state on it.
+// contents; a service hands it to clients as a consistency token.
 func (d *Database) Versions() map[string]uint64 {
 	out := make(map[string]uint64, len(d.rels))
 	for name, r := range d.rels {
@@ -201,25 +196,14 @@ func (d *Database) ReserveNull(id uint64) {
 // Consts returns the set Const(D) of constants occurring in the database,
 // in deterministic order. The walk over every relation is cached under the
 // whole catalogue's pins — the oracles ask once per call for the range of
-// their valuation space — and caught up from the append logs when only
-// inserts happened since; anything else (a removal, a replaced relation, a
-// forgotten log) walks again. The returned slice is shared and capped at its
-// length: appending to it copies, writing into it is not allowed.
+// their valuation space — and any mutation since (an insert too) walks
+// again. The returned slice is shared and capped at its length: appending
+// to it copies, writing into it is not allowed.
 func (d *Database) Consts() []value.Value {
-	s := d.consts.Load()
-	if s != nil && d.Holds(s.pins) {
+	if s := d.consts.Load(); s != nil && d.Holds(s.pins) {
 		return s.consts
 	}
 	snap := &constsSnap{pins: d.PinAll()}
-	if s != nil {
-		if added, ok := d.AppendedSince(s.pins); ok {
-			// Only inserts since the cached walk: Const(D) gains the new rows'
-			// constants.
-			snap.consts = withConstsOf(s.consts, added)
-			d.consts.Store(snap)
-			return snap.consts
-		}
-	}
 	seen := map[value.Value]bool{}
 	var out []value.Value
 	for _, name := range d.order {
@@ -237,41 +221,6 @@ func (d *Database) Consts() []value.Value {
 	snap.consts = out[:len(out):len(out)]
 	d.consts.Store(snap)
 	return snap.consts
-}
-
-// withConstsOf returns the sorted constant set consts extended by the
-// constants of the appended rows. consts itself is shared with concurrent
-// readers and stays untouched: the result is consts when nothing is new, a
-// fresh slice otherwise.
-func withConstsOf(consts []value.Value, added map[string][]Appended) []value.Value {
-	var fresh []value.Value
-	for _, rows := range added {
-		for _, a := range rows {
-			for _, v := range a.T {
-				if !a.Fresh || !v.IsConst() {
-					continue
-				}
-				if _, ok := slices.BinarySearchFunc(consts, v, value.OrderCompare); ok {
-					continue
-				}
-				if i, ok := slices.BinarySearchFunc(fresh, v, value.OrderCompare); !ok {
-					fresh = slices.Insert(fresh, i, v)
-				}
-			}
-		}
-	}
-	if len(fresh) == 0 {
-		return consts
-	}
-	out := make([]value.Value, 0, len(consts)+len(fresh))
-	for _, v := range consts {
-		for len(fresh) > 0 && value.OrderLess(fresh[0], v) {
-			out = append(out, fresh[0])
-			fresh = fresh[1:]
-		}
-		out = append(out, v)
-	}
-	return append(out, fresh...)
 }
 
 // NullIDs returns the identifiers of Null(D), sorted.

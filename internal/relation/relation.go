@@ -60,8 +60,8 @@ type Relation struct {
 	// readers of a stable relation see a stable value.
 	version uint64
 	// log is the append log (appendlog.go): the inserts since version
-	// logFrom, kept while watched says some holder of cached derived state
-	// pinned the relation and may ask for them (AppendedSince).
+	// logFrom, kept once watched says a holder pinned the relation (Pin)
+	// and may ask for them (AppendedSince). A prepared plan is that holder.
 	log     []Appended
 	logFrom uint64
 	watched atomic.Bool

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -110,7 +112,8 @@ func TestVersionStableUnderApply(t *testing.T) {
 
 // TestConstsCachedUntilMutation: Consts() is served from its cache while no
 // relation has mutated and the catalogue is unchanged, is recomputed after
-// either, and can be appended to without corrupting the cached copy.
+// either — after mixed inserts it is sorted and equal to a cold walk of a
+// clone — and can be appended to without corrupting the cached copy.
 func TestConstsCachedUntilMutation(t *testing.T) {
 	db := NewDatabase()
 	r := New("R", "a")
@@ -143,6 +146,17 @@ func TestConstsCachedUntilMutation(t *testing.T) {
 	db.Add(New("S", "x"))
 	if got := db.Consts(); len(got) != 2 {
 		t.Fatalf("Consts after replacing a relation = %v", got)
+	}
+	// Inserts of new and known constants, a null row and a repeat of a
+	// stored row.
+	r.Add(value.T(value.Null(2)))
+	r.Add(value.Consts("10"))
+	r.Add(value.Consts("2")) // sorts before 10
+	r.AddMult(value.Consts("b"), 3)
+	got := db.Consts()
+	cold := db.Clone().Consts()
+	if !sort.SliceIsSorted(got, func(i, j int) bool { return value.OrderLess(got[i], got[j]) }) || fmt.Sprint(got) != fmt.Sprint(cold) {
+		t.Fatalf("Consts after inserts = %v, cold walk %v", got, cold)
 	}
 }
 

@@ -74,14 +74,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sp := obs.SpanFromContext(r.Context())
 	resp := api.QueryResponse{Session: sess.name, Proc: proc.Name, Query: req.Query}
 
-	// A byte-identical repeated request against an unchanged version vector
-	// is answered from the result cache — O(1) regardless of what the query
+	// A byte-identical repeated request against an unchanged database is
+	// answered from the result cache — O(1) regardless of what the query
 	// costs to evaluate: the answer is already encoded.
 	csp := sp.StartChild("result_cache.lookup")
 	sess.mu.RLock()
 	resp.Versions = sess.db.Versions()
 	var results []byte
-	results, resp.Cached = sess.results.get(resultKey(&req, proc.Name, resp.Versions))
+	results, resp.Cached = sess.results.get(resultKey(&req, proc.Name))
 	sess.mu.RUnlock()
 	csp.Attr("hit", strconv.FormatBool(resp.Cached))
 	csp.End()
@@ -149,10 +149,10 @@ func (sess *session) parsed(text string, f func(q algebra.Expr) error) error {
 // database through the session's prepared-plan cache (so concurrent
 // requests reuse each other's prepared state), filling resp's counters and
 // returning the encoded "results" array, which it also stores in the result
-// cache under the vector it was computed at — which may have moved since the
-// lookup stage. The request context cancels the oracles' enumeration.
-// slowPlan is the optimized logical expression, rendered only when
-// evaluation ran past -slow-query.
+// cache before the read lock is released, so no mutation can come between
+// the evaluation and the entry. The request context cancels the oracles'
+// enumeration. slowPlan is the optimized logical expression, rendered only
+// when evaluation ran past -slow-query.
 func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, req *api.QueryRequest, start time.Time, resp *api.QueryResponse) (results []byte, slowPlan string, aerr *api.Error) {
 	sp := obs.SpanFromContext(ctx)
 	esp := sp.StartChild("evaluate")
@@ -188,7 +188,7 @@ func (s *Server) evaluate(ctx context.Context, sess *session, proc *core.Proc, r
 		// A Result shares the prepared frozen part, which the next append
 		// advances in place: encode it before the read lock is released.
 		results = api.AppendResults(nil, proc.Labels, rels)
-		sess.results.put(resultKey(req, proc.Name, resp.Versions), results)
+		sess.results.put(resultKey(req, proc.Name), results)
 		if s.opts.SlowQuery > 0 && time.Since(start) >= s.opts.SlowQuery {
 			slowPlan = plan.OptimizedFor(q, sess.db).String()
 		}

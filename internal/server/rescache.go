@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,18 +12,14 @@ import (
 )
 
 // resultCache memoizes whole query results per session, keyed by the raw
-// query text, evaluation procedure, semantics knobs and the database's
-// version vector — the same guard the prepared-plan cache validates
-// against, lifted into the key: mutating any relation moves its version,
-// so every entry computed before the mutation simply stops being reachable
-// and ages out of the LRU. A byte-identical repeated query against an
-// unchanged database is answered without touching the planner or the
-// oracles at all. An entry is the answer's encoded "results" array
-// (api.AppendResults), so a hit copies bytes and renders nothing.
-//
-// Replacing the database wholesale could reuse a vector (fresh relations
-// restart their counters), so the server discards the whole cache on
-// replace — the same rule the prepared-plan cache follows.
+// query text, evaluation procedure and semantics knobs. It only ever holds
+// answers for the session's present state: every lookup and every put runs
+// under the session read lock of the request, and every mutation, which
+// holds the write lock, drops all entries (session.mutate). A byte-identical
+// repeated query against an unchanged database is answered without touching
+// the planner or the oracles at all. An entry is the answer's encoded
+// "results" array (api.AppendResults), so a hit copies bytes and renders
+// nothing.
 type resultCache struct {
 	mu      sync.Mutex
 	entries map[string][]byte
@@ -41,15 +36,8 @@ func newResultCache() *resultCache {
 	return &resultCache{entries: map[string][]byte{}}
 }
 
-// resultKey builds the cache key for one request against the session's
-// version vector, which the caller read under the same session read lock
-// as the lookup or evaluation the key is for.
-func resultKey(req *api.QueryRequest, proc string, versions map[string]uint64) string {
-	names := make([]string, 0, len(versions))
-	for name := range versions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// resultKey builds the cache key for one request.
+func resultKey(req *api.QueryRequest, proc string) string {
 	var b strings.Builder
 	b.WriteString(req.Query)
 	b.WriteByte('|')
@@ -58,12 +46,6 @@ func resultKey(req *api.QueryRequest, proc string, versions map[string]uint64) s
 	b.WriteString(strconv.FormatBool(req.Bag))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(req.MaxWorlds))
-	for _, name := range names {
-		b.WriteByte('|')
-		b.WriteString(name)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(versions[name], 10))
-	}
 	return b.String()
 }
 
@@ -91,6 +73,14 @@ func (c *resultCache) put(key string, results []byte) {
 		delete(c.entries, oldest)
 		c.order.Remove(oldest)
 	}
+	c.mu.Unlock()
+}
+
+// clear drops every entry; the hit and miss counters keep counting.
+func (c *resultCache) clear() {
+	c.mu.Lock()
+	clear(c.entries)
+	c.order = lru.Order{}
 	c.mu.Unlock()
 }
 

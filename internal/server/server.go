@@ -190,15 +190,19 @@ type session struct {
 	log   *store.SessionLog // nil when the server is memory-only
 }
 
-// mutate runs apply under the session write lock and, when it succeeds,
-// wakes the consistency-token waiters. Every mutation of a session goes
-// through here — a primary's commit, a replica's bootstrap and each record
-// it applies — so a replica advances its vector by the same code the
-// primary does.
+// mutate runs apply under the session write lock, drops every cached
+// result — even when apply fails, since a replayed record whose vector
+// differs from the logged one is reported after it was applied — and, when
+// apply succeeds, wakes the consistency-token waiters. Every mutation of a
+// session goes through here — a primary's commit, a replica's bootstrap and
+// each record it applies — so a replica advances its vector by the same
+// code the primary does. Prepared plans catch up on their next lookup.
 func (sess *session) mutate(apply func() error) error {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if err := apply(); err != nil {
+	err := apply()
+	sess.results.clear()
+	if err != nil {
 		return err
 	}
 	close(sess.vecCh)
@@ -208,11 +212,9 @@ func (sess *session) mutate(apply func() error) error {
 
 // install makes db the session database and starts both caches afresh.
 // Replacing the database wholesale replaces every relation object, so no
-// cached prepared plan can survive its pointer guard — dropping the cache
+// cached prepared plan can survive its pointer guard: dropping the cache
 // beats letting stale entries pin the old database's frozen
-// materializations — and fresh relations restart their version counters,
-// so the result cache's vector-embedding keys could otherwise collide with
-// the old database's. Caller holds the write lock (mutate), except while
+// materializations. Caller holds the write lock (mutate), except while
 // the session is still private to its constructor.
 func (sess *session) install(db *relation.Database) {
 	sess.db = db

@@ -12,8 +12,9 @@
 #   OUT          output directory          (default: bench-compare-out)
 #
 # Besides the benchstat (or raw) text comparison, the run writes
-# $OUT/compare.json — median-of-$COUNT per benchmark for both sides and the
-# ratios — via scripts/benchjson; CI uploads $OUT as an artifact.
+# $OUT/compare.json — median-of-$COUNT per benchmark for both sides, the
+# ratios and the median of the per-round ratios — via scripts/benchjson; CI
+# uploads $OUT as an artifact.
 #
 # The base ref defaults to HEAD~1 (the previous commit), checked out into a
 # temporary git worktree so the working tree is never disturbed. Each side's
@@ -23,8 +24,9 @@
 # alike instead of on whichever side ran last. Exit code
 # is nonzero when the measurement itself fails OR when a gated oracle
 # microbenchmark (E1/E11) regresses more than GATE_PCT percent — the
-# benchjson gate enforces this from the same medians the JSON reports, so
-# it works offline; benchstat output, when installed, is informational.
+# benchjson gate enforces this on the median over rounds of new/old ns/op,
+# which the JSON reports too, so it works offline and drift inside the run
+# cancels; benchstat output, when installed, is informational.
 # The default set includes the µᵏ and µ benchmarks (E6, E7) and the
 # query-response codec (BenchmarkWireQueryResponse): reported, not gated.
 set -eu
@@ -98,7 +100,7 @@ echo "== JSON report and regression gate =="
 go run ./scripts/benchjson \
     -old "$OUT/old.txt" -new "$OUT/new.txt" \
     -out "$OUT/compare.json" \
-    -method "go test -c per side, then $COUNT alternating rounds of -test.run='^\$' -test.bench='$BENCH' -test.benchmem -test.benchtime=$BENCHTIME -test.count=1; medians of $COUNT runs" \
+    -method "go test -c per side, then $COUNT alternating rounds of -test.run='^\$' -test.bench='$BENCH' -test.benchmem -test.benchtime=$BENCHTIME -test.count=1; medians of $COUNT runs, gate on the median of per-round new/old ratios" \
     -before "$(git log -1 --format='%h (%s)' "$BASE_REF" | cut -c1-120)" \
     -gate "$GATE" -fail-over "$GATE_PCT"
 

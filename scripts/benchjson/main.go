@@ -1,8 +1,9 @@
 // Command benchjson turns two `go test -bench` output files (a base run and
 // a working-tree run) into a JSON comparison: per benchmark, the median
-// ns/op, B/op and allocs/op of each side plus the speedup ratios, and it
-// gates the run on the regressions of chosen benchmarks. It is invoked by
-// scripts/bench_compare.sh after the two measurement passes.
+// ns/op, B/op and allocs/op of each side, the speedup ratios and the median
+// of the per-round ratios, and it gates the run on the regressions of chosen
+// benchmarks. It is invoked by scripts/bench_compare.sh after the
+// measurement rounds.
 package main
 
 import (
@@ -25,9 +26,11 @@ type stats struct {
 }
 
 type cmp struct {
-	Before          stats   `json:"before"`
-	After           stats   `json:"after"`
-	SpeedupNs       float64 `json:"speedup_ns"`
+	Before    stats   `json:"before"`
+	After     stats   `json:"after"`
+	SpeedupNs float64 `json:"speedup_ns"`
+	// PairedNs is the median over rounds k of after_k/before_k ns/op.
+	PairedNs        float64 `json:"paired_ratio_ns"`
 	BytesReduction  float64 `json:"bytes_reduction"`
 	AllocsReduction float64 `json:"allocs_reduction"`
 }
@@ -122,7 +125,7 @@ func main() {
 	method := flag.String("method", "", "measurement method description")
 	before := flag.String("before", "", "base commit description")
 	gate := flag.String("gate", "", "regexp of benchmarks whose ns/op regression fails the run")
-	failOver := flag.Float64("fail-over", 25, "gate threshold: fail when median ns/op regresses more than this percent")
+	failOver := flag.Float64("fail-over", 25, "gate threshold: fail when the median per-round ns/op ratio new/old exceeds 1 by more than this percent")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" || *out == "" {
 		flag.Usage()
@@ -130,71 +133,100 @@ func main() {
 	}
 	oldRuns, err := parse(*oldPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		die(err)
 	}
 	newRuns, err := parse(*newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		die(err)
 	}
-	rep := report{Method: *method, Machine: machine(), BeforeCommit: *before, Benchmarks: map[string]cmp{}}
-	for name, after := range newRuns {
-		beforeRuns, ok := oldRuns[name]
-		if !ok {
-			continue // benchmark new in the working tree: nothing to compare
-		}
-		b, a := medians(beforeRuns), medians(after)
-		rep.Benchmarks[name] = cmp{
-			Before: b, After: a,
-			SpeedupNs:       ratio(b.Ns, a.Ns),
-			BytesReduction:  ratio(b.Bytes, a.Bytes),
-			AllocsReduction: ratio(b.Allocs, a.Allocs),
-		}
+	rep := report{Method: *method, Machine: machine(), BeforeCommit: *before}
+	if rep.Benchmarks, err = compare(oldRuns, newRuns); err != nil {
+		die(err)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		die(err)
 	}
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		die(err)
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
 
 	// Regression gate: after the artifact is written (so a failing run still
-	// uploads its numbers), fail loudly when any gated benchmark's median
-	// ns/op regressed past the threshold. This is the offline counterpart of
-	// a benchstat check — medians of the same runs, no external tooling.
+	// uploads its numbers), fail loudly when any gated benchmark regressed
+	// past the threshold. This is the offline counterpart of a benchstat
+	// check — the same runs, no external tooling.
 	if *gate != "" {
 		re, err := regexp.Compile(*gate)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: bad -gate regexp:", err)
-			os.Exit(1)
+			die("bad -gate regexp:", err)
 		}
-		failed := false
-		names := make([]string, 0, len(rep.Benchmarks))
-		for name := range rep.Benchmarks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := rep.Benchmarks[name]
-			if !re.MatchString(name) || c.Before.Ns == 0 {
-				continue
-			}
-			pct := (c.After.Ns - c.Before.Ns) / c.Before.Ns * 100
-			if pct > *failOver {
-				fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: %s regressed %.1f%% (median %.0f → %.0f ns/op, limit +%.0f%%)\n",
-					name, pct, c.Before.Ns, c.After.Ns, *failOver)
-				failed = true
-			} else {
-				fmt.Printf("gate ok: %s %+.1f%% (limit +%.0f%%)\n", name, pct, *failOver)
-			}
-		}
-		if failed {
+		if !gateOK(rep.Benchmarks, re, *failOver) {
 			os.Exit(1)
 		}
 	}
+}
+
+func die(v ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"benchjson:"}, v...)...)
+	os.Exit(1)
+}
+
+// compare pairs every benchmark both sides ran. Each round of
+// bench_compare.sh runs both sides once, back to back, so the k-th sample of
+// a side comes from the same round as the k-th of the other: the median of
+// the per-round ratios cancels drift in the machine's speed over the run,
+// which per-side medians do not. Sides with unequal sample counts cannot be
+// paired and are an error.
+func compare(oldRuns, newRuns map[string][]stats) (map[string]cmp, error) {
+	out := map[string]cmp{}
+	for name, after := range newRuns {
+		before, ok := oldRuns[name]
+		if !ok {
+			continue // benchmark new in the working tree: nothing to compare
+		}
+		if len(before) != len(after) {
+			return nil, fmt.Errorf("%s: %d base samples but %d working-tree samples, rounds cannot be paired", name, len(before), len(after))
+		}
+		var paired []float64
+		for k := range after {
+			if before[k].Ns > 0 {
+				paired = append(paired, after[k].Ns/before[k].Ns)
+			}
+		}
+		b, a := medians(before), medians(after)
+		out[name] = cmp{
+			Before: b, After: a,
+			SpeedupNs:       ratio(b.Ns, a.Ns),
+			PairedNs:        median(paired),
+			BytesReduction:  ratio(b.Bytes, a.Bytes),
+			AllocsReduction: ratio(b.Allocs, a.Allocs),
+		}
+	}
+	return out, nil
+}
+
+// gateOK reports whether no benchmark matching re has a paired ns/op ratio
+// more than failOver percent above 1, printing one line per gated benchmark.
+func gateOK(benchmarks map[string]cmp, re *regexp.Regexp, failOver float64) bool {
+	var names []string
+	for name, c := range benchmarks {
+		if re.MatchString(name) && c.PairedNs != 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	ok := true
+	for _, name := range names {
+		c := benchmarks[name]
+		pct := (c.PairedNs - 1) * 100
+		if pct > failOver {
+			fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: %s regressed %.1f%% (median of per-round ratios; medians %.0f → %.0f ns/op, limit +%.0f%%)\n",
+				name, pct, c.Before.Ns, c.After.Ns, failOver)
+			ok = false
+		} else {
+			fmt.Printf("gate ok: %s %+.1f%% (limit +%.0f%%)\n", name, pct, failOver)
+		}
+	}
+	return ok
 }
